@@ -154,6 +154,8 @@ type (
 	LoopStrategy = bem.LoopStrategy
 	// AssemblyMode selects deferred or mutex elementwise assembly.
 	AssemblyMode = bem.AssemblyMode
+	// KernelStrategy selects the image-series inner-integral arithmetic.
+	KernelStrategy = bem.KernelStrategy
 	// HealthError reports a failed numerical health check (enable with
 	// WithHealthCheck or Config.HealthCheck): non-finite systems or
 	// solutions, indefinite or ill-conditioned matrices. Detect with
@@ -192,12 +194,12 @@ const (
 	InnerLoop         = bem.InnerLoop
 	StoreThenAssemble = bem.StoreThenAssemble
 	MutexAssemble     = bem.MutexAssemble
-	// ReferenceKernel (default) evaluates image-series inner integrals with
-	// the bit-exact per-image closed forms; FlatKernel streams precomputed
-	// per-depth image tables (≈2× faster single-thread, results within 1e-10
-	// relative). Select with WithFlatAssembly or Config.BEM.Kernel.
-	ReferenceKernel = bem.ReferenceKernel
+	// FlatKernel (the default) streams the shared image ladder through a
+	// hoisted log-form inner integral; ReferenceKernel is the per-image
+	// closed-form oracle it is tested against (results within 1e-10
+	// relative). Config.BEM.Kernel selects the oracle explicitly.
 	FlatKernel      = bem.FlatKernel
+	ReferenceKernel = bem.ReferenceKernel
 )
 
 // Schedule kinds.

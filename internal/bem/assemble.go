@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"earthing/internal/faultinject"
@@ -35,23 +36,22 @@ type Assembler struct {
 	lastBusy  []time.Duration
 	lastPairs []int64
 
-	// Image expansions per (src, obs) layer pair, grouped by series index.
-	// Pairs without a closed image form are absent and fall back to
-	// quadrature of Model.PointPotential, so a model may mix fast image
-	// kernels (e.g. the top layer of an N-layer soil) with slow exact ones.
-	groups map[[2]int][][]soil.Image
-	// images reports whether every layer pair has an image expansion (the
-	// analytic-gradient fast path requires all of them).
-	images bool
+	// Image expansions of every (src, obs) layer pair, flattened once and
+	// grouped by series index (see imageLadder). Pairs without a closed
+	// image form fall back to quadrature of Model.PointPotential, so a model
+	// may mix fast image kernels (e.g. the top layer of an N-layer soil)
+	// with slow exact ones.
+	ladder *imageLadder
 
 	// innerScratch pools k-sized inner-integral buffers so the legacy
 	// per-point Potential path does not allocate per call.
 	innerScratch sync.Pool
 
 	// evalOnce/eval lazily build the batched field evaluator shared by all
-	// post-processing consumers (see fieldeval.go).
+	// post-processing consumers (see fieldeval.go); eval is atomic so that
+	// Footprint can observe it without building it.
 	evalOnce sync.Once
-	eval     *FieldEvaluator
+	eval     atomic.Pointer[FieldEvaluator]
 }
 
 // New prepares an assembler. It validates that no element spans a layer
@@ -99,39 +99,19 @@ func NewWithGeometry(geo *Geometry, model soil.Model, opt Options) (*Assembler, 
 		a.elemLayer[e] = layer
 	}
 
-	a.groups = map[[2]int][][]soil.Image{}
-	a.images = true
-	nl := model.NumLayers()
-	for src := 1; src <= nl; src++ {
-		for obs := 1; obs <= nl; obs++ {
-			imgs, ok := model.ImageExpansion(src, obs, opt.MaxGroups)
-			if !ok {
-				a.images = false
-				continue
-			}
-			var grouped [][]soil.Image
-			for _, im := range imgs {
-				for im.Group >= len(grouped) {
-					grouped = append(grouped, nil)
-				}
-				grouped[im.Group] = append(grouped[im.Group], im)
-			}
-			a.groups[[2]int{src, obs}] = grouped
-		}
-	}
+	a.ladder = newImageLadder(model, opt.MaxGroups)
 	return a, nil
 }
 
 // Footprint estimates the resident bytes an assembler pins beyond its mesh:
-// the quadrature geometry plus the per-layer-pair image expansions (32 B per
-// soil.Image). It is the sizing input of groundd's byte-bounded cache of
-// solved systems.
+// the quadrature geometry, the shared image ladder and every field-evaluation
+// plan built so far (the flat kernel builds one per source-element layer; a
+// raster may add the others). It is the sizing input of groundd's
+// byte-bounded cache of solved systems.
 func (a *Assembler) Footprint() int64 {
-	n := a.Geometry.Footprint() + int64(len(a.elemLayer))*8
-	for _, series := range a.groups {
-		for _, imgs := range series {
-			n += int64(len(imgs)) * 32
-		}
+	n := a.Geometry.Footprint() + int64(len(a.elemLayer))*8 + a.ladder.footprint()
+	if fe := a.eval.Load(); fe != nil {
+		n += fe.footprint()
 	}
 	return n
 }
@@ -367,11 +347,11 @@ func (a *Assembler) pairMatrix(beta, alpha int, out []float64, s *pairScratch) {
 	for i := range out {
 		out[i] = 0
 	}
-	if _, ok := a.groups[[2]int{a.elemLayer[alpha], a.elemLayer[beta]}]; ok {
-		if a.opt.Kernel == FlatKernel {
-			a.pairMatrixFlat(beta, alpha, out, s)
-		} else {
+	if _, _, ok := a.ladder.pair(a.elemLayer[alpha], a.elemLayer[beta]); ok {
+		if a.opt.Kernel == ReferenceKernel {
 			a.pairMatrixImages(beta, alpha, out, s)
+		} else {
+			a.pairMatrixFlat(beta, alpha, out, s)
 		}
 	} else {
 		faultinject.Fire(faultinject.Quadrature, beta, out)
@@ -386,7 +366,7 @@ func (a *Assembler) pairMatrixImages(beta, alpha int, out []float64, s *pairScra
 	elB := &a.mesh.Elements[beta]
 	srcLayer := a.elemLayer[alpha]
 	obsLayer := a.elemLayer[beta]
-	groups := a.groups[[2]int{srcLayer, obsLayer}]
+	lo, hi, _ := a.ladder.pair(srcLayer, obsLayer)
 	pref := 1 / (4 * math.Pi * a.model.Conductivity(srcLayer))
 	lenB := elB.Seg.Length()
 
@@ -400,15 +380,15 @@ func (a *Assembler) pairMatrixImages(beta, alpha int, out []float64, s *pairScra
 
 	maxAccum := 0.0
 	smallGroups := 0
-	for _, grp := range groups {
+	for gi := lo; gi < hi; gi++ {
 		for i := range s.group {
 			s.group[i] = 0
 		}
-		for _, im := range grp {
-			segI := im.ApplySegment(elA.Seg)
+		for _, im := range a.ladder.group(gi) {
+			segI := im.applySegment(elA.Seg)
 			for g, chi := range gpPos {
 				shapeIntegrals(chi, segI.A, segI.B, elA.Radius, a.linear, s.inner)
-				wg := gpW[g] * lenB * im.Weight
+				wg := gpW[g] * lenB * im.w
 				for j := 0; j < k; j++ {
 					wj := wg * gpShape[g][j]
 					for i := 0; i < k; i++ {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"earthing/internal/geom"
@@ -20,14 +21,16 @@ import (
 // reflected geometry depends only on (element, image).
 //
 // The evaluator splits that work into a precompute phase and a streaming
-// phase. At construction (lazily, per observation layer) it flattens each
-// element's grouped image expansion into contiguous arrays. Because every
-// image is affine in z only, an image segment shares the (x, y) geometry of
-// its source element: three scalars per image — the transformed endpoint
-// depth az = Sign·A.Z + Offset, the transformed axial direction component
-// sz = Sign·t.z, and the series weight — fully describe it. The per-point
-// inner loop then reduces to a cache-friendly scan over flat float64 arrays
-// with two square roots and one logarithm per image (the closed form
+// phase. At construction (lazily, per observation layer) it hoists every
+// element's observation-point-invariant geometry into a flat header and
+// points it at its layer pair's series in the assembler's shared image
+// ladder. Because every image is affine in z only, an image segment shares
+// the (x, y) geometry of its source element: the transformed endpoint depth
+// az = sign·A.Z + off, the transformed axial direction component
+// sz = sign·t.z, and the series weight fully describe it, and the two depths
+// are computed in the loop (sign = ±1 makes both products exact). The
+// per-point inner loop then reduces to a cache-friendly scan over the flat
+// ladder with two square roots and one logarithm per image (the closed form
 // asinh(a) + asinh(b) = log((a+√(a²+1))·(b+√(b²+1))) evaluated
 // cancellation-safely), preserving the element order, KahanSum accumulation
 // and per-group tolerance early-exit of the legacy path to ≪ 1e-10.
@@ -43,13 +46,16 @@ type FieldEvaluator struct {
 	plans []lazyPlan
 }
 
+// lazyPlan builds its plan once; plan is atomic so that footprint can see
+// which plans exist without building them.
 type lazyPlan struct {
 	once sync.Once
-	plan *evalPlan
+	plan atomic.Pointer[evalPlan]
 }
 
-// evalPlan holds, for one observation layer, every element's image expansion
-// flattened into contiguous arrays (computed once, reused for every point).
+// evalPlan holds, for one observation layer, every element's header and the
+// series-group range it reads from the shared image ladder (computed once,
+// reused for every point).
 type evalPlan struct {
 	elems []planElem
 	// byElem maps a mesh element index to its position in elems (−1 for
@@ -59,23 +65,6 @@ type evalPlan struct {
 	// quadElems are elements whose (src, obs) layer pair has no image
 	// expansion; they fall back to quadrature of Model.PointPotential.
 	quadElems []int32
-
-	// imgs is the flattened image stream; one record fully describes an
-	// image-reflected segment given its element's shared (x, y) geometry.
-	// A single struct stream (rather than parallel arrays) lets the point
-	// loop range over subslices bounds-check-free.
-	imgs []planImage
-	// grpOff[g] is the first image of series group g; group g spans
-	// imgs[grpOff[g]:grpOff[g+1]]. Elements own the consecutive group ranges
-	// [planElem.grpLo, planElem.grpHi); a trailing sentinel closes the last.
-	grpOff []int32
-}
-
-// planImage is one image-reflected segment: the transformed endpoint depth
-// az = Sign·A.Z + Offset, the transformed axial direction component
-// sz = Sign·t.z, and the series weight.
-type planImage struct {
-	az, sz, w float64
 }
 
 // planElem is the per-element header of a plan: the observation-point-
@@ -87,11 +76,17 @@ type planElem struct {
 	ax, ay  float64 // segment start (x, y) — shared by every image
 	tx, ty  float64 // axial unit direction (x, y) — shared by every image
 	tz      float64 // axial unit direction z of the source segment
+	az0     float64 // segment start depth; an image's is sign·az0 + off
 	dof0    int32
 	dof1    int32 // valid only for linear elements
-	grpLo   int32
-	grpHi   int32
+	// [grpLo, grpHi) is the element's series-group range in the ladder.
+	grpLo int32
+	grpHi int32
 }
+
+// planElemBytes is the size of one planElem: ten float64 and four int32
+// fields.
+const planElemBytes = 10*8 + 4*4
 
 // newFieldEvaluator prepares an evaluator; plans are built per observation
 // layer on first use.
@@ -103,27 +98,38 @@ func newFieldEvaluator(a *Assembler) *FieldEvaluator {
 // building it on first call. The evaluator shares the assembler's immutable
 // precomputed state and is safe for concurrent use.
 func (a *Assembler) Evaluator() *FieldEvaluator {
-	a.evalOnce.Do(func() { a.eval = newFieldEvaluator(a) })
-	return a.eval
+	a.evalOnce.Do(func() { a.eval.Store(newFieldEvaluator(a)) })
+	return a.eval.Load()
 }
 
 // plan returns (building on first use) the flattened plan for an observation
 // layer.
 func (fe *FieldEvaluator) plan(obsLayer int) *evalPlan {
 	lp := &fe.plans[obsLayer-1]
-	lp.once.Do(func() { lp.plan = buildPlan(fe.a, obsLayer) })
-	return lp.plan
+	lp.once.Do(func() { lp.plan.Store(buildPlan(fe.a, obsLayer)) })
+	return lp.plan.Load()
 }
 
-// buildPlan flattens every element's image expansion for one observation
-// layer. This is the precompute half of the engine: ApplySegment and the
-// per-element prefactors run once here instead of once per point.
+// footprint returns the resident bytes of the plans built so far.
+func (fe *FieldEvaluator) footprint() int64 {
+	var n int64
+	for i := range fe.plans {
+		if p := fe.plans[i].plan.Load(); p != nil {
+			n += int64(len(p.elems))*planElemBytes + int64(len(p.byElem)+len(p.quadElems))*4
+		}
+	}
+	return n
+}
+
+// buildPlan gathers every element's header for one observation layer. This
+// is the precompute half of the engine: the per-element geometry and
+// prefactors are derived once here instead of once per point.
 func buildPlan(a *Assembler, obsLayer int) *evalPlan {
 	p := &evalPlan{byElem: make([]int32, len(a.mesh.Elements))}
 	for e := range a.mesh.Elements {
 		el := &a.mesh.Elements[e]
 		srcLayer := a.elemLayer[e]
-		groups, ok := a.groups[[2]int{srcLayer, obsLayer}]
+		lo, hi, ok := a.ladder.pair(srcLayer, obsLayer)
 		if !ok {
 			p.byElem[e] = -1
 			p.quadElems = append(p.quadElems, int32(e))
@@ -141,8 +147,10 @@ func buildPlan(a *Assembler, obsLayer int) *evalPlan {
 			tx:      t.X,
 			ty:      t.Y,
 			tz:      t.Z,
+			az0:     el.Seg.A.Z,
 			dof0:    int32(el.DoF[0]),
-			grpLo:   int32(len(p.grpOff)),
+			grpLo:   lo,
+			grpHi:   hi,
 		}
 		if l > 0 {
 			pe.invL = 1 / l
@@ -150,20 +158,8 @@ func buildPlan(a *Assembler, obsLayer int) *evalPlan {
 		if a.linear {
 			pe.dof1 = int32(el.DoF[1])
 		}
-		for _, grp := range groups {
-			p.grpOff = append(p.grpOff, int32(len(p.imgs)))
-			for _, im := range grp {
-				p.imgs = append(p.imgs, planImage{
-					az: im.Sign*el.Seg.A.Z + im.Offset,
-					sz: im.Sign * t.Z,
-					w:  im.Weight,
-				})
-			}
-		}
-		pe.grpHi = int32(len(p.grpOff))
 		p.elems = append(p.elems, pe)
 	}
-	p.grpOff = append(p.grpOff, int32(len(p.imgs)))
 	return p
 }
 
@@ -190,7 +186,7 @@ func logI0(p, q, r0, r1, rho2 float64) float64 {
 func (fe *FieldEvaluator) PotentialAt(x geom.Vec3, sigma []float64) float64 {
 	a := fe.a
 	p := fe.plan(a.model.LayerOf(math.Max(x.Z, 0)))
-	imgs, grpOff := p.imgs, p.grpOff
+	imgs, grpOff := a.ladder.imgs, a.ladder.grpOff
 	linear := a.linear
 
 	var total quad.KahanSum
@@ -206,6 +202,7 @@ func (fe *FieldEvaluator) PotentialAt(x geom.Vec3, sigma []float64) float64 {
 		hxy := dx*pe.tx + dy*pe.ty
 		dxy2 := dx*dx + dy*dy
 		l, invL, r2min := pe.l, pe.invL, pe.radius2
+		az0, tz := pe.az0, pe.tz
 
 		var accum float64
 		maxAccum := 0.0
@@ -213,8 +210,8 @@ func (fe *FieldEvaluator) PotentialAt(x geom.Vec3, sigma []float64) float64 {
 		for g := pe.grpLo; g < pe.grpHi; g++ {
 			var gsum float64
 			for _, im := range imgs[grpOff[g]:grpOff[g+1]] {
-				dz := x.Z - im.az
-				pp := hxy + im.sz*dz
+				dz := x.Z - (im.sign*az0 + im.off)
+				pp := hxy + im.sign*tz*dz
 				pp2 := pp * pp
 				rho2 := dxy2 + dz*dz - pp2
 				if rho2 < r2min {
@@ -258,7 +255,7 @@ func (fe *FieldEvaluator) PotentialAt(x geom.Vec3, sigma []float64) float64 {
 func (fe *FieldEvaluator) GradientAt(x geom.Vec3, sigma []float64) geom.Vec3 {
 	a := fe.a
 	p := fe.plan(a.model.LayerOf(math.Max(x.Z, 0)))
-	imgs, grpOff := p.imgs, p.grpOff
+	imgs, grpOff := a.ladder.imgs, a.ladder.grpOff
 	linear := a.linear
 
 	var total geom.Vec3
@@ -273,6 +270,7 @@ func (fe *FieldEvaluator) GradientAt(x geom.Vec3, sigma []float64) geom.Vec3 {
 		dy := x.Y - pe.ay
 		hxy := dx*pe.tx + dy*pe.ty
 		l, invL := pe.l, pe.invL
+		az0, tz := pe.az0, pe.tz
 		minRho := math.Sqrt(pe.radius2)
 		tiny := 1e-14 * (1 + l)
 
@@ -282,8 +280,8 @@ func (fe *FieldEvaluator) GradientAt(x geom.Vec3, sigma []float64) geom.Vec3 {
 		for g := pe.grpLo; g < pe.grpHi; g++ {
 			var gx, gy, gz float64
 			for _, im := range imgs[grpOff[g]:grpOff[g+1]] {
-				szi := im.sz
-				dz := x.Z - im.az
+				szi := im.sign * tz
+				dz := x.Z - (im.sign*az0 + im.off)
 				pp := hxy + szi*dz
 				// Radial vector from the (image) axis to x; its norm is the
 				// true ρ before the thin-wire clamp.

@@ -45,10 +45,11 @@ func quantGeom(x float64) float64 {
 }
 
 // pairMatrixFlat computes the same elemental matrix as pairMatrixImages from
-// the flattened per-depth image tables of the field-evaluation plan
-// (fieldeval.go). The legacy kernel re-derives every image-reflected segment
-// (im.ApplySegment) and evaluates two asinh calls per (image, Gauss point);
-// here the reflection is three precomputed scalars (az, sz, w), the
+// the shared image ladder and the source element's field-evaluation plan
+// header (fieldeval.go). The reference kernel re-derives every
+// image-reflected segment (applySegment) and evaluates two asinh calls per
+// (image, Gauss point); here the reflection is three scalars per image
+// (az = sign·az0 + off, sz = sign·tz, w), the
 // observation geometry of each Gauss point is hoisted out of the image loop,
 // and the inner integral is evaluated in the cancellation-safe log form of
 // logI0. Two structural fast paths cut the transcendental count further:
@@ -76,7 +77,7 @@ func (a *Assembler) pairMatrixFlatOn(beta, alpha int, out []float64, s *pairScra
 	elB := &a.mesh.Elements[beta]
 	p := a.Evaluator().plan(a.elemLayer[beta])
 	pe := &p.elems[p.byElem[alpha]]
-	imgs, grpOff := p.imgs, p.grpOff
+	imgs, grpOff := a.ladder.imgs, a.ladder.grpOff
 	lenB := elB.Seg.Length()
 
 	// Near pairs (self, touching, adjacent) get the refined outer rule —
@@ -124,6 +125,7 @@ func (a *Assembler) pairMatrixFlatOn(beta, alpha int, out []float64, s *pairScra
 	// images share one series weight (every MultiLayer group does) fuse
 	// their logarithms into a single call via Σ log aᵢ = log Π aᵢ.
 	horizontal := pe.tz == 0
+	az0, tz := pe.az0, pe.tz
 
 	maxAccum := 0.0
 	smallGroups := 0
@@ -159,7 +161,7 @@ func (a *Assembler) pairMatrixFlatOn(beta, alpha int, out []float64, s *pairScra
 				num, den := 1.0, 1.0
 				sd := 0.0
 				for _, im := range ims {
-					dz := z - im.az
+					dz := z - (im.sign*az0 + im.off)
 					rho2 := d2 + dz*dz - pp2
 					if rho2 < r2min {
 						rho2 = r2min
@@ -203,7 +205,7 @@ func (a *Assembler) pairMatrixFlatOn(beta, alpha int, out []float64, s *pairScra
 			}
 		} else {
 			for _, im := range ims {
-				az, sz, w := im.az, im.sz, im.w
+				az, sz, w := im.sign*az0+im.off, im.sign*tz, im.w
 				// Accumulate the image's Gauss sum unweighted by w, applying
 				// the series weight once per (image, entry) after the point
 				// loop.

@@ -2,6 +2,7 @@ package bem
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"earthing/internal/grid"
@@ -49,11 +50,11 @@ func TestFlatKernelMatchesReference(t *testing.T) {
 	for name, model := range flatFixtureModels(t) {
 		for _, kind := range []grid.ElementKind{grid.Linear, grid.Constant} {
 			m := flatFixtureMesh(t, model, kind)
-			ref, err := New(m, model, Options{Workers: 1})
+			ref, err := New(m, model, Options{Workers: 1, Kernel: ReferenceKernel})
 			if err != nil {
 				t.Fatal(err)
 			}
-			flat, err := New(m, model, Options{Workers: 1, Kernel: FlatKernel})
+			flat, err := New(m, model, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,6 +240,48 @@ func BenchmarkAssemblyFlat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := a.Matrix(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestImageLadderMatchesExpansion pins the shared ladder to the model's image
+// expansions: every layer pair's series appears group by group, in
+// ImageExpansion order within each group, in exact-size storage; pairs
+// without an expansion are marked for the quadrature fallback.
+func TestImageLadderMatchesExpansion(t *testing.T) {
+	for name, model := range flatFixtureModels(t) {
+		lad := newImageLadder(model, 40)
+		if len(lad.imgs) != cap(lad.imgs) || len(lad.grpOff) != cap(lad.grpOff) {
+			t.Errorf("%s: ladder storage not exact-size (imgs %d/%d, grpOff %d/%d)",
+				name, len(lad.imgs), cap(lad.imgs), len(lad.grpOff), cap(lad.grpOff))
+		}
+		nl := model.NumLayers()
+		for src := 1; src <= nl; src++ {
+			for obs := 1; obs <= nl; obs++ {
+				want, ok := model.ImageExpansion(src, obs, 40)
+				lo, hi, got := lad.pair(src, obs)
+				if ok != got {
+					t.Fatalf("%s (%d,%d): ladder has expansion %v, model %v", name, src, obs, got, ok)
+				}
+				if !ok {
+					continue
+				}
+				var flat []ladderImage
+				for g := 0; g < int(hi-lo); g++ {
+					for _, im := range want {
+						if im.Group == g {
+							flat = append(flat, ladderImage{im.Sign, im.Offset, im.Weight})
+						}
+					}
+				}
+				var ladder []ladderImage
+				for g := lo; g < hi; g++ {
+					ladder = append(ladder, lad.group(g)...)
+				}
+				if !reflect.DeepEqual(flat, ladder) || len(flat) != len(want) {
+					t.Errorf("%s (%d,%d): ladder series differs from the expansion", name, src, obs)
+				}
+			}
 		}
 	}
 }

@@ -51,9 +51,9 @@ func (a *Assembler) AppendPairGeomKey(beta, alpha int, dst []byte) ([]byte, bool
 
 	dst = binary.LittleEndian.AppendUint64(dst, rule|
 		uint64(a.elemLayer[alpha])<<1|uint64(a.elemLayer[beta])<<9|uint64(len(gpPos))<<17)
-	// Image-table identity: the per-element image ladder is a pure function
-	// of (source layer, observation layer, source depth, source direction z),
-	// the layers being in the header word above.
+	// Image-table identity: an element's images are the shared ladder of
+	// its (source layer, observation layer) pair applied to its source depth
+	// and direction z, the layers being in the header word above.
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(elA.Seg.A.Z))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(pe.tz))
 	// Canonicalized source scalars, exactly as quant-mode evaluation uses

@@ -74,7 +74,7 @@ func (a *Assembler) GradPotential(x geom.Vec3, sigma []float64) geom.Vec3 {
 	for e := range a.mesh.Elements {
 		el := &a.mesh.Elements[e]
 		srcLayer := a.elemLayer[e]
-		groups, ok := a.groups[[2]int{srcLayer, obsLayer}]
+		lo, hi, ok := a.ladder.pair(srcLayer, obsLayer)
 		if !ok {
 			total = total.Add(a.elementGradByDifferences(e, x, sigma))
 			continue
@@ -90,10 +90,10 @@ func (a *Assembler) GradPotential(x geom.Vec3, sigma []float64) geom.Vec3 {
 		var accum geom.Vec3
 		maxAccum := 0.0
 		smallGroups := 0
-		for _, grp := range groups {
+		for gi := lo; gi < hi; gi++ {
 			var gsum geom.Vec3
-			for _, im := range grp {
-				segI := im.ApplySegment(el.Seg)
+			for _, im := range a.ladder.group(gi) {
+				segI := im.applySegment(el.Seg)
 				g0, g1 := segmentIntegralGrads(x, segI.A, segI.B, el.Radius)
 				var g geom.Vec3
 				if a.linear {
@@ -102,7 +102,7 @@ func (a *Assembler) GradPotential(x geom.Vec3, sigma []float64) geom.Vec3 {
 				} else {
 					g = g0.Scale(s0)
 				}
-				gsum = gsum.Add(g.Scale(im.Weight))
+				gsum = gsum.Add(g.Scale(im.w))
 			}
 			accum = accum.Add(gsum)
 			if n := accum.Norm(); n > maxAccum {

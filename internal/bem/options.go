@@ -36,19 +36,18 @@ func (l LoopStrategy) String() string {
 type KernelStrategy int
 
 const (
+	// FlatKernel, the default and the production path, streams the shared
+	// image ladder (three scalars per image) through a hoisted log-form
+	// inner integral: one logarithm and two square roots per (image, Gauss
+	// point) instead of two asinh calls and the full segment reflection.
+	// Elemental matrices agree with ReferenceKernel to a few ulp (grid
+	// resistances to ≤ 1e-10 relative, pinned by the differential tests).
+	FlatKernel KernelStrategy = iota
 	// ReferenceKernel evaluates every image-reflected segment through the
 	// closed-form asinh inner integrals (segmentIntegrals), re-deriving the
-	// reflected geometry per image. This is the bit-exact reference path and
-	// the default.
-	ReferenceKernel KernelStrategy = iota
-	// FlatKernel streams the per-depth image coefficient tables of the field
-	// evaluation plan (three scalars per image) through a hoisted
-	// log-form inner integral: one logarithm and two square roots per
-	// (image, Gauss point) instead of two asinh calls and the full segment
-	// reflection. Elemental matrices agree with ReferenceKernel to a few ulp
-	// (grid resistances to ≤ 1e-10 relative); select it for speed, the
-	// reference for transcript-exact reproducibility.
-	FlatKernel
+	// reflected geometry per image. It is the oracle the flat kernel is
+	// tested against; select it explicitly only for that comparison.
+	ReferenceKernel
 )
 
 // String implements fmt.Stringer.
@@ -119,8 +118,8 @@ type Options struct {
 	Loop LoopStrategy
 	// Assembly selects deferred or mutex assembly (§6.2).
 	Assembly AssemblyMode
-	// Kernel selects the inner-integral arithmetic: the bit-exact reference
-	// (default) or the flat precomputed-image fast path.
+	// Kernel selects the inner-integral arithmetic: the flat image-ladder
+	// kernel (default) or the reference oracle.
 	Kernel KernelStrategy
 }
 

@@ -28,7 +28,7 @@ func (a *Assembler) Potential(x geom.Vec3, sigma []float64) float64 {
 	for e := range a.mesh.Elements {
 		el := &a.mesh.Elements[e]
 		srcLayer := a.elemLayer[e]
-		groups, ok := a.groups[[2]int{srcLayer, obsLayer}]
+		lo, hi, ok := a.ladder.pair(srcLayer, obsLayer)
 		if !ok {
 			total.Add(a.elementPotentialQuadrature(e, x, sigma))
 			continue
@@ -45,15 +45,15 @@ func (a *Assembler) Potential(x geom.Vec3, sigma []float64) float64 {
 		var accum float64
 		maxAccum := 0.0
 		smallGroups := 0
-		for _, grp := range groups {
+		for gi := lo; gi < hi; gi++ {
 			var gsum float64
-			for _, im := range grp {
-				segI := im.ApplySegment(el.Seg)
+			for _, im := range a.ladder.group(gi) {
+				segI := im.applySegment(el.Seg)
 				shapeIntegrals(x, segI.A, segI.B, el.Radius, a.linear, inner)
 				if a.linear {
-					gsum += im.Weight * (inner[0]*s0 + inner[1]*s1)
+					gsum += im.w * (inner[0]*s0 + inner[1]*s1)
 				} else {
-					gsum += im.Weight * inner[0] * s0
+					gsum += im.w * inner[0] * s0
 				}
 			}
 			accum += gsum

@@ -478,8 +478,10 @@ func Rehydrate(g *grid.Grid, model soil.Model, sigma []float64, cfg Config) (*Re
 
 // Footprint estimates the resident bytes a retained Result pins: the solved
 // density, the mesh (72 B per element, 24 B per node position) and the
-// assembler's precomputed quadrature and image data. An estimate for cache
-// byte-accounting, not an exact allocator census.
+// assembler's precomputed quadrature data, shared image ladder and the
+// field-evaluation plans built so far. An estimate for cache
+// byte-accounting, not an exact allocator census; TestFootprintTracksRetainedHeap
+// holds it within 2× of the measured retained heap.
 func (r *Result) Footprint() int64 {
 	if r == nil {
 		return 256

@@ -113,12 +113,14 @@ func runAssemblyCase(c SoilCase, q Quality, workers int) (AssemblyCaseBench, err
 		return AssemblyCaseBench{}, err
 	}
 
-	opt1 := q.bemOptions(1)
-	opt1Flat := opt1
-	opt1Flat.Kernel = bem.FlatKernel
-	optN := q.bemOptions(workers)
-	optNFlat := optN
-	optNFlat.Kernel = bem.FlatKernel
+	// The reference column runs the ReferenceKernel oracle explicitly; the
+	// flat column is the production default.
+	opt1Flat := q.bemOptions(1)
+	opt1 := opt1Flat
+	opt1.Kernel = bem.ReferenceKernel
+	optNFlat := q.bemOptions(workers)
+	optN := optNFlat
+	optN.Kernel = bem.ReferenceKernel
 
 	out := AssemblyCaseBench{Soil: c.Name, Elements: len(mesh.Elements)}
 

@@ -129,7 +129,6 @@ func runHMatrixRung(target int, seed int64, q Quality, workers, denseCutoff int)
 	out.Elements = len(m.Elements)
 
 	opt := q.bemOptions(workers)
-	opt.Kernel = bem.FlatKernel
 	model := soil.NewTwoLayer(0.0025, 0.020, 1.0)
 
 	res, err := core.AnalyzeMesh(m, model, core.Config{

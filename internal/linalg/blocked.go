@@ -39,8 +39,8 @@ import (
 // matrix for that); see Solve for the accuracy contract.
 
 // ErrRefinementStalled is returned by Solve on a mixed-precision handle when
-// iterative refinement cannot drive the correction below the float64
-// round-off target: the system is too ill-conditioned for the float32
+// iterative refinement cannot drive the residual below the float64
+// backward-error floor: the system is too ill-conditioned for the float32
 // factor to act as a contraction. Callers must re-factor in full precision
 // (core.solveSystem does this automatically) — the error exists so mixed
 // precision never degrades accuracy silently.
@@ -87,7 +87,7 @@ func NewCholeskyBlocked(a *SymMatrix, opt FactorOpts) (*Cholesky, error) {
 	copy(l, a.data)
 	c := &Cholesky{n: n, l: l, workers: opt.Workers}
 	if opt.Mixed {
-		c.refineA = a
+		c.refineA, c.refineNorm = a, a.NormInf()
 	}
 
 	nb := opt.BlockSize

@@ -25,7 +25,9 @@ type Cholesky struct {
 	workers int
 	// refineA is the factored matrix, retained only by mixed-precision
 	// handles: Solve then runs float64 iterative refinement against it.
-	refineA *SymMatrix
+	// refineNorm is its infinity norm, the scale of the residual floor.
+	refineA    *SymMatrix
+	refineNorm float64
 
 	// condOnce caches the first ConditionEstimate so repeated health checks
 	// sharing one factorization (cached unit-GPR solves, sweep columns) pay
@@ -71,9 +73,9 @@ func NewCholesky(a *SymMatrix) (*Cholesky, error) {
 
 // Solve returns x with A·x = b. On a mixed-precision handle the triangular
 // solves are followed by float64 iterative refinement on the residual until
-// the correction reaches float64 round-off; if refinement cannot contract
-// (hopelessly ill-conditioned system), ErrRefinementStalled is returned
-// rather than a silently degraded solution.
+// it reaches the float64 backward-error floor (see refine); if refinement
+// cannot contract (hopelessly ill-conditioned system), ErrRefinementStalled
+// is returned rather than a silently degraded solution.
 func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 	if len(b) != c.n {
 		return nil, fmt.Errorf("linalg: rhs length %d, want %d", len(b), c.n)
@@ -122,24 +124,23 @@ func (c *Cholesky) solveInto(x, b []float64) {
 	}
 }
 
-// refineTol is the refinement convergence target: iterate until the
-// correction is below ~10 ulp of the iterate, i.e. the float32 factor error
-// has been repaired to float64 working accuracy.
-const refineTol = 1e-14
-
 // refineMaxIter bounds refinement; a float32 factor of a sanely conditioned
 // system contracts by ~1e-7 per step, so 2–3 steps suffice and 40 means the
 // iteration is not contracting at all.
 const refineMaxIter = 40
 
 // refine runs float64 iterative refinement x ← x + A⁻¹(b − A·x) in place,
-// using the (mixed-precision) factor as the approximate inverse. Returns
-// ErrRefinementStalled when the correction will not drop below refineTol —
-// the caller must fall back to a full-precision factorization.
+// using the (mixed-precision) factor as the approximate inverse. It stops at
+// the residual floor of LAPACK's DSPOSV, ‖b − A·x‖∞ ≤ √n·ε·‖A‖∞·‖x‖∞: an x
+// meeting it is a float64-accurate solution (small backward error), even
+// when the last correction sits at round-off and no longer contracts.
+// Returns ErrRefinementStalled when the residual stops contracting above
+// that floor — the caller must fall back to a full-precision factorization.
 func (c *Cholesky) refine(x, b []float64) error {
 	n := c.n
 	r := make([]float64, n)
 	d := make([]float64, n)
+	floor := math.Sqrt(float64(n)) * epsilon * c.refineNorm
 	prev := math.Inf(1)
 	for it := 0; it < refineMaxIter; it++ {
 		// r = b − A·x in float64 against the original matrix.
@@ -147,23 +148,27 @@ func (c *Cholesky) refine(x, b []float64) error {
 		for i := range r {
 			r[i] = b[i] - r[i]
 		}
-		c.solveInto(d, r)
-		normX, normD := maxAbs(x), maxAbs(d)
-		for i := range x {
-			x[i] += d[i]
-		}
-		if normD <= refineTol*normX || normD == 0 {
+		normR := maxAbs(r)
+		if normR <= floor*maxAbs(x) {
 			return nil
 		}
 		// Not contracting by at least 2× per step means the float32 factor
 		// is no contraction for this system; more steps will oscillate.
-		if normD > 0.5*prev {
-			return fmt.Errorf("%w: correction %.3g after %d iterations", ErrRefinementStalled, normD, it+1)
+		if normR > 0.5*prev {
+			return fmt.Errorf("%w: residual %.3g above floor %.3g after %d iterations",
+				ErrRefinementStalled, normR, floor*maxAbs(x), it)
 		}
-		prev = normD
+		prev = normR
+		c.solveInto(d, r)
+		for i := range x {
+			x[i] += d[i]
+		}
 	}
-	return fmt.Errorf("%w: correction floor not reached in %d iterations", ErrRefinementStalled, refineMaxIter)
+	return fmt.Errorf("%w: residual floor not reached in %d iterations", ErrRefinementStalled, refineMaxIter)
 }
+
+// epsilon is the float64 machine epsilon 2⁻⁵².
+const epsilon = 0x1p-52
 
 func maxAbs(v []float64) float64 {
 	var m float64

@@ -123,6 +123,24 @@ func (m *SymMatrix) MaxAbs() float64 {
 	return max
 }
 
+// NormInf returns the infinity norm max_i Σ_j |a_ij| of the full symmetric
+// matrix (0 for an empty matrix).
+func (m *SymMatrix) NormInf() float64 {
+	rows := make([]float64, m.n)
+	k := 0
+	for i := 0; i < m.n; i++ {
+		for j := 0; j <= i; j++ {
+			v := math.Abs(m.data[k])
+			k++
+			rows[i] += v
+			if j < i {
+				rows[j] += v
+			}
+		}
+	}
+	return maxAbs(rows)
+}
+
 // AllFinite reports whether every stored entry is finite (no NaN or ±Inf) —
 // the cheap O(N²) pre-solve guard of the numerical health checks.
 func (m *SymMatrix) AllFinite() bool {

@@ -314,7 +314,7 @@ func (sc Scenario) build(defaultWorkers int) (*built, error) {
 		soil:  sc.Soil,
 		cfg:   cfg,
 		gpr:   gpr,
-		key:   scenarioKey(g, sc.Soil, sc.MaxElemLen, sc.RodElements, cfg.BEM.SeriesTol),
+		key:   scenarioKey(g, sc.Soil, sc.MaxElemLen, sc.RodElements, cfg.BEM.SeriesTol, cfg.BEM.Kernel),
 	}, nil
 }
 
@@ -322,16 +322,18 @@ func (sc Scenario) build(defaultWorkers int) (*built, error) {
 // The grid is canonicalized through its text serialization (so a rect spec
 // and the equivalent hand-written conductor list key identically), the soil
 // through full-precision parameter rendering, and the discretization knobs
-// are appended verbatim. Workers, schedules and GPR are excluded: they do
-// not change the solution.
-func scenarioKey(g *earthing.Grid, soil SoilSpec, maxElemLen float64, rodElements int, seriesTol float64) string {
+// are appended verbatim. The assembly kernel is keyed too, so records and
+// peer frames solved under another kernel (which agree only to ~1e-10) are
+// never served next to fresh solves. Workers, schedules and GPR are
+// excluded: they do not change the solution.
+func scenarioKey(g *earthing.Grid, soil SoilSpec, maxElemLen float64, rodElements int, seriesTol float64, kernel earthing.KernelStrategy) string {
 	h := sha256.New()
 	if err := grid.Write(h, g); err != nil {
 		// The hash writer never fails; keep the compiler honest.
 		panic(err)
 	}
 	//lint:ignore errdrop writing to a hash.Hash never fails
-	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear\n",
-		soil.canonicalSoil(), maxElemLen, rodElements, seriesTol)
+	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear;kernel=%v\n",
+		soil.canonicalSoil(), maxElemLen, rodElements, seriesTol, kernel)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }

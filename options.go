@@ -65,17 +65,11 @@ func WithSolver(k SolverKind) Option {
 	return func(s *settings) { s.cfg.Solver = k }
 }
 
-// WithFlatAssembly switches matrix generation to the flat image-series
-// kernel (Config.BEM.Kernel = FlatKernel): per-depth image coefficients are
-// precomputed once per (geometry, model), the per-Gauss-point geometry is
-// hoisted out of the image loop, and equal-weight image groups fuse their
-// logarithms into one call — 1.6–3.9× faster single-thread assembly on the
-// Balaidos soil cases (DESIGN.md §13). Results agree with the default
-// reference kernel to ≤ 1e-10 relative (grid resistance); keep the default
-// where transcript-exact reproducibility against existing golden results
-// matters.
+// WithFlatAssembly is a no-op kept for compatibility: the flat image-series
+// kernel it used to select is now the default (and only production) kernel
+// of matrix generation. See DESIGN.md §13.
 func WithFlatAssembly() Option {
-	return func(s *settings) { s.cfg.BEM.Kernel = FlatKernel }
+	return func(*settings) {}
 }
 
 // WithHealthCheck enables the numerical health checks around the solve
