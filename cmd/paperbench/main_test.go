@@ -265,3 +265,40 @@ func TestOptimizeBenchSmoke(t *testing.T) {
 		t.Errorf("design loop slower than naive solves: speedup %.2f", ob.Speedup)
 	}
 }
+
+// TestFieldEvalBenchSmoke drives the -exp fieldeval benchmark end to end at
+// quick fidelity and checks the recorded JSON: the batched engine must
+// reproduce the legacy per-point potentials on the whole Figure 5.4 surface
+// raster within 1e-10 and come out ahead of them on single-thread time.
+func TestFieldEvalBenchSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("evaluates a 2464-point raster through the legacy path")
+	}
+	jsonPath := filepath.Join(t.TempDir(), "BENCH_field_eval.json")
+	var buf bytes.Buffer
+	if err := run([]string{"-exp", "fieldeval", "-quick", "-json", jsonPath}, &buf); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	data, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fb struct {
+		Points     int     `json:"points"`
+		LegacyNs   float64 `json:"legacy_ns_per_point"`
+		BatchNs    float64 `json:"batch_ns_per_point"`
+		MaxAbsDiff float64 `json:"max_abs_diff"`
+	}
+	if err := json.Unmarshal(data, &fb); err != nil {
+		t.Fatal(err)
+	}
+	if fb.Points == 0 {
+		t.Fatal("empty raster")
+	}
+	if fb.MaxAbsDiff > 1e-10 {
+		t.Errorf("batch vs legacy max |ΔV| = %g, want ≤ 1e-10", fb.MaxAbsDiff)
+	}
+	if fb.BatchNs >= fb.LegacyNs {
+		t.Errorf("batch engine not faster than legacy: %.0f vs %.0f ns/point", fb.BatchNs, fb.LegacyNs)
+	}
+}

@@ -30,10 +30,21 @@ import (
 // sz = sign·t.z, and the series weight fully describe it, and the two depths
 // are computed in the loop (sign = ±1 makes both products exact). The
 // per-point inner loop then reduces to a cache-friendly scan over the flat
-// ladder with two square roots and one logarithm per image (the closed form
-// asinh(a) + asinh(b) = log((a+√(a²+1))·(b+√(b²+1))) evaluated
+// ladder with two square roots per image and at most one logarithm (the
+// closed form asinh(a) + asinh(b) = log((a+√(a²+1))·(b+√(b²+1))) evaluated
 // cancellation-safely), preserving the element order, KahanSum accumulation
-// and per-group tolerance early-exit of the legacy path to ≪ 1e-10.
+// and per-group tolerance early-exit of the legacy path to ≪ 1e-10. Two
+// exact structural savings cut that further:
+//
+//   - Surface points (z = 0) of a mirror-symmetric ladder (imageLadder.mirror)
+//     skip every sign < 0 image and count its bitwise-equal mirror twice,
+//     halving the images — the surface rasters, profiles and safety voltages
+//     are exactly these points. Gradients drop the pairs' z terms, which
+//     cancel exactly.
+//   - Horizontal elements (t.z = 0) share one axial projection across all
+//     images, so a group whose images share one weight takes one logarithm
+//     of a running product (Σ log aᵢ = log Π aᵢ), as the flat assembly
+//     kernel does.
 //
 // Layer pairs without an image expansion (N ≥ 3 layer models outside the
 // top layer) keep the exact Gauss-quadrature fallback of the legacy path.
@@ -188,6 +199,10 @@ func (fe *FieldEvaluator) PotentialAt(x geom.Vec3, sigma []float64) float64 {
 	p := fe.plan(a.model.LayerOf(math.Max(x.Z, 0)))
 	imgs, grpOff := a.ladder.imgs, a.ladder.grpOff
 	linear := a.linear
+	// On the surface of a mirror-symmetric ladder every sign < 0 image
+	// repeats its mirror's term bit for bit: skip it and count the mirror
+	// twice (the ×2 is folded into the element prefactor, exactly).
+	surface := x.Z == 0 && a.ladder.mirror
 
 	var total quad.KahanSum
 	for ei := range p.elems {
@@ -203,29 +218,85 @@ func (fe *FieldEvaluator) PotentialAt(x geom.Vec3, sigma []float64) float64 {
 		dxy2 := dx*dx + dy*dy
 		l, invL, r2min := pe.l, pe.invL, pe.radius2
 		az0, tz := pe.az0, pe.tz
+		// A horizontal element (tz = 0) has the same axial projection pp =
+		// hxy, and hence the same q, for every image.
+		horizontal := tz == 0
+		pp0, q0 := hxy, l-hxy
+		pp02, q02 := pp0*pp0, q0*q0
 
 		var accum float64
 		maxAccum := 0.0
 		smallGroups := 0
 		for g := pe.grpLo; g < pe.grpHi; g++ {
+			ims := imgs[grpOff[g]:grpOff[g+1]]
 			var gsum float64
-			for _, im := range imgs[grpOff[g]:grpOff[g+1]] {
-				dz := x.Z - (im.sign*az0 + im.off)
-				pp := hxy + im.sign*tz*dz
-				pp2 := pp * pp
-				rho2 := dxy2 + dz*dz - pp2
-				if rho2 < r2min {
-					rho2 = r2min
+			w, fused := 0.0, false
+			if horizontal {
+				w, fused = sharedWeight(ims)
+			}
+			if fused {
+				// One logarithm per group: the running product num/den
+				// accumulates Π (q+r1)(pp+r0)/ρ² over the group's images,
+				// each factor in the cancellation-rewritten form of logI0,
+				// so log(num/den) = Σ i0 (every i0 > 0 since pp+q = l > 0).
+				// With one pp for all images, Σ i1 = (Σ(r1−r0) + pp·Σ i0)/l.
+				num, den := 1.0, 1.0
+				sd := 0.0
+				for _, im := range ims {
+					if surface && im.sign < 0 {
+						continue
+					}
+					dz := x.Z - (im.sign*az0 + im.off)
+					rho2 := dxy2 + dz*dz - pp02
+					if rho2 < r2min {
+						rho2 = r2min
+					}
+					r0 := math.Sqrt(rho2 + pp02)
+					r1 := math.Sqrt(rho2 + q02)
+					if pp0 >= 0 {
+						num *= pp0 + r0
+					} else {
+						num *= rho2
+						den *= r0 - pp0
+					}
+					if q0 >= 0 {
+						num *= q0 + r1
+					} else {
+						num *= rho2
+						den *= r1 - q0
+					}
+					den *= rho2
+					sd += r1 - r0
 				}
-				q := l - pp
-				r0 := math.Sqrt(rho2 + pp2)
-				r1 := math.Sqrt(rho2 + q*q)
-				i0 := logI0(pp, q, r0, r1, rho2)
+				i0 := math.Log(num / den)
 				if linear {
-					i1 := (r1 - r0 + pp*i0) * invL
-					gsum += im.w * (i0*s0 + i1*ds)
+					i1 := (sd + pp0*i0) * invL
+					gsum = w * (i0*s0 + i1*ds)
 				} else {
-					gsum += im.w * i0 * s0
+					gsum = w * i0 * s0
+				}
+			} else {
+				for _, im := range ims {
+					if surface && im.sign < 0 {
+						continue
+					}
+					dz := x.Z - (im.sign*az0 + im.off)
+					pp := hxy + im.sign*tz*dz
+					pp2 := pp * pp
+					rho2 := dxy2 + dz*dz - pp2
+					if rho2 < r2min {
+						rho2 = r2min
+					}
+					q := l - pp
+					r0 := math.Sqrt(rho2 + pp2)
+					r1 := math.Sqrt(rho2 + q*q)
+					i0 := logI0(pp, q, r0, r1, rho2)
+					if linear {
+						i1 := (r1 - r0 + pp*i0) * invL
+						gsum += im.w * (i0*s0 + i1*ds)
+					} else {
+						gsum += im.w * i0 * s0
+					}
 				}
 			}
 			accum += gsum
@@ -241,12 +312,33 @@ func (fe *FieldEvaluator) PotentialAt(x geom.Vec3, sigma []float64) float64 {
 				smallGroups = 0
 			}
 		}
-		total.Add(pe.pref * accum)
+		pref := pe.pref
+		if surface {
+			pref *= 2
+		}
+		total.Add(pref * accum)
 	}
 	for _, e := range p.quadElems {
 		total.Add(a.elementPotentialQuadrature(int(e), x, sigma))
 	}
 	return total.Sum()
+}
+
+// sharedWeight returns the series weight of a group whose images all carry
+// the same one — the precondition for fusing their logarithms, since
+// Σ w·log aᵢ = w·log Π aᵢ only holds for one shared w.
+func sharedWeight(ims []ladderImage) (float64, bool) {
+	if len(ims) == 0 {
+		return 0, false
+	}
+	w := ims[0].w
+	for _, im := range ims[1:] {
+		//lint:ignore floatcmp exact weight equality is the fusion precondition
+		if im.w != w {
+			return 0, false
+		}
+	}
+	return w, true
 }
 
 // GradientAt evaluates ∇V(x) (V/m per unit GPR), matching
@@ -257,6 +349,11 @@ func (fe *FieldEvaluator) GradientAt(x geom.Vec3, sigma []float64) geom.Vec3 {
 	p := fe.plan(a.model.LayerOf(math.Max(x.Z, 0)))
 	imgs, grpOff := a.ladder.imgs, a.ladder.grpOff
 	linear := a.linear
+	// The surface skip of PotentialAt: a mirror pair has equal x and y
+	// terms and exactly opposite z terms (its image depth, axial z
+	// component and radial z component all negate), so the kept image
+	// counts twice in x and y and the pair contributes nothing in z.
+	surface := x.Z == 0 && a.ladder.mirror
 
 	var total geom.Vec3
 	for ei := range p.elems {
@@ -280,6 +377,9 @@ func (fe *FieldEvaluator) GradientAt(x geom.Vec3, sigma []float64) geom.Vec3 {
 		for g := pe.grpLo; g < pe.grpHi; g++ {
 			var gx, gy, gz float64
 			for _, im := range imgs[grpOff[g]:grpOff[g+1]] {
+				if surface && im.sign < 0 {
+					continue
+				}
 				szi := im.sign * tz
 				dz := x.Z - (im.sign*az0 + im.off)
 				pp := hxy + szi*dz
@@ -321,7 +421,9 @@ func (fe *FieldEvaluator) GradientAt(x geom.Vec3, sigma []float64) geom.Vec3 {
 				wi := im.w
 				gx += wi * (pe.tx*coefT + hx*coefR)
 				gy += wi * (pe.ty*coefT + hy*coefR)
-				gz += wi * (szi*coefT + hz*coefR)
+				if !surface {
+					gz += wi * (szi*coefT + hz*coefR)
+				}
 			}
 			accX += gx
 			accY += gy
@@ -338,9 +440,13 @@ func (fe *FieldEvaluator) GradientAt(x geom.Vec3, sigma []float64) geom.Vec3 {
 				smallGroups = 0
 			}
 		}
-		total.X += pe.pref * accX
-		total.Y += pe.pref * accY
-		total.Z += pe.pref * accZ
+		pref := pe.pref
+		if surface {
+			pref *= 2
+		}
+		total.X += pref * accX
+		total.Y += pref * accY
+		total.Z += pref * accZ
 	}
 	for _, e := range p.quadElems {
 		total = total.Add(a.elementGradByDifferences(int(e), x, sigma))

@@ -1,6 +1,9 @@
 package bem
 
 import (
+	"cmp"
+	"slices"
+
 	"earthing/internal/geom"
 	"earthing/internal/soil"
 )
@@ -38,6 +41,11 @@ type imageLadder struct {
 	// or lo = −1 when the pair has no image expansion (quadrature fallback).
 	series [][2]int32
 	nl     int
+	// mirror reports that every series group of every pair observed in
+	// layer 1 is mirror-symmetric (see mirrorSymmetric): at the earth
+	// surface z = 0 each image then has a bitwise-equal twin, so the field
+	// evaluator keeps one image of each pair and doubles its weight.
+	mirror bool
 }
 
 // newImageLadder flattens the image expansions (series groups 0..maxGroups)
@@ -85,7 +93,58 @@ func newImageLadder(model soil.Model, maxGroups int) *imageLadder {
 		lad.series[idx] = [2]int32{lo, int32(len(lad.grpOff))}
 	}
 	lad.grpOff = append(lad.grpOff, base)
+	lad.mirror = lad.mirrorSymmetric()
 	return lad
+}
+
+// mirrorSymmetric reports whether, within every series group of every
+// (src, obs = 1) pair, the images with sign = +1 map one to one onto the
+// images with sign = −1 by (off, w) ↦ (−off, w). The air/earth reflection
+// coefficient is +1 (eq. 3.2), so every image observed in layer 1 has such
+// a mirror. At z = 0 the two terms are bitwise identical: the mirror's
+// image depth −(sign·A.Z + off) is the exact negation of the original's, and
+// the potential kernel sees only its square and sign·t.z·dz, both of which
+// the double negation leaves unchanged (in the gradient, the pair's z terms
+// cancel exactly).
+func (l *imageLadder) mirrorSymmetric() bool {
+	// Per group, the (off, w) keys of the sign = +1 images and the mirrored
+	// keys of the sign = −1 images must be equal multisets: sort both and
+	// compare. ±0 offsets compare equal, which is exact because adding
+	// either zero to the depth product gives the same |dz|.
+	var pos, neg [][2]float64
+	byKey := func(a, b [2]float64) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	}
+	for src := 1; src <= l.nl; src++ {
+		lo, hi, ok := l.pair(src, 1)
+		if !ok {
+			continue
+		}
+		for g := lo; g < hi; g++ {
+			pos, neg = pos[:0], neg[:0]
+			for _, im := range l.group(g) {
+				if im.sign > 0 {
+					pos = append(pos, [2]float64{im.off, im.w})
+				} else {
+					neg = append(neg, [2]float64{-im.off, im.w})
+				}
+			}
+			if len(pos) != len(neg) {
+				return false
+			}
+			slices.SortFunc(pos, byKey)
+			slices.SortFunc(neg, byKey)
+			for i := range pos {
+				if byKey(pos[i], neg[i]) != 0 {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // numGroups returns the number of series groups an expansion spans.

@@ -156,51 +156,11 @@ func (s *Server) snapshot() Snapshot {
 	return snap
 }
 
-// PublishExpvar exposes the server's counters under the "groundd" expvar map
-// (visible at /debug/vars). Call at most once per process: expvar panics on
-// duplicate names, which is why the counters live on the Server rather than
-// in package-level expvar variables.
+// PublishExpvar exposes the server's counters under the "groundd" expvar
+// name (visible at /debug/vars) as the JSON object /v1/stats serves: both
+// render Server.snapshot, so the two outputs share one list of keys. Call at
+// most once per process: expvar panics on duplicate names, which is why the
+// counters live on the Server rather than in package-level expvar variables.
 func (s *Server) PublishExpvar() {
-	m := expvar.NewMap("groundd")
-	pub := func(name string, f func() int64) {
-		m.Set(name, expvar.Func(func() any { return f() }))
-	}
-	pub("solveRequests", s.metrics.SolveRequests.Load)
-	pub("sweepRequests", s.metrics.SweepRequests.Load)
-	pub("rasterRequests", s.metrics.RasterRequests.Load)
-	pub("safetyRequests", s.metrics.SafetyRequests.Load)
-	pub("optimizeRequests", s.metrics.OptimizeRequests.Load)
-	pub("optimizeCandidates", s.metrics.OptimizeCandidates.Load)
-	pub("optimizeNanos", s.metrics.OptimizeNanos.Load)
-	pub("cacheHits", s.metrics.CacheHits.Load)
-	pub("cacheMisses", s.metrics.CacheMisses.Load)
-	pub("assemblies", s.metrics.Assemblies.Load)
-	pub("rejectedQueueFull", s.metrics.RejectedQueueFull.Load)
-	pub("deadlineExceeded", s.metrics.DeadlineExceeded.Load)
-	pub("clientCancelled", s.metrics.ClientCancelled.Load)
-	pub("workerPanics", s.metrics.WorkerPanics.Load)
-	pub("handlerPanics", s.metrics.HandlerPanics.Load)
-	pub("healthFailures", s.metrics.HealthFailures.Load)
-	pub("queueDepth", s.metrics.QueueDepth.Load)
-	pub("busyWorkers", s.metrics.BusyWorkers.Load)
-	pub("assembleNanos", s.metrics.AssembleNanos.Load)
-	pub("postNanos", s.metrics.PostNanos.Load)
-	pub("storeHits", s.metrics.StoreHits.Load)
-	pub("peerHits", s.metrics.PeerHits.Load)
-	pub("peerFallbacks", s.metrics.PeerFallbacks.Load)
-	pub("peerPoisoned", s.metrics.PeerPoisoned.Load)
-	m.Set("cacheEntries", expvar.Func(func() any { return s.cache.len() }))
-	m.Set("cacheBytes", expvar.Func(func() any { return s.cache.bytes() }))
-	m.Set("storeSkippedRecords", expvar.Func(func() any {
-		if s.store == nil {
-			return int64(0)
-		}
-		return s.store.Stats().SkippedRecords
-	}))
-	m.Set("breakerOpen", expvar.Func(func() any {
-		if s.fleet == nil {
-			return 0
-		}
-		return s.fleet.openBreakers()
-	}))
+	expvar.Publish("groundd", expvar.Func(func() any { return s.snapshot() }))
 }
