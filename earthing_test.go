@@ -51,6 +51,25 @@ func TestFacadeEndToEnd(t *testing.T) {
 	_ = verdict.Safe() // either outcome is legitimate for this toy grid
 }
 
+// TestComputeVoltagesWideSite: the library voltage extraction puts no cap on
+// its raster. A 600 m site at 1 m samples 605² points, past the 512² groundd
+// allows one request, and is still analysed.
+func TestComputeVoltagesWideSite(t *testing.T) {
+	ctx := context.Background()
+	g := earthing.RectGrid(0, 0, 600, 600, 2, 2, 0.8, 0.006)
+	res, err := earthing.Analyze(ctx, g, earthing.UniformSoil(0.01), earthing.Config{GPR: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := earthing.ComputeVoltages(ctx, res, 1, earthing.SurfaceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.MaxTouch <= 0 || v.MaxStep <= 0 || v.MaxTouch > 1000 {
+		t.Errorf("implausible voltages %+v", v)
+	}
+}
+
 func TestFacadeGridIO(t *testing.T) {
 	g := earthing.Barbera()
 	var sb strings.Builder

@@ -6,6 +6,7 @@
 package design
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -179,8 +180,13 @@ func Evaluate(g *grid.Grid, model soil.Model, tg Targets, cfg core.Config) (*Can
 		// Every output scales linearly with the GPR (§2), so the unit-GPR
 		// solution is rescaled to the fault GPR for the voltage extraction —
 		// no second solve needed.
-		cand.Voltages = post.ComputeVoltagesOpt(res.Assembler(), res.Mesh, res.Sigma, gpr, tg.VoltageRes,
+		//lint:ignore ctxflow Evaluate takes no ctx (core.Analyze above runs uncancellable too)
+		volt, err := post.ComputeVoltagesCtx(context.Background(), res.Assembler(), res.Mesh, res.Sigma, gpr, tg.VoltageRes,
 			post.SurfaceOptions{Workers: cfg.BEM.Workers, Schedule: cfg.BEM.Schedule})
+		if err != nil {
+			return nil, err
+		}
+		cand.Voltages = volt
 		v, err := tg.Safety.Check(cand.Voltages.MaxStep, cand.Voltages.MaxTouch, cand.Voltages.MaxMesh)
 		if err != nil {
 			return nil, err

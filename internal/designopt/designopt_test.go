@@ -155,6 +155,30 @@ func TestOptimizeNoFeasible(t *testing.T) {
 	}
 }
 
+// TestOptimizeWideSite: a 600 m site at the default 1 m voltage resolution
+// samples 605² points per candidate, past the 512² raster groundd allows one
+// request. The library search has no such cap: every candidate is scored,
+// none fails.
+func TestOptimizeWideSite(t *testing.T) {
+	spec := testSpec()
+	spec.Width, spec.Height = 600, 600
+	spec.MaxLines = 2
+	spec.MaxRods = 1
+	spec.VoltageRes = 0
+	opt := testOptions(0)
+	opt.Starts, opt.MaxEvals = 1, 4
+	best, stats, err := Run(context.Background(), spec, opt)
+	if err != nil && !errors.Is(err, ErrNoFeasible) {
+		t.Fatal(err)
+	}
+	if best == nil || stats.Evaluated == 0 || stats.Failed != 0 {
+		t.Fatalf("best %+v, stats %+v: want every candidate scored", best, stats)
+	}
+	if best.Voltages.MaxTouch <= 0 || best.Voltages.MaxStep <= 0 {
+		t.Errorf("best voltages %+v, want a computed extraction", best.Voltages)
+	}
+}
+
 func TestOptimizeCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -1,6 +1,7 @@
 package post
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -63,10 +64,16 @@ func TestEFieldSurfaceMatchesRect(t *testing.T) {
 func TestComputeVoltagesOptMatchesDefault(t *testing.T) {
 	res := solved(t)
 	a := res.Assembler()
-	want := ComputeVoltages(a, res.Mesh, res.Sigma, res.GPR, 2)
-	got := ComputeVoltagesOpt(a, res.Mesh, res.Sigma, res.GPR, 2,
+	want, err := ComputeVoltagesCtx(context.Background(), a, res.Mesh, res.Sigma, res.GPR, 2, SurfaceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ComputeVoltagesCtx(context.Background(), a, res.Mesh, res.Sigma, res.GPR, 2,
 		SurfaceOptions{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if want != got {
-		t.Fatalf("ComputeVoltagesOpt %+v differs from ComputeVoltages %+v", got, want)
+		t.Fatalf("ComputeVoltagesCtx at 3 workers %+v differs from the default %+v", got, want)
 	}
 }

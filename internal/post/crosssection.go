@@ -16,7 +16,7 @@ import (
 // different observation layers; the evaluator builds one flattened plan per
 // layer on first touch.
 func CrossSection(a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, y1, maxDepth float64, opt SurfaceOptions) *Raster {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	length := geom.V(x1-x0, y1-y0, 0).Norm()
 	r := &Raster{
 		X0: 0, Y0: 0,

@@ -129,7 +129,7 @@ func EFieldRaster(a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, 
 // point boundaries; on cancellation the partial raster is discarded and
 // ctx.Err() returned.
 func EFieldRasterCtx(ctx context.Context, a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, y1 float64, opt SurfaceOptions) (*Raster, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	r := &Raster{
 		X0: x0, Y0: y0,
 		DX: (x1 - x0) / float64(opt.NX-1),
@@ -167,7 +167,7 @@ func EFieldSurface(a *bem.Assembler, mesh interface{ Bounds() geom.AABB }, sigma
 // EFieldSurfaceCtx is EFieldSurface with cooperative cancellation (see
 // EFieldRasterCtx).
 func EFieldSurfaceCtx(ctx context.Context, a *bem.Assembler, mesh interface{ Bounds() geom.AABB }, sigma []float64, scale float64, opt SurfaceOptions) (*Raster, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	b := mesh.Bounds()
 	return EFieldRasterCtx(ctx, a, sigma, scale,
 		b.Min.X-opt.Margin, b.Min.Y-opt.Margin,

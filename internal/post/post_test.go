@@ -1,6 +1,7 @@
 package post
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -86,7 +87,10 @@ func TestProfilePotential(t *testing.T) {
 
 func TestComputeVoltages(t *testing.T) {
 	res := solved(t)
-	vv := ComputeVoltages(res.Assembler(), res.Mesh, res.Sigma, res.GPR, 1)
+	vv, err := ComputeVoltagesCtx(context.Background(), res.Assembler(), res.Mesh, res.Sigma, res.GPR, 1, SurfaceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if vv.GPR != 10_000 {
 		t.Errorf("GPR = %v", vv.GPR)
 	}

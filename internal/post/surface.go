@@ -36,6 +36,14 @@ func (r *Raster) Pos(i, j int) (x, y float64) {
 	return r.X0 + float64(i)*r.DX, r.Y0 + float64(j)*r.DY
 }
 
+// Bytes reports the resident size of the raster: its samples plus the
+// fixed-size header.
+func (r *Raster) Bytes() int64 { return 8*int64(len(r.V)) + rasterHeaderBytes }
+
+// rasterHeaderBytes is the size of a Raster value: six words of geometry and
+// a slice header.
+const rasterHeaderBytes = 72
+
 // MinMax returns the value range.
 func (r *Raster) MinMax() (min, max float64) {
 	min, max = math.Inf(1), math.Inf(-1)
@@ -59,7 +67,9 @@ type SurfaceOptions struct {
 	Schedule sched.Schedule
 }
 
-func (o SurfaceOptions) withDefaults() SurfaceOptions {
+// WithDefaults returns o with every zero field set to its documented
+// default; two options that agree after WithDefaults sample the same raster.
+func (o SurfaceOptions) WithDefaults() SurfaceOptions {
 	if o.NX <= 0 {
 		o.NX = 64
 	}
@@ -89,7 +99,7 @@ func SurfacePotential(a *bem.Assembler, mesh interface{ Bounds() geom.AABB }, si
 // raster-point boundaries; on cancellation the partial raster is discarded
 // and ctx.Err() returned.
 func SurfacePotentialCtx(ctx context.Context, a *bem.Assembler, mesh interface{ Bounds() geom.AABB }, sigma []float64, scale float64, opt SurfaceOptions) (*Raster, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	b := mesh.Bounds()
 	return SurfacePotentialRectCtx(ctx, a, sigma, scale,
 		b.Min.X-opt.Margin, b.Min.Y-opt.Margin,
@@ -108,7 +118,7 @@ func SurfacePotentialRect(a *bem.Assembler, sigma []float64, scale float64, x0, 
 // SurfacePotentialRectCtx is SurfacePotentialRect with cooperative
 // cancellation (see SurfacePotentialCtx).
 func SurfacePotentialRectCtx(ctx context.Context, a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, y1 float64, opt SurfaceOptions) (*Raster, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	r := &Raster{
 		X0: x0, Y0: y0,
 		DX: (x1 - x0) / float64(opt.NX-1),
@@ -149,7 +159,7 @@ func ProfilePotentialOpt(a *bem.Assembler, sigma []float64, scale float64, x0, y
 	if n < 2 {
 		panic(fmt.Sprintf("post: profile needs ≥ 2 points, got %d", n))
 	}
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	s = make([]float64, n)
 	v = make([]float64, n)
 	pts := make([]geom.Vec3, n)

@@ -7,6 +7,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"html/template"
 	"io"
@@ -153,7 +154,11 @@ func BuildHTML(w io.Writer, res *core.Result, g *grid.Grid, opt Options) error {
 
 	// Safety section.
 	if opt.Criteria.FaultDuration > 0 {
-		v := post.ComputeVoltages(res.Assembler(), res.Mesh, res.Sigma, res.GPR, opt.VoltageRes)
+		//lint:ignore ctxflow BuildHTML takes no ctx to pass on
+		v, err := post.ComputeVoltagesCtx(context.Background(), res.Assembler(), res.Mesh, res.Sigma, res.GPR, opt.VoltageRes, post.SurfaceOptions{})
+		if err != nil {
+			return err
+		}
 		verdict, err := opt.Criteria.Check(v.MaxStep, v.MaxTouch, v.MaxMesh)
 		if err != nil {
 			return err

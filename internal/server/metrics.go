@@ -35,6 +35,13 @@ type Metrics struct {
 	CacheMisses atomic.Int64
 	Assemblies  atomic.Int64
 
+	// Post-processing memo accounting for /v1/raster and /v1/safety.
+	// PostMemoHits counts requests answered from a unit-GPR field memoized
+	// on their LRU entry (each also counts as a CacheHit); PostMemoMisses
+	// those that ran the field sweep.
+	PostMemoHits   atomic.Int64
+	PostMemoMisses atomic.Int64
+
 	// Degradation-ladder accounting. StoreHits counts scenarios rehydrated
 	// from the durable store (no assembly, no solve); PeerHits those served
 	// by the ring owner; PeerFallbacks scenarios that wanted a peer but
@@ -68,7 +75,7 @@ type Metrics struct {
 	// Per-stage wall time accumulators, nanoseconds (summed across
 	// requests; divide by Assemblies for mean cost per cold solve).
 	AssembleNanos atomic.Int64 // matrix generation + solve (cold path)
-	PostNanos     atomic.Int64 // rasters, voltages, serialization
+	PostNanos     atomic.Int64 // raster and voltage field sweeps (memo hits add none)
 }
 
 // Snapshot is a plain-value copy of the counters for JSON serialization.
@@ -85,6 +92,8 @@ type Snapshot struct {
 	CacheEntries       int   `json:"cacheEntries"`
 	CacheBytes         int64 `json:"cacheBytes"`
 	Assemblies         int64 `json:"assemblies"`
+	PostMemoHits       int64 `json:"postMemoHits"`
+	PostMemoMisses     int64 `json:"postMemoMisses"`
 	StoreHits          int64 `json:"storeHits"`
 	StoreRecords       int64 `json:"storeRecords"`
 	StoreSkipped       int64 `json:"storeSkippedRecords"`
@@ -120,6 +129,8 @@ func (m *Metrics) snapshot(cacheEntries int) Snapshot {
 		CacheMisses:        m.CacheMisses.Load(),
 		CacheEntries:       cacheEntries,
 		Assemblies:         m.Assemblies.Load(),
+		PostMemoHits:       m.PostMemoHits.Load(),
+		PostMemoMisses:     m.PostMemoMisses.Load(),
 		StoreHits:          m.StoreHits.Load(),
 		PeerHits:           m.PeerHits.Load(),
 		PeerFallbacks:      m.PeerFallbacks.Load(),

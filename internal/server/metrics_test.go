@@ -41,7 +41,7 @@ func TestExpvarKeysMatchStats(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("expvar keys %v\n/v1/stats keys %v", got, want)
 	}
-	for _, k := range []string{"storeRecords", "storeDroppedWrites", "storeWriteErrors"} {
+	for _, k := range []string{"storeRecords", "storeDroppedWrites", "storeWriteErrors", "postMemoHits", "postMemoMisses"} {
 		if i := sort.SearchStrings(got, k); i == len(got) || got[i] != k {
 			t.Errorf("expvar lacks %s", k)
 		}

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"earthing"
+	"earthing/internal/geom"
+	postproc "earthing/internal/post"
 )
 
 // maxOptimizeEvals and maxOptimizeStarts bound one /v1/optimize search: the
@@ -115,6 +117,12 @@ func (req OptimizeRequest) build(defaultWorkers int) (earthing.OptimizeSpec, ear
 		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			return spec, opt, fmt.Errorf("optimize: %s %g must be non-negative and finite", name, v)
 		}
+	}
+	// Every candidate covers the site rectangle, so the site bounds the
+	// voltage raster each candidate's safety check samples.
+	site := geom.AABB{Max: geom.V(req.Width, req.Height, 0)}
+	if _, err := postproc.PlanVoltageRaster(site, req.VoltageResM, postproc.MaxVoltagePoints); err != nil {
+		return spec, opt, fmt.Errorf("optimize: %w", err)
 	}
 	if req.MinLines < 0 || req.MaxLines < 0 || req.MaxRods < 0 || req.Starts < 0 || req.MaxEvals < 0 {
 		return spec, opt, fmt.Errorf("optimize: negative search bounds")

@@ -188,6 +188,9 @@ func TestOptimizeBadRequests(t *testing.T) {
 func TestOptimizeDeadline504(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1})
 	body := strings.Replace(fastOptimize(""), `"width"`, `"timeoutMs": 1, "width"`, 1)
+	// A 0.1 m voltage raster makes every candidate outlast the 1 ms budget;
+	// at 2.5 m the whole search sometimes finished inside it.
+	body = strings.Replace(body, `"voltageResM": 2.5`, `"voltageResM": 0.1`, 1)
 	code, _, resp := post(t, context.Background(), ts.URL, "/v1/optimize", body)
 	switch code {
 	case http.StatusGatewayTimeout:

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -17,6 +18,8 @@ import (
 	"earthing"
 	"earthing/internal/core"
 	"earthing/internal/faultinject"
+	"earthing/internal/geom"
+	postproc "earthing/internal/post"
 	"earthing/internal/sched"
 	"earthing/internal/store"
 )
@@ -337,6 +340,14 @@ const (
 // solves — on any tier, on any node — which is the determinism contract the
 // test suite pins down.
 func (s *Server) writeJSON(w http.ResponseWriter, tier string, v any) {
+	setDisposition(w, tier)
+	//lint:ignore errdrop encode-to-client failure means the client is gone; nothing to do
+	json.NewEncoder(w).Encode(v)
+}
+
+// setDisposition sets the JSON content type and the cache disposition
+// headers of a 200 served from tier.
+func setDisposition(w http.ResponseWriter, tier string) {
 	w.Header().Set("Content-Type", "application/json")
 	if tier != tierSolve {
 		w.Header().Set("X-Groundd-Cache", "hit")
@@ -344,8 +355,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, tier string, v any) {
 		w.Header().Set("X-Groundd-Cache", "miss")
 	}
 	w.Header().Set("X-Groundd-Cache-Tier", tier)
-	//lint:ignore errdrop encode-to-client failure means the client is gone; nothing to do
-	json.NewEncoder(w).Encode(v)
 }
 
 // writeJSONLine emits one NDJSON line (Encode appends the newline).
@@ -467,8 +476,8 @@ func (s *Server) mapSolveErr(err error) *httpError {
 // post-processing for /v1/solve is a few arithmetic operations). The store
 // and peer rungs rehydrate under the slot too — rebuilding an assembler is
 // preprocessing-weight work, far cheaper than a solve but not free. needSlot
-// forces slot acquisition even on a hit, for endpoints whose post-processing
-// is itself a parallel field evaluation.
+// forces slot acquisition even on a hit, for post-processing that is itself a
+// parallel field evaluation (a post-memo miss, see postField).
 func (s *Server) solved(ctx context.Context, b *built, needSlot bool) (res *earthing.Result, tier string, release func(), herr *httpError) {
 	noop := func() {}
 	if r, ok := s.cache.get(b.key); ok {
@@ -519,6 +528,52 @@ func (s *Server) solved(ctx context.Context, b *built, needSlot bool) (res *eart
 	s.cache.put(b.key, r)
 	s.storePut(b, r)
 	return r, tierSolve, rel, nil
+}
+
+// Values of the out-of-band X-Groundd-Post header on /v1/raster and
+// /v1/safety responses: whether the unit-GPR field came from the entry's
+// memo or from a field sweep. Bodies are byte-identical either way.
+const (
+	postMemoized = "memo"
+	postComputed = "computed"
+)
+
+// postField returns the unit-GPR surface field pk of scenario b. A field
+// memoized on the scenario's LRU entry is an LRU hit served without an
+// admission slot, like a /v1/solve hit, so it never queues or is shed behind
+// field sweeps still running. Otherwise the scenario comes off the solve
+// ladder holding a slot, compute sweeps the field at unit GPR under that
+// slot, and the field is attached to the entry for the next request. A
+// *postproc.RasterSizeError from compute maps to 400.
+func (s *Server) postField(ctx context.Context, b *built, pk postKey,
+	compute func(*earthing.Result) (memoField, error)) (field memoField, tier, how string, herr *httpError) {
+	if f, ok := s.cache.getPost(b.key, pk); ok {
+		s.metrics.CacheHits.Add(1)
+		s.metrics.PostMemoHits.Add(1)
+		return f, tierLRU, postMemoized, nil
+	}
+	s.metrics.PostMemoMisses.Add(1)
+	res, tier, release, herr := s.solved(ctx, b, true)
+	if herr != nil {
+		return nil, tier, postComputed, herr
+	}
+	defer release()
+	// The ladder serves unit-GPR results; the copy pins that, so the field
+	// is a memo for every GPR without mutating the shared cache entry.
+	unit := *res
+	unit.GPR = 1
+	start := time.Now()
+	f, err := compute(&unit)
+	if err != nil {
+		var rse *postproc.RasterSizeError
+		if errors.As(err, &rse) {
+			return nil, tier, postComputed, badRequest(err)
+		}
+		return nil, tier, postComputed, s.mapCtxErr(err)
+	}
+	s.metrics.PostNanos.Add(int64(time.Since(start)))
+	s.cache.putPost(b.key, res, pk, f)
+	return f, tier, postComputed, nil
 }
 
 // --- /v1/solve ---
@@ -621,6 +676,39 @@ type RasterResponse struct {
 	V    []float64 `json:"v"`
 }
 
+// rasterKey validates the field parameters of a /v1/raster request over a
+// grid with the given bounds and returns their canonical memo key: kind, NX,
+// NY and Margin after defaults, so requests that sample the same raster share
+// one memo.
+func rasterKey(bounds geom.AABB, kind string, nx, ny int, margin float64) (postKey, error) {
+	if kind == "" {
+		kind = "potential"
+	}
+	if kind != "potential" && kind != "step" {
+		return postKey{}, fmt.Errorf("unknown raster kind %q (want potential or step)", kind)
+	}
+	// One sample per axis has no cell size (DX = extent/0) and samples NaN.
+	if nx < 0 || ny < 0 || nx == 1 || ny == 1 || nx > 512 || ny > 512 {
+		return postKey{}, fmt.Errorf("raster size %d × %d out of range (2 to 512, 0 for the default 64)", nx, ny)
+	}
+	if !(margin >= 0) || math.IsInf(margin, 1) {
+		return postKey{}, fmt.Errorf("margin %g must be non-negative", margin)
+	}
+	o := earthing.SurfaceOptions{NX: nx, NY: ny, Margin: margin}.WithDefaults()
+	// A margin that overflows the raster extent has no cell size either.
+	w := (bounds.Max.X + o.Margin) - (bounds.Min.X - o.Margin)
+	h := (bounds.Max.Y + o.Margin) - (bounds.Min.Y - o.Margin)
+	if math.IsInf(w, 0) || math.IsInf(h, 0) {
+		return postKey{}, fmt.Errorf("margin %g overflows the raster extent", margin)
+	}
+	return postKey{kind: kind, nx: o.NX, ny: o.NY, margin: o.Margin}, nil
+}
+
+// handleRaster serves a sampled surface field. The unit-GPR raster is
+// memoized on the scenario's LRU entry, so a repeat at any GPR is one
+// multiplication per sample and takes no admission slot; a memo miss holds a
+// slot for the field sweep, because raster evaluation is a parallel loop
+// comparable in weight to a small assembly.
 func (s *Server) handleRaster(w http.ResponseWriter, r *http.Request) {
 	s.metrics.RasterRequests.Add(1)
 	var req RasterRequest
@@ -628,23 +716,12 @@ func (s *Server) handleRaster(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, herr)
 		return
 	}
-	kind := req.Kind
-	if kind == "" {
-		kind = "potential"
-	}
-	if kind != "potential" && kind != "step" {
-		s.writeError(w, badRequest(fmt.Errorf("unknown raster kind %q (want potential or step)", req.Kind)))
-		return
-	}
-	if req.NX < 0 || req.NY < 0 || req.NX > 512 || req.NY > 512 {
-		s.writeError(w, badRequest(fmt.Errorf("raster size %d × %d out of range (max 512)", req.NX, req.NY)))
-		return
-	}
-	if req.Margin < 0 {
-		s.writeError(w, badRequest(fmt.Errorf("margin %g must be non-negative", req.Margin)))
-		return
-	}
 	b, err := req.Scenario.build(s.cfg.Workers)
+	if err != nil {
+		s.writeError(w, badRequest(err))
+		return
+	}
+	pk, err := rasterKey(b.grid.Bounds(), req.Kind, req.NX, req.NY, req.Margin)
 	if err != nil {
 		s.writeError(w, badRequest(err))
 		return
@@ -655,41 +732,87 @@ func (s *Server) handleRaster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	// Raster evaluation is a parallel field sweep comparable in weight to a
-	// small assembly, so even cache hits hold a slot.
-	res, tier, release, herr := s.solved(ctx, b, true)
+	field, tier, how, herr := s.postField(ctx, b, pk, func(res *earthing.Result) (memoField, error) {
+		opt := earthing.SurfaceOptions{
+			NX: pk.nx, NY: pk.ny, Margin: pk.margin,
+			Workers: b.cfg.BEM.Workers, Schedule: b.cfg.BEM.Schedule,
+		}
+		if pk.kind == "potential" {
+			return earthing.SurfacePotential(ctx, res, opt)
+		}
+		return earthing.StepVoltageMap(ctx, res, opt)
+	})
 	if herr != nil {
 		s.writeError(w, herr)
 		return
 	}
-	defer release()
+	unit := field.(*earthing.Raster)
+	w.Header().Set("X-Groundd-Post", how)
+	s.writeRaster(w, tier, RasterResponse{
+		Key: b.key, Kind: pk.kind, GPR: b.gpr,
+		X0: unit.X0, Y0: unit.Y0, DX: unit.DX, DY: unit.DY,
+		NX: unit.NX, NY: unit.NY,
+	}, unit.V)
+}
 
-	start := time.Now()
-	opt := earthing.SurfaceOptions{
-		NX: req.NX, NY: req.NY, Margin: req.Margin,
-		Workers: b.cfg.BEM.Workers, Schedule: b.cfg.BEM.Schedule,
+// rasterChunk is the write size of a streamed raster body.
+const rasterChunk = 32 << 10
+
+// writeRaster emits resp, whose V is nil, with V[i] = resp.GPR·unit[i]: the
+// bytes writeJSON gives for the scaled raster, since gpr·V[i] is the very
+// product a field sweep at scale gpr takes. The samples are formatted
+// straight into a rasterChunk buffer, so a memo hit, which holds no
+// admission slot, allocates no O(points) scaled copy or body. A non-finite
+// sample, which JSON cannot carry, is a 500.
+func (s *Server) writeRaster(w http.ResponseWriter, tier string, resp RasterResponse, unit []float64) {
+	gpr := resp.GPR
+	for _, u := range unit {
+		if f := gpr * u; math.IsNaN(f) || math.IsInf(f, 0) {
+			s.writeError(w, &httpError{status: http.StatusInternalServerError, msg: "raster holds a non-finite sample"})
+			return
+		}
 	}
-	// res is the cached unit-GPR solution; scaled holds the request's GPR so
-	// the raster comes out in physical volts without mutating the shared
-	// cache entry.
-	scaled := *res
-	scaled.GPR = b.gpr
-	var raster *earthing.Raster
-	if kind == "potential" {
-		raster, err = earthing.SurfacePotential(ctx, &scaled, opt)
-	} else {
-		raster, err = earthing.StepVoltageMap(ctx, &scaled, opt)
-	}
+	head, err := json.Marshal(resp)
 	if err != nil {
-		s.writeError(w, s.mapCtxErr(err))
+		s.writeError(w, &httpError{status: http.StatusInternalServerError, msg: err.Error()})
 		return
 	}
-	s.metrics.PostNanos.Add(int64(time.Since(start)))
-	s.writeJSON(w, tier, RasterResponse{
-		Key: b.key, Kind: kind, GPR: b.gpr,
-		X0: raster.X0, Y0: raster.Y0, DX: raster.DX, DY: raster.DY,
-		NX: raster.NX, NY: raster.NY, V: raster.V,
-	})
+	// V is the last field, so the nil slice closes the object as "v":null}.
+	buf := append(head[:len(head)-len("null}")], '[')
+	setDisposition(w, tier)
+	for i, u := range unit {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendJSONFloat(buf, gpr*u)
+		if len(buf) >= rasterChunk {
+			if _, err := w.Write(buf); err != nil {
+				return // the client is gone
+			}
+			buf = buf[:0]
+		}
+	}
+	//lint:ignore errdrop write-to-client failure means the client is gone; nothing to do
+	w.Write(append(buf, "]}\n"...))
+}
+
+// appendJSONFloat appends finite f as encoding/json writes a float64: the
+// shortest round-trip decimal, in exponent form below 1e-6 and from 1e21 up,
+// with a one-digit negative exponent unpadded.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // --- /v1/safety ---
@@ -754,6 +877,26 @@ type SafetyResponse struct {
 	Safe        bool    `json:"safe"`
 }
 
+// safetyKey validates the stepResM of a /v1/safety request against the
+// grid's bounds and returns its canonical memo key (stepRes after the 1 m
+// default). A resolution whose voltage raster would exceed
+// postproc.MaxVoltagePoints is refused here, before any solve.
+func safetyKey(bounds geom.AABB, stepRes float64) (postKey, error) {
+	if stepRes < 0 {
+		return postKey{}, fmt.Errorf("stepResM %g must be non-negative", stepRes)
+	}
+	p, err := postproc.PlanVoltageRaster(bounds, stepRes, postproc.MaxVoltagePoints)
+	if err != nil {
+		return postKey{}, err
+	}
+	return postKey{kind: "safety", stepRes: p.StepRes}, nil
+}
+
+// handleSafety checks touch/step/mesh voltages against the IEEE Std 80
+// limits. Like handleRaster it memoizes the unit-GPR voltage field (the
+// surface raster plus each sample's conductor-proximity class) on the
+// scenario's LRU entry: a repeat at any GPR and criteria is an O(points)
+// reduction without an admission slot, a miss holds a slot for the sweep.
 func (s *Server) handleSafety(w http.ResponseWriter, r *http.Request) {
 	s.metrics.SafetyRequests.Add(1)
 	var req SafetyRequest
@@ -766,11 +909,12 @@ func (s *Server) handleSafety(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest(err))
 		return
 	}
-	if req.StepResM < 0 {
-		s.writeError(w, badRequest(fmt.Errorf("stepResM %g must be non-negative", req.StepResM)))
+	b, err := req.Scenario.build(s.cfg.Workers)
+	if err != nil {
+		s.writeError(w, badRequest(err))
 		return
 	}
-	b, err := req.Scenario.build(s.cfg.Workers)
+	pk, err := safetyKey(b.grid.Bounds(), req.StepResM)
 	if err != nil {
 		s.writeError(w, badRequest(err))
 		return
@@ -781,28 +925,21 @@ func (s *Server) handleSafety(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	res, tier, release, herr := s.solved(ctx, b, true)
+	field, tier, how, herr := s.postField(ctx, b, pk, func(res *earthing.Result) (memoField, error) {
+		return postproc.VoltageFieldCtx(ctx, res.Assembler(), res.Mesh, res.Sigma, 1, pk.stepRes,
+			postproc.MaxVoltagePoints, postproc.SurfaceOptions{Workers: b.cfg.BEM.Workers, Schedule: b.cfg.BEM.Schedule})
+	})
 	if herr != nil {
 		s.writeError(w, herr)
 		return
 	}
-	defer release()
-
-	start := time.Now()
-	scaled := *res
-	scaled.GPR = b.gpr
-	volt, err := earthing.ComputeVoltages(ctx, &scaled, req.StepResM,
-		earthing.SurfaceOptions{Workers: b.cfg.BEM.Workers, Schedule: b.cfg.BEM.Schedule})
-	if err != nil {
-		s.writeError(w, s.mapCtxErr(err))
-		return
-	}
+	volt := field.(*postproc.VoltageField).Voltages(b.gpr, b.gpr)
 	verdict, err := crit.Check(volt.MaxStep, volt.MaxTouch, volt.MaxMesh)
 	if err != nil {
 		s.writeError(w, badRequest(err))
 		return
 	}
-	s.metrics.PostNanos.Add(int64(time.Since(start)))
+	w.Header().Set("X-Groundd-Post", how)
 	s.writeJSON(w, tier, SafetyResponse{
 		Key: b.key, GPR: b.gpr,
 		StepV: volt.MaxStep, TouchV: volt.MaxTouch, MeshV: volt.MaxMesh,

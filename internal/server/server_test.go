@@ -479,6 +479,8 @@ func TestBadRequests(t *testing.T) {
 		{"degenerate rod", "/v1/solve", `{"grid": {"rect": {"width": 5, "height": 5, "nx": 2, "ny": 2, "radius": 0.01, "rods": [{"x": 0, "y": 0, "length": -2, "radius": 0.01}]}}, "soil": {"kind": "uniform", "gamma1": 1}}`},
 		{"unknown raster kind", "/v1/raster", `{"grid": {"builtin": "barbera"}, "soil": {"kind": "uniform", "gamma1": 1}, "kind": "aura"}`},
 		{"oversize raster", "/v1/raster", `{"grid": {"builtin": "barbera"}, "soil": {"kind": "uniform", "gamma1": 1}, "nx": 4096}`},
+		{"single-column raster", "/v1/raster", `{"grid": {"builtin": "barbera"}, "soil": {"kind": "uniform", "gamma1": 1}, "nx": 1}`},
+		{"overflowing raster margin", "/v1/raster", `{"grid": {"builtin": "barbera"}, "soil": {"kind": "uniform", "gamma1": 1}, "margin": 1e308}`},
 		{"no fault duration", "/v1/safety", `{"grid": {"builtin": "barbera"}, "soil": {"kind": "uniform", "gamma1": 1}, "criteria": {"soilRho": 100}}`},
 		{"bad body weight", "/v1/safety", `{"grid": {"builtin": "barbera"}, "soil": {"kind": "uniform", "gamma1": 1}, "criteria": {"faultDurationS": 0.5, "soilRho": 100, "weight": "90kg"}}`},
 	}

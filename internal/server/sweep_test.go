@@ -255,7 +255,13 @@ func TestSweepClientCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(100 * time.Millisecond)
+		// Cancel as soon as the sweep holds its slot, i.e. mid-assembly. A
+		// fixed 100 ms delay raced the assembly, which now often finishes
+		// first.
+		deadline := time.Now().Add(10 * time.Second)
+		for s.Counters().BusyWorkers.Load() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
 		cancel()
 	}()
 	body := `{
