@@ -143,7 +143,7 @@ type (
 	Result = core.Result
 	// StageTimings holds per-pipeline-stage durations (Table 6.1).
 	StageTimings = core.StageTimings
-	// SolverKind selects PCG or Cholesky.
+	// SolverKind selects PCG, Cholesky, CholeskyMixed or SolverHMatrix.
 	SolverKind = core.SolverKind
 	// BEMOptions configures matrix generation (workers, schedule, loop
 	// strategy, series tolerance).
@@ -170,10 +170,12 @@ type (
 // Solver kinds.
 const (
 	PCG = core.PCG
-	// Cholesky is the reference direct solver (unblocked column sweep).
+	// Cholesky is the direct solver: a tiled packed factorization whose
+	// results are bit-identical at every worker count.
 	Cholesky = core.Cholesky
-	// CholeskyBlocked is the tiled packed factorization — bit-identical
-	// results to Cholesky, faster on large systems.
+	// CholeskyBlocked is an alias of Cholesky, kept for existing callers.
+	//
+	// Deprecated: use Cholesky.
 	CholeskyBlocked = core.CholeskyBlocked
 	// CholeskyMixed adds float32 trailing updates with float64 iterative
 	// refinement; accuracy is validated per solve and the engine refactors in
@@ -195,11 +197,8 @@ const (
 	StoreThenAssemble = bem.StoreThenAssemble
 	MutexAssemble     = bem.MutexAssemble
 	// FlatKernel (the default) streams the shared image ladder through a
-	// hoisted log-form inner integral; ReferenceKernel is the per-image
-	// closed-form oracle it is tested against (results within 1e-10
-	// relative). Config.BEM.Kernel selects the oracle explicitly.
-	FlatKernel      = bem.FlatKernel
-	ReferenceKernel = bem.ReferenceKernel
+	// hoisted log-form inner integral.
+	FlatKernel = bem.FlatKernel
 )
 
 // Schedule kinds.

@@ -210,20 +210,30 @@ func ExampleFitTwoLayerSoil() {
 	// h ≈ 2.0: true
 }
 
-// ExampleDesignSearch sizes a lattice automatically against a resistance
-// target.
-func ExampleDesignSearch() {
-	space := earthing.DesignSpace{Width: 40, Height: 40, MinLines: 3, MaxLines: 9}
-	best, trace, err := earthing.DesignSearch(space, earthing.UniformSoil(0.02),
-		earthing.DesignTargets{MaxReq: 0.62}, earthing.Config{})
+// ExampleOptimize searches lattice density, perimeter rods and burial depth
+// for the cheapest layout that meets the IEEE Std 80 touch and step limits.
+func ExampleOptimize() {
+	spec := earthing.OptimizeSpec{
+		Width: 10, Height: 10,
+		Model:        earthing.UniformSoil(0.02),
+		FaultCurrent: 100,
+		Safety:       earthing.SafetyCriteria{FaultDuration: 0.5, SoilRho: 50},
+		MinLines:     2, MaxLines: 4,
+		MaxRods:  2,
+		MinDepth: 0.5, MaxDepth: 0.7, DepthStep: 0.1,
+		VoltageRes: 2.5,
+	}
+	opt := earthing.OptimizeOptions{Starts: 2, MaxEvals: 40}
+	opt.Config.BEM.SeriesTol = 1e-2
+	best, _, err := earthing.Optimize(context.Background(), spec, opt)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("winner meets target: %v\n", best.Result.Req <= 0.62)
-	fmt.Printf("cheaper candidates all failed: %v\n", !trace[0].Passes)
+	fmt.Printf("feasible: %v\n", best.Feasible && best.Verdict.Safe())
+	fmt.Printf("GPR = Req × fault current: %v\n", math.Abs(best.GPR-best.Req*spec.FaultCurrent) < 1e-9*best.GPR)
 	// Output:
-	// winner meets target: true
-	// cheaper candidates all failed: true
+	// feasible: true
+	// GPR = Req × fault current: true
 }
 
 // ExamplePotentialProfile samples the surface potential along a walking

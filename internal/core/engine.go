@@ -30,15 +30,12 @@ const (
 	// PCG is the diagonal preconditioned conjugate gradient solver the
 	// paper recommends for large systems (§4.3). Default.
 	PCG SolverKind = iota
-	// Cholesky is the direct O(N³/3) solver, preferable only for small
-	// systems or as a reference.
+	// Cholesky is the direct O(N³/3) solver (§4.3): the tiled packed
+	// factorization linalg.NewCholeskyBlocked, bit-identical to the
+	// reference column sweep at every worker count.
 	Cholesky
-	// CholeskyBlocked is the tiled right-looking factorization over
-	// cache-sized panels of the packed triangle — bit-identical results to
-	// Cholesky, substantially faster on large systems.
-	CholeskyBlocked
-	// CholeskyMixed is CholeskyBlocked with float32 trailing updates and
-	// float64 iterative refinement of every solve. Results agree with the
+	// CholeskyMixed is Cholesky with float32 trailing updates and float64
+	// iterative refinement of every solve. Results agree with the
 	// full-precision solvers to float64 working accuracy; if refinement
 	// cannot repair the float32 factor (hopelessly conditioned system) the
 	// engine refactors in full precision rather than serving a degraded
@@ -53,6 +50,11 @@ const (
 	SolverHMatrix
 )
 
+// CholeskyBlocked is an alias of Cholesky, kept for existing callers.
+//
+// Deprecated: use Cholesky.
+const CholeskyBlocked = Cholesky
+
 // String implements fmt.Stringer.
 func (s SolverKind) String() string {
 	switch s {
@@ -60,8 +62,6 @@ func (s SolverKind) String() string {
 		return "pcg"
 	case Cholesky:
 		return "cholesky"
-	case CholeskyBlocked:
-		return "cholesky-blocked"
 	case CholeskyMixed:
 		return "cholesky-mixed"
 	case SolverHMatrix:
@@ -90,7 +90,7 @@ type Config struct {
 	// BEM configures matrix generation (schedules, loop strategy, series
 	// tolerance, workers).
 	BEM bem.Options
-	// Solver selects PCG (default) or Cholesky.
+	// Solver selects PCG (default), Cholesky, CholeskyMixed or SolverHMatrix.
 	Solver SolverKind
 	// CGTol is the PCG relative-residual target (default 1e-10).
 	CGTol float64
@@ -182,7 +182,7 @@ func (r *Result) WithGPR(gpr float64) (*Result, error) {
 // PotentialAt returns the earth potential in volts at x for the configured
 // GPR (eq. 4.2).
 func (r *Result) PotentialAt(x geom.Vec3) float64 {
-	return r.GPR * r.asm.Potential(x, r.Sigma)
+	return r.GPR * r.asm.Evaluator().PotentialAt(x, r.Sigma)
 }
 
 // Assembler exposes the underlying BEM assembler (for batch post-processing).
@@ -342,18 +342,7 @@ func solveSystem(res *Result, r *linalg.SymMatrix, cfg Config) error {
 		}
 		res.CG = cg
 		res.Sigma = cg.X
-	case Cholesky:
-		ch, err := linalg.NewCholeskyParallel(r, cfg.BEM.Workers)
-		if err != nil {
-			return fmt.Errorf("core: solve: %w", err)
-		}
-		x, err := ch.Solve(nu)
-		if err != nil {
-			return fmt.Errorf("core: solve: %w", err)
-		}
-		chol = ch
-		res.Sigma = x
-	case CholeskyBlocked, CholeskyMixed:
+	case Cholesky, CholeskyMixed:
 		opt := linalg.FactorOpts{Workers: cfg.BEM.Workers, Mixed: cfg.Solver == CholeskyMixed}
 		ch, err := linalg.NewCholeskyBlocked(r, opt)
 		if err != nil {

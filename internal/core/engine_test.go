@@ -61,6 +61,18 @@ func TestGPRScalesLinearly(t *testing.T) {
 	if relDiff(p2, 10_000*p1) > 1e-9 {
 		t.Errorf("potential did not scale: %v vs %v", p2, 10_000*p1)
 	}
+	// PotentialAt is the field evaluator scaled by the GPR, bit for bit,
+	// and stays within 1e-10 of the legacy per-point path, on the surface
+	// and below the interface.
+	for _, x := range []geom.Vec3{geom.V(30, 7, 0), geom.V(7, 7, 0), geom.V(7, 7, 2)} {
+		got := r2.PotentialAt(x)
+		if want := r2.GPR * r2.Assembler().Evaluator().PotentialAt(x, r2.Sigma); got != want {
+			t.Errorf("PotentialAt(%v) = %v, evaluator %v", x, got, want)
+		}
+		if legacy := r2.GPR * r2.Assembler().Potential(x, r2.Sigma); math.Abs(got-legacy) > 1e-10*math.Abs(legacy) {
+			t.Errorf("PotentialAt(%v) = %v, legacy %v", x, got, legacy)
+		}
+	}
 }
 
 func TestSolversAgree(t *testing.T) {
@@ -257,7 +269,14 @@ func TestBondingWarning(t *testing.T) {
 }
 
 func TestSolverKindString(t *testing.T) {
-	if PCG.String() != "pcg" || Cholesky.String() != "cholesky" {
-		t.Error("SolverKind strings wrong")
+	// Four distinct kinds: the map literal would not compile otherwise.
+	want := map[SolverKind]string{PCG: "pcg", Cholesky: "cholesky", CholeskyMixed: "cholesky-mixed", SolverHMatrix: "hmatrix"}
+	for k, s := range want {
+		if k.String() != s {
+			t.Errorf("%d.String() = %q, want %q", int(k), k.String(), s)
+		}
+	}
+	if CholeskyBlocked != Cholesky {
+		t.Error("the deprecated CholeskyBlocked must alias Cholesky")
 	}
 }

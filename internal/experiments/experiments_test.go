@@ -130,7 +130,11 @@ func TestFig61OuterBeatsInner(t *testing.T) {
 }
 
 func TestTable63ModelOrdering(t *testing.T) {
-	rows, err := RunTable63(quick, []int{1})
+	// Best of three timings per model, so a burst of CPU contention from
+	// concurrently running test packages cannot invert the ordering.
+	q := quick
+	q.Repeats = 3
+	rows, err := RunTable63(q, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func (h *HMatrix) nearFieldPreconditioner() (*nearFieldPreconditioner, error) {
 				sym.Set(ii, jj, b.d[ii*m+jj])
 			}
 		}
-		chol, err := linalg.NewCholesky(sym)
+		chol, err := linalg.NewCholeskyBlocked(sym, linalg.FactorOpts{})
 		if err != nil {
 			return nil, fmt.Errorf("hmatrix: near-field block at rows [%d,%d): %w", b.rowLo, b.rowHi, err)
 		}

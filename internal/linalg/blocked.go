@@ -10,8 +10,8 @@ import (
 )
 
 // Blocked packed Cholesky: a tiled right-looking factorization over
-// cache-sized panels of the packed lower triangle, replacing the per-column
-// sweep of NewCholesky on the solve hot path.
+// cache-sized panels of the packed lower triangle: the one production
+// factorization (the reference column sweep NewCholesky is its test oracle).
 //
 // The factorization proceeds panel by panel (BlockSize columns at a time):
 //

@@ -2,7 +2,9 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"earthing/internal/faultinject"
@@ -80,46 +82,60 @@ var equivalenceSizes = []int{1, 2, 3, 5, 8, 13, 21, 34, 63, 64, 65, 100, 127, 12
 
 // TestBlockedCholeskyBitIdentical pins the float64 blocked factorization to
 // the reference column sweep bit for bit: factor, solve, Det and LogDet, at
-// several block sizes and worker widths, across sizes 1…300.
+// several block sizes and worker widths, across sizes 1…300 and two input
+// families (xorshift-built and Gaussian-entry SPD matrices).
 func TestBlockedCholeskyBitIdentical(t *testing.T) {
+	type input struct {
+		name string
+		a    *SymMatrix
+	}
+	var inputs []input
 	for _, n := range equivalenceSizes {
-		a := spdMatrix(n, uint64(n)*0x9e3779b9+1)
+		inputs = append(inputs, input{fmt.Sprintf("xorshift n=%d", n), spdMatrix(n, uint64(n)*0x9e3779b9+1)})
+	}
+	r := rand.New(rand.NewSource(44))
+	for _, n := range []int{64, 128, 200} {
+		inputs = append(inputs, input{fmt.Sprintf("gaussian n=%d", n), randSPD(n, r)})
+	}
+	for _, in := range inputs {
+		a, n := in.a, in.a.Order()
 		ref, err := NewCholesky(a)
 		if err != nil {
-			t.Fatalf("n=%d: reference: %v", n, err)
+			t.Fatalf("%s: reference: %v", in.name, err)
 		}
 		b := rhs(n)
 		xRef, err := ref.Solve(b)
 		if err != nil {
-			t.Fatalf("n=%d: reference solve: %v", n, err)
+			t.Fatalf("%s: reference solve: %v", in.name, err)
 		}
 		for _, opt := range []FactorOpts{
 			{},
 			{BlockSize: 8},
+			{Workers: 4},
 			{BlockSize: 48, Workers: 4},
 			{BlockSize: 64, Workers: 8},
 		} {
 			bl, err := NewCholeskyBlocked(a, opt)
 			if err != nil {
-				t.Fatalf("n=%d opt=%+v: blocked: %v", n, opt, err)
+				t.Fatalf("%s opt=%+v: blocked: %v", in.name, opt, err)
 			}
 			for i, v := range bl.l {
 				if v != ref.l[i] {
-					t.Fatalf("n=%d opt=%+v: factor entry %d: blocked %v != reference %v", n, opt, i, v, ref.l[i])
+					t.Fatalf("%s opt=%+v: factor entry %d: blocked %v != reference %v", in.name, opt, i, v, ref.l[i])
 				}
 			}
 			x, err := bl.Solve(b)
 			if err != nil {
-				t.Fatalf("n=%d opt=%+v: blocked solve: %v", n, opt, err)
+				t.Fatalf("%s opt=%+v: blocked solve: %v", in.name, opt, err)
 			}
 			for i := range x {
 				if x[i] != xRef[i] {
-					t.Fatalf("n=%d opt=%+v: solution entry %d: blocked %v != reference %v", n, opt, i, x[i], xRef[i])
+					t.Fatalf("%s opt=%+v: solution entry %d: blocked %v != reference %v", in.name, opt, i, x[i], xRef[i])
 				}
 			}
 			if bl.Det() != ref.Det() || bl.LogDet() != ref.LogDet() {
-				t.Fatalf("n=%d opt=%+v: Det/LogDet mismatch: (%v, %v) != (%v, %v)",
-					n, opt, bl.Det(), bl.LogDet(), ref.Det(), ref.LogDet())
+				t.Fatalf("%s opt=%+v: Det/LogDet mismatch: (%v, %v) != (%v, %v)",
+					in.name, opt, bl.Det(), bl.LogDet(), ref.Det(), ref.LogDet())
 			}
 		}
 	}
@@ -147,13 +163,23 @@ func TestBlockedCholeskyNearSingular(t *testing.T) {
 				}
 			}
 		}
-		// Indefinite: flip the smallest eigenvalue negative.
-		a := nearSingular(n, -1e-3)
+	}
+	// Indefinite inputs: the smallest eigenvalue flipped negative, and a
+	// diagonal with one negative pivot deep in a parallel-width factor.
+	negPivot := NewSymMatrix(200)
+	for i := 0; i < 200; i++ {
+		negPivot.Set(i, i, 1)
+	}
+	negPivot.Set(150, 150, -1)
+	for _, a := range []*SymMatrix{nearSingular(5, -1e-3), nearSingular(65, -1e-3), nearSingular(130, -1e-3), negPivot} {
+		n := a.Order()
 		if _, err := NewCholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
 			t.Fatalf("n=%d: reference accepted an indefinite matrix: %v", n, err)
 		}
-		if _, err := NewCholeskyBlocked(a, FactorOpts{}); !errors.Is(err, ErrNotPositiveDefinite) {
-			t.Fatalf("n=%d: blocked accepted an indefinite matrix: %v", n, err)
+		for _, opt := range []FactorOpts{{}, {Workers: 4}} {
+			if _, err := NewCholeskyBlocked(a, opt); !errors.Is(err, ErrNotPositiveDefinite) {
+				t.Fatalf("n=%d opt=%+v: blocked accepted an indefinite matrix: %v", n, opt, err)
+			}
 		}
 	}
 }

@@ -13,9 +13,9 @@ import (
 var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
 
 // Cholesky holds the lower-triangular factor L with A = L·Lᵀ in packed
-// storage. Obtain one from NewCholesky (reference column sweep),
-// NewCholeskyParallel (column sweep, parallel row updates) or
-// NewCholeskyBlocked (tiled panels, optionally mixed precision).
+// storage. Obtain one from NewCholeskyBlocked (tiled panels, optionally
+// mixed precision), the production factorization, or NewCholesky (the
+// reference column sweep it is pinned against).
 type Cholesky struct {
 	n int
 	l []float64 // packed lower triangle of L
@@ -41,7 +41,9 @@ type Cholesky struct {
 // matrix is not modified. O(n³/3) operations, matching the direct-solve cost
 // quoted in §4.3 of the paper. This is the reference factorization the
 // blocked variant is pinned against; its per-column sweep walks each packed
-// row segment linearly.
+// row segment linearly. Only tests and the paperbench assembly ablations
+// (internal/experiments) call it: production code factors with
+// NewCholeskyBlocked, whose float64 factor is bit-identical.
 func NewCholesky(a *SymMatrix) (*Cholesky, error) {
 	n := a.n
 	l := make([]float64, len(a.data))

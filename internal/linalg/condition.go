@@ -11,7 +11,7 @@ func EstimateExtremeEigenvalues(a *SymMatrix, iters int) (min, max float64, err 
 	if a.Order() == 0 {
 		return 0, 0, nil
 	}
-	ch, err := NewCholesky(a)
+	ch, err := NewCholeskyBlocked(a, FactorOpts{})
 	if err != nil {
 		return 0, 0, err
 	}

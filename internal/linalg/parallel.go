@@ -1,11 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-
-	"earthing/internal/sched"
-)
+import "earthing/internal/sched"
 
 // MulVecParallel computes y = A·x with rows distributed over workers.
 // Unlike MulVec's single sweep of the packed triangle (which scatters into
@@ -55,51 +50,12 @@ func SolveCGParallel(a *SymMatrix, b []float64, opt CGOptions, workers int) (CGR
 	return solveCGWith(pa, a.Diag(), b, opt)
 }
 
-// NewCholeskyParallel factorizes an SPD matrix with the row updates of each
-// column distributed over workers (column-Cholesky: the pivot of column j is
-// computed serially, then every row i > j updates independently). The §4.3
-// observation that direct solves are "out of range" for large grounding
-// systems softens somewhat when the O(n³/3) factorization parallelizes; the
-// ablation benches quantify it.
+// NewCholeskyParallel is NewCholeskyBlocked at the given worker count, kept
+// for existing callers.
 //
-// workers ≤ 1 falls back to the sequential NewCholesky.
+// Deprecated: use NewCholeskyBlocked(a, FactorOpts{Workers: workers}).
 func NewCholeskyParallel(a *SymMatrix, workers int) (*Cholesky, error) {
-	n := a.Order()
-	if workers <= 1 || n < 128 {
-		return NewCholesky(a)
-	}
-	l := make([]float64, len(a.data))
-	copy(l, a.data)
-	idx := func(i, j int) int { return i*(i+1)/2 + j }
-	s := sched.Schedule{Kind: sched.Dynamic, Chunk: 16}
-	for j := 0; j < n; j++ {
-		d := l[idx(j, j)]
-		rowJ := l[idx(j, 0) : idx(j, 0)+j]
-		for _, v := range rowJ {
-			d -= v * v
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("%w: pivot %d = %g", ErrNotPositiveDefinite, j, d)
-		}
-		dj := math.Sqrt(d)
-		l[idx(j, j)] = dj
-		inv := 1 / dj
-		rows := n - 1 - j
-		if rows <= 0 {
-			continue
-		}
-		sched.For(rows, workers, s, func(r int) {
-			i := j + 1 + r
-			base := idx(i, 0)
-			rowI := l[base : base+j]
-			sum := l[base+j]
-			for k, v := range rowJ {
-				sum -= rowI[k] * v
-			}
-			l[base+j] = sum * inv
-		})
-	}
-	return &Cholesky{n: n, l: l}, nil
+	return NewCholeskyBlocked(a, FactorOpts{Workers: workers})
 }
 
 type parallelOperator struct {

@@ -273,10 +273,12 @@ func (sc Scenario) buildConfig(defaultWorkers int) (earthing.Config, error) {
 		GPR:         1,
 		MaxElemLen:  sc.MaxElemLen,
 		RodElements: sc.RodElements,
-		// Cholesky is deterministic across worker counts (each entry of L is
-		// reduced in a fixed order; only independent row updates run in
-		// parallel), which PCG's worker-partitioned dot products are not —
-		// and the factorization is exactly what the LRU amortizes.
+		// Cholesky is bit-identical across worker counts (the blocked factor
+		// reduces every entry of L in the reference column order at any
+		// width), which PCG's worker-partitioned dot products are not. The
+		// cache key omits workers, so this is what keeps every body
+		// independent of which request solved first; and the factorization
+		// is exactly what the LRU amortizes.
 		Solver: earthing.Cholesky,
 		BEM: earthing.BEMOptions{
 			Workers:   workers,

@@ -153,7 +153,9 @@ func TestGPRLinearity(t *testing.T) {
 
 // TestDeterminismAcrossWorkers pins the acceptance contract: the same
 // scenario solved fresh at different parallel widths and schedules, or
-// served from cache, yields byte-identical response bodies.
+// served from cache, yields byte-identical response bodies, and so does its
+// /v1/raster. The lattice case has 369 DoF, above the size where a parallel
+// factorization splits its work (a 25-DoF grid never reaches it).
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	variants := []string{
 		`"workers": 1`,
@@ -161,42 +163,58 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 		`"workers": 4, "schedule": "static"`,
 		`"workers": 3, "schedule": "guided,2"`,
 	}
-	scenario := func(extra string) string {
-		return fmt.Sprintf(`{
-			"grid": {"rect": {"width": 30, "height": 30, "nx": 5, "ny": 5, "depth": 0.8, "radius": 0.006}},
-			"soil": {"kind": "two-layer", "gamma1": 0.005, "gamma2": 0.016, "h1": 1.0},
-			"seriesTol": 1e-4, "gpr": 10000, %s
-		}`, extra)
+	cases := []struct{ name, grid, extra string }{
+		{"5x5", `{"rect": {"width": 30, "height": 30, "nx": 5, "ny": 5, "depth": 0.8, "radius": 0.006}}`, ``},
+		{"9x9-369dof", `{"rect": {"width": 60, "height": 60, "nx": 9, "ny": 9, "depth": 0.8, "radius": 0.006}}`, `"maxElemLen": 3,`},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			scenario := func(v string) string {
+				return fmt.Sprintf(`{
+					"grid": %s,
+					"soil": {"kind": "two-layer", "gamma1": 0.005, "gamma2": 0.016, "h1": 1.0},
+					"seriesTol": 1e-4, "gpr": 10000, %s %s
+				}`, c.grid, c.extra, v)
+			}
+			var solves, rasters [][]byte
+			for _, v := range variants {
+				// A fresh server per variant: every solve is a genuine cold
+				// assembly + factorization at that worker count.
+				_, ts := newTestServer(t, Config{MaxConcurrent: 4})
+				code, hdr, b := post(t, context.Background(), ts.URL, "/v1/solve", scenario(v))
+				if code != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", v, code, b)
+				}
+				if hdr.Get("X-Groundd-Cache") != "miss" {
+					t.Fatalf("%s: expected a cold solve", v)
+				}
+				solves = append(solves, b)
 
-	var bodies [][]byte
-	for _, v := range variants {
-		// A fresh server per variant: every solve is a genuine cold
-		// assembly + factorization at that worker count.
-		_, ts := newTestServer(t, Config{MaxConcurrent: 4})
-		code, hdr, b := post(t, context.Background(), ts.URL, "/v1/solve", scenario(v))
-		if code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", v, code, b)
-		}
-		if hdr.Get("X-Groundd-Cache") != "miss" {
-			t.Fatalf("%s: expected a cold solve", v)
-		}
-		bodies = append(bodies, b)
+				// And the warm replay on the same server must be byte-identical too.
+				_, hdr, cached := post(t, context.Background(), ts.URL, "/v1/solve", scenario(v))
+				if hdr.Get("X-Groundd-Cache") != "hit" {
+					t.Fatalf("%s: replay did not hit the cache", v)
+				}
+				if !bytes.Equal(b, cached) {
+					t.Errorf("%s: cached body differs from fresh", v)
+				}
 
-		// And the warm replay on the same server must be byte-identical too.
-		_, hdr, cached := post(t, context.Background(), ts.URL, "/v1/solve", scenario(v))
-		if hdr.Get("X-Groundd-Cache") != "hit" {
-			t.Fatalf("%s: replay did not hit the cache", v)
-		}
-		if !bytes.Equal(b, cached) {
-			t.Errorf("%s: cached body differs from fresh", v)
-		}
-	}
-	for i := 1; i < len(bodies); i++ {
-		if !bytes.Equal(bodies[0], bodies[i]) {
-			t.Errorf("variant %q response differs from %q:\n%s\n%s",
-				variants[i], variants[0], bodies[i], bodies[0])
-		}
+				code, _, r := post(t, context.Background(), ts.URL, "/v1/raster", scenario(v+`, "nx": 16, "ny": 16`))
+				if code != http.StatusOK {
+					t.Fatalf("%s: raster status %d: %s", v, code, r)
+				}
+				rasters = append(rasters, r)
+			}
+			for i := 1; i < len(variants); i++ {
+				if !bytes.Equal(solves[0], solves[i]) {
+					t.Errorf("variant %q /v1/solve body differs from %q:\n%s\n%s",
+						variants[i], variants[0], solves[i], solves[0])
+				}
+				if !bytes.Equal(rasters[0], rasters[i]) {
+					t.Errorf("variant %q /v1/raster body differs from %q", variants[i], variants[0])
+				}
+			}
+		})
 	}
 }
 

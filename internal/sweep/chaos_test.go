@@ -169,7 +169,7 @@ func TestChaosSweepCholeskyPanelIsolation(t *testing.T) {
 	// One worker makes job completion (and thus factorization) order
 	// deterministic: job 0 finalizes first and absorbs the Once fault.
 	cfg.BEM.Workers = 1
-	cfg.Solver = core.CholeskyBlocked
+	cfg.Solver = core.Cholesky
 	opt := Options{Config: cfg}
 	scens := chaosScenarios(5)
 

@@ -57,10 +57,11 @@ func WithQuadOrder(order int) Option {
 }
 
 // WithSolver selects the linear solver (Config.Solver): PCG (default),
-// Cholesky (reference direct solve), CholeskyBlocked (tiled packed
-// factorization, bit-identical to Cholesky) or CholeskyMixed (float32
-// trailing updates + float64 iterative refinement; falls back to full
-// precision when refinement cannot reach float64 accuracy).
+// Cholesky (tiled packed direct factorization, bit-identical at every worker
+// count), CholeskyMixed (float32 trailing updates + float64 iterative
+// refinement; falls back to full precision when refinement cannot reach
+// float64 accuracy) or SolverHMatrix (prefer WithHMatrix, which also sets
+// the block tolerance).
 func WithSolver(k SolverKind) Option {
 	return func(s *settings) { s.cfg.Solver = k }
 }

@@ -116,25 +116,3 @@ func TestOptimizeFacade(t *testing.T) {
 		t.Errorf("worst = %+v, want infeasible design", worst)
 	}
 }
-
-func TestDesignFacade(t *testing.T) {
-	space := earthing.DesignSpace{Width: 30, Height: 30, MinLines: 3, MaxLines: 7}
-	best, trace, err := earthing.DesignSearch(space, earthing.UniformSoil(0.02),
-		earthing.DesignTargets{MaxReq: 0.85}, earthing.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best == nil || best.Result.Req > 0.85 {
-		t.Fatalf("best = %+v", best)
-	}
-	if len(trace) == 0 {
-		t.Error("empty trace")
-	}
-	// Infeasible target surfaces the sentinel error.
-	_, _, err = earthing.DesignSearch(
-		earthing.DesignSpace{Width: 5, Height: 5, MinLines: 2, MaxLines: 3},
-		earthing.UniformSoil(0.001), earthing.DesignTargets{MaxReq: 0.01}, earthing.Config{})
-	if err != earthing.ErrNoFeasibleDesign {
-		t.Errorf("err = %v", err)
-	}
-}
