@@ -30,11 +30,12 @@ type Assembler struct {
 
 	elemLayer []int // soil layer of each element
 
-	// lastBusy and lastPairs record per-worker busy time and element-pair
+	// lastBusy and lastPairs record per-worker busy time and pair-class
 	// counts of the most recent Matrix() call, for load-balance analysis
-	// (see WorkerBusy and WorkerPairs).
-	lastBusy  []time.Duration
-	lastPairs []int64
+	// (see WorkerBusy and WorkerPairs); lastClasses is its class count.
+	lastBusy    []time.Duration
+	lastPairs   []int64
+	lastClasses int
 
 	// Image expansions of every (src, obs) layer pair, flattened once and
 	// grouped by series index (see imageLadder). Pairs without a closed
@@ -122,13 +123,12 @@ func (a *Assembler) Footprint() int64 {
 // the intervals include descheduled time, so prefer WorkerPairs there.
 func (a *Assembler) WorkerBusy() []time.Duration { return a.lastBusy }
 
-// WorkerPairs returns the number of element pairs each worker computed in
-// the most recent Matrix call. Because every pair costs a near-identical
-// kernel-series evaluation, Σpairs/max(pairs) is a host-independent
-// prediction of the wall-clock speed-up a schedule achieves on a machine
-// with one core per worker — the load-balance quantity behind Table 6.2
-// (the paper's "static" row, for instance, is exactly the triangular-
-// imbalance arithmetic this ratio computes; see EXPERIMENTS.md).
+// WorkerPairs returns the number of pair classes each worker evaluated in
+// the most recent Matrix call (one flat-kernel elemental matrix per class;
+// see PairClass). Because every class costs a near-identical kernel-series
+// evaluation, Σ/max is a host-independent prediction of the wall-clock
+// speed-up a schedule achieves on a machine with one core per worker — the
+// load-balance quantity behind Table 6.2 (see EXPERIMENTS.md).
 func (a *Assembler) WorkerPairs() []int64 { return a.lastPairs }
 
 // PredictedSpeedup returns Σpairs/max(pairs) of the most recent Matrix call.
@@ -146,6 +146,11 @@ func (a *Assembler) PredictedSpeedup() float64 {
 	return float64(total) / float64(max)
 }
 
+// NumClasses returns the number of pair classes the most recent Matrix call
+// evaluated — the elemental matrices computed, against the NumPairs it
+// served.
+func (a *Assembler) NumClasses() int { return a.lastClasses }
+
 // NumPairs returns the number of element pairs M(M+1)/2 of the triangle.
 func (a *Assembler) NumPairs() int {
 	m := len(a.mesh.Elements)
@@ -160,42 +165,47 @@ func (a *Assembler) Matrix() (*linalg.SymMatrix, sched.Stats, error) {
 	return a.MatrixCtx(context.Background())
 }
 
-// MatrixCtx is Matrix with cooperative cancellation: the parallel pair loop
-// observes ctx at every schedule chunk boundary (see sched.ForStatsCtx), so
-// an abandoned request stops burning cores after at most one element-pair
-// cycle. On cancellation the matrix is discarded and ctx.Err() is returned.
+// MatrixCtx is Matrix with cooperative cancellation. It classifies every
+// element pair (PairClass), evaluates each pair class once in the parallel
+// loop and scatters the class matrices onto their member pairs. ctx is
+// observed once per triangle row while classifying and at every schedule
+// chunk boundary of the class loop (see sched.ForStatsCtx), so an abandoned
+// request stops burning cores after at most one row or column. On
+// cancellation the matrix is discarded and ctx.Err() is returned.
 func (a *Assembler) MatrixCtx(ctx context.Context) (*linalg.SymMatrix, sched.Stats, error) {
-	m := len(a.mesh.Elements)
-	k := a.k
-	r := linalg.NewSymMatrix(a.mesh.NumDoF)
+	cl, err := a.classify(ctx)
+	if err != nil {
+		return nil, sched.Stats{}, err
+	}
+	a.lastClasses = len(cl.keys)
 
 	switch a.opt.Assembly {
 	case StoreThenAssemble:
 		// The paper's transformation: compute all elemental matrices into
 		// flat storage inside the parallel loop, assemble sequentially after.
-		store := make([]float64, a.NumPairs()*k*k)
-		stats, err := a.runPairLoop(ctx, func(beta, alpha int, scratch *pairScratch) {
-			idx := (beta*(beta+1)/2 + alpha) * k * k
-			a.pairMatrix(beta, alpha, store[idx:idx+k*k], scratch)
+		ps := a.newPairStore(cl)
+		stats, err := a.runPairLoop(ctx, cl, func(c, beta int, scratch *pairScratch) {
+			a.evalClass(cl, c, beta, ps.class(c), scratch)
 		})
 		if err != nil {
 			return nil, stats, err
 		}
-		for beta := 0; beta < m; beta++ {
-			for alpha := 0; alpha <= beta; alpha++ {
-				idx := (beta*(beta+1)/2 + alpha) * k * k
-				a.assemblePair(r, beta, alpha, store[idx:idx+k*k])
-			}
-		}
-		return r, stats, nil
+		return ps.Assemble(), stats, nil
 
 	case MutexAssemble:
+		// Each class is scattered onto its members under a lock as soon as
+		// it is computed; members are listed per class up front.
+		members, off := cl.members()
+		r := linalg.NewSymMatrix(a.mesh.NumDoF)
 		var mu sync.Mutex
-		stats, err := a.runPairLoop(ctx, func(beta, alpha int, scratch *pairScratch) {
-			buf := scratch.elemental
-			a.pairMatrix(beta, alpha, buf, scratch)
+		stats, err := a.runPairLoop(ctx, cl, func(c, beta int, scratch *pairScratch) {
+			a.evalClass(cl, c, beta, scratch.elemental, scratch)
+			var member [4]float64
 			mu.Lock()
-			a.assemblePair(r, beta, alpha, buf)
+			for _, p := range members[off[c]:off[c+1]] {
+				p.flip.Apply(a.k, scratch.elemental, member[:])
+				a.assemblePair(r, int(p.beta), int(p.alpha), member[:])
+			}
 			mu.Unlock()
 		})
 		if err != nil {
@@ -249,10 +259,12 @@ func (a *Assembler) newScratch() *pairScratch {
 	}
 }
 
-// runPairLoop executes body over every pair (β, α ≤ β) under the configured
-// loop strategy and schedule, giving each worker its own scratch. ctx is
-// observed at chunk boundaries (and between columns for InnerLoop).
-func (a *Assembler) runPairLoop(ctx context.Context, body func(beta, alpha int, scratch *pairScratch)) (sched.Stats, error) {
+// runPairLoop executes body over every pair class under the configured loop
+// strategy and schedule, giving each worker its own scratch. The loop runs
+// over the columns of the element-pair triangle, each evaluating the classes
+// it owns (see pairClasses); body receives the class and its column.
+// ctx is observed at chunk boundaries (and between columns for InnerLoop).
+func (a *Assembler) runPairLoop(ctx context.Context, cl *pairClasses, body func(c, beta int, scratch *pairScratch)) (sched.Stats, error) {
 	m := len(a.mesh.Elements)
 	p := a.opt.Workers
 	if p <= 0 {
@@ -282,33 +294,35 @@ func (a *Assembler) runPairLoop(ctx context.Context, body func(beta, alpha int, 
 
 	switch a.opt.Loop {
 	case OuterLoop:
-		// One cycle per column β of the element-pair triangle; column β has
-		// β+1 rows, so cycle sizes decrease linearly — exactly the
-		// granularity situation of §6.2. Columns are iterated largest first
-		// (i = 0 → β = M−1) so late chunks are small.
+		// One cycle per column β of the element-pair triangle, columns
+		// iterated largest first (i = 0 → β = M−1) — the granularity
+		// situation of §6.2; each cycle evaluates the classes its column
+		// owns, which is a few per column (see pairClasses).
 		return sched.ForStatsCtx(ctx, m, p, a.opt.Schedule, func(i, w int) {
 			beta := m - 1 - i
+			lo, hi := cl.columnClasses(beta)
 			s := getScratch(w)
 			start := time.Now()
-			for alpha := 0; alpha <= beta; alpha++ {
-				body(beta, alpha, s)
+			for c := lo; c < hi; c++ {
+				body(c, beta, s)
 			}
 			wi := w
 			if wi >= len(busy) {
 				wi = len(busy) - 1
 			}
 			busy[wi] += time.Since(start)
-			pairs[wi] += int64(beta + 1)
+			pairs[wi] += int64(hi - lo)
 		})
 	case InnerLoop:
-		// The rows of each column are distributed among workers; the program
-		// moves to the next column only when the previous one is finished —
-		// one synchronization barrier per column.
+		// The classes of each column are distributed among workers; the
+		// program moves to the next column only when the previous one is
+		// finished — one synchronization barrier per column.
 		var agg sched.Stats
 		for beta := m - 1; beta >= 0; beta-- {
-			st, err := sched.ForStatsCtx(ctx, beta+1, p, a.opt.Schedule, func(alpha, w int) {
+			lo, hi := cl.columnClasses(beta)
+			st, err := sched.ForStatsCtx(ctx, hi-lo, p, a.opt.Schedule, func(i, w int) {
 				start := time.Now()
-				body(beta, alpha, getScratch(w))
+				body(lo+i, beta, getScratch(w))
 				wi := w
 				if wi >= len(busy) {
 					wi = len(busy) - 1
@@ -338,26 +352,22 @@ func (a *Assembler) runPairLoop(ctx context.Context, body func(beta, alpha int, 
 	}
 }
 
-// pairMatrix computes the elemental matrix of the (β, α) pair into out
-// (row-major k×k, out[j·k+i] = ∫_β w_j ∫_α N_i G dΓ_α dΓ_β): the double
-// integral of eq. (4.5) with the kernel series truncated group by group
-// "until a tolerance is fulfilled or an upper limit of summands is achieved"
-// (§4.3).
-func (a *Assembler) pairMatrix(beta, alpha int, out []float64, s *pairScratch) {
+// pairMatrixExact computes the elemental matrix of a pair that has no
+// canonical class evaluation into out (row-major k×k, out[j·k+i] =
+// ∫_β w_j ∫_α N_i G dΓ_α dΓ_β): the double integral of eq. (4.5) with the
+// kernel series truncated group by group "until a tolerance is fulfilled or
+// an upper limit of summands is achieved" (§4.3) — through the reference
+// image kernel, or by quadrature when the layer pair has no image expansion.
+func (a *Assembler) pairMatrixExact(beta, alpha int, out []float64, s *pairScratch) {
 	for i := range out {
 		out[i] = 0
 	}
 	if _, _, ok := a.ladder.pair(a.elemLayer[alpha], a.elemLayer[beta]); ok {
-		if a.opt.Kernel == ReferenceKernel {
-			a.pairMatrixImages(beta, alpha, out, s)
-		} else {
-			a.pairMatrixFlat(beta, alpha, out, s)
-		}
-	} else {
-		faultinject.Fire(faultinject.Quadrature, beta, out)
-		a.pairMatrixQuadrature(beta, alpha, out, s)
+		a.pairMatrixImages(beta, alpha, out, s)
+		return
 	}
-	faultinject.Fire(faultinject.AssemblyPair, beta, out)
+	faultinject.Fire(faultinject.Quadrature, beta, out)
+	a.pairMatrixQuadrature(beta, alpha, out, s)
 }
 
 func (a *Assembler) pairMatrixImages(beta, alpha int, out []float64, s *pairScratch) {

@@ -493,10 +493,10 @@ func BenchmarkPairMatrixTwoLayer(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := a.newScratch()
+	cs := a.NewColumnScratch()
 	out := make([]float64, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.pairMatrix(i%200, (i*7)%150, out, s)
+		a.PairMatrix(i%200, (i*7)%150, out, cs)
 	}
 }

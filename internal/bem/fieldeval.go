@@ -69,17 +69,15 @@ type lazyPlan struct {
 // reused for every point).
 type evalPlan struct {
 	elems []planElem
-	// byElem maps a mesh element index to its position in elems (−1 for
-	// quadrature-fallback elements) — the random-access door the flat
-	// assembly kernel uses to address one source element's image table.
-	byElem []int32
 	// quadElems are elements whose (src, obs) layer pair has no image
 	// expansion; they fall back to quadrature of Model.PointPotential.
 	quadElems []int32
 }
 
 // planElem is the per-element header of a plan: the observation-point-
-// invariant geometry and prefactors of one source element.
+// invariant geometry and prefactors of one source element. The flat
+// assembly kernel takes its source in the same form (classMatrix builds one
+// from a pair-class key, with the source start at the horizontal origin).
 type planElem struct {
 	pref    float64 // 1/(4π·γ_src)
 	radius2 float64 // conductor radius squared (thin-wire ρ clamp)
@@ -126,7 +124,7 @@ func (fe *FieldEvaluator) footprint() int64 {
 	var n int64
 	for i := range fe.plans {
 		if p := fe.plans[i].plan.Load(); p != nil {
-			n += int64(len(p.elems))*planElemBytes + int64(len(p.byElem)+len(p.quadElems))*4
+			n += int64(len(p.elems))*planElemBytes + int64(len(p.quadElems))*4
 		}
 	}
 	return n
@@ -136,17 +134,15 @@ func (fe *FieldEvaluator) footprint() int64 {
 // is the precompute half of the engine: the per-element geometry and
 // prefactors are derived once here instead of once per point.
 func buildPlan(a *Assembler, obsLayer int) *evalPlan {
-	p := &evalPlan{byElem: make([]int32, len(a.mesh.Elements))}
+	p := &evalPlan{}
 	for e := range a.mesh.Elements {
 		el := &a.mesh.Elements[e]
 		srcLayer := a.elemLayer[e]
 		lo, hi, ok := a.ladder.pair(srcLayer, obsLayer)
 		if !ok {
-			p.byElem[e] = -1
 			p.quadElems = append(p.quadElems, int32(e))
 			continue
 		}
-		p.byElem[e] = int32(len(p.elems))
 		l := el.Seg.Length()
 		t := el.Seg.Dir()
 		pe := planElem{

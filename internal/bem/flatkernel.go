@@ -20,103 +20,29 @@ func asinhRatio(t float64) float64 {
 			t*(2027025.0/175472640))))))))
 }
 
-// geomKeyBits is the mantissa precision the quantized pair evaluation keeps
-// of every translation-dependent geometric input (horizontal offsets, the
-// source direction cosines and lengths). Rounding to 2⁻³⁰ relative perturbs
-// the elemental integrals by ≲ 1e-9 relative — two orders below the tightest
-// block tolerance the H-matrix tier accepts the cache at (ε ≥ 1e-7) — while
-// the rounding cells stay ~4 orders wider than the coordinate round-off
-// scatter between congruent element pairs, so lattice translates of one pair
-// collapse onto one key.
-const geomKeyBits = 30
-
-// quantGeom rounds x to geomKeyBits significant mantissa bits (round half
-// up), the canonicalization both the geometric cache key and the quantized
-// kernel evaluation share.
-func quantGeom(x float64) float64 {
-	if x == 0 {
-		return 0 // drop the sign of −0 so both zeros share one key
-	}
-	const drop = 52 - geomKeyBits
-	b := math.Float64bits(x)
-	b += 1 << (drop - 1)
-	b &^= 1<<drop - 1
-	return math.Float64frombits(b)
-}
-
-// pairMatrixFlat computes the same elemental matrix as pairMatrixImages from
-// the shared image ladder and the source element's field-evaluation plan
-// header (fieldeval.go). The reference kernel re-derives every
-// image-reflected segment (applySegment) and evaluates two asinh calls per
-// (image, Gauss point); here the reflection is three scalars per image
-// (az = sign·az0 + off, sz = sign·tz, w), the
-// observation geometry of each Gauss point is hoisted out of the image loop,
-// and the inner integral is evaluated in the cancellation-safe log form of
-// logI0. Two structural fast paths cut the transcendental count further:
-// equal-weight image groups of horizontal elements fuse their logarithms
-// into one call per Gauss point (fusedGroup), and far terms replace the
-// logarithm with a Maclaurin polynomial (asinhRatio). Series-group order,
-// the per-group tolerance early-exit and the near-pair rule selection mirror
-// the legacy path exactly, so truncation decisions agree; the remaining
-// difference is ulp-level arithmetic reassociation (grid resistances agree
-// to ≤ 1e-10 relative, pinned by the equivalence tests).
-func (a *Assembler) pairMatrixFlat(beta, alpha int, out []float64, s *pairScratch) {
-	a.pairMatrixFlatOn(beta, alpha, out, s, false)
-}
-
-// pairMatrixFlatOn is pairMatrixFlat with an optional canonicalized-geometry
-// mode: with quant set, every translation-dependent input (the horizontal
-// Gauss-point offsets, the source direction cosines, both lengths) is rounded
-// through quantGeom before use, which makes the result an exact function of
-// the AppendPairGeomKey signature — the property the H-matrix geometric pair
-// cache relies on for schedule-independent reuse. Depth-dependent inputs
-// (observation z, image tables) stay raw; they are part of the signature
-// verbatim. The dense assembly path always runs with quant false.
-func (a *Assembler) pairMatrixFlatOn(beta, alpha int, out []float64, s *pairScratch, quant bool) {
-	elA := &a.mesh.Elements[alpha]
-	elB := &a.mesh.Elements[beta]
-	p := a.Evaluator().plan(a.elemLayer[beta])
-	pe := &p.elems[p.byElem[alpha]]
+// flatSeries accumulates the elemental matrix of one pair from the shared
+// image ladder, given the source element's header pe and the hoisted
+// per-Gauss-point observation geometry in s (ng points): hxy, the axial
+// projection of the horizontal offset from the source start; dxy2, its
+// squared length; chiZ, the observation depth; wsh0/wsh1, the outer weight
+// gpW·lenB times each test shape function. The reference kernel re-derives
+// every image-reflected segment (applySegment) and evaluates two asinh calls
+// per (image, Gauss point); here the reflection is three scalars per image
+// (az = sign·az0 + off, sz = sign·tz, w), and the inner integral is
+// evaluated in the cancellation-safe log form of logI0. Two structural fast
+// paths cut the transcendental count further: equal-weight image groups of
+// horizontal elements fuse their logarithms into one call per Gauss point,
+// and far terms replace the logarithm with a Maclaurin polynomial
+// (asinhRatio). Series-group order, the per-group tolerance early-exit and
+// the near-pair rule selection mirror the reference kernel exactly, so
+// truncation decisions agree; the remaining difference is ulp-level
+// arithmetic reassociation (grid resistances agree to ≤ 1e-10 relative,
+// pinned by the equivalence tests). out must be zeroed on entry.
+func (a *Assembler) flatSeries(pe *planElem, ng int, out []float64, s *pairScratch) {
 	imgs, grpOff := a.ladder.imgs, a.ladder.grpOff
-	lenB := elB.Seg.Length()
-
-	// Near pairs (self, touching, adjacent) get the refined outer rule —
-	// identical selection to the reference kernel. The selection runs on the
-	// raw geometry in both modes; the chosen rule is part of the cache key.
-	gpPos, gpW, gpShape := a.gpPos[beta], a.gpW, a.gpShape
-	if beta == alpha ||
-		elB.Seg.DistToSegment(elA.Seg) < 0.5*(lenB+elA.Seg.Length()) {
-		gpPos, gpW, gpShape = a.gpPosN[beta], a.gpWN, a.gpShapeN
-	}
-	ng := len(gpPos)
-
-	l, invL, r2min := pe.l, pe.invL, pe.radius2
-	tx, ty := pe.tx, pe.ty
-	if quant {
-		lenB = quantGeom(lenB)
-		l, invL = quantGeom(l), quantGeom(invL)
-		tx, ty = quantGeom(tx), quantGeom(ty)
-	}
-
-	// Hoist the observation-point geometry and the weight×shape products out
-	// of the image loop: every image of the pair sees the same (hxy, dxy², z)
-	// per Gauss point because images are affine in z only, and the outer
-	// weight gpW·lenB·shape_j never changes within a pair.
 	hxy, dxy2, chiZ := s.hxy[:ng], s.dxy2[:ng], s.chiZ[:ng]
 	wsh0, wsh1 := s.wsh0[:ng], s.wsh1[:ng]
-	for g, chi := range gpPos {
-		dx := chi.X - pe.ax
-		dy := chi.Y - pe.ay
-		if quant {
-			dx, dy = quantGeom(dx), quantGeom(dy)
-		}
-		hxy[g] = dx*tx + dy*ty
-		dxy2[g] = dx*dx + dy*dy
-		chiZ[g] = chi.Z
-		wl := gpW[g] * lenB
-		wsh0[g] = wl * gpShape[g][0]
-		wsh1[g] = wl * gpShape[g][1]
-	}
+	l, invL, r2min := pe.l, pe.invL, pe.radius2
 	linear := a.linear
 	group := s.group
 	// Horizontal source elements (tz = 0 ⟹ sz = 0 for every image) see the

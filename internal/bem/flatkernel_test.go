@@ -1,6 +1,7 @@
 package bem
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -101,8 +102,8 @@ func solveStoreReq(t *testing.T, m *grid.Mesh, r *linalg.SymMatrix) float64 {
 }
 
 // TestFlatKernelColumnsMatchMatrix pins the column API under the flat kernel:
-// ComputeColumn + AssembleStore must reproduce MatrixCtx bit for bit, the
-// invariant the sweep engine's interleaved assembly relies on.
+// PairStore.ComputeColumn + Assemble must reproduce MatrixCtx bit for bit,
+// the invariant the sweep engine's interleaved assembly relies on.
 func TestFlatKernelColumnsMatchMatrix(t *testing.T) {
 	model := soil.NewTwoLayer(0.005, 0.016, 1.0)
 	m := flatFixtureMesh(t, model, grid.Linear)
@@ -114,12 +115,15 @@ func TestFlatKernelColumnsMatchMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := make([]float64, a.StoreSize())
+	store, err := a.NewPairStore(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ar Arena
 	for beta := 0; beta < a.NumColumns(); beta++ {
-		a.ComputeColumn(beta, store, a.ColumnScratchFromArena(&ar))
+		store.ComputeColumn(beta, a.ColumnScratchFromArena(&ar))
 	}
-	got := a.AssembleStore(store)
+	got := store.Assemble()
 	n := want.Order()
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
@@ -141,13 +145,16 @@ func TestFlatKernelColumnZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := make([]float64, a.StoreSize())
+		store, err := a.NewPairStore(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		var ar Arena
 		cs := a.ColumnScratchFromArena(&ar)
 		beta := a.NumColumns() - 1
-		a.ComputeColumn(beta, store, cs) // warm the lazy plan
+		store.ComputeColumn(beta, cs) // warm the scratch
 		allocs := testing.AllocsPerRun(10, func() {
-			a.ComputeColumn(beta, store, a.ColumnScratchFromArena(&ar))
+			store.ComputeColumn(beta, a.ColumnScratchFromArena(&ar))
 		})
 		if allocs != 0 {
 			t.Fatalf("kernel %v: %v allocations per warmed column", kernel, allocs)
@@ -190,16 +197,19 @@ func TestArenaReuseAcrossAssemblers(t *testing.T) {
 		t.Fatal("dimension change did not rebuild the scratch")
 	}
 	// And the rebuilt scratch still computes correct columns.
-	store := make([]float64, aC.StoreSize())
-	aC.ComputeColumn(0, store, csC)
+	store, err := aC.NewPairStore(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.ComputeColumn(0, csC)
 	want, _, err := aC.Matrix()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for beta := 1; beta < aC.NumColumns(); beta++ {
-		aC.ComputeColumn(beta, store, aC.ColumnScratchFromArena(&ar))
+		store.ComputeColumn(beta, aC.ColumnScratchFromArena(&ar))
 	}
-	got := aC.AssembleStore(store)
+	got := store.Assemble()
 	for i := 0; i < want.Order(); i++ {
 		if want.At(i, i) != got.At(i, i) {
 			t.Fatalf("arena-backed column %d diverged from Matrix", i)

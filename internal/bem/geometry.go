@@ -37,6 +37,7 @@ type Geometry struct {
 	gpPosN   [][]geom.Vec3
 	gpWN     []float64
 	gpShapeN [][2]float64
+	gpTN     []float64
 }
 
 // NewGeometry precomputes the quadrature geometry of a mesh for the
@@ -82,9 +83,9 @@ func NewGeometry(m *grid.Mesh, opt Options) (*Geometry, error) {
 	}
 	g.gpPos, g.gpW, g.gpShape, g.gpT = buildSet(opt.GaussOrder)
 	if opt.NearGaussOrder == opt.GaussOrder {
-		g.gpPosN, g.gpWN, g.gpShapeN = g.gpPos, g.gpW, g.gpShape
+		g.gpPosN, g.gpWN, g.gpShapeN, g.gpTN = g.gpPos, g.gpW, g.gpShape, g.gpT
 	} else {
-		g.gpPosN, g.gpWN, g.gpShapeN, _ = buildSet(opt.NearGaussOrder)
+		g.gpPosN, g.gpWN, g.gpShapeN, g.gpTN = buildSet(opt.NearGaussOrder)
 	}
 	return g, nil
 }
@@ -107,7 +108,7 @@ func (g *Geometry) Footprint() int64 {
 		for _, p := range g.gpPosN {
 			n += int64(len(p)) * 24
 		}
-		n += int64(len(g.gpWN))*8 + int64(len(g.gpShapeN))*16
+		n += int64(len(g.gpWN))*8 + int64(len(g.gpShapeN))*16 + int64(len(g.gpTN))*8
 	}
 	return n
 }

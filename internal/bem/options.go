@@ -12,10 +12,12 @@ type LoopStrategy int
 
 const (
 	// OuterLoop distributes the β cycles (columns of the element-pair
-	// triangle) among workers. Bigger granularity; the paper's winner.
+	// triangle, each evaluating the pair classes it owns) among workers.
+	// Bigger granularity; the paper's winner.
 	OuterLoop LoopStrategy = iota
 	// InnerLoop runs the β cycles sequentially and distributes each column's
-	// α rows among workers, paying a synchronization barrier per column.
+	// pair classes among workers, paying a synchronization barrier per
+	// column.
 	InnerLoop
 )
 
@@ -66,14 +68,15 @@ func (k KernelStrategy) String() string {
 type AssemblyMode int
 
 const (
-	// StoreThenAssemble computes and stores all elemental matrices in the
-	// parallel loop and assembles them sequentially afterwards — the paper's
-	// dependency-breaking transformation (§6.2), costing roughly twice the
-	// matrix memory.
+	// StoreThenAssemble computes and stores all elemental matrices (one per
+	// pair class) in the parallel loop and assembles them sequentially
+	// afterwards — the paper's dependency-breaking transformation (§6.2),
+	// costing one k×k slot per class and a 4-byte class entry per pair.
 	StoreThenAssemble AssemblyMode = iota
 	// MutexAssemble assembles each elemental matrix into the global matrix
-	// under a lock as soon as it is computed — the ablation baseline whose
-	// contention the paper's transformation avoids.
+	// (onto every member pair of its class) under a lock as soon as it is
+	// computed — the ablation baseline whose contention the paper's
+	// transformation avoids.
 	MutexAssemble
 )
 

@@ -399,7 +399,7 @@ func finishResults(res *Result, gpr float64) error {
 
 // CompleteAssembled finishes the pipeline for an externally generated system
 // matrix r (e.g. one the sweep engine assembled column-by-column through
-// Assembler.ComputeColumn/AssembleStore): it runs the solve and results
+// bem.PairStore.ComputeColumn/Assemble): it runs the solve and results
 // stages exactly as the full pipeline does, so the outcome is bit-identical
 // to Analyze of the same (mesh, model, cfg) scenario. warnings are the
 // preprocessing warnings of BuildMesh; stats describes the loop that

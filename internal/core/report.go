@@ -39,8 +39,9 @@ func (r *Result) WriteReport(w io.Writer) error {
 }
 
 // PredictedSpeedup estimates the parallel speed-up implied by the work
-// distribution of the matrix-generation loop: Σ element pairs / max pairs
-// over workers. On a machine with one physical core per worker and
+// distribution of the matrix-generation loop: Σ pair classes / max classes
+// over workers (the loop evaluates one elemental matrix per class of
+// congruent element pairs, see bem.PairClass). On a machine with one physical core per worker and
 // negligible scheduling overhead this equals the wall-clock speed-up; it is
 // the load-balance quantity the schedule comparison of Table 6.2 probes,
 // and it is host-independent (the reproduction host may have fewer cores

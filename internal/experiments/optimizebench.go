@@ -12,6 +12,7 @@ import (
 	"earthing/internal/designopt"
 	"earthing/internal/fsio"
 	"earthing/internal/grid"
+	"earthing/internal/post"
 	"earthing/internal/safety"
 	"earthing/internal/soil"
 )
@@ -132,10 +133,11 @@ func RunOptimizeBench(ctx context.Context, q Quality, workers int) (OptimizeBenc
 	out.SolvesPerSec = float64(stats.Evaluated) / wall.Seconds()
 	out.Workers = opt.Config.BEM.Workers
 
-	// Naive baseline: one independent Analyze per representative family
+	// Naive baseline: one independent evaluation per representative family
 	// member (smallest, median and largest lattice), each paying its own
-	// meshing and assembly. A cache-less searcher pays that for every one of
-	// the Requested candidates.
+	// meshing, assembly and solve and the touch/step voltage extraction the
+	// engine scores every candidate with. A cache-less searcher pays that
+	// for every one of the Requested candidates.
 	cfg := opt.Config
 	cfg.GPR = 1
 	var naive time.Duration
@@ -143,7 +145,12 @@ func RunOptimizeBench(ctx context.Context, q Quality, workers int) (OptimizeBenc
 	for _, n := range lines {
 		g := grid.RectMesh(0, 0, spec.Width, spec.Height, n, n, 0.6, 0.006)
 		t := time.Now()
-		if _, err := core.AnalyzeCtx(ctx, g, spec.Model, cfg); err != nil {
+		res, err := core.AnalyzeCtx(ctx, g, spec.Model, cfg)
+		if err != nil {
+			return out, err
+		}
+		if _, err := post.ComputeVoltagesCtx(ctx, res.Assembler(), res.Mesh, res.Sigma, res.Req*spec.FaultCurrent,
+			spec.VoltageRes, post.SurfaceOptions{Workers: cfg.BEM.Workers, Schedule: cfg.BEM.Schedule}); err != nil {
 			return out, err
 		}
 		naive += time.Since(t)

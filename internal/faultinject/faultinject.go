@@ -30,15 +30,20 @@ type Point string
 // The instrumented sites.
 const (
 	// AssemblyColumn fires once per element-pair-triangle column inside
-	// Assembler.ComputeColumn, with i = column index and data = the column's
-	// slice of the elemental store (poisonable).
+	// bem.PairStore.ComputeColumn, with i = column index and data = the
+	// slots of the pair classes that column evaluates (poisonable; empty
+	// when every pair of the column belongs to an earlier column's class).
 	AssemblyColumn Point = "bem.assembly.column"
-	// AssemblyPair fires once per element pair inside the Matrix pair loop,
-	// with i = pair column β and data = the pair's elemental matrix.
+	// AssemblyPair fires once per evaluated pair class — the unit of the
+	// Matrix pair loop and of the sweep's columns, each class standing for
+	// every congruent element pair (see bem.PairClass) — with i = the
+	// evaluating column β and data = the class's elemental matrix
+	// (poisoning it poisons every member pair).
 	AssemblyPair Point = "bem.assembly.pair"
 	// Quadrature fires on entry of the slow quadrature kernel (models
-	// without an image expansion), with i = pair column β and data = the
-	// elemental output buffer.
+	// without an image expansion), once per such pair — those pairs have
+	// no class and are evaluated one by one — with i = pair column β and
+	// data = the elemental output buffer.
 	Quadrature Point = "bem.quadrature"
 	// SweepColumn fires once per global sweep column, with i = the global
 	// interleaved column index and data = that column's store slice.

@@ -206,14 +206,13 @@ func TestDegenerateSingleElementLeaves(t *testing.T) {
 }
 
 // TestDegenerateAllNearField drives η toward zero so no block is admissible:
-// the representation is all-dense and, under ExactGeometry, must reproduce
-// the dense matrix to floating-point association (the only difference is
-// summation order; the default geometric cache would instead carry its
-// documented ≲ 1e-9 canonicalization perturbation).
+// the representation is all-dense and must reproduce the dense matrix to
+// floating-point association (both evaluate the same pair classes; the only
+// difference is summation order).
 func TestDegenerateAllNearField(t *testing.T) {
 	g := grid.RectMesh(0, 0, 10, 10, 3, 3, 0.5, 0.01)
 	s := buildSystem(t, g, soil.NewUniform(0.02), 3)
-	h, err := Build(context.Background(), s.asm, Params{Eps: 1e-6, Eta: 1e-9, LeafSize: 8, Workers: 2, ExactGeometry: true})
+	h, err := Build(context.Background(), s.asm, Params{Eps: 1e-6, Eta: 1e-9, LeafSize: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,15 +54,12 @@ func adjacency(m *grid.Mesh) [][]elemRef {
 // the block's element footprint. A filler must not be shared between
 // concurrent workers.
 //
-// Behind the per-block cache sits an optional geometric cache keyed on
-// bem.AppendPairGeomKey signatures and persistent across blocks: grounding
-// lattices repeat the same relative pair geometry thousands of times, and
-// the canonicalized evaluation (bem.PairMatrixQuant) is an exact function of
-// the signature, so reuse is bitwise deterministic no matter which block,
-// worker or schedule first computed a configuration. Entries carry the
-// quantization's ≲ 1e-9 relative perturbation, which is why Build only
-// enables the cache when the block tolerance keeps two orders of margin
-// (ε ≥ 1e-7) and ExactGeometry is unset.
+// Behind the per-block cache sits the pair-class cache, keyed on
+// bem.PairClass signatures and persistent across blocks: grounding lattices
+// repeat the same relative pair geometry thousands of times, and the class
+// matrix (bem.ClassMatrix) is an exact function of the signature — the same
+// evaluation dense assembly uses — so reuse is bitwise deterministic no
+// matter which block, worker or schedule first computed a class.
 type filler struct {
 	asm *bem.Assembler
 	adj [][]elemRef
@@ -72,34 +69,31 @@ type filler struct {
 	cache map[int64]int // ordered pair key → offset into slab
 	slab  []float64     // cached k×k elemental matrices, back to back
 
-	geo     map[string]int // geometric signature → offset into geoSlab
-	geoSlab []float64
-	keyBuf  []byte
+	classes   map[bem.PairKey]int // class signature → offset into classSlab
+	classSlab []float64
+	key       bem.PairKey
+	class     []float64 // k×k class matrix of an uncached class
 }
 
-// geoCacheCap bounds the geometric cache entries per worker (~2M signatures;
+// classCacheCap bounds the class cache entries per worker (~2M signatures;
 // a few hundred MB worst case). Past the cap, lookups continue but new
-// configurations are evaluated without being retained.
-const geoCacheCap = 1 << 21
+// classes are evaluated without being retained.
+const classCacheCap = 1 << 21
 
 func newFiller(asm *bem.Assembler, adj [][]elemRef, k int, cs *bem.ColumnScratch) *filler {
 	return &filler{
-		asm:   asm,
-		adj:   adj,
-		k:     k,
-		cs:    cs,
-		cache: make(map[int64]int),
+		asm:     asm,
+		adj:     adj,
+		k:       k,
+		cs:      cs,
+		cache:   make(map[int64]int),
+		classes: make(map[bem.PairKey]int),
+		class:   make([]float64, k*k),
 	}
 }
 
-// enableGeoCache switches the filler to canonicalized pair evaluation with
-// cross-block geometric reuse.
-func (f *filler) enableGeoCache() {
-	f.geo = make(map[string]int)
-}
-
 // resetCache drops the per-block pair matrices (called between blocks). The
-// geometric cache persists: its values are pure functions of their keys.
+// class cache persists: its values are pure functions of their keys.
 func (f *filler) resetCache() {
 	clear(f.cache)
 	f.slab = f.slab[:0]
@@ -125,31 +119,27 @@ func (f *filler) pair(e1, e2 int) []float64 {
 	return out
 }
 
-// fillPair computes the elemental matrix of (beta, alpha) into out, through
-// the geometric cache when enabled and the pair supports canonicalized
-// evaluation.
+// fillPair computes the elemental matrix of (beta, alpha) into out: its
+// class matrix under its flip, through the class cache, or the pair's own
+// evaluation when it has no class.
 func (f *filler) fillPair(beta, alpha int, out []float64) {
-	if f.geo == nil {
-		f.asm.PairMatrix(beta, alpha, out, f.cs)
-		return
-	}
-	buf, ok := f.asm.AppendPairGeomKey(beta, alpha, f.keyBuf[:0])
-	f.keyBuf = buf
+	flip, ok := f.asm.PairClass(beta, alpha, &f.key)
 	if !ok {
 		f.asm.PairMatrix(beta, alpha, out, f.cs)
 		return
 	}
 	kk := f.k * f.k
-	if off, hit := f.geo[string(buf)]; hit {
-		copy(out, f.geoSlab[off:off+kk])
-		return
+	class := f.class
+	if off, hit := f.classes[f.key]; hit {
+		class = f.classSlab[off : off+kk]
+	} else {
+		f.asm.ClassMatrix(&f.key, class, f.cs)
+		if len(f.classes) < classCacheCap {
+			f.classes[f.key] = len(f.classSlab)
+			f.classSlab = append(f.classSlab, class...)
+		}
 	}
-	f.asm.PairMatrixQuant(beta, alpha, out, f.cs)
-	if len(f.geo) < geoCacheCap {
-		off := len(f.geoSlab)
-		f.geoSlab = append(f.geoSlab, out...)
-		f.geo[string(buf)] = off
-	}
+	flip.Apply(f.k, class, out)
 }
 
 // entry returns the global matrix entry A(p, q) for original DoF indices

@@ -28,15 +28,6 @@ type Params struct {
 	// Workers is the parallel width of the block fill and the matvec
 	// (≤ 0 selects GOMAXPROCS).
 	Workers int
-	// ExactGeometry disables the geometric pair cache, forcing every
-	// elemental integral through the assembler's exact pair kernel. By
-	// default (false), flat-kernel builds with Eps ≥ 1e-7 evaluate pairs on
-	// canonicalized geometry (bem.PairMatrixQuant) and share one elemental
-	// matrix across congruent pairs — a large constant-factor win on lattice
-	// grids, at a ≲ 1e-9 relative entry perturbation that the enabling
-	// threshold keeps two orders below the block tolerance. Set it for
-	// bit-level comparisons of the assembled blocks against the dense path.
-	ExactGeometry bool
 	// Schedule distributes blocks over workers (zero value: dynamic,1 — the
 	// block costs are as irregular as the element-pair columns).
 	Schedule sched.Schedule
@@ -172,11 +163,6 @@ func Build(ctx context.Context, asm *bem.Assembler, p Params) (*HMatrix, error) 
 		f := fillers[w]
 		if f == nil {
 			f = newFiller(asm, adj, k, asm.ColumnScratchFromArena(&arenas[w]))
-			// The geometric cache's ≲ 1e-9 entry perturbation needs two
-			// orders of margin under the block tolerance.
-			if !p.ExactGeometry && p.Eps >= 1e-7 {
-				f.enableGeoCache()
-			}
 			fillers[w] = f
 		}
 		f.resetCache()

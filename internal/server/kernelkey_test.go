@@ -14,9 +14,11 @@ import (
 	"earthing/internal/store"
 )
 
-// legacyScenarioKey is the cache key format of binaries that did not key the
-// assembly kernel (they assembled with the reference kernel).
-func legacyScenarioKey(t *testing.T, sc Scenario) string {
+// legacyScenarioKey is a cache key format of older binaries: tail is what
+// followed "kind=linear" — "" for binaries that did not key the assembly
+// kernel (they assembled with the reference kernel), ";kernel=flat" for
+// binaries that evaluated the flat kernel pair by pair, before pair classes.
+func legacyScenarioKey(t *testing.T, sc Scenario, tail string) string {
 	t.Helper()
 	b, err := sc.build(0)
 	if err != nil {
@@ -26,15 +28,16 @@ func legacyScenarioKey(t *testing.T, sc Scenario) string {
 	if err := grid.Write(h, b.grid); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear\n",
-		sc.Soil.canonicalSoil(), sc.MaxElemLen, sc.RodElements, b.cfg.BEM.SeriesTol)
+	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear%s\n",
+		sc.Soil.canonicalSoil(), sc.MaxElemLen, sc.RodElements, b.cfg.BEM.SeriesTol, tail)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// TestLegacyKeyRecordMisses pins the kernel in the cache key: a durable record
-// written under the pre-kernel key format — here holding a genuine density
-// for the scenario, so only the key can reject it — is never served; the
-// scenario is solved afresh and stored under the kernel-qualified key.
+// TestLegacyKeyRecordMisses pins the kernel arithmetic in the cache key:
+// durable records written under the pre-kernel key format and under the
+// per-pair flat-kernel format before pair classes — each holding a genuine
+// density for the scenario, so only the key can reject it — are never
+// served; the scenario is solved afresh and stored under the current key.
 func TestLegacyKeyRecordMisses(t *testing.T) {
 	sc := Scenario{
 		Grid: GridSpec{Rect: &RectSpec{
@@ -44,9 +47,11 @@ func TestLegacyKeyRecordMisses(t *testing.T) {
 		SeriesTol: 1e-3,
 	}
 	key := scenarioKeyOf(t, 20)
-	legacy := legacyScenarioKey(t, sc)
-	if legacy == key {
-		t.Fatal("kernel-qualified key equals the legacy key")
+	legacy := []string{legacyScenarioKey(t, sc, ""), legacyScenarioKey(t, sc, ";kernel=flat")}
+	for _, l := range legacy {
+		if l == key {
+			t.Fatalf("current key equals the legacy key %s", l)
+		}
 	}
 
 	// A density for the scenario, as an old binary would have stored it.
@@ -68,8 +73,10 @@ func TestLegacyKeyRecordMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(store.Record{Key: legacy, Sigma: res.Sigma}); err != nil {
-		t.Fatal(err)
+	for _, l := range legacy {
+		if err := st.Append(store.Record{Key: l, Sigma: res.Sigma}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st.Flush()
 	s := New(Config{MaxConcurrent: 2, Store: st})
@@ -77,8 +84,10 @@ func TestLegacyKeyRecordMisses(t *testing.T) {
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	waitReady(t, ts.URL, 2*time.Second)
-	if _, ok := st.Lookup(legacy); !ok {
-		t.Fatal("legacy record missing from the store index")
+	for _, l := range legacy {
+		if _, ok := st.Lookup(l); !ok {
+			t.Fatalf("legacy record %s missing from the store index", l)
+		}
 	}
 
 	code, hdr, body := post(t, context.Background(), ts.URL, "/v1/solve", fastScenario(20, 10_000))
@@ -86,7 +95,7 @@ func TestLegacyKeyRecordMisses(t *testing.T) {
 		t.Fatalf("solve: status %d: %s", code, body)
 	}
 	if got := hdr.Get("X-Groundd-Cache"); got != "miss" {
-		t.Errorf("disposition = %q with only a legacy-key record stored, want miss", got)
+		t.Errorf("disposition = %q with only legacy-key records stored, want miss", got)
 	}
 	if n := s.Counters().Assemblies.Load(); n != 1 {
 		t.Errorf("assemblies = %d, want 1 (fresh solve)", n)

@@ -326,8 +326,11 @@ func (sc Scenario) build(defaultWorkers int) (*built, error) {
 // through full-precision parameter rendering, and the discretization knobs
 // are appended verbatim. The assembly kernel is keyed too, so records and
 // peer frames solved under another kernel (which agree only to ~1e-10) are
-// never served next to fresh solves. Workers, schedules and GPR are
-// excluded: they do not change the solution.
+// never served next to fresh solves; its pairs=d4q42 component names the
+// pair-class arithmetic (D4-canonical classes at 42-bit quantization, see
+// bem.PairClass), so frames from the per-pair arithmetic before it, ~1e-13
+// apart, miss too. Workers, schedules and GPR are excluded: they do not
+// change the solution.
 func scenarioKey(g *earthing.Grid, soil SoilSpec, maxElemLen float64, rodElements int, seriesTol float64, kernel earthing.KernelStrategy) string {
 	h := sha256.New()
 	if err := grid.Write(h, g); err != nil {
@@ -335,7 +338,7 @@ func scenarioKey(g *earthing.Grid, soil SoilSpec, maxElemLen float64, rodElement
 		panic(err)
 	}
 	//lint:ignore errdrop writing to a hash.Hash never fails
-	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear;kernel=%v\n",
+	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear;kernel=%v;pairs=d4q42\n",
 		soil.canonicalSoil(), maxElemLen, rodElements, seriesTol, kernel)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }

@@ -227,11 +227,12 @@ func TestSweepQueueFull429(t *testing.T) {
 }
 
 // TestSweepDeadline504: a deadline shorter than the first assembly yields a
-// clean 504 (nothing streamed yet) and the deadline counter moves.
+// clean 504 (nothing streamed yet) and the deadline counter moves. The grid
+// is slowScenario's: graded, so pair classes leave the assembly slow.
 func TestSweepDeadline504(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1})
 	body := `{
-		"grid": {"rect": {"width": 110, "height": 60, "nx": 12, "ny": 12, "depth": 0.8, "radius": 0.006}},
+		"grid": {"rect": {"width": 110, "height": 60, "nx": 16, "ny": 16, "depth": 0.8, "radius": 0.006, "beta": 0.3}},
 		"seriesTol": 1e-5,
 		"timeoutMs": 50,
 		"scenarios": [{"soil": {"kind": "two-layer", "gamma1": 0.005, "gamma2": 0.016, "h1": 1.0}}]
@@ -265,7 +266,7 @@ func TestSweepClientCancel(t *testing.T) {
 		cancel()
 	}()
 	body := `{
-		"grid": {"rect": {"width": 115, "height": 60, "nx": 12, "ny": 12, "depth": 0.8, "radius": 0.006}},
+		"grid": {"rect": {"width": 115, "height": 60, "nx": 16, "ny": 16, "depth": 0.8, "radius": 0.006, "beta": 0.3}},
 		"seriesTol": 1e-5,
 		"scenarios": [
 			{"soil": {"kind": "two-layer", "gamma1": 0.005, "gamma2": 0.016, "h1": 1.0}},

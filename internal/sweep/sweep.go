@@ -154,7 +154,9 @@ type job struct {
 	// solution (AllowScaled tier).
 	scaled []*scaledTier
 
-	store []float64
+	// store is the job's elemental-matrix store (nil for H-matrix jobs),
+	// classified by Stream before the shared loop starts.
+	store *bem.PairStore
 	// hres is the unit-GPR result of an H-matrix job (nil for column jobs
 	// and for failed jobs).
 	hres      *core.Result
@@ -339,8 +341,6 @@ func buildPlan(g *grid.Grid, scenarios []Scenario, opt Options) (*plan, error) {
 			// pool width is split across concurrent jobs instead, inside
 			// each job's own build loop (see Stream).
 			j.units = 1
-		} else {
-			j.store = make([]float64, asm.StoreSize())
 		}
 		j.remaining.Store(int64(j.units))
 		jobsByKey[jk] = j
@@ -404,6 +404,13 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 	p, err := buildPlan(g, scenarios, opt)
 	if err != nil {
 		return err
+	}
+	if !p.hmatrix {
+		for _, j := range p.jobs {
+			if j.store, err = j.asm.NewPairStore(ctx); err != nil {
+				return fmt.Errorf("sweep: %w", err)
+			}
+		}
 	}
 	// Per-worker scratch arenas, shared across every job a worker touches:
 	// scratch memory scales with the worker count, not workers × jobs, and a
@@ -478,7 +485,7 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 			solve, assembly = unit.Timings.Solve, unit.Timings.MatrixGen
 		} else {
 			t0 := time.Now()
-			rmat := j.asm.AssembleStore(j.store)
+			rmat := j.store.Assemble()
 			j.store = nil
 			cfgUnit := p.cfg
 			cfgUnit.GPR = 1
@@ -550,9 +557,9 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 			arenas[wi] = &bem.Arena{}
 		}
 		t0 := time.Now()
-		j.asm.ComputeColumn(beta, j.store, j.asm.ColumnScratchFromArena(arenas[wi]))
+		j.store.ComputeColumn(beta, j.asm.ColumnScratchFromArena(arenas[wi]))
 		if faultinject.Active() {
-			faultinject.Fire(faultinject.SweepColumn, global, j.asm.ColumnRange(beta, j.store))
+			faultinject.Fire(faultinject.SweepColumn, global, j.store.ColumnRange(beta))
 		}
 		j.busyNanos.Add(int64(time.Since(t0)))
 	}
