@@ -10,24 +10,19 @@
 //	paperbench -exp fig5.2 -out figures/   # also write CSV + SVG artifacts
 //
 // Experiments: barbera, table5.1, table6.1, table6.2, table6.3, fig5.1,
-// fig5.2, fig5.3, fig5.4, fig6.1, fieldeval, sweep, assembly, hmatrix,
-// optimize, ablation-assembly, ablation-tol, ablation-solver,
-// ablation-elements, ablation-threelayer, ablation-grading, baseline-fdm,
-// all.
+// fig5.2, fig5.3, fig5.4, fig6.1, sweep, hmatrix, optimize,
+// ablation-assembly, ablation-tol, ablation-solver, ablation-elements,
+// ablation-threelayer, ablation-grading, baseline-fdm, all.
 //
-// The fieldeval experiment benchmarks the batched field-evaluation engine on
-// the Figure 5.4 raster; with -json it records the result as
-// BENCH_field_eval.json (or the given path). The sweep experiment benchmarks
-// the multi-scenario batch engine (3 Balaidos soils × 3 GPR values) against
-// a sequential Analyze loop; with -json it records BENCH_sweep.json. The
-// assembly experiment benchmarks the flat kernel and blocked/mixed Cholesky
-// against the reference hot path on Balaidos soil B; with -json it records
-// BENCH_assembly.json. The hmatrix experiment sweeps the compressed solver
-// over a 1k–20k DoF ladder of interconnected grids against the extrapolated
-// dense cost; with -json it records BENCH_hmatrix.json. The optimize
+// The sweep experiment benchmarks the multi-scenario batch engine (3
+// Balaidos soils × 3 GPR values) against a sequential Analyze loop. The
+// hmatrix experiment sweeps the compressed solver over a 1k–20k DoF ladder
+// of interconnected grids against the extrapolated dense cost. The optimize
 // experiment benchmarks the grid-synthesis design loop on a Balaidos-class
-// site against naive per-candidate solves; with -json it records
-// BENCH_optimize.json.
+// site against naive per-candidate solves. These three record JSON: with
+// -json P and -exp naming exactly one of them, the record is written to P
+// (BENCH_sweep.json, BENCH_hmatrix.json and BENCH_optimize.json in the repo
+// convention); -json with any other -exp is an error.
 package main
 
 import (
@@ -63,7 +58,7 @@ func run(args []string, stdout io.Writer) error {
 		out     = fs.String("out", "", "directory for figure artifacts (CSV/SVG)")
 		procs   = fs.String("procs", "1,2,4,8", "worker counts for the parallel tables")
 		repeats = fs.Int("repeats", 1, "timing repetitions (paper used min of 4)")
-		jsonOut = fs.String("json", "", "benchmark JSON path for -exp fieldeval, sweep, assembly, hmatrix or optimize (e.g. BENCH_optimize.json)")
+		jsonOut = fs.String("json", "", "benchmark JSON path for -exp sweep, hmatrix or optimize (e.g. BENCH_optimize.json)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -79,6 +74,9 @@ func run(args []string, stdout io.Writer) error {
 	if *repeats < 1 {
 		return fmt.Errorf("-repeats %d must be at least 1", *repeats)
 	}
+	if *jsonOut != "" && !jsonExperiments[*exp] {
+		return fmt.Errorf("-json needs -exp sweep, hmatrix or optimize, not %q", *exp)
+	}
 	q.Repeats = *repeats
 
 	workers, err := parseProcs(*procs)
@@ -87,6 +85,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	return runExperiments(stdout, *exp, q, workers, *out, *jsonOut)
 }
+
+// jsonExperiments are the experiments that record a -json benchmark file.
+var jsonExperiments = map[string]bool{"sweep": true, "hmatrix": true, "optimize": true}
 
 func parseProcs(s string) ([]int, error) {
 	var out []int
@@ -123,9 +124,7 @@ func runExperiments(w io.Writer, exp string, q experiments.Quality, workers []in
 		{"fig5.4", func() error { return experiments.Fig54(w, q, 0, out, 0, 0) }},
 		{"table6.1", func() error { return experiments.Table61(w, q) }},
 		{"fig6.1", func() error { return experiments.Fig61(w, q, workers) }},
-		{"fieldeval", func() error { return experiments.FieldEval(w, q, 0, 0, 0, jsonOut) }},
 		{"sweep", func() error { return experiments.SweepEngine(context.Background(), w, q, 0, jsonOut) }},
-		{"assembly", func() error { return experiments.AssemblyKernels(w, q, 0, jsonOut) }},
 		{"hmatrix", func() error { return experiments.HMatrixScaling(w, q, 0, jsonOut) }},
 		{"optimize", func() error { return experiments.OptimizeLoop(context.Background(), w, q, 0, jsonOut) }},
 		{"table6.2", func() error { return experiments.Table62(w, q, workers) }},

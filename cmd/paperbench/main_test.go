@@ -95,58 +95,6 @@ func TestSweepBenchSmoke(t *testing.T) {
 	}
 }
 
-// TestAssemblyBenchSmoke drives the -exp assembly benchmark end to end at
-// quick fidelity and checks the recorded JSON: both Balaidos soil cases must
-// be present, the blocked factorization must reproduce the reference
-// solution bit for bit, the flat/mixed paths must hold the 1e-10 relative
-// Req contract, and the headline (soil C) combined path must come out ahead.
-func TestAssemblyBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs four full Balaidos assemblies")
-	}
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_assembly.json")
-	var buf bytes.Buffer
-	if err := run([]string{"-exp", "assembly", "-quick", "-json", jsonPath}, &buf); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ab struct {
-		CombinedSpeedup float64 `json:"combined_speedup"`
-		Cases           []struct {
-			Soil                string  `json:"soil"`
-			DoF                 int     `json:"dof"`
-			BlockedBitIdentical bool    `json:"blocked_bit_identical"`
-			ReqReference        float64 `json:"req_reference_ohm"`
-			MaxAbsDiffReqFlat   float64 `json:"max_abs_diff_req_flat_ohm"`
-			MaxAbsDiffReqMixed  float64 `json:"max_abs_diff_req_mixed_ohm"`
-		} `json:"cases"`
-	}
-	if err := json.Unmarshal(data, &ab); err != nil {
-		t.Fatal(err)
-	}
-	if len(ab.Cases) != 2 || ab.Cases[0].Soil != "C" || ab.Cases[1].Soil != "B" {
-		t.Fatalf("unexpected case set: %+v", ab.Cases)
-	}
-	for _, c := range ab.Cases {
-		if c.DoF == 0 {
-			t.Errorf("soil %s: empty discretization", c.Soil)
-		}
-		if !c.BlockedBitIdentical {
-			t.Errorf("soil %s: blocked factorization not bit-identical", c.Soil)
-		}
-		if tol := 1e-10 * c.ReqReference; c.MaxAbsDiffReqFlat > tol || c.MaxAbsDiffReqMixed > tol {
-			t.Errorf("soil %s: |ΔReq| flat %g / mixed %g exceeds 1e-10 relative (%g)",
-				c.Soil, c.MaxAbsDiffReqFlat, c.MaxAbsDiffReqMixed, tol)
-		}
-	}
-	if ab.CombinedSpeedup <= 1.2 {
-		t.Errorf("flat+blocked path not ahead of reference: speedup %.2f", ab.CombinedSpeedup)
-	}
-}
-
 // TestHMatrixBenchSmoke drives the compressed-solver scaling bench through
 // the CLI on the quick smoke ladder and checks the record's structural and
 // accuracy contracts (the full-ladder time/memory acceptance bars only hold
@@ -198,9 +146,18 @@ func TestHMatrixBenchSmoke(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags also pins the -json rule: a record path is only
+// accepted with exactly one JSON-recording experiment, so -exp all cannot
+// overwrite one path with several records and a text-only experiment cannot
+// silently write nothing. The retired twin-timing experiments are unknown.
 func TestRunRejectsBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-exp", "nonesuch"},
+		{"-exp", "assembly"},
+		{"-exp", "fieldeval"},
+		{"-exp", "all", "-json", "x"},
+		{"-exp", "table5.1", "-json", "x"},
+		{"-exp", "barbera", "-json", "x"},
 		{"-procs", "0"},
 		{"-procs", "1,x"},
 		{"-repeats", "0"},
@@ -263,42 +220,5 @@ func TestOptimizeBenchSmoke(t *testing.T) {
 	}
 	if ob.Speedup <= 1 {
 		t.Errorf("design loop slower than naive solves: speedup %.2f", ob.Speedup)
-	}
-}
-
-// TestFieldEvalBenchSmoke drives the -exp fieldeval benchmark end to end at
-// quick fidelity and checks the recorded JSON: the batched engine must
-// reproduce the legacy per-point potentials on the whole Figure 5.4 surface
-// raster within 1e-10 and come out ahead of them on single-thread time.
-func TestFieldEvalBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("evaluates a 2464-point raster through the legacy path")
-	}
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_field_eval.json")
-	var buf bytes.Buffer
-	if err := run([]string{"-exp", "fieldeval", "-quick", "-json", jsonPath}, &buf); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fb struct {
-		Points     int     `json:"points"`
-		LegacyNs   float64 `json:"legacy_ns_per_point"`
-		BatchNs    float64 `json:"batch_ns_per_point"`
-		MaxAbsDiff float64 `json:"max_abs_diff"`
-	}
-	if err := json.Unmarshal(data, &fb); err != nil {
-		t.Fatal(err)
-	}
-	if fb.Points == 0 {
-		t.Fatal("empty raster")
-	}
-	if fb.MaxAbsDiff > 1e-10 {
-		t.Errorf("batch vs legacy max |ΔV| = %g, want ≤ 1e-10", fb.MaxAbsDiff)
-	}
-	if fb.BatchNs >= fb.LegacyNs {
-		t.Errorf("batch engine not faster than legacy: %.0f vs %.0f ns/point", fb.BatchNs, fb.LegacyNs)
 	}
 }

@@ -154,7 +154,11 @@ type (
 	LoopStrategy = bem.LoopStrategy
 	// AssemblyMode selects deferred or mutex elementwise assembly.
 	AssemblyMode = bem.AssemblyMode
-	// KernelStrategy selects the image-series inner-integral arithmetic.
+	// KernelStrategy names the image-series inner-integral arithmetic;
+	// FlatKernel is its only value.
+	//
+	// Deprecated: matrix generation has one kernel; leave
+	// BEMOptions.Kernel unset.
 	KernelStrategy = bem.KernelStrategy
 	// HealthError reports a failed numerical health check (enable with
 	// WithHealthCheck or Config.HealthCheck): non-finite systems or
@@ -190,14 +194,16 @@ const (
 	SolverHMatrix = core.SolverHMatrix
 )
 
-// Loop strategies, assembly modes and kernel strategies.
+// Loop strategies, assembly modes and the kernel strategy.
 const (
 	OuterLoop         = bem.OuterLoop
 	InnerLoop         = bem.InnerLoop
 	StoreThenAssemble = bem.StoreThenAssemble
 	MutexAssemble     = bem.MutexAssemble
-	// FlatKernel (the default) streams the shared image ladder through a
+	// FlatKernel, the only kernel, streams the shared image ladder through a
 	// hoisted log-form inner integral.
+	//
+	// Deprecated: it is the only kernel; leave BEMOptions.Kernel unset.
 	FlatKernel = bem.FlatKernel
 )
 

@@ -44,10 +44,6 @@ type Assembler struct {
 	// with slow exact ones.
 	ladder *imageLadder
 
-	// innerScratch pools k-sized inner-integral buffers so the legacy
-	// per-point Potential path does not allocate per call.
-	innerScratch sync.Pool
-
 	// evalOnce/eval lazily build the batched field evaluator shared by all
 	// post-processing consumers (see fieldeval.go); eval is atomic so that
 	// Footprint can observe it without building it.
@@ -76,6 +72,9 @@ func NewWithGeometry(geo *Geometry, model soil.Model, opt Options) (*Assembler, 
 		return nil, fmt.Errorf("bem: nil geometry")
 	}
 	opt = opt.withDefaults()
+	if opt.Kernel != FlatKernel {
+		return nil, fmt.Errorf("%w: %v", ErrUnknownKernel, opt.Kernel)
+	}
 	if opt.GaussOrder != geo.gaussOrder || opt.NearGaussOrder != geo.nearGaussOrder {
 		return nil, fmt.Errorf("bem: options select Gauss orders (%d, %d) but the geometry was built for (%d, %d)",
 			opt.GaussOrder, opt.NearGaussOrder, geo.gaussOrder, geo.nearGaussOrder)
@@ -353,82 +352,15 @@ func (a *Assembler) runPairLoop(ctx context.Context, cl *pairClasses, body func(
 }
 
 // pairMatrixExact computes the elemental matrix of a pair that has no
-// canonical class evaluation into out (row-major k×k, out[j·k+i] =
-// ∫_β w_j ∫_α N_i G dΓ_α dΓ_β): the double integral of eq. (4.5) with the
-// kernel series truncated group by group "until a tolerance is fulfilled or
-// an upper limit of summands is achieved" (§4.3) — through the reference
-// image kernel, or by quadrature when the layer pair has no image expansion.
+// canonical class evaluation — a layer pair without an image expansion —
+// into out (row-major k×k, out[j·k+i] = ∫_β w_j ∫_α N_i G dΓ_α dΓ_β) by
+// quadrature of the exact point kernel.
 func (a *Assembler) pairMatrixExact(beta, alpha int, out []float64, s *pairScratch) {
 	for i := range out {
 		out[i] = 0
 	}
-	if _, _, ok := a.ladder.pair(a.elemLayer[alpha], a.elemLayer[beta]); ok {
-		a.pairMatrixImages(beta, alpha, out, s)
-		return
-	}
 	faultinject.Fire(faultinject.Quadrature, beta, out)
 	a.pairMatrixQuadrature(beta, alpha, out, s)
-}
-
-func (a *Assembler) pairMatrixImages(beta, alpha int, out []float64, s *pairScratch) {
-	k := a.k
-	elA := &a.mesh.Elements[alpha]
-	elB := &a.mesh.Elements[beta]
-	srcLayer := a.elemLayer[alpha]
-	obsLayer := a.elemLayer[beta]
-	lo, hi, _ := a.ladder.pair(srcLayer, obsLayer)
-	pref := 1 / (4 * math.Pi * a.model.Conductivity(srcLayer))
-	lenB := elB.Seg.Length()
-
-	// Near pairs (self, touching, adjacent) get the refined outer rule: the
-	// inner analytic integral varies sharply along the test element there.
-	gpPos, gpW, gpShape := a.gpPos[beta], a.gpW, a.gpShape
-	if beta == alpha ||
-		elB.Seg.DistToSegment(elA.Seg) < 0.5*(lenB+elA.Seg.Length()) {
-		gpPos, gpW, gpShape = a.gpPosN[beta], a.gpWN, a.gpShapeN
-	}
-
-	maxAccum := 0.0
-	smallGroups := 0
-	for gi := lo; gi < hi; gi++ {
-		for i := range s.group {
-			s.group[i] = 0
-		}
-		for _, im := range a.ladder.group(gi) {
-			segI := im.applySegment(elA.Seg)
-			for g, chi := range gpPos {
-				shapeIntegrals(chi, segI.A, segI.B, elA.Radius, a.linear, s.inner)
-				wg := gpW[g] * lenB * im.w
-				for j := 0; j < k; j++ {
-					wj := wg * gpShape[g][j]
-					for i := 0; i < k; i++ {
-						s.group[j*k+i] += wj * s.inner[i]
-					}
-				}
-			}
-		}
-		gmax := 0.0
-		for i, v := range s.group {
-			out[i] += v
-			if av := math.Abs(v); av > gmax {
-				gmax = av
-			}
-			if av := math.Abs(out[i]); av > maxAccum {
-				maxAccum = av
-			}
-		}
-		if gmax <= a.opt.SeriesTol*maxAccum {
-			smallGroups++
-			if smallGroups >= 2 {
-				break
-			}
-		} else {
-			smallGroups = 0
-		}
-	}
-	for i := range out {
-		out[i] *= pref
-	}
 }
 
 // pairMatrixQuadrature is the fallback for models without an image

@@ -1,6 +1,7 @@
 package bem
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -115,7 +116,7 @@ func TestMatrixSPDAndSolvable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Positive definite: Cholesky must succeed.
-	ch, err := linalg.NewCholesky(r)
+	ch, err := linalg.NewCholeskyBlocked(r, linalg.FactorOpts{})
 	if err != nil {
 		t.Fatalf("Galerkin matrix not SPD: %v", err)
 	}
@@ -289,7 +290,7 @@ func TestBoundaryConditionRecovered(t *testing.T) {
 		for _, e := range []int{0, 5, 11} {
 			el := m.Elements[e]
 			p := surfacePoint(el.Seg.Midpoint(), &el)
-			v := a.Potential(p, res.X)
+			v := a.Evaluator().PotentialAt(p, res.X)
 			if math.Abs(v-1) > 0.05 {
 				t.Errorf("%s: V on electrode surface = %v, want 1", model.Describe(), v)
 			}
@@ -318,7 +319,7 @@ func TestPotentialFarField(t *testing.T) {
 	iTot := TotalCurrent(m, res.X)
 	for _, d := range []float64{300, 1000} {
 		x := geom.V(5+d, 5, 0)
-		got := a.Potential(x, res.X)
+		got := a.Evaluator().PotentialAt(x, res.X)
 		want := iTot / (2 * math.Pi * gamma * d)
 		if relDiff(got, want) > 0.02 {
 			t.Errorf("far field at %v: %v want %v", d, got, want)
@@ -390,6 +391,41 @@ func TestElementSpanningInterfaceRejected(t *testing.T) {
 	}
 	if _, err := New(ms, soil.NewTwoLayer(0.005, 0.016, 1.0), Options{}); err != nil {
 		t.Fatalf("split mesh rejected: %v", err)
+	}
+}
+
+// TestNewRejectsUnknownKernel: Options.Kernel has one valid value; any
+// other is a typed ErrUnknownKernel from New and NewWithGeometry, never a
+// panic or a silently different assembly.
+func TestNewRejectsUnknownKernel(t *testing.T) {
+	m, err := grid.Discretize(grid.RectMesh(0, 0, 8, 8, 2, 2, 0.5, 0.01), grid.Linear, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := soil.NewUniform(0.02)
+	geo, err := NewGeometry(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		kernel KernelStrategy
+		ok     bool
+	}{
+		{FlatKernel, true},
+		{KernelStrategy(1), false},
+		{KernelStrategy(7), false},
+		{KernelStrategy(-1), false},
+	} {
+		_, errNew := New(m, model, Options{Kernel: c.kernel})
+		_, errGeo := NewWithGeometry(geo, model, Options{Kernel: c.kernel})
+		for _, err := range []error{errNew, errGeo} {
+			if c.ok && err != nil {
+				t.Errorf("kernel %v rejected: %v", c.kernel, err)
+			}
+			if !c.ok && !errors.Is(err, ErrUnknownKernel) {
+				t.Errorf("kernel %v: err = %v, want ErrUnknownKernel", c.kernel, err)
+			}
+		}
 	}
 }
 

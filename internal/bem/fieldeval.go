@@ -15,10 +15,10 @@ import (
 
 // FieldEvaluator is the batched, allocation-free field evaluation engine for
 // the post-processing hot spot (§4.3): dense surface-potential and gradient
-// rasters cost O(points × elements × images) kernel evaluations, and the
-// legacy per-point path re-derives every image-reflected segment
-// im.ApplySegment(el.Seg) for every observation point even though the
-// reflected geometry depends only on (element, image).
+// rasters cost O(points × elements × images) kernel evaluations, and a
+// direct per-point evaluation (the closed-form oracle of the package tests)
+// re-derives every image-reflected segment for every observation point even
+// though the reflected geometry depends only on (element, image).
 //
 // The evaluator splits that work into a precompute phase and a streaming
 // phase. At construction (lazily, per observation layer) it hoists every
@@ -33,7 +33,7 @@ import (
 // ladder with two square roots per image and at most one logarithm (the
 // closed form asinh(a) + asinh(b) = log((a+√(a²+1))·(b+√(b²+1))) evaluated
 // cancellation-safely), preserving the element order, KahanSum accumulation
-// and per-group tolerance early-exit of the legacy path to ≪ 1e-10. Two
+// and per-group tolerance early-exit of the direct evaluation to ≪ 1e-10. Two
 // exact structural savings cut that further:
 //
 //   - Surface points (z = 0) of a mirror-symmetric ladder (imageLadder.mirror)
@@ -47,7 +47,7 @@ import (
 //     kernel does.
 //
 // Layer pairs without an image expansion (N ≥ 3 layer models outside the
-// top layer) keep the exact Gauss-quadrature fallback of the legacy path.
+// top layer) fall back to exact Gauss quadrature of Model.PointPotential.
 //
 // Obtain one with Assembler.Evaluator (cached, concurrency-safe); all batch
 // and per-point methods are safe for concurrent use.
@@ -187,7 +187,7 @@ func logI0(p, q, r0, r1, rho2 float64) float64 {
 }
 
 // PotentialAt evaluates the earth potential V(x) (per unit GPR) from the
-// solved DoF vector, matching Assembler.Potential to well below 1e-10. It
+// solved DoF vector, matching the closed-form oracle to well below 1e-10. It
 // allocates nothing once the observation layer's plan is built, so it is the
 // per-point core the batch methods stream over.
 func (fe *FieldEvaluator) PotentialAt(x geom.Vec3, sigma []float64) float64 {
@@ -337,9 +337,10 @@ func sharedWeight(ims []ladderImage) (float64, bool) {
 	return w, true
 }
 
-// GradientAt evaluates ∇V(x) (V/m per unit GPR), matching
-// Assembler.GradPotential; like PotentialAt it is allocation-free in steady
-// state for image-kernel layer pairs.
+// GradientAt evaluates ∇V(x) (V/m per unit GPR) by differentiating the
+// image series term by term (central finite differences for layer pairs
+// without an image expansion); like PotentialAt it is allocation-free in
+// steady state for image-kernel layer pairs.
 func (fe *FieldEvaluator) GradientAt(x geom.Vec3, sigma []float64) geom.Vec3 {
 	a := fe.a
 	p := fe.plan(a.model.LayerOf(math.Max(x.Z, 0)))
@@ -391,7 +392,7 @@ func (fe *FieldEvaluator) GradientAt(x geom.Vec3, sigma []float64) geom.Vec3 {
 					rho = minRho
 					clamped = true
 				}
-				var hx, hy, hz float64 // ρ̂ (zero on-axis/clamped, as legacy)
+				var hx, hy, hz float64 // ρ̂ (zero on-axis or clamped)
 				if rhoTrue > tiny && !clamped {
 					inv := 1 / rhoTrue
 					hx, hy, hz = rx*inv, ry*inv, rz*inv
@@ -448,6 +449,19 @@ func (fe *FieldEvaluator) GradientAt(x geom.Vec3, sigma []float64) geom.Vec3 {
 		total = total.Add(a.elementGradByDifferences(int(e), x, sigma))
 	}
 	return total
+}
+
+// ElectricField returns E = −∇V at x in V/m per unit GPR.
+func (fe *FieldEvaluator) ElectricField(x geom.Vec3, sigma []float64) geom.Vec3 {
+	return fe.GradientAt(x, sigma).Scale(-1)
+}
+
+// CurrentDensity returns the conduction current density −γ·∇V (A/m² per
+// unit GPR) at a point strictly inside the ground, using the conductivity
+// of the layer containing x (eq. 2.1).
+func (fe *FieldEvaluator) CurrentDensity(x geom.Vec3, sigma []float64) geom.Vec3 {
+	m := fe.a.model
+	return fe.GradientAt(x, sigma).Scale(-m.Conductivity(m.LayerOf(math.Max(x.Z, 0))))
 }
 
 // BatchOptions configures a batched evaluation.

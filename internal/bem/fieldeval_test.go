@@ -59,7 +59,7 @@ func fieldEvalPoints() []geom.Vec3 {
 }
 
 // TestFieldEvaluatorMatchesPotential is the core equivalence suite: the
-// batched engine must reproduce the legacy per-point Potential to ≤ 1e-10
+// batched engine must reproduce the closed-form referencePotential to ≤ 1e-10
 // across uniform, two-layer and multilayer soils (the latter exercising the
 // mixed image/quadrature plan), for linear and constant elements.
 func TestFieldEvaluatorMatchesPotential(t *testing.T) {
@@ -81,10 +81,10 @@ func TestFieldEvaluatorMatchesPotential(t *testing.T) {
 			a, sigma := fieldEvalFixture(t, c.model, kind)
 			fe := a.Evaluator()
 			for _, x := range fieldEvalPoints() {
-				want := a.Potential(x, sigma)
+				want := a.referencePotential(x, sigma)
 				got := fe.PotentialAt(x, sigma)
 				if d := math.Abs(got - want); d > 1e-10 {
-					t.Errorf("%s/%v: V(%v) batch %v vs legacy %v (Δ=%g)",
+					t.Errorf("%s/%v: V(%v) batch %v vs reference %v (Δ=%g)",
 						c.name, kind, x, got, want, d)
 				}
 			}
@@ -93,8 +93,8 @@ func TestFieldEvaluatorMatchesPotential(t *testing.T) {
 }
 
 // TestFieldEvaluatorMatchesGradPotential checks the gradient engine against
-// the legacy GradPotential (including the finite-difference fallback of
-// multilayer off-top pairs) to ≤ 1e-10 per component.
+// the closed-form referenceGradient (including the finite-difference
+// fallback of multilayer off-top pairs) to ≤ 1e-10 per component.
 func TestFieldEvaluatorMatchesGradPotential(t *testing.T) {
 	ml, err := soil.NewMultiLayer([]float64{0.004, 0.02, 0.01}, []float64{1.0, 2.0})
 	if err != nil {
@@ -113,14 +113,14 @@ func TestFieldEvaluatorMatchesGradPotential(t *testing.T) {
 		a, sigma := fieldEvalFixture(t, c.model, grid.Linear)
 		fe := a.Evaluator()
 		for _, x := range fieldEvalPoints() {
-			want := a.GradPotential(x, sigma)
+			want := a.referenceGradient(x, sigma)
 			got := fe.GradientAt(x, sigma)
 			d := got.Sub(want).Norm()
 			// The FD fallback integrand is itself noisy at the quadrature
 			// tolerance; image-kernel layers must agree to 1e-10.
 			tol := 1e-10 * (1 + want.Norm())
 			if d > tol {
-				t.Errorf("%s: ∇V(%v) batch %v vs legacy %v (Δ=%g)", c.name, x, got, want, d)
+				t.Errorf("%s: ∇V(%v) batch %v vs reference %v (Δ=%g)", c.name, x, got, want, d)
 			}
 		}
 	}
@@ -173,11 +173,6 @@ func TestFieldEvaluatorZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { fe.GradientAt(x, sigma) }); n != 0 {
 		t.Errorf("GradientAt allocates %v times per point", n)
 	}
-	// The hoisted scratch pool keeps the legacy path allocation-free too.
-	a.Potential(x, sigma)
-	if n := testing.AllocsPerRun(100, func() { a.Potential(x, sigma) }); n != 0 {
-		t.Errorf("legacy Potential allocates %v times per point", n)
-	}
 }
 
 // TestEvaluatorCachedAndConcurrent checks Assembler.Evaluator returns one
@@ -220,14 +215,14 @@ func benchFixture(b *testing.B) (*Assembler, []float64, []geom.Vec3) {
 	return a, sigma, pts
 }
 
-// BenchmarkPotentialLegacy measures the per-point path the evaluator
-// replaces (ns/op is ns/point).
-func BenchmarkPotentialLegacy(b *testing.B) {
+// BenchmarkPotentialReference measures the closed-form oracle the evaluator
+// is pinned to (ns/op is ns/point).
+func BenchmarkPotentialReference(b *testing.B) {
 	a, sigma, pts := benchFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Potential(pts[i%len(pts)], sigma)
+		a.referencePotential(pts[i%len(pts)], sigma)
 	}
 }
 
@@ -244,13 +239,13 @@ func BenchmarkPotentialBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkGradLegacy / BenchmarkGradBatch are the gradient counterparts.
-func BenchmarkGradLegacy(b *testing.B) {
+// BenchmarkGradReference / BenchmarkGradBatch are the gradient counterparts.
+func BenchmarkGradReference(b *testing.B) {
 	a, sigma, pts := benchFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.GradPotential(pts[i%len(pts)], sigma)
+		a.referenceGradient(pts[i%len(pts)], sigma)
 	}
 }
 

@@ -25,16 +25,16 @@ func asinhRatio(t float64) float64 {
 // per-Gauss-point observation geometry in s (ng points): hxy, the axial
 // projection of the horizontal offset from the source start; dxy2, its
 // squared length; chiZ, the observation depth; wsh0/wsh1, the outer weight
-// gpW·lenB times each test shape function. The reference kernel re-derives
-// every image-reflected segment (applySegment) and evaluates two asinh calls
-// per (image, Gauss point); here the reflection is three scalars per image
+// gpW·lenB times each test shape function. The closed-form oracle of the
+// package tests re-derives every image-reflected segment and evaluates two
+// asinh calls per (image, Gauss point); here the reflection is three scalars per image
 // (az = sign·az0 + off, sz = sign·tz, w), and the inner integral is
 // evaluated in the cancellation-safe log form of logI0. Two structural fast
 // paths cut the transcendental count further: equal-weight image groups of
 // horizontal elements fuse their logarithms into one call per Gauss point,
 // and far terms replace the logarithm with a Maclaurin polynomial
 // (asinhRatio). Series-group order, the per-group tolerance early-exit and
-// the near-pair rule selection mirror the reference kernel exactly, so
+// the near-pair rule selection mirror that oracle exactly, so
 // truncation decisions agree; the remaining difference is ulp-level
 // arithmetic reassociation (grid resistances agree to ≤ 1e-10 relative,
 // pinned by the equivalence tests). out must be zeroed on entry.

@@ -44,25 +44,18 @@ func flatFixtureMesh(t *testing.T, model soil.Model, kind grid.ElementKind) *gri
 }
 
 // TestFlatKernelMatchesReference pins the flat assembly kernel to the
-// reference: every global matrix entry agrees to ≤ 1e-12 relative and the
-// equivalent resistance of the solved system to ≤ 1e-10 relative (the
-// acceptance bar), across soil models and element kinds.
+// closed-form referenceMatrix: every global matrix entry agrees to ≤ 1e-12
+// relative and the equivalent resistance of the solved system to ≤ 1e-10
+// relative (the acceptance bar), across soil models and element kinds.
 func TestFlatKernelMatchesReference(t *testing.T) {
 	for name, model := range flatFixtureModels(t) {
 		for _, kind := range []grid.ElementKind{grid.Linear, grid.Constant} {
 			m := flatFixtureMesh(t, model, kind)
-			ref, err := New(m, model, Options{Workers: 1, Kernel: ReferenceKernel})
-			if err != nil {
-				t.Fatal(err)
-			}
 			flat, err := New(m, model, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rRef, _, err := ref.Matrix()
-			if err != nil {
-				t.Fatal(err)
-			}
+			rRef := flat.referenceMatrix()
 			rFlat, _, err := flat.Matrix()
 			if err != nil {
 				t.Fatal(err)
@@ -90,7 +83,7 @@ func TestFlatKernelMatchesReference(t *testing.T) {
 
 func solveStoreReq(t *testing.T, m *grid.Mesh, r *linalg.SymMatrix) float64 {
 	t.Helper()
-	ch, err := linalg.NewCholesky(r)
+	ch, err := linalg.NewCholeskyBlocked(r, linalg.FactorOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +100,7 @@ func solveStoreReq(t *testing.T, m *grid.Mesh, r *linalg.SymMatrix) float64 {
 func TestFlatKernelColumnsMatchMatrix(t *testing.T) {
 	model := soil.NewTwoLayer(0.005, 0.016, 1.0)
 	m := flatFixtureMesh(t, model, grid.Linear)
-	a, err := New(m, model, Options{Workers: 1, Kernel: FlatKernel})
+	a, err := New(m, model, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +128,13 @@ func TestFlatKernelColumnsMatchMatrix(t *testing.T) {
 }
 
 // TestFlatKernelColumnZeroAllocs proves the arena contract: once the plan and
-// the arena scratch are warm, computing a column allocates nothing, for both
-// kernels.
+// the arena scratch are warm, computing a column allocates nothing, for
+// uniform and two-layer soils.
 func TestFlatKernelColumnZeroAllocs(t *testing.T) {
-	model := soil.NewTwoLayer(0.005, 0.016, 1.0)
-	m := flatFixtureMesh(t, model, grid.Linear)
-	for _, kernel := range []KernelStrategy{ReferenceKernel, FlatKernel} {
-		a, err := New(m, model, Options{Workers: 1, Kernel: kernel})
+	for _, name := range []string{"uniform", "two-layer"} {
+		model := flatFixtureModels(t)[name]
+		m := flatFixtureMesh(t, model, grid.Linear)
+		a, err := New(m, model, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +150,7 @@ func TestFlatKernelColumnZeroAllocs(t *testing.T) {
 			store.ComputeColumn(beta, a.ColumnScratchFromArena(&ar))
 		})
 		if allocs != 0 {
-			t.Fatalf("kernel %v: %v allocations per warmed column", kernel, allocs)
+			t.Fatalf("%s: %v allocations per warmed column", name, allocs)
 		}
 	}
 }
@@ -217,7 +210,7 @@ func TestArenaReuseAcrossAssemblers(t *testing.T) {
 	}
 }
 
-func assemblyBenchAssembler(b *testing.B, kernel KernelStrategy) *Assembler {
+func assemblyBenchAssembler(b *testing.B) *Assembler {
 	b.Helper()
 	model := soil.NewTwoLayer(0.005, 0.016, 1.0)
 	g := grid.RectMesh(0, 0, 30, 30, 4, 4, 0.8, 0.006)
@@ -225,27 +218,26 @@ func assemblyBenchAssembler(b *testing.B, kernel KernelStrategy) *Assembler {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := New(m, model, Options{Workers: 1, Kernel: kernel})
+	a, err := New(m, model, Options{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return a
 }
 
-// BenchmarkAssemblyReference / BenchmarkAssemblyFlat are the CI bench smoke
-// pair for the matrix-generation kernel rewrite (single-thread).
+// BenchmarkAssemblyReference / BenchmarkAssemblyFlat time the closed-form
+// referenceMatrix oracle against the production pair-class assembly
+// (single-thread).
 func BenchmarkAssemblyReference(b *testing.B) {
-	a := assemblyBenchAssembler(b, ReferenceKernel)
+	a := assemblyBenchAssembler(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := a.Matrix(); err != nil {
-			b.Fatal(err)
-		}
+		a.referenceMatrix()
 	}
 }
 
 func BenchmarkAssemblyFlat(b *testing.B) {
-	a := assemblyBenchAssembler(b, FlatKernel)
+	a := assemblyBenchAssembler(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := a.Matrix(); err != nil {

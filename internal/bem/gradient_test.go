@@ -83,23 +83,24 @@ func solvedAssembler(t *testing.T, model soil.Model) (*Assembler, []float64) {
 	return a, res.X
 }
 
-// TestGradPotentialMatchesDifferences validates the assembled ∇V against
-// finite differences of the assembled V for both soil families.
+// TestGradPotentialMatchesDifferences validates the evaluator's ∇V against
+// finite differences of its V for both soil families.
 func TestGradPotentialMatchesDifferences(t *testing.T) {
 	for _, model := range []soil.Model{
 		soil.NewUniform(0.016),
 		soil.NewTwoLayer(0.005, 0.016, 1.2),
 	} {
 		a, sigma := solvedAssembler(t, model)
+		fe := a.Evaluator()
 		const h = 1e-5
 		for _, x := range []geom.Vec3{
 			geom.V(25, 10, 0.3), geom.V(10, 10, 2.0), geom.V(-5, -5, 0.5), geom.V(30, 30, 3),
 		} {
-			g := a.GradPotential(x, sigma)
+			g := fe.GradientAt(x, sigma)
 			fd := geom.V(
-				(a.Potential(x.Add(geom.V(h, 0, 0)), sigma)-a.Potential(x.Add(geom.V(-h, 0, 0)), sigma))/(2*h),
-				(a.Potential(x.Add(geom.V(0, h, 0)), sigma)-a.Potential(x.Add(geom.V(0, -h, 0)), sigma))/(2*h),
-				(a.Potential(x.Add(geom.V(0, 0, h)), sigma)-a.Potential(x.Add(geom.V(0, 0, -h)), sigma))/(2*h),
+				(fe.PotentialAt(x.Add(geom.V(h, 0, 0)), sigma)-fe.PotentialAt(x.Add(geom.V(-h, 0, 0)), sigma))/(2*h),
+				(fe.PotentialAt(x.Add(geom.V(0, h, 0)), sigma)-fe.PotentialAt(x.Add(geom.V(0, -h, 0)), sigma))/(2*h),
+				(fe.PotentialAt(x.Add(geom.V(0, 0, h)), sigma)-fe.PotentialAt(x.Add(geom.V(0, 0, -h)), sigma))/(2*h),
 			)
 			if !g.ApproxEqual(fd, 1e-4*(1+fd.Norm())) {
 				t.Errorf("%s at %v: analytic %v vs FD %v", model.Describe(), x, g, fd)
@@ -114,7 +115,7 @@ func TestGradPotentialMatchesDifferences(t *testing.T) {
 func TestSurfaceFieldIsHorizontal(t *testing.T) {
 	a, sigma := solvedAssembler(t, soil.NewTwoLayer(0.005, 0.016, 1.2))
 	for _, x := range []geom.Vec3{geom.V(25, 10, 0), geom.V(-3, 5, 0), geom.V(10, 40, 0)} {
-		e := a.ElectricField(x, sigma)
+		e := a.Evaluator().ElectricField(x, sigma)
 		if math.Abs(e.Z) > 1e-3*(1+e.Norm()) {
 			t.Errorf("vertical E at surface point %v: %v", x, e)
 		}
@@ -127,9 +128,10 @@ func TestSurfaceFieldIsHorizontal(t *testing.T) {
 func TestCurrentDensityRespectsOhm(t *testing.T) {
 	model := soil.NewTwoLayer(0.005, 0.016, 1.2)
 	a, sigma := solvedAssembler(t, model)
+	fe := a.Evaluator()
 	x := geom.V(25, 10, 0.5)
-	j := a.CurrentDensity(x, sigma)
-	e := a.ElectricField(x, sigma)
+	j := fe.CurrentDensity(x, sigma)
+	e := fe.ElectricField(x, sigma)
 	want := e.Scale(model.Conductivity(1))
 	if !j.ApproxEqual(want, 1e-12*(1+want.Norm())) {
 		t.Errorf("J = %v, γE = %v", j, e.Scale(model.Conductivity(1)))
@@ -137,8 +139,8 @@ func TestCurrentDensityRespectsOhm(t *testing.T) {
 	// Normal current continuity across the interface: Jz just above equals
 	// Jz just below (eq. 2.3's transmission condition).
 	const eps = 1e-3
-	jUp := a.CurrentDensity(geom.V(25, 10, 1.2-eps), sigma)
-	jDn := a.CurrentDensity(geom.V(25, 10, 1.2+eps), sigma)
+	jUp := fe.CurrentDensity(geom.V(25, 10, 1.2-eps), sigma)
+	jDn := fe.CurrentDensity(geom.V(25, 10, 1.2+eps), sigma)
 	if math.Abs(jUp.Z-jDn.Z) > 5e-3*(1+math.Abs(jUp.Z)) {
 		t.Errorf("normal current jump across interface: %v vs %v", jUp.Z, jDn.Z)
 	}
@@ -150,7 +152,7 @@ func TestCurrentDensityRespectsOhm(t *testing.T) {
 func TestFieldDirection(t *testing.T) {
 	a, sigma := solvedAssembler(t, soil.NewUniform(0.016))
 	// Far to the +x side at electrode depth: E should point mainly +x.
-	e := a.ElectricField(geom.V(60, 10, 0.8), sigma)
+	e := a.Evaluator().ElectricField(geom.V(60, 10, 0.8), sigma)
 	if e.X <= 0 {
 		t.Errorf("E at +x side points inward: %v", e)
 	}
@@ -187,28 +189,12 @@ func TestGradFallbackForHankelModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grad := a.GradPotential(geom.V(15, 5, 0.5), res.X)
+	grad := a.Evaluator().GradientAt(geom.V(15, 5, 0.5), res.X)
 	if grad.Norm() == 0 || !grad.IsFinite() {
 		t.Errorf("fallback gradient = %v", grad)
 	}
 	// Away from the grid on +x, V decreases with x.
 	if grad.X >= 0 {
 		t.Errorf("potential not decaying: grad %v", grad)
-	}
-}
-
-func BenchmarkGradPotential(b *testing.B) {
-	g := grid.RectMesh(0, 0, 20, 20, 3, 3, 0.8, 0.006)
-	m, _ := grid.Discretize(g, grid.Linear, 0)
-	a, err := New(m, soil.NewTwoLayer(0.005, 0.016, 1.0), Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, _, _ := a.Matrix()
-	res, _ := linalg.SolveCG(r, RHS(m), linalg.CGOptions{})
-	x := geom.V(25, 10, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.GradPotential(x, res.X)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 
-	"earthing/internal/geom"
 	"earthing/internal/soil"
 )
 
@@ -16,22 +15,13 @@ type ladderImage struct {
 	sign, off, w float64
 }
 
-// applySegment maps a source segment to its image segment, with exactly the
-// arithmetic of soil.Image.ApplySegment.
-func (im ladderImage) applySegment(s geom.Segment) geom.Segment {
-	return geom.Segment{
-		A: geom.Vec3{X: s.A.X, Y: s.A.Y, Z: im.sign*s.A.Z + im.off},
-		B: geom.Vec3{X: s.B.X, Y: s.B.Y, Z: im.sign*s.B.Z + im.off},
-	}
-}
-
 // imageLadder holds the image expansion of every (src, obs) layer pair,
 // flattened once per assembler into one exact-size stream grouped by series
-// index. It is the only retained copy of the image tables: the reference and
-// flat assembly kernels, the per-point Potential/GradPotential and the
-// batched field evaluator all read it. A source element's transformed depths
-// are derived on the fly (az = sign·A.Z + off, sz = sign·t.z); with sign = ±1
-// both products are exact, so no per-element copy is ever needed.
+// index. It is the only retained copy of the image tables: the flat
+// assembly kernel and the batched field evaluator both read it. A source
+// element's transformed depths are derived on the fly (az = sign·A.Z + off,
+// sz = sign·t.z); with sign = ±1 both products are exact, so no per-element
+// copy is ever needed.
 type imageLadder struct {
 	imgs []ladderImage
 	// grpOff[g] is the first image of series group g; group g spans

@@ -109,7 +109,7 @@ func TestMixedModeLayers(t *testing.T) {
 	// Boundary condition recovered on a layer-1 element surface.
 	el := m.Elements[1]
 	p := surfacePoint(el.Seg.Midpoint(), &el)
-	if v := a.Potential(p, res.X); v < 0.9 || v > 1.1 {
+	if v := a.Evaluator().PotentialAt(p, res.X); v < 0.9 || v > 1.1 {
 		t.Errorf("V on electrode = %v, want ≈1", v)
 	}
 }

@@ -1,6 +1,7 @@
 package bem
 
 import (
+	"errors"
 	"fmt"
 
 	"earthing/internal/sched"
@@ -33,35 +34,31 @@ func (l LoopStrategy) String() string {
 	}
 }
 
-// KernelStrategy selects the arithmetic used for the image-series inner
-// integrals of matrix generation.
+// KernelStrategy names the arithmetic of the image-series inner integrals of
+// matrix generation. FlatKernel is its only value.
+//
+// Deprecated: matrix generation has one kernel; the type is kept for
+// callers that still set Options.Kernel.
 type KernelStrategy int
 
-const (
-	// FlatKernel, the default and the production path, streams the shared
-	// image ladder (three scalars per image) through a hoisted log-form
-	// inner integral: one logarithm and two square roots per (image, Gauss
-	// point) instead of two asinh calls and the full segment reflection.
-	// Elemental matrices agree with ReferenceKernel to a few ulp (grid
-	// resistances to ≤ 1e-10 relative, pinned by the differential tests).
-	FlatKernel KernelStrategy = iota
-	// ReferenceKernel evaluates every image-reflected segment through the
-	// closed-form asinh inner integrals (segmentIntegrals), re-deriving the
-	// reflected geometry per image. It is the oracle the flat kernel is
-	// tested against; select it explicitly only for that comparison.
-	ReferenceKernel
-)
+// FlatKernel, the zero value, streams the shared image ladder (three scalars
+// per image) through a hoisted log-form inner integral: one logarithm and
+// two square roots per (image, Gauss point). Its elemental matrices are
+// pinned to the closed-form asinh oracle of the package tests (grid
+// resistances to ≤ 1e-10 relative).
+//
+// Deprecated: it is the only kernel; leave Options.Kernel unset.
+const FlatKernel KernelStrategy = 0
+
+// ErrUnknownKernel reports an Options.Kernel other than FlatKernel.
+var ErrUnknownKernel = errors.New("bem: unknown kernel strategy")
 
 // String implements fmt.Stringer.
 func (k KernelStrategy) String() string {
-	switch k {
-	case ReferenceKernel:
-		return "reference"
-	case FlatKernel:
+	if k == FlatKernel {
 		return "flat"
-	default:
-		return fmt.Sprintf("KernelStrategy(%d)", int(k))
 	}
+	return fmt.Sprintf("KernelStrategy(%d)", int(k))
 }
 
 // AssemblyMode selects how elemental matrices reach the global matrix.
@@ -121,8 +118,10 @@ type Options struct {
 	Loop LoopStrategy
 	// Assembly selects deferred or mutex assembly (§6.2).
 	Assembly AssemblyMode
-	// Kernel selects the inner-integral arithmetic: the flat image-ladder
-	// kernel (default) or the reference oracle.
+	// Kernel must be FlatKernel (the zero value); New rejects any other
+	// value with ErrUnknownKernel.
+	//
+	// Deprecated: matrix generation has one kernel; leave Kernel unset.
 	Kernel KernelStrategy
 }
 

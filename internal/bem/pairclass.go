@@ -83,7 +83,7 @@ const (
 )
 
 // exactClass marks the header word of a class that has no canonical
-// evaluation (reference kernel or quadrature fallback): such a class has
+// evaluation (the quadrature fallback): such a class has
 // exactly one member, whose (β, α) sit in the next two words.
 const exactClass = math.MaxUint64
 
@@ -116,14 +116,11 @@ func (f PairFlip) Apply(k int, src, dst []float64) {
 // PairClass writes the class signature of the ordered pair (beta, alpha)
 // into key and returns the flip that maps the class matrix (ClassMatrix)
 // onto the pair. It returns ok = false when the pair has no canonical
-// evaluation — the reference kernel, or a layer pair without an image
-// expansion (quadrature fallback) — and the pair must be evaluated on its
-// own with PairMatrix. It allocates nothing.
+// evaluation — a layer pair without an image expansion (quadrature
+// fallback) — and the pair must be evaluated on its own with PairMatrix. It
+// allocates nothing.
 func (a *Assembler) PairClass(beta, alpha int, key *PairKey) (PairFlip, bool) {
 	src, obs := a.elemLayer[alpha], a.elemLayer[beta]
-	if a.opt.Kernel != FlatKernel {
-		return 0, false
-	}
 	if _, _, ok := a.ladder.pair(src, obs); !ok {
 		return 0, false
 	}
@@ -135,7 +132,7 @@ func (a *Assembler) PairClass(beta, alpha int, key *PairKey) (PairFlip, bool) {
 	mx := (sb.A.X + sb.B.X) - (sa.A.X + sa.B.X)
 	my := (sb.A.Y + sb.B.Y) - (sa.A.Y + sa.B.Y)
 	// Near pairs (self, touching, adjacent) get the refined outer rule; the
-	// choice is made on the raw geometry, exactly as the reference kernel
+	// choice is made on the raw geometry, exactly as the per-pair oracle
 	// makes it, and is part of the key. Segments whose midpoints lie
 	// farther apart than their summed lengths (with a margin far above
 	// round-off) are at least half that sum apart, so the closest-point

@@ -303,24 +303,10 @@ func TestPairClassKeyAllocsNothing(t *testing.T) {
 	}
 }
 
-// TestPairClassRefusals checks the two paths without a class: the reference
-// kernel, and a layer pair without an image expansion (the quadrature
-// fallback of a 3-layer model).
+// TestPairClassRefusals checks the one path without a class: a layer pair
+// without an image expansion (the quadrature fallback of a 3-layer model).
 func TestPairClassRefusals(t *testing.T) {
-	g := grid.RectMesh(0, 0, 8, 8, 2, 2, 0.5, 0.01)
-	m, err := grid.Discretize(g, grid.Linear, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := New(m, soil.NewUniform(0.02), Options{Kernel: ReferenceKernel})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var key PairKey
-	if _, ok := ref.PairClass(1, 0, &key); ok {
-		t.Error("reference-kernel assembler reported a pair class")
-	}
-
 	three, err := soil.NewMultiLayer([]float64{0.02, 0.008, 0.03}, []float64{2, 3})
 	if err != nil {
 		t.Fatal(err)

@@ -128,7 +128,7 @@ func TestMirrorCheckRejectsAsymmetry(t *testing.T) {
 // TestAsymmetricLadderEvaluatesEveryImage breaks the mirror symmetry of a
 // real ladder (one sign < 0 image of the primary group gets its own weight)
 // and checks that the evaluator notices and sums every image: surface
-// potentials and gradients must still match the legacy path, which reads
+// potentials and gradients must still match the reference oracle, which reads
 // the same ladder image by image.
 func TestAsymmetricLadderEvaluatesEveryImage(t *testing.T) {
 	a, sigma := fieldEvalFixture(t, soil.NewTwoLayer(0.005, 0.016, 1.0), grid.Linear)
@@ -143,19 +143,19 @@ func TestAsymmetricLadderEvaluatesEveryImage(t *testing.T) {
 	}
 	fe := a.Evaluator()
 	for _, x := range surfacePoints() {
-		want, got := a.Potential(x, sigma), fe.PotentialAt(x, sigma)
+		want, got := a.referencePotential(x, sigma), fe.PotentialAt(x, sigma)
 		if d := math.Abs(got - want); d > 1e-10*math.Abs(want) {
-			t.Errorf("V(%v) evaluator %v vs legacy %v (Δ=%g)", x, got, want, d)
+			t.Errorf("V(%v) evaluator %v vs reference %v (Δ=%g)", x, got, want, d)
 		}
-		gw, gg := a.GradPotential(x, sigma), fe.GradientAt(x, sigma)
+		gw, gg := a.referenceGradient(x, sigma), fe.GradientAt(x, sigma)
 		if d := gg.Sub(gw).Norm(); d > 1e-10*(1+gw.Norm()) {
-			t.Errorf("∇V(%v) evaluator %v vs legacy %v (Δ=%g)", x, gg, gw, d)
+			t.Errorf("∇V(%v) evaluator %v vs reference %v (Δ=%g)", x, gg, gw, d)
 		}
 	}
 }
 
 // TestSurfacePotentialMatchesLegacy: on the surface the halved, log-fused
-// kernel reproduces Assembler.Potential (which sums every image one by one)
+// kernel reproduces referencePotential (which sums every image one by one)
 // within 1e-10 relative for every soil, with linear and constant elements.
 func TestSurfacePotentialMatchesLegacy(t *testing.T) {
 	for _, c := range surfaceCases(t) {
@@ -163,9 +163,9 @@ func TestSurfacePotentialMatchesLegacy(t *testing.T) {
 			a, sigma := c.fixture(t, kind)
 			fe := a.Evaluator()
 			for _, x := range surfacePoints() {
-				want, got := a.Potential(x, sigma), fe.PotentialAt(x, sigma)
+				want, got := a.referencePotential(x, sigma), fe.PotentialAt(x, sigma)
 				if d := math.Abs(got - want); d > 1e-10*math.Abs(want) {
-					t.Errorf("%s/%v: V(%v) evaluator %v vs legacy %v (rel %g)",
+					t.Errorf("%s/%v: V(%v) evaluator %v vs reference %v (rel %g)",
 						c.name, kind, x, got, want, d/math.Abs(want))
 				}
 			}
@@ -191,7 +191,7 @@ func TestSurfacePotentialContinuous(t *testing.T) {
 
 // TestSurfaceGradientHorizontal: on the surface of an image-only model the
 // evaluator's field is exactly horizontal (mirror pairs cancel in z and are
-// dropped) and its x, y components match GradPotential within 1e-10.
+// dropped) and its x, y components match referenceGradient within 1e-10.
 func TestSurfaceGradientHorizontal(t *testing.T) {
 	for _, c := range surfaceCases(t) {
 		if c.model.NumLayers() > 2 {
@@ -200,13 +200,13 @@ func TestSurfaceGradientHorizontal(t *testing.T) {
 		a, sigma := c.fixture(t, grid.Linear)
 		fe := a.Evaluator()
 		for _, x := range surfacePoints() {
-			got, want := fe.GradientAt(x, sigma), a.GradPotential(x, sigma)
+			got, want := fe.GradientAt(x, sigma), a.referenceGradient(x, sigma)
 			if got.Z != 0 {
 				t.Errorf("%s: ∇V(%v).Z = %g, want exactly 0", c.name, x, got.Z)
 			}
 			tol := 1e-10 * (1 + want.Norm())
 			if dx, dy := math.Abs(got.X-want.X), math.Abs(got.Y-want.Y); dx > tol || dy > tol {
-				t.Errorf("%s: ∇V(%v) evaluator %v vs legacy %v", c.name, x, got, want)
+				t.Errorf("%s: ∇V(%v) evaluator %v vs reference %v", c.name, x, got, want)
 			}
 		}
 	}

@@ -277,3 +277,5 @@ func HMatrixScaling(out io.Writer, q Quality, workers int, jsonPath string) (err
 	fmt.Fprintln(w, "JSON written to", jsonPath)
 	return nil
 }
+
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }

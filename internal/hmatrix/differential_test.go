@@ -34,7 +34,7 @@ func buildSystem(t *testing.T, g *grid.Grid, model soil.Model, maxElem float64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	asm, err := bem.New(m, model, bem.Options{Workers: 2, Kernel: bem.FlatKernel})
+	asm, err := bem.New(m, model, bem.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

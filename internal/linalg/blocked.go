@@ -11,7 +11,7 @@ import (
 
 // Blocked packed Cholesky: a tiled right-looking factorization over
 // cache-sized panels of the packed lower triangle: the one production
-// factorization (the reference column sweep NewCholesky is its test oracle).
+// factorization (a textbook column sweep in the package tests is its oracle).
 //
 // The factorization proceeds panel by panel (BlockSize columns at a time):
 //
@@ -25,8 +25,8 @@ import (
 //
 // Every stage subtracts products term by term in ascending column order —
 // exactly the operation sequence of the reference column sweep — so the
-// float64 blocked factor, its Solve, Det and LogDet are bit-identical to
-// NewCholesky's. What changes is the memory access pattern: all inner loops
+// float64 blocked factor, its Solve, Det and LogDet are bit-identical to the
+// column sweep's. What changes is the memory access pattern: all inner loops
 // walk contiguous row segments of the packed triangle (no per-element index
 // arithmetic), and the O(n³) trailing update touches each panel row while it
 // is cache-hot instead of streaming the whole triangle once per column.
@@ -78,7 +78,7 @@ func rowBase(i int) int { return i * (i + 1) / 2 }
 // NewCholeskyBlocked factorizes the SPD matrix a with the tiled right-looking
 // algorithm described in the package comment above. The input matrix is not
 // modified. With opt.Mixed == false the returned factor (and everything
-// derived from it: Solve, Det, LogDet) is bit-identical to NewCholesky's;
+// derived from it: Solve, Det, LogDet) is bit-identical to the column sweep's;
 // with Mixed the handle additionally retains a for refinement in Solve.
 func NewCholeskyBlocked(a *SymMatrix, opt FactorOpts) (*Cholesky, error) {
 	opt = opt.withDefaults()

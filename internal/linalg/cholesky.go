@@ -14,8 +14,8 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite
 
 // Cholesky holds the lower-triangular factor L with A = L·Lᵀ in packed
 // storage. Obtain one from NewCholeskyBlocked (tiled panels, optionally
-// mixed precision), the production factorization, or NewCholesky (the
-// reference column sweep it is pinned against).
+// mixed precision), the one factorization; the package tests pin it bit for
+// bit to a textbook column sweep.
 type Cholesky struct {
 	n int
 	l []float64 // packed lower triangle of L
@@ -35,42 +35,6 @@ type Cholesky struct {
 	condOnce sync.Once
 	condVal  float64
 	condErr  error
-}
-
-// NewCholesky factorizes the symmetric positive definite matrix a. The input
-// matrix is not modified. O(n³/3) operations, matching the direct-solve cost
-// quoted in §4.3 of the paper. This is the reference factorization the
-// blocked variant is pinned against; its per-column sweep walks each packed
-// row segment linearly. Only tests and the paperbench assembly ablations
-// (internal/experiments) call it: production code factors with
-// NewCholeskyBlocked, whose float64 factor is bit-identical.
-func NewCholesky(a *SymMatrix) (*Cholesky, error) {
-	n := a.n
-	l := make([]float64, len(a.data))
-	copy(l, a.data)
-	for j := 0; j < n; j++ {
-		jb := rowBase(j)
-		d := l[jb+j]
-		rowJ := l[jb : jb+j]
-		for _, v := range rowJ {
-			d -= v * v
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("%w: pivot %d = %g", ErrNotPositiveDefinite, j, d)
-		}
-		dj := math.Sqrt(d)
-		l[jb+j] = dj
-		for i := j + 1; i < n; i++ {
-			ib := rowBase(i)
-			s := l[ib+j]
-			rowI := l[ib : ib+j]
-			for k, v := range rowJ {
-				s -= rowI[k] * v
-			}
-			l[ib+j] = s / dj
-		}
-	}
-	return &Cholesky{n: n, l: l}, nil
 }
 
 // Solve returns x with A·x = b. On a mixed-precision handle the triangular

@@ -106,7 +106,7 @@ func TestCholeskySolve(t *testing.T) {
 		xTrue := randVector(n, r)
 		b := make([]float64, n)
 		a.MulVec(xTrue, b)
-		ch, err := NewCholesky(a)
+		ch, err := NewCholeskyBlocked(a, FactorOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a.Set(0, 0, 1)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 1) // eigenvalues 3, −1
-	if _, err := NewCholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
+	if _, err := NewCholeskyBlocked(a, FactorOpts{}); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Errorf("err = %v, want ErrNotPositiveDefinite", err)
 	}
 }
@@ -138,7 +138,7 @@ func TestCholeskyDet(t *testing.T) {
 	a.Set(0, 0, 4)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 3)
-	ch, err := NewCholesky(a)
+	ch, err := NewCholeskyBlocked(a, FactorOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestCGMatchesCholesky(t *testing.T) {
 		n := 2 + r.Intn(60)
 		a := randSPD(n, r)
 		b := randVector(n, r)
-		ch, err := NewCholesky(a)
+		ch, err := NewCholeskyBlocked(a, FactorOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func BenchmarkCholesky(b *testing.B) {
 	rhs := randVector(238, rand.New(rand.NewSource(2)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ch, err := NewCholesky(a)
+		ch, err := NewCholeskyBlocked(a, FactorOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -57,7 +57,7 @@ func TestCholeskyParallelMatchesSerial(t *testing.T) {
 	for _, n := range []int{64, 128, 200} { // one default panel, and several
 		a := randSPD(n, r)
 		b := randVector(n, r)
-		serial, err := NewCholesky(a)
+		serial, err := referenceCholesky(a)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,3 +108,34 @@ func TestLegacyKeyRecordMisses(t *testing.T) {
 		t.Error("fresh solve not stored under the kernel-qualified key")
 	}
 }
+
+// TestScenarioKeyPinned pins the literal key bytes of two fixed scenarios, a
+// Rect lattice and a builtin grid. The key addresses every durable store
+// record and peer frame, so a formatting slip in scenarioKey would silently
+// orphan them all; a deliberate change of the solution arithmetic must
+// change these values on purpose (and bump a key component).
+func TestScenarioKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		sc   Scenario
+		want string
+	}{
+		{"rect-two-layer", Scenario{
+			Grid: GridSpec{Rect: &RectSpec{Width: 30, Height: 20, NX: 4, NY: 3, Depth: 0.8, Radius: 0.006}},
+			Soil: SoilSpec{Kind: "two-layer", Gamma1: 0.005, Gamma2: 0.016, H1: 1.0},
+		}, "28a5e91f94b6c13fa3b7b72104d92a4e"},
+		{"balaidos-uniform", Scenario{
+			Grid:        GridSpec{Builtin: "balaidos"},
+			Soil:        SoilSpec{Kind: "uniform", Gamma1: 0.02},
+			RodElements: 2,
+		}, "088d875d867d2424eff30a3f5d924753"},
+	} {
+		b, err := c.sc.build(0)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if b.key != c.want {
+			t.Errorf("%s: key %s, pinned %s", c.name, b.key, c.want)
+		}
+	}
+}

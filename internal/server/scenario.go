@@ -316,7 +316,7 @@ func (sc Scenario) build(defaultWorkers int) (*built, error) {
 		soil:  sc.Soil,
 		cfg:   cfg,
 		gpr:   gpr,
-		key:   scenarioKey(g, sc.Soil, sc.MaxElemLen, sc.RodElements, cfg.BEM.SeriesTol, cfg.BEM.Kernel),
+		key:   scenarioKey(g, sc.Soil, sc.MaxElemLen, sc.RodElements, cfg.BEM.SeriesTol),
 	}, nil
 }
 
@@ -324,21 +324,23 @@ func (sc Scenario) build(defaultWorkers int) (*built, error) {
 // The grid is canonicalized through its text serialization (so a rect spec
 // and the equivalent hand-written conductor list key identically), the soil
 // through full-precision parameter rendering, and the discretization knobs
-// are appended verbatim. The assembly kernel is keyed too, so records and
-// peer frames solved under another kernel (which agree only to ~1e-10) are
-// never served next to fresh solves; its pairs=d4q42 component names the
-// pair-class arithmetic (D4-canonical classes at 42-bit quantization, see
-// bem.PairClass), so frames from the per-pair arithmetic before it, ~1e-13
-// apart, miss too. Workers, schedules and GPR are excluded: they do not
-// change the solution.
-func scenarioKey(g *earthing.Grid, soil SoilSpec, maxElemLen float64, rodElements int, seriesTol float64, kernel earthing.KernelStrategy) string {
+// are appended verbatim. The kernel=flat component names the assembly
+// kernel, so records and peer frames of older binaries that assembled with
+// another kernel (agreeing only to ~1e-10) are never served next to fresh
+// solves; the pairs=d4q42 component names the pair-class arithmetic
+// (D4-canonical classes at 42-bit quantization, see bem.PairClass), so
+// frames from the per-pair arithmetic before it, ~1e-13 apart, miss too.
+// Workers, schedules and GPR are excluded: they do not change the solution.
+// TestScenarioKeyPinned pins the key bytes: changing them orphans every
+// durable record and peer frame.
+func scenarioKey(g *earthing.Grid, soil SoilSpec, maxElemLen float64, rodElements int, seriesTol float64) string {
 	h := sha256.New()
 	if err := grid.Write(h, g); err != nil {
 		// The hash writer never fails; keep the compiler honest.
 		panic(err)
 	}
 	//lint:ignore errdrop writing to a hash.Hash never fails
-	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear;kernel=%v;pairs=d4q42\n",
-		soil.canonicalSoil(), maxElemLen, rodElements, seriesTol, kernel)
+	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear;kernel=flat;pairs=d4q42\n",
+		soil.canonicalSoil(), maxElemLen, rodElements, seriesTol)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }

@@ -67,8 +67,10 @@ func WithSolver(k SolverKind) Option {
 }
 
 // WithFlatAssembly is a no-op kept for compatibility: the flat image-series
-// kernel it used to select is now the default (and only production) kernel
-// of matrix generation. See DESIGN.md §13.
+// kernel it used to select is the only kernel of matrix generation. See
+// DESIGN.md §13.
+//
+// Deprecated: drop the option; it changes nothing.
 func WithFlatAssembly() Option {
 	return func(*settings) {}
 }

@@ -56,13 +56,13 @@ func FitUniformSoil(data []SurveyMeasurement) (rho, rmsLog float64, err error) {
 
 // ElectricFieldAt returns E = −∇V at x in V/m at the configured GPR.
 func ElectricFieldAt(res *Result, x Vec3) Vec3 {
-	return res.Assembler().ElectricField(x, res.Sigma).Scale(res.GPR)
+	return res.Assembler().Evaluator().ElectricField(x, res.Sigma).Scale(res.GPR)
 }
 
 // CurrentDensityAt returns the conduction current density −γ∇V at x in
 // A/m² at the configured GPR.
 func CurrentDensityAt(res *Result, x Vec3) Vec3 {
-	return res.Assembler().CurrentDensity(x, res.Sigma).Scale(res.GPR)
+	return res.Assembler().Evaluator().CurrentDensity(x, res.Sigma).Scale(res.GPR)
 }
 
 // Leakage distribution of a solved analysis.
