@@ -23,6 +23,7 @@
 package earthing_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -53,7 +54,7 @@ func BenchmarkBarberaSummary(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var req float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.AnalyzeBarbera(c.model, benchQ, 0)
+				res, err := experiments.AnalyzeBarbera(context.Background(), c.model, benchQ, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -71,7 +72,7 @@ func BenchmarkTable51BalaidosSoilModels(b *testing.B) {
 		b.Run(c.Name, func(b *testing.B) {
 			var req float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.AnalyzeBalaidos(c, benchQ, 0)
+				res, err := experiments.AnalyzeBalaidos(context.Background(), c, benchQ, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -93,14 +94,16 @@ func BenchmarkFig52SurfacePotential(b *testing.B) {
 		{"uniform", experiments.BarberaUniform()},
 		{"two-layer", experiments.BarberaTwoLayer()},
 	} {
-		res, err := experiments.AnalyzeBarbera(c.model, benchQ, 0)
+		res, err := experiments.AnalyzeBarbera(context.Background(), c.model, benchQ, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				post.SurfacePotential(res.Assembler(), res.Mesh, res.Sigma, res.GPR,
-					post.SurfaceOptions{NX: 24, NY: 32, Margin: 20})
+				if _, err := post.SurfacePotentialCtx(context.Background(), res.Assembler(), res.Mesh, res.Sigma, res.GPR,
+					post.SurfaceOptions{NX: 24, NY: 32, Margin: 20}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -110,14 +113,16 @@ func BenchmarkFig52SurfacePotential(b *testing.B) {
 // Balaidos surface potential for soil models A/B/C.
 func BenchmarkFig54SurfacePotential(b *testing.B) {
 	for _, c := range experiments.BalaidosModels() {
-		res, err := experiments.AnalyzeBalaidos(c, benchQ, 0)
+		res, err := experiments.AnalyzeBalaidos(context.Background(), c, benchQ, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(c.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				post.SurfacePotential(res.Assembler(), res.Mesh, res.Sigma, res.GPR,
-					post.SurfaceOptions{NX: 28, NY: 22, Margin: 20})
+				if _, err := post.SurfacePotentialCtx(context.Background(), res.Assembler(), res.Mesh, res.Sigma, res.GPR,
+					post.SurfaceOptions{NX: 28, NY: 22, Margin: 20}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -129,7 +134,7 @@ func BenchmarkFig54SurfacePotential(b *testing.B) {
 func BenchmarkTable61Stages(b *testing.B) {
 	var share float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable61(benchQ)
+		res, err := experiments.RunTable61(context.Background(), benchQ)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +166,7 @@ func BenchmarkTable62Schedules(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, _, err := a.Matrix(); err != nil {
+					if _, _, err := a.MatrixCtx(context.Background()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -175,7 +180,7 @@ func BenchmarkTable62Schedules(b *testing.B) {
 // generation per soil model and worker count.
 func BenchmarkTable63BalaidosParallel(b *testing.B) {
 	for _, c := range experiments.BalaidosModels() {
-		res, err := experiments.AnalyzeBalaidos(c, benchQ, 1)
+		res, err := experiments.AnalyzeBalaidos(context.Background(), c, benchQ, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,7 +193,7 @@ func BenchmarkTable63BalaidosParallel(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, _, err := a.Matrix(); err != nil {
+					if _, _, err := a.MatrixCtx(context.Background()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -220,7 +225,7 @@ func BenchmarkFig61OuterVsInner(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, _, err := a.Matrix(); err != nil {
+					if _, _, err := a.MatrixCtx(context.Background()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -246,7 +251,7 @@ func BenchmarkAblationAssembly(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := a.Matrix(); err != nil {
+				if _, _, err := a.MatrixCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -262,7 +267,7 @@ func BenchmarkAblationSeriesTol(b *testing.B) {
 		b.Run(fmt.Sprintf("tol=%.0e", tol), func(b *testing.B) {
 			var req float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.AnalyzeBalaidos(c,
+				res, err := experiments.AnalyzeBalaidos(context.Background(), c,
 					experiments.Quality{SeriesTol: tol, Repeats: 1}, 0)
 				if err != nil {
 					b.Fatal(err)
@@ -289,7 +294,7 @@ func BenchmarkBaselineFDM(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r, _, err := a.Matrix()
+			r, _, err := a.MatrixCtx(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -323,7 +328,7 @@ func BenchmarkAblationSolver(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, _, err := a.Matrix()
+	r, _, err := a.MatrixCtx(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -157,7 +157,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return printProgress(stdout, p)
 	}
-	best, stats, err := earthing.OptimizeStream(context.Background(), spec, opt, emit)
+	ctx := context.Background()
+	best, stats, err := earthing.OptimizeStream(ctx, spec, opt, emit)
 	noFeasible := errors.Is(err, earthing.ErrNoFeasibleOptimize)
 	if err != nil && !noFeasible {
 		return err
@@ -190,7 +191,7 @@ func run(args []string, stdout io.Writer) error {
 	if *htmlOut != "" {
 		// Re-analyze at the design-fault GPR so the report's potentials and
 		// voltages are at fault scale.
-		reportRes, err := earthing.Analyze(context.Background(), best.Grid, model, earthing.Config{
+		reportRes, err := earthing.Analyze(ctx, best.Grid, model, earthing.Config{
 			GPR:         best.GPR,
 			RodElements: *rodElems,
 			BEM:         earthing.BEMOptions{Workers: *workers, Schedule: sch, SeriesTol: *seriesTol},
@@ -199,7 +200,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		err = fsio.WriteFile(*htmlOut, func(f io.Writer) error {
-			return report.BuildHTML(f, reportRes, best.Grid, report.Options{
+			return report.BuildHTML(ctx, f, reportRes, best.Grid, report.Options{
 				Title:    "Automated grounding design",
 				Criteria: crit,
 			})

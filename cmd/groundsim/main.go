@@ -184,7 +184,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 		err := fsio.WriteFile(*htmlOut, func(f io.Writer) error {
-			return report.BuildHTML(f, res, g, opt)
+			return report.BuildHTML(ctx, f, res, g, opt)
 		})
 		if err != nil {
 			return err

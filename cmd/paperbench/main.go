@@ -41,7 +41,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "paperbench:", err)
 		os.Exit(1)
 	}
@@ -50,7 +50,7 @@ func main() {
 // run parses args and executes the selected experiments, writing tables to
 // stdout. Factored out of main so the end-to-end tests can drive the CLI
 // in-process against golden transcripts.
-func run(args []string, stdout io.Writer) error {
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
 	var (
 		exp     = fs.String("exp", "all", "experiment id (see doc comment)")
@@ -83,7 +83,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return runExperiments(stdout, *exp, q, workers, *out, *jsonOut)
+	return runExperiments(ctx, stdout, *exp, q, workers, *out, *jsonOut)
 }
 
 // jsonExperiments are the experiments that record a -json benchmark file.
@@ -101,7 +101,7 @@ func parseProcs(s string) ([]int, error) {
 	return out, nil
 }
 
-func runExperiments(w io.Writer, exp string, q experiments.Quality, workers []int, out, jsonOut string) error {
+func runExperiments(ctx context.Context, w io.Writer, exp string, q experiments.Quality, workers []int, out, jsonOut string) error {
 	all := exp == "all"
 	ran := false
 	do := func(id string, f func() error) error {
@@ -118,24 +118,24 @@ func runExperiments(w io.Writer, exp string, q experiments.Quality, workers []in
 	}{
 		{"fig5.1", func() error { return planFigure(w, out, "fig5.1-barbera.svg", grid.Barbera()) }},
 		{"fig5.3", func() error { return planFigure(w, out, "fig5.3-balaidos.svg", grid.Balaidos()) }},
-		{"barbera", func() error { return experiments.BarberaSummary(w, q, 0) }},
-		{"table5.1", func() error { return experiments.Table51(w, q, 0) }},
-		{"fig5.2", func() error { return experiments.Fig52(w, q, 0, out, 0, 0) }},
-		{"fig5.4", func() error { return experiments.Fig54(w, q, 0, out, 0, 0) }},
-		{"table6.1", func() error { return experiments.Table61(w, q) }},
-		{"fig6.1", func() error { return experiments.Fig61(w, q, workers) }},
-		{"sweep", func() error { return experiments.SweepEngine(context.Background(), w, q, 0, jsonOut) }},
-		{"hmatrix", func() error { return experiments.HMatrixScaling(w, q, 0, jsonOut) }},
-		{"optimize", func() error { return experiments.OptimizeLoop(context.Background(), w, q, 0, jsonOut) }},
-		{"table6.2", func() error { return experiments.Table62(w, q, workers) }},
-		{"table6.3", func() error { return experiments.Table63(w, q, workers) }},
-		{"ablation-assembly", func() error { return experiments.AblationAssembly(w, q, workers) }},
-		{"ablation-tol", func() error { return experiments.AblationSeriesTol(w, 0) }},
-		{"ablation-solver", func() error { return experiments.AblationSolver(w, q) }},
-		{"ablation-elements", func() error { return experiments.AblationElements(w) }},
-		{"ablation-threelayer", func() error { return experiments.AblationThreeLayer(w) }},
-		{"baseline-fdm", func() error { return experiments.BaselineFDM(w) }},
-		{"ablation-grading", func() error { return experiments.AblationGrading(w, q) }},
+		{"barbera", func() error { return experiments.BarberaSummary(ctx, w, q, 0) }},
+		{"table5.1", func() error { return experiments.Table51(ctx, w, q, 0) }},
+		{"fig5.2", func() error { return experiments.Fig52(ctx, w, q, 0, out, 0, 0) }},
+		{"fig5.4", func() error { return experiments.Fig54(ctx, w, q, 0, out, 0, 0) }},
+		{"table6.1", func() error { return experiments.Table61(ctx, w, q) }},
+		{"fig6.1", func() error { return experiments.Fig61(ctx, w, q, workers) }},
+		{"sweep", func() error { return experiments.SweepEngine(ctx, w, q, 0, jsonOut) }},
+		{"hmatrix", func() error { return experiments.HMatrixScaling(ctx, w, q, 0, jsonOut) }},
+		{"optimize", func() error { return experiments.OptimizeLoop(ctx, w, q, 0, jsonOut) }},
+		{"table6.2", func() error { return experiments.Table62(ctx, w, q, workers) }},
+		{"table6.3", func() error { return experiments.Table63(ctx, w, q, workers) }},
+		{"ablation-assembly", func() error { return experiments.AblationAssembly(ctx, w, q, workers) }},
+		{"ablation-tol", func() error { return experiments.AblationSeriesTol(ctx, w, 0) }},
+		{"ablation-solver", func() error { return experiments.AblationSolver(ctx, w, q) }},
+		{"ablation-elements", func() error { return experiments.AblationElements(ctx, w) }},
+		{"ablation-threelayer", func() error { return experiments.AblationThreeLayer(ctx, w) }},
+		{"baseline-fdm", func() error { return experiments.BaselineFDM(ctx, w) }},
+		{"ablation-grading", func() error { return experiments.AblationGrading(ctx, w, q) }},
 	}
 	for _, s := range steps {
 		if err := do(s.id, s.f); err != nil {

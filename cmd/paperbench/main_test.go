@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -38,7 +39,7 @@ func checkGolden(t *testing.T, name, got string) {
 // reproduction is graded on.
 func TestGoldenBarbera(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-exp", "barbera", "-quick", "-procs", "1"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-exp", "barbera", "-quick", "-procs", "1"}, &buf); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	checkGolden(t, "paperbench-barbera-quick", buf.String())
@@ -48,10 +49,10 @@ func TestGoldenBarbera(t *testing.T) {
 // bounds of the two substations).
 func TestGoldenPlanFigures(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-exp", "fig5.1"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-exp", "fig5.1"}, &buf); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if err := run([]string{"-exp", "fig5.3"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-exp", "fig5.3"}, &buf); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	checkGolden(t, "paperbench-plan-figures", buf.String())
@@ -67,7 +68,7 @@ func TestSweepBenchSmoke(t *testing.T) {
 	}
 	jsonPath := filepath.Join(t.TempDir(), "BENCH_sweep.json")
 	var buf bytes.Buffer
-	if err := run([]string{"-exp", "sweep", "-quick", "-json", jsonPath}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-exp", "sweep", "-quick", "-json", jsonPath}, &buf); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	data, err := os.ReadFile(jsonPath)
@@ -105,7 +106,7 @@ func TestHMatrixBenchSmoke(t *testing.T) {
 	}
 	jsonPath := filepath.Join(t.TempDir(), "BENCH_hmatrix.json")
 	var buf bytes.Buffer
-	if err := run([]string{"-exp", "hmatrix", "-quick", "-json", jsonPath}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-exp", "hmatrix", "-quick", "-json", jsonPath}, &buf); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	data, err := os.ReadFile(jsonPath)
@@ -165,7 +166,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	for _, args := range cases {
 		var buf bytes.Buffer
-		if err := run(args, &buf); err == nil {
+		if err := run(context.Background(), args, &buf); err == nil {
 			t.Errorf("run(%q) succeeded, want error", args)
 		}
 	}
@@ -184,7 +185,7 @@ func TestOptimizeBenchSmoke(t *testing.T) {
 	}
 	jsonPath := filepath.Join(t.TempDir(), "BENCH_optimize.json")
 	var buf bytes.Buffer
-	if err := run([]string{"-exp", "optimize", "-quick", "-json", jsonPath}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-exp", "optimize", "-quick", "-json", jsonPath}, &buf); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	data, err := os.ReadFile(jsonPath)

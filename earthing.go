@@ -161,9 +161,8 @@ type (
 	// BEMOptions.Kernel unset.
 	KernelStrategy = bem.KernelStrategy
 	// HealthError reports a failed numerical health check (enable with
-	// WithHealthCheck or Config.HealthCheck): non-finite systems or
-	// solutions, indefinite or ill-conditioned matrices. Detect with
-	// errors.As.
+	// Config.HealthCheck): non-finite systems or solutions, indefinite or
+	// ill-conditioned matrices. Detect with errors.As.
 	HealthError = core.HealthError
 	// PanicError is a panic contained inside a parallel loop worker,
 	// surfaced as an error with the faulting iteration, worker and stack.
@@ -270,9 +269,11 @@ func SurfacePotential(ctx context.Context, res *Result, opt SurfaceOptions) (*Ra
 	return post.SurfacePotentialCtx(ctx, res.Assembler(), res.Mesh, res.Sigma, res.GPR, opt)
 }
 
-// PotentialProfile samples the surface potential along a straight line.
-func PotentialProfile(res *Result, x0, y0, x1, y1 float64, n int) (s, v []float64) {
-	return post.ProfilePotential(res.Assembler(), res.Sigma, res.GPR, x0, y0, x1, y1, n)
+// PotentialProfile samples the surface potential at n ≥ 2 evenly spaced
+// points along a straight line, returning arc coordinates and volts at the
+// configured GPR. Cancellation is observed at point boundaries.
+func PotentialProfile(ctx context.Context, res *Result, x0, y0, x1, y1 float64, n int) (s, v []float64, err error) {
+	return post.ProfilePotential(ctx, res.Assembler(), res.Sigma, res.GPR, x0, y0, x1, y1, n, SurfaceOptions{})
 }
 
 // StepVoltageMap samples the per-metre step voltage |E_h|·1 m over the grid

@@ -139,28 +139,30 @@ func TestFacadeSolverAndOptions(t *testing.T) {
 	}
 }
 
-// TestFacadeSweepAndOptions exercises the batch facade: functional options
-// override Config fields, results come back in scenario order, GPR-only
-// variants reuse the solve, and every result is bit-identical to a
-// standalone Analyze with the same settings.
+// TestFacadeSweepAndOptions exercises the batch facade: Config fields reach
+// both entry points, results come back in scenario order, GPR-only variants
+// reuse the solve, and every result is bit-identical to a standalone Analyze
+// with the same settings.
 func TestFacadeSweepAndOptions(t *testing.T) {
 	ctx := context.Background()
 	g := earthing.RectGrid(0, 0, 15, 15, 2, 2, 0.8, 0.006)
 	model := earthing.UniformSoil(0.02)
 
-	want, err := earthing.Analyze(ctx, g, model, earthing.Config{},
-		earthing.WithGPR(5_000), earthing.WithWorkers(2))
+	cfg := earthing.Config{BEM: earthing.BEMOptions{Workers: 2}}
+	single := cfg
+	single.GPR = 5_000
+	want, err := earthing.Analyze(ctx, g, model, single)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.GPR != 5_000 {
-		t.Fatalf("WithGPR not applied: GPR = %v", want.GPR)
+		t.Fatalf("Config.GPR not applied: GPR = %v", want.GPR)
 	}
 
 	swept, err := earthing.Sweep(ctx, g, []earthing.SweepScenario{
 		{ID: "a", Soil: model, GPR: 5_000},
 		{ID: "b", Soil: model, GPR: 10_000},
-	}, earthing.Config{}, earthing.WithWorkers(2))
+	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +246,10 @@ func ExamplePotentialProfile() {
 	if err != nil {
 		panic(err)
 	}
-	s, v := earthing.PotentialProfile(res, 15, 15, 120, 15, 40)
+	s, v, err := earthing.PotentialProfile(context.Background(), res, 15, 15, 120, 15, 40)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("%d samples from %.0f to %.0f m\n", len(s), s[0], s[len(s)-1])
 	fmt.Printf("potential decays away from the grid: %v\n", v[0] > v[len(v)-1])
 	// Output:

@@ -7,7 +7,8 @@
 //
 // The flagship analyzer, sharedwrite, mechanizes the §6.2 discipline the
 // paper's parallelization depends on: loop bodies handed to
-// sched.For/ForStats (or launched with go) must not write closure-captured
+// sched.ForStatsCtx/ForTilesCtx — the runner's only loops, so every parallel
+// region of the solver — or launched with go must not write closure-captured
 // state unless the write is partitioned by the loop index or guarded by a
 // sync primitive. The first-wave analyzers encode numerical-kernel
 // discipline: no floating-point ==, no dropped errors, no naive kernel-term

@@ -9,12 +9,12 @@ import (
 
 // PanicErrAnalyzer polices the resilience layer's containment contract
 // (DESIGN.md §12). The panic-recovering runtime turns a worker crash into a
-// typed error — *sched.PanicError from sched.ForCtx/ForStatsCtx, failed
+// typed error — *sched.PanicError from sched.ForStatsCtx/ForTilesCtx, failed
 // sweep columns from sweep.Run/Stream, *core.HealthError from the health
 // checks — and the whole containment story collapses if a caller drops that
 // error or matches it in a way that breaks through wrapping:
 //
-//   - the error results of sched.ForCtx/ForStatsCtx, sweep.Run/Stream and
+//   - the error results of sched.ForStatsCtx/ForTilesCtx, sweep.Run/Stream and
 //     the earthing facade must not be discarded (neither as an ignored call
 //     statement nor via the blank identifier);
 //   - *sched.PanicError and *core.HealthError must be matched with
@@ -56,7 +56,7 @@ func runPanicErr(pass *Pass) {
 }
 
 // containmentCall reports whether call invokes one of the error-bearing
-// containment APIs: ForCtx/ForStatsCtx from a sched package, Run/Stream
+// containment APIs: a schedLoops loop from a sched package, Run/Stream
 // from a sweep package, or any exported function of the earthing facade.
 func containmentCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -69,7 +69,7 @@ func containmentCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	}
 	name := obj.Name()
 	switch {
-	case pkgPathIs(obj.Pkg().Path(), "sched") && (name == "ForCtx" || name == "ForStatsCtx"):
+	case pkgPathIs(obj.Pkg().Path(), "sched") && schedLoops[name]:
 		return "sched." + name, true
 	case pkgPathIs(obj.Pkg().Path(), "sweep") && (name == "Run" || name == "Stream"):
 		return "sweep." + name, true

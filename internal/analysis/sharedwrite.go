@@ -3,14 +3,19 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
+// schedLoops names the loop functions of package sched. Both analyzers that
+// reason about parallel regions key on this one list: sharedwrite checks
+// their bodies, panicerr their containment errors.
+var schedLoops = map[string]bool{"ForStatsCtx": true, "ForTilesCtx": true}
+
 // SharedWriteAnalyzer mechanizes the paper's §6.2 dependency-breaking
-// discipline: a loop body handed to sched.For/ForStats — or launched with a
-// go statement — runs concurrently on several workers, so a write to a
-// closure-captured variable is a data race unless it is partitioned or
-// guarded. A write is accepted when
+// discipline: a loop body handed to sched.ForStatsCtx or sched.ForTilesCtx —
+// the runner's only two loops, so every parallel region of the solver — or
+// launched with a go statement runs concurrently on several workers, so a
+// write to a closure-captured variable is a data race unless it is
+// partitioned or guarded. A write is accepted when
 //
 //   - the written location is an element access whose index expression
 //     references the body's own parameters or locals (index-partitioned,
@@ -52,9 +57,9 @@ func runSharedWrite(pass *Pass) {
 	}
 }
 
-// isSchedParallelCall reports whether call invokes For or ForStats from a
-// package whose import path ends in "sched" (the repo's loop runner; the
-// suffix form also matches the stub package the fixtures use).
+// isSchedParallelCall reports whether call invokes ForStatsCtx or ForTilesCtx
+// from a package whose import path ends in "sched" (the repo's loop runner;
+// the suffix form also matches the stub package the fixtures use).
 func isSchedParallelCall(pass *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -64,11 +69,7 @@ func isSchedParallelCall(pass *Pass, call *ast.CallExpr) bool {
 	if obj == nil || obj.Pkg() == nil {
 		return false
 	}
-	if obj.Name() != "For" && obj.Name() != "ForStats" {
-		return false
-	}
-	path := obj.Pkg().Path()
-	return path == "sched" || strings.HasSuffix(path, "/sched")
+	return schedLoops[obj.Name()] && pkgPathIs(obj.Pkg().Path(), "sched")
 }
 
 // checkParallelBody flags writes to captured variables inside lit.

@@ -13,14 +13,16 @@ import (
 	"fixture/sweep"
 )
 
-func dropped(work func(int)) {
-	sched.ForCtx(nil, 4, work) // want "call to sched.ForCtx drops its containment error"
-	defer sweep.Run(nil, nil)  // want "deferred call to sweep.Run drops its containment error"
-	earthing.Analyze(nil)      // want "call to earthing.Analyze drops its containment error"
+func dropped(work func(int, int)) {
+	sched.ForStatsCtx(nil, 4, work)    // want "call to sched.ForStatsCtx drops its containment error"
+	sched.ForTilesCtx(nil, 4, 2, work) // want "call to sched.ForTilesCtx drops its containment error"
+	defer sweep.Run(nil, nil)          // want "deferred call to sweep.Run drops its containment error"
+	earthing.Analyze(nil)              // want "call to earthing.Analyze drops its containment error"
 }
 
-func blanked(work func(int)) {
+func blanked(work func(int, int)) {
 	_, _ = sched.ForStatsCtx(nil, 4, work) // want "containment error of sched.ForStatsCtx discarded via _"
+	_ = sched.ForTilesCtx(nil, 4, 2, work) // want "containment error of sched.ForTilesCtx discarded via _"
 	_ = earthing.Check(nil)                // want "containment error of earthing.Check discarded via _"
 	res, _ := sweep.Run(nil, nil)          // want "containment error of sweep.Run discarded via _"
 	_ = res

@@ -9,6 +9,6 @@ import (
 // Unlike most analyzers, panicerr runs on _test.go files too: a dropped
 // containment error in a chaos suite hides a swallowed panic.
 func TestDropFlaggedInTests(t *testing.T) {
-	sched.ForCtx(nil, 1, func(int) {}) // want "call to sched.ForCtx drops its containment error"
+	sched.ForStatsCtx(nil, 1, func(int, int) {}) // want "call to sched.ForStatsCtx drops its containment error"
 	t.Log("the line above is the scenario under test")
 }

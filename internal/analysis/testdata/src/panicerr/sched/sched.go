@@ -1,5 +1,6 @@
 // Package sched stubs the scheduler surface panicerr matches by
-// package-path suffix: the containment loops and their typed panic error.
+// package-path suffix: the two containment loops and their typed panic
+// error.
 package sched
 
 import "context"
@@ -12,16 +13,17 @@ func (e *PanicError) Error() string { return "panic in worker" }
 // Stats mirrors the loop statistics record.
 type Stats struct{ Workers int }
 
-func ForCtx(ctx context.Context, n int, body func(int)) error {
-	_ = ctx
-	_ = n
-	_ = body
-	return nil
-}
-
-func ForStatsCtx(ctx context.Context, n int, body func(int)) (Stats, error) {
+func ForStatsCtx(ctx context.Context, n int, body func(i, worker int)) (Stats, error) {
 	_ = ctx
 	_ = n
 	_ = body
 	return Stats{}, nil
+}
+
+func ForTilesCtx(ctx context.Context, n, tile int, body func(lo, hi int)) error {
+	_ = ctx
+	_ = n
+	_ = tile
+	_ = body
+	return nil
 }

@@ -19,7 +19,7 @@ import (
 
 // Assembler holds the precomputed state of a (mesh, soil model)
 // discretization and generates the Galerkin system. Create one with New,
-// then call Matrix (and RHS) — or reuse it for repeated assemblies in
+// then call MatrixCtx (and RHS) — or reuse it for repeated assemblies in
 // benchmarks. The embedded Geometry (quadrature positions, weights, shape
 // values) is soil-independent and may be shared across assemblers via
 // NewWithGeometry.
@@ -31,7 +31,7 @@ type Assembler struct {
 	elemLayer []int // soil layer of each element
 
 	// lastBusy and lastPairs record per-worker busy time and pair-class
-	// counts of the most recent Matrix() call, for load-balance analysis
+	// counts of the most recent MatrixCtx call, for load-balance analysis
 	// (see WorkerBusy and WorkerPairs); lastClasses is its class count.
 	lastBusy    []time.Duration
 	lastPairs   []int64
@@ -117,20 +117,20 @@ func (a *Assembler) Footprint() int64 {
 }
 
 // WorkerBusy returns the per-worker busy durations of the most recent
-// Matrix call. On a host with one free core per worker, Σbusy/max(busy)
+// MatrixCtx call. On a host with one free core per worker, Σbusy/max(busy)
 // approximates the achievable wall-clock speed-up; on oversubscribed hosts
 // the intervals include descheduled time, so prefer WorkerPairs there.
 func (a *Assembler) WorkerBusy() []time.Duration { return a.lastBusy }
 
 // WorkerPairs returns the number of pair classes each worker evaluated in
-// the most recent Matrix call (one flat-kernel elemental matrix per class;
+// the most recent MatrixCtx call (one flat-kernel elemental matrix per class;
 // see PairClass). Because every class costs a near-identical kernel-series
 // evaluation, Σ/max is a host-independent prediction of the wall-clock
 // speed-up a schedule achieves on a machine with one core per worker — the
 // load-balance quantity behind Table 6.2 (see EXPERIMENTS.md).
 func (a *Assembler) WorkerPairs() []int64 { return a.lastPairs }
 
-// PredictedSpeedup returns Σpairs/max(pairs) of the most recent Matrix call.
+// PredictedSpeedup returns Σpairs/max(pairs) of the most recent MatrixCtx call.
 func (a *Assembler) PredictedSpeedup() float64 {
 	var total, max int64
 	for _, n := range a.lastPairs {
@@ -145,7 +145,7 @@ func (a *Assembler) PredictedSpeedup() float64 {
 	return float64(total) / float64(max)
 }
 
-// NumClasses returns the number of pair classes the most recent Matrix call
+// NumClasses returns the number of pair classes the most recent MatrixCtx call
 // evaluated — the elemental matrices computed, against the NumPairs it
 // served.
 func (a *Assembler) NumClasses() int { return a.lastClasses }
@@ -156,21 +156,15 @@ func (a *Assembler) NumPairs() int {
 	return m * (m + 1) / 2
 }
 
-// Matrix generates the Galerkin system matrix (eq. 4.4–4.5) using the
-// configured loop strategy, schedule and assembly mode. The returned
-// statistics describe how the parallel loop distributed its work.
-func (a *Assembler) Matrix() (*linalg.SymMatrix, sched.Stats, error) {
-	//lint:ignore ctxflow synchronous compatibility wrapper; the ctx-first variant is the primary API
-	return a.MatrixCtx(context.Background())
-}
-
-// MatrixCtx is Matrix with cooperative cancellation. It classifies every
-// element pair (PairClass), evaluates each pair class once in the parallel
-// loop and scatters the class matrices onto their member pairs. ctx is
-// observed once per triangle row while classifying and at every schedule
-// chunk boundary of the class loop (see sched.ForStatsCtx), so an abandoned
-// request stops burning cores after at most one row or column. On
-// cancellation the matrix is discarded and ctx.Err() is returned.
+// MatrixCtx generates the Galerkin system matrix (eq. 4.4–4.5) using the
+// configured loop strategy, schedule and assembly mode; the returned
+// statistics describe how the parallel loop distributed its work. It
+// classifies every element pair (PairClass), evaluates each pair class once
+// in the parallel loop and scatters the class matrices onto their member
+// pairs. ctx is observed once per triangle row while classifying and at
+// every schedule chunk boundary of the class loop (see sched.ForStatsCtx),
+// so an abandoned request stops burning cores after at most one row or
+// column. On cancellation the matrix is discarded and ctx.Err() is returned.
 func (a *Assembler) MatrixCtx(ctx context.Context) (*linalg.SymMatrix, sched.Stats, error) {
 	cl, err := a.classify(ctx)
 	if err != nil {

@@ -1,6 +1,7 @@
 package bem
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -30,7 +31,7 @@ func solveReq(t *testing.T, g *grid.Grid, model soil.Model, maxElem float64, opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := a.Matrix()
+	r, _, err := a.MatrixCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestMatrixSPDAndSolvable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := a.Matrix()
+	r, _, err := a.MatrixCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestParallelVariantsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rRef, _, err := ref.Matrix()
+	rRef, _, err := ref.MatrixCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestParallelVariantsIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, stats, err := a.Matrix()
+		r, stats, err := a.MatrixCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,8 +249,8 @@ func TestTwoLayerDegenerateMatchesUniformSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rU, _, _ := aU.Matrix()
-	rT, _, _ := aT.Matrix()
+	rU, _, _ := aU.MatrixCtx(context.Background())
+	rT, _, _ := aT.MatrixCtx(context.Background())
 	scale := rU.MaxAbs()
 	for i := 0; i < rU.Order(); i++ {
 		for j := 0; j <= i; j++ {
@@ -277,7 +278,7 @@ func TestBoundaryConditionRecovered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, _, err := a.Matrix()
+		r, _, err := a.MatrixCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +312,7 @@ func TestPotentialFarField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, _ := a.Matrix()
+	r, _, _ := a.MatrixCtx(context.Background())
 	res, err := linalg.SolveCG(r, RHS(m), linalg.CGOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
@@ -353,8 +354,8 @@ func TestQuadratureFallbackMatchesImages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rI, _, _ := aI.Matrix()
-	rQ, _, _ := aQ.Matrix()
+	rI, _, _ := aI.MatrixCtx(context.Background())
+	rQ, _, _ := aQ.MatrixCtx(context.Background())
 	// Compare resulting equivalent resistances (matrix entries differ more
 	// because the self terms use different regularization paths).
 	solve := func(r *linalg.SymMatrix) float64 {
@@ -487,7 +488,7 @@ func TestConstantElementsSolveToo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, _, _ := a.Matrix()
+		r, _, _ := a.MatrixCtx(context.Background())
 		res, err := linalg.SolveCG(r, RHS(m), linalg.CGOptions{Tol: 1e-11})
 		if err != nil || !res.Converged {
 			t.Fatalf("CG: %v", err)

@@ -12,7 +12,7 @@ import (
 // matrix generation is exposed one column at a time through a PairStore.
 // The pair classes, the per-class arithmetic and the sequential scatter
 // order are exactly those of MatrixCtx's StoreThenAssemble path, which is
-// what makes sweep-assembled systems bit-identical to Matrix ones.
+// what makes sweep-assembled systems bit-identical to MatrixCtx ones.
 
 // ColumnScratch is the per-worker scratch of PairStore.ComputeColumn. A
 // scratch must not be shared between concurrent workers; allocate one per
@@ -99,7 +99,7 @@ func (ps *PairStore) Assemble() *linalg.SymMatrix {
 
 // PairMatrix computes the elemental matrix of the ordered element pair
 // (beta, alpha) into out (row-major k×k, out[j·k+i] = ∫_β w_j ∫_α N_i G)
-// with exactly the arithmetic of the Matrix pair loop: the pair's class
+// with exactly the arithmetic of the MatrixCtx pair loop: the pair's class
 // matrix under its flip, or the pair's own evaluation when it has no class.
 // cs must not be shared between concurrent workers.
 func (a *Assembler) PairMatrix(beta, alpha int, out []float64, cs *ColumnScratch) {

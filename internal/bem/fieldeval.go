@@ -517,37 +517,21 @@ func (s BatchStats) PointsPerSec() float64 {
 	return float64(s.Sched.Iterations) / s.Wall.Seconds()
 }
 
-// PotentialBatch evaluates scale·V(points[i]) into out[i] for every point,
-// distributing points over workers. out must have len(points). The per-point
-// arithmetic is identical to PotentialAt regardless of worker count, so
-// results are bit-identical across schedules and parallel widths.
-func (fe *FieldEvaluator) PotentialBatch(points []geom.Vec3, sigma []float64, scale float64, out []float64, opt BatchOptions) BatchStats {
-	//lint:ignore errdrop background context never cancels, so the error is always nil
-	//lint:ignore ctxflow synchronous compatibility wrapper; the ctx-first variant is the primary API
-	st, _ := fe.PotentialBatchCtx(context.Background(), points, sigma, scale, out, opt)
-	return st
-}
-
-// PotentialBatchCtx is PotentialBatch with cooperative cancellation at point
-// (chunk) boundaries. On cancellation out is partially filled and ctx.Err()
-// is returned; callers must discard the raster.
+// PotentialBatchCtx evaluates scale·V(points[i]) into out[i] for every
+// point, distributing points over workers. out must have len(points). The
+// per-point arithmetic is identical to PotentialAt regardless of worker
+// count, so results are bit-identical across schedules and parallel widths.
+// ctx is observed at point (chunk) boundaries; on cancellation out is
+// partially filled and ctx.Err() is returned, and callers must discard it.
 func (fe *FieldEvaluator) PotentialBatchCtx(ctx context.Context, points []geom.Vec3, sigma []float64, scale float64, out []float64, opt BatchOptions) (BatchStats, error) {
 	return fe.runBatch(ctx, len(points), opt, func(i int) {
 		out[i] = scale * fe.PotentialAt(points[i], sigma)
 	})
 }
 
-// GradBatch evaluates ∇V(points[i]) (per unit GPR, unscaled) into out[i].
-// out must have len(points).
-func (fe *FieldEvaluator) GradBatch(points []geom.Vec3, sigma []float64, out []geom.Vec3, opt BatchOptions) BatchStats {
-	//lint:ignore errdrop background context never cancels, so the error is always nil
-	//lint:ignore ctxflow synchronous compatibility wrapper; the ctx-first variant is the primary API
-	st, _ := fe.GradBatchCtx(context.Background(), points, sigma, out, opt)
-	return st
-}
-
-// GradBatchCtx is GradBatch with cooperative cancellation, mirroring
-// PotentialBatchCtx.
+// GradBatchCtx evaluates ∇V(points[i]) (per unit GPR, unscaled) into
+// out[i], with the distribution and cancellation of PotentialBatchCtx. out
+// must have len(points).
 func (fe *FieldEvaluator) GradBatchCtx(ctx context.Context, points []geom.Vec3, sigma []float64, out []geom.Vec3, opt BatchOptions) (BatchStats, error) {
 	return fe.runBatch(ctx, len(points), opt, func(i int) {
 		out[i] = fe.GradientAt(points[i], sigma)

@@ -1,6 +1,7 @@
 package bem
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -135,8 +136,14 @@ func TestPotentialBatchMatchesSequentialExactly(t *testing.T) {
 	pts := fieldEvalPoints()
 	seq := make([]float64, len(pts))
 	par := make([]float64, len(pts))
-	fe.PotentialBatch(pts, sigma, 2.5, seq, BatchOptions{Workers: 1})
-	st := fe.PotentialBatch(pts, sigma, 2.5, par, BatchOptions{Workers: 4})
+	ctx := context.Background()
+	if _, err := fe.PotentialBatchCtx(ctx, pts, sigma, 2.5, seq, BatchOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := fe.PotentialBatchCtx(ctx, pts, sigma, 2.5, par, BatchOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Sched.Iterations != len(pts) {
 		t.Errorf("stats report %d iterations, want %d", st.Sched.Iterations, len(pts))
 	}
@@ -151,7 +158,9 @@ func TestPotentialBatchMatchesSequentialExactly(t *testing.T) {
 	}
 
 	grads := make([]geom.Vec3, len(pts))
-	fe.GradBatch(pts, sigma, grads, BatchOptions{Workers: 3})
+	if _, err := fe.GradBatchCtx(ctx, pts, sigma, grads, BatchOptions{Workers: 3}); err != nil {
+		t.Fatal(err)
+	}
 	for i, x := range pts[:8] {
 		if grads[i] != fe.GradientAt(x, sigma) {
 			t.Fatalf("grad batch differs at %d", i)
@@ -185,7 +194,9 @@ func TestEvaluatorCachedAndConcurrent(t *testing.T) {
 	}
 	pts := fieldEvalPoints()
 	out := make([]float64, len(pts))
-	a.Evaluator().PotentialBatch(pts, sigma, 1, out, BatchOptions{Workers: 8})
+	if _, err := a.Evaluator().PotentialBatchCtx(context.Background(), pts, sigma, 1, out, BatchOptions{Workers: 8}); err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range out {
 		if math.IsNaN(v) {
 			t.Fatalf("NaN at point %d", i)

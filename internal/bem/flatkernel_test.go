@@ -56,7 +56,7 @@ func TestFlatKernelMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			rRef := flat.referenceMatrix()
-			rFlat, _, err := flat.Matrix()
+			rFlat, _, err := flat.MatrixCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestFlatKernelColumnsMatchMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := a.Matrix()
+	want, _, err := a.MatrixCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestArenaReuseAcrossAssemblers(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.ComputeColumn(0, csC)
-	want, _, err := aC.Matrix()
+	want, _, err := aC.MatrixCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func BenchmarkAssemblyFlat(b *testing.B) {
 	a := assemblyBenchAssembler(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := a.Matrix(); err != nil {
+		if _, _, err := a.MatrixCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package bem
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -72,7 +73,7 @@ func solvedAssembler(t *testing.T, model soil.Model) (*Assembler, []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := a.Matrix()
+	r, _, err := a.MatrixCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestGradFallbackForHankelModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := a.Matrix()
+	r, _, err := a.MatrixCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

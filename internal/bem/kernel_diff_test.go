@@ -67,9 +67,9 @@ func (c kernelDiffCase) analyze(t *testing.T) *core.Result {
 	var res *core.Result
 	var err error
 	if c.mesh != nil {
-		res, err = core.AnalyzeMesh(c.mesh, c.model, cfg)
+		res, err = core.AnalyzeMeshCtx(context.Background(), c.mesh, c.model, cfg)
 	} else {
-		res, err = core.Analyze(c.grid, c.model, cfg)
+		res, err = core.AnalyzeCtx(context.Background(), c.grid, c.model, cfg)
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
@@ -175,7 +175,7 @@ func TestMixedRefinementBalaidos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, _, err := asm.Matrix()
+		flat, _, err := asm.MatrixCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestMixedRefinementBalaidos(t *testing.T) {
 // over the grid bounds plus the figure's 20 m margin.
 func fig54Raster(t *testing.T, nx, ny int) (*core.Result, []geom.Vec3) {
 	t.Helper()
-	res, err := core.Analyze(grid.Balaidos(), soil.NewTwoLayer(0.0025, 0.020, 0.7), core.Config{
+	res, err := core.AnalyzeCtx(context.Background(), grid.Balaidos(), soil.NewTwoLayer(0.0025, 0.020, 0.7), core.Config{
 		GPR: 1, RodElements: 2, BEM: bem.Options{SeriesTol: 1e-4},
 	})
 	if err != nil {
@@ -244,7 +244,9 @@ func TestFig54RasterMatchesReference(t *testing.T) {
 	res, pts := fig54Raster(t, 56, 44)
 	asm := res.Assembler()
 	batch := make([]float64, len(pts))
-	asm.Evaluator().PotentialBatch(pts, res.Sigma, 1, batch, bem.BatchOptions{})
+	if _, err := asm.Evaluator().PotentialBatchCtx(context.Background(), pts, res.Sigma, 1, batch, bem.BatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	var maxDiff float64
 	for i, x := range pts {
 		maxDiff = math.Max(maxDiff, math.Abs(batch[i]-bem.ReferencePotential(asm, x, res.Sigma)))

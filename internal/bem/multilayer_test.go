@@ -1,6 +1,7 @@
 package bem
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -40,7 +41,7 @@ func TestThreeLayerImageAssemblyMatchesQuadrature(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := time.Now()
-		r, _, err := a.Matrix()
+		r, _, err := a.MatrixCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestMixedModeLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := a.Matrix()
+	r, _, err := a.MatrixCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

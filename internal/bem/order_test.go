@@ -1,6 +1,7 @@
 package bem
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -21,7 +22,7 @@ func reqWithOptions(t *testing.T, opt Options) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := a.Matrix()
+	r, _, err := a.MatrixCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func TestPairClassesMatchExactFlat(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := a.Matrix()
+				got, _, err := a.MatrixCtx(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,7 +196,7 @@ func mirrorMatrices(t *testing.T, m *grid.Mesh, model soil.Model, iso isometry) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out[i], _, err = a.Matrix(); err != nil {
+		if out[i], _, err = a.MatrixCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +239,7 @@ func TestPairClassWorkerInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, _, err := a.Matrix()
+		r, _, err := a.MatrixCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

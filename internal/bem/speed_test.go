@@ -3,6 +3,7 @@
 package bem_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -46,7 +47,7 @@ func TestFlatAssemblyFasterThanReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	flat := minWall(3, func() {
-		if _, _, err := asm.Matrix(); err != nil {
+		if _, _, err := asm.MatrixCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -70,7 +71,9 @@ func TestBatchedEvaluationFasterThanReference(t *testing.T) {
 	out := make([]float64, len(pts))
 	fe.PotentialAt(pts[0], res.Sigma) // build the plan outside the timings
 	batch := minWall(3, func() {
-		fe.PotentialBatch(pts, res.Sigma, 1, out, bem.BatchOptions{Workers: 1})
+		if _, err := fe.PotentialBatchCtx(context.Background(), pts, res.Sigma, 1, out, bem.BatchOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
 	})
 	ref := minWall(3, func() {
 		for i, x := range pts {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestReqConvergesUnderRefinement(t *testing.T) {
 	model := soil.NewTwoLayer(0.005, 0.016, 1.0)
 	var reqs []float64
 	for _, ml := range []float64{10, 5, 2.5, 1.25} {
-		res, err := Analyze(g, model, Config{MaxElemLen: ml})
+		res, err := AnalyzeCtx(context.Background(), g, model, Config{MaxElemLen: ml})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +45,7 @@ func TestRefinementStaysMonotoneDecreasing(t *testing.T) {
 	model := soil.NewUniform(0.02)
 	prev := math.Inf(1)
 	for _, ml := range []float64{20, 10, 5, 2.5, 1.25} {
-		res, err := Analyze(g, model, Config{MaxElemLen: ml})
+		res, err := AnalyzeCtx(context.Background(), g, model, Config{MaxElemLen: ml})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,11 +60,11 @@ func TestRefinementStaysMonotoneDecreasing(t *testing.T) {
 // the surface potentials (classic design behaviour).
 func TestDepthReducesResistance(t *testing.T) {
 	model := soil.NewUniform(0.02)
-	shallow, err := Analyze(grid.RectMesh(0, 0, 20, 20, 3, 3, 0.3, 0.006), model, Config{})
+	shallow, err := AnalyzeCtx(context.Background(), grid.RectMesh(0, 0, 20, 20, 3, 3, 0.3, 0.006), model, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deep, err := Analyze(grid.RectMesh(0, 0, 20, 20, 3, 3, 2.0, 0.006), model, Config{})
+	deep, err := AnalyzeCtx(context.Background(), grid.RectMesh(0, 0, 20, 20, 3, 3, 2.0, 0.006), model, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,15 +78,15 @@ func TestDepthReducesResistance(t *testing.T) {
 // exceeds the uniform-subsoil value; a conductive top layer lowers it.
 func TestResistiveTopLayerRaisesReq(t *testing.T) {
 	g := grid.RectMesh(0, 0, 30, 30, 4, 4, 0.8, 0.006)
-	uni, err := Analyze(g, soil.NewUniform(0.016), Config{})
+	uni, err := AnalyzeCtx(context.Background(), g, soil.NewUniform(0.016), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resTop, err := Analyze(g, soil.NewTwoLayer(0.005, 0.016, 1.0), Config{})
+	resTop, err := AnalyzeCtx(context.Background(), g, soil.NewTwoLayer(0.005, 0.016, 1.0), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	condTop, err := Analyze(g, soil.NewTwoLayer(0.05, 0.016, 1.0), Config{})
+	condTop, err := AnalyzeCtx(context.Background(), g, soil.NewTwoLayer(0.05, 0.016, 1.0), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +99,11 @@ func TestResistiveTopLayerRaisesReq(t *testing.T) {
 // TestLargerGridLowersReq: resistance scales roughly with 1/√area.
 func TestLargerGridLowersReq(t *testing.T) {
 	model := soil.NewUniform(0.02)
-	small, err := Analyze(grid.RectMesh(0, 0, 20, 20, 3, 3, 0.8, 0.006), model, Config{})
+	small, err := AnalyzeCtx(context.Background(), grid.RectMesh(0, 0, 20, 20, 3, 3, 0.8, 0.006), model, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := Analyze(grid.RectMesh(0, 0, 80, 80, 9, 9, 0.8, 0.006), model, Config{})
+	large, err := AnalyzeCtx(context.Background(), grid.RectMesh(0, 0, 80, 80, 9, 9, 0.8, 0.006), model, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

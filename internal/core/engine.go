@@ -188,46 +188,28 @@ func (r *Result) PotentialAt(x geom.Vec3) float64 {
 // Assembler exposes the underlying BEM assembler (for batch post-processing).
 func (r *Result) Assembler() *bem.Assembler { return r.asm }
 
-// Analyze runs preprocessing, matrix generation, solve and results stages on
-// a grounding grid. The grid is split at the soil-model interfaces
-// automatically.
-func Analyze(g *grid.Grid, model soil.Model, cfg Config) (*Result, error) {
-	//lint:ignore ctxflow synchronous compatibility wrapper; the ctx-first variant is the primary API
-	return analyze(context.Background(), g, nil, model, cfg, 0)
-}
-
-// AnalyzeCtx is Analyze with cooperative cancellation: the matrix-generation
-// loop observes ctx at schedule chunk boundaries (so an abandoned request
-// stops mid-assembly), and the pipeline checks ctx between stages. The solve
-// stage itself runs to completion once started — for the systems this engine
-// targets it is < 0.1 % of the assembly cost (Table 6.1).
+// AnalyzeCtx runs preprocessing, matrix generation, solve and results
+// stages on a grounding grid; the grid is split at the soil-model interfaces
+// automatically. The matrix-generation loop observes ctx at schedule chunk
+// boundaries (so an abandoned request stops mid-assembly), and the pipeline
+// checks ctx between stages. The solve stage itself runs to completion once
+// started — for the systems this engine targets it is < 0.1 % of the
+// assembly cost (Table 6.1).
 func AnalyzeCtx(ctx context.Context, g *grid.Grid, model soil.Model, cfg Config) (*Result, error) {
 	return analyze(ctx, g, nil, model, cfg, 0)
 }
 
-// AnalyzeMesh runs the pipeline on an explicitly discretized mesh, e.g. the
-// paper-exact discretizations grid.BarberaMesh and grid.BalaidosMesh. The
-// mesh must already respect the model's layer interfaces.
-func AnalyzeMesh(m *grid.Mesh, model soil.Model, cfg Config) (*Result, error) {
-	//lint:ignore ctxflow synchronous compatibility wrapper; the ctx-first variant is the primary API
-	return analyze(context.Background(), nil, m, model, cfg, 0)
-}
-
-// AnalyzeMeshCtx is AnalyzeMesh with the cancellation semantics of
-// AnalyzeCtx.
+// AnalyzeMeshCtx runs the pipeline of AnalyzeCtx on an explicitly
+// discretized mesh, e.g. the paper-exact discretizations grid.BarberaMesh and
+// grid.BalaidosMesh. The mesh must already respect the model's layer
+// interfaces.
 func AnalyzeMeshCtx(ctx context.Context, m *grid.Mesh, model soil.Model, cfg Config) (*Result, error) {
 	return analyze(ctx, nil, m, model, cfg, 0)
 }
 
-// AnalyzeReader parses a grid from r (grid text format) and analyzes it,
-// populating the Data Input stage timing.
-func AnalyzeReader(rd io.Reader, model soil.Model, cfg Config) (*Result, error) {
-	//lint:ignore ctxflow synchronous compatibility wrapper; the ctx-first variant is the primary API
-	return AnalyzeReaderCtx(context.Background(), rd, model, cfg)
-}
-
-// AnalyzeReaderCtx is AnalyzeReader with the cancellation semantics of
-// AnalyzeCtx.
+// AnalyzeReaderCtx parses a grid from rd (grid text format) and analyzes it
+// with the cancellation semantics of AnalyzeCtx, populating the Data Input
+// stage timing.
 func AnalyzeReaderCtx(ctx context.Context, rd io.Reader, model soil.Model, cfg Config) (*Result, error) {
 	start := time.Now()
 	g, err := grid.Read(rd)
@@ -401,7 +383,7 @@ func finishResults(res *Result, gpr float64) error {
 // matrix r (e.g. one the sweep engine assembled column-by-column through
 // bem.PairStore.ComputeColumn/Assemble): it runs the solve and results
 // stages exactly as the full pipeline does, so the outcome is bit-identical
-// to Analyze of the same (mesh, model, cfg) scenario. warnings are the
+// to AnalyzeCtx of the same (mesh, model, cfg) scenario. warnings are the
 // preprocessing warnings of BuildMesh; stats describes the loop that
 // generated the matrix (zero if unknown).
 func CompleteAssembled(asm *bem.Assembler, model soil.Model, r *linalg.SymMatrix, stats sched.Stats, warnings []string, cfg Config) (*Result, error) {
@@ -428,9 +410,9 @@ func CompleteAssembled(asm *bem.Assembler, model soil.Model, r *linalg.SymMatrix
 // Rehydrate rebuilds a solved Result from a previously computed unit-GPR
 // density (e.g. one replayed from groundd's durable scenario store) without
 // re-running matrix generation or the solve — the two stages that are ≫ 99 %
-// of Analyze (Table 6.1). Only the deterministic preprocessing (interface
+// of AnalyzeCtx (Table 6.1). Only the deterministic preprocessing (interface
 // splitting, discretization, assembler setup) and the results stage run, so
-// for a sigma produced by Analyze of the same (g, model, cfg) scenario the
+// for a sigma produced by AnalyzeCtx of the same (g, model, cfg) scenario the
 // rebuilt Result reports bit-identical design parameters: Req and Current
 // are recomputed with exactly the expressions finishResults uses on the
 // fresh path. The density is validated against the mesh's DoF count and the
@@ -490,7 +472,7 @@ func (r *Result) Footprint() int64 {
 // geometry) without re-assembly or re-solve: the BEM kernels scale by
 // 1/scale, so σ scales by scale, R_eq by 1/scale. asm must be an assembler
 // of the target model over the same mesh (it serves post-processing —
-// potentials, rasters — with the correct kernels; its Matrix is never
+// potentials, rasters — with the correct kernels; its MatrixCtx is never
 // called). The derivation is mathematically exact but NOT bit-identical to
 // a fresh assembly under the target model, so callers opt in explicitly.
 func ScaledResult(base *Result, model soil.Model, asm *bem.Assembler, scale, gpr float64) (*Result, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -18,7 +19,7 @@ func relDiff(a, b float64) float64 {
 
 func TestAnalyzeSmallGridUniform(t *testing.T) {
 	g := grid.RectMesh(0, 0, 20, 20, 3, 3, 0.8, 0.006)
-	res, err := Analyze(g, soil.NewUniform(0.016), Config{GPR: 10_000})
+	res, err := AnalyzeCtx(context.Background(), g, soil.NewUniform(0.016), Config{GPR: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +44,11 @@ func TestAnalyzeSmallGridUniform(t *testing.T) {
 func TestGPRScalesLinearly(t *testing.T) {
 	g := grid.RectMesh(0, 0, 15, 15, 2, 2, 0.8, 0.006)
 	model := soil.NewTwoLayer(0.005, 0.016, 1.0)
-	r1, err := Analyze(g, model, Config{GPR: 1})
+	r1, err := AnalyzeCtx(context.Background(), g, model, Config{GPR: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Analyze(g, model, Config{GPR: 10_000})
+	r2, err := AnalyzeCtx(context.Background(), g, model, Config{GPR: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +78,11 @@ func TestGPRScalesLinearly(t *testing.T) {
 func TestSolversAgree(t *testing.T) {
 	g := grid.RectMesh(0, 0, 20, 20, 3, 3, 0.8, 0.006)
 	model := soil.NewTwoLayer(0.005, 0.016, 1.0)
-	pcg, err := Analyze(g, model, Config{Solver: PCG})
+	pcg, err := AnalyzeCtx(context.Background(), g, model, Config{Solver: PCG})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chol, err := Analyze(g, model, Config{Solver: Cholesky})
+	chol, err := AnalyzeCtx(context.Background(), g, model, Config{Solver: Cholesky})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestAnalyzeSplitsAtInterfaces(t *testing.T) {
 	// A rod crossing the two-layer interface must be handled transparently.
 	g := grid.SingleRod(0, 0, 0.5, 2.0, 0.007)
 	model := soil.NewTwoLayer(0.005, 0.016, 1.0)
-	res, err := Analyze(g, model, Config{})
+	res, err := AnalyzeCtx(context.Background(), g, model, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestInterfaceDepthsProbe(t *testing.T) {
 func TestRodElementsOption(t *testing.T) {
 	g := grid.Balaidos()
 	model := soil.NewUniform(0.02)
-	res, err := Analyze(g, model, Config{RodElements: 2})
+	res, err := AnalyzeCtx(context.Background(), g, model, Config{RodElements: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +144,14 @@ conductor 0 0 0.8 10 0 0.8 0.006
 conductor 0 0 0.8 0 10 0.8 0.006
 rod 0 0 0.8 1.5 0.007
 `
-	res, err := AnalyzeReader(strings.NewReader(in), soil.NewUniform(0.02), Config{})
+	res, err := AnalyzeReaderCtx(context.Background(), strings.NewReader(in), soil.NewUniform(0.02), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Req <= 0 {
 		t.Errorf("Req = %v", res.Req)
 	}
-	if _, err := AnalyzeReader(strings.NewReader("garbage"), soil.NewUniform(0.02), Config{}); err == nil {
+	if _, err := AnalyzeReaderCtx(context.Background(), strings.NewReader("garbage"), soil.NewUniform(0.02), Config{}); err == nil {
 		t.Error("bad input accepted")
 	}
 }
@@ -160,7 +161,7 @@ func TestAnalyzeMeshPaperDiscretizations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := AnalyzeMesh(m, soil.NewUniform(0.020), Config{GPR: 10_000})
+	res, err := AnalyzeMeshCtx(context.Background(), m, soil.NewUniform(0.020), Config{GPR: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestAnalyzeMeshPaperDiscretizations(t *testing.T) {
 func TestBoundaryConditionOnElectrode(t *testing.T) {
 	g := grid.RectMesh(0, 0, 20, 20, 3, 3, 0.8, 0.006)
 	model := soil.NewTwoLayer(0.005, 0.016, 1.2)
-	res, err := Analyze(g, model, Config{GPR: 10_000, MaxElemLen: 2,
+	res, err := AnalyzeCtx(context.Background(), g, model, Config{GPR: 10_000, MaxElemLen: 2,
 		BEM: bem.Options{GaussOrder: 6, SeriesTol: 1e-9}})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +191,7 @@ func TestBoundaryConditionOnElectrode(t *testing.T) {
 
 func TestWriteReport(t *testing.T) {
 	g := grid.RectMesh(0, 0, 10, 10, 2, 2, 0.8, 0.006)
-	res, err := Analyze(g, soil.NewUniform(0.02), Config{GPR: 10_000})
+	res, err := AnalyzeCtx(context.Background(), g, soil.NewUniform(0.02), Config{GPR: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestWriteReport(t *testing.T) {
 func TestPredictedSpeedup(t *testing.T) {
 	g := grid.RectMesh(0, 0, 30, 30, 5, 5, 0.8, 0.006)
 	model := soil.NewTwoLayer(0.005, 0.016, 1.0)
-	res, err := Analyze(g, model, Config{BEM: bem.Options{Workers: 4}})
+	res, err := AnalyzeCtx(context.Background(), g, model, Config{BEM: bem.Options{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestPredictedSpeedup(t *testing.T) {
 		t.Errorf("predicted speedup = %v with 4 workers", s)
 	}
 	// Sequential run predicts 1.
-	seq, err := Analyze(g, model, Config{BEM: bem.Options{Workers: 1}})
+	seq, err := AnalyzeCtx(context.Background(), g, model, Config{BEM: bem.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,16 +230,16 @@ func TestPredictedSpeedup(t *testing.T) {
 
 func TestInvalidConfigs(t *testing.T) {
 	g := grid.RectMesh(0, 0, 10, 10, 2, 2, 0.8, 0.006)
-	if _, err := Analyze(g, soil.NewUniform(0.02), Config{GPR: -5}); err == nil {
+	if _, err := AnalyzeCtx(context.Background(), g, soil.NewUniform(0.02), Config{GPR: -5}); err == nil {
 		t.Error("negative GPR accepted")
 	}
-	if _, err := Analyze(g, soil.NewUniform(0.02), Config{Solver: SolverKind(99)}); err == nil {
+	if _, err := AnalyzeCtx(context.Background(), g, soil.NewUniform(0.02), Config{Solver: SolverKind(99)}); err == nil {
 		t.Error("unknown solver accepted")
 	}
-	if _, err := Analyze(&grid.Grid{}, soil.NewUniform(0.02), Config{}); err == nil {
+	if _, err := AnalyzeCtx(context.Background(), &grid.Grid{}, soil.NewUniform(0.02), Config{}); err == nil {
 		t.Error("empty grid accepted")
 	}
-	if _, err := Analyze(g, soil.NewUniform(0.02), Config{BEM: bem.Options{Kernel: bem.KernelStrategy(7)}}); !errors.Is(err, bem.ErrUnknownKernel) {
+	if _, err := AnalyzeCtx(context.Background(), g, soil.NewUniform(0.02), Config{BEM: bem.Options{Kernel: bem.KernelStrategy(7)}}); !errors.Is(err, bem.ErrUnknownKernel) {
 		t.Errorf("unknown kernel: err = %v, want bem.ErrUnknownKernel", err)
 	}
 }
@@ -246,7 +247,7 @@ func TestInvalidConfigs(t *testing.T) {
 func TestBondingWarning(t *testing.T) {
 	g := grid.RectMesh(0, 0, 10, 10, 2, 2, 0.8, 0.006)
 	g.AddRod(30, 30, 0.8, 2, 0.007) // floating, far from the grid
-	res, err := Analyze(g, soil.NewUniform(0.02), Config{})
+	res, err := AnalyzeCtx(context.Background(), g, soil.NewUniform(0.02), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestBondingWarning(t *testing.T) {
 		t.Error("report does not surface the warning")
 	}
 	// A bonded grid carries no warnings.
-	clean, err := Analyze(grid.RectMesh(0, 0, 10, 10, 2, 2, 0.8, 0.006), soil.NewUniform(0.02), Config{})
+	clean, err := AnalyzeCtx(context.Background(), grid.RectMesh(0, 0, 10, 10, 2, 2, 0.8, 0.006), soil.NewUniform(0.02), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -31,11 +32,13 @@ func TestFootprintTracksRetainedHeap(t *testing.T) {
 		for _, c := range [][2]float64{{0, 0}, {30 + float64(i), 0}, {0, 30}, {30 + float64(i), 30}} {
 			g.AddRod(c[0], c[1], 0.8, 3, 0.007)
 		}
-		res, err := Analyze(g, model, Config{GPR: 1, Solver: Cholesky, BEM: bem.Options{Workers: 1}})
+		res, err := AnalyzeCtx(context.Background(), g, model, Config{GPR: 1, Solver: Cholesky, BEM: bem.Options{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Assembler().Evaluator().PotentialBatch(pts, res.Sigma, 1, out, bem.BatchOptions{Workers: 1})
+		if _, err := res.Assembler().Evaluator().PotentialBatchCtx(context.Background(), pts, res.Sigma, 1, out, bem.BatchOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
 		kept = append(kept, res)
 	}
 	perResult := float64(retainedHeap()-before) / n

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -20,14 +21,14 @@ func healthyConfig() Config {
 func TestHealthCheckPassesCleanRun(t *testing.T) {
 	g := grid.RectMesh(0, 0, 15, 15, 2, 2, 0.8, 0.006)
 	model := soil.NewUniform(0.02)
-	checked, err := Analyze(g, model, healthyConfig())
+	checked, err := AnalyzeCtx(context.Background(), g, model, healthyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if checked.Condition <= 1 || math.IsInf(checked.Condition, 0) {
 		t.Errorf("Condition = %v, want a finite estimate > 1", checked.Condition)
 	}
-	plain, err := Analyze(g, model, Config{})
+	plain, err := AnalyzeCtx(context.Background(), g, model, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestHealthCheckPassesCleanRun(t *testing.T) {
 func TestHealthCheckCatchesPoisonedSystem(t *testing.T) {
 	defer faultinject.Set(faultinject.Solve, faultinject.PoisonNaN())()
 	g := grid.RectMesh(0, 0, 15, 15, 2, 2, 0.8, 0.006)
-	_, err := Analyze(g, soil.NewUniform(0.02), healthyConfig())
+	_, err := AnalyzeCtx(context.Background(), g, soil.NewUniform(0.02), healthyConfig())
 	var he *HealthError
 	if !errors.As(err, &he) {
 		t.Fatalf("err = %v, want *HealthError", err)
@@ -66,7 +67,7 @@ func TestHealthCheckCatchesPoisonedSystem(t *testing.T) {
 func TestHealthCheckUnguardedPoisonPassesThrough(t *testing.T) {
 	defer faultinject.Set(faultinject.Solve, faultinject.PoisonNaN())()
 	g := grid.RectMesh(0, 0, 15, 15, 2, 2, 0.8, 0.006)
-	_, err := Analyze(g, soil.NewUniform(0.02), Config{})
+	_, err := AnalyzeCtx(context.Background(), g, soil.NewUniform(0.02), Config{})
 	var he *HealthError
 	if errors.As(err, &he) {
 		t.Fatalf("unchecked run returned *HealthError %v; checks should be opt-in", he)
@@ -79,14 +80,14 @@ func TestHealthCheckUnguardedPoisonPassesThrough(t *testing.T) {
 func TestHealthCheckIllConditioned(t *testing.T) {
 	g := grid.RectMesh(0, 0, 15, 15, 2, 2, 0.8, 0.006)
 	model := soil.NewUniform(0.02)
-	base, err := Analyze(g, model, healthyConfig())
+	base, err := AnalyzeCtx(context.Background(), g, model, healthyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cfg := healthyConfig()
 	cfg.CondLimit = base.Condition / 2
-	_, err = Analyze(g, model, cfg)
+	_, err = AnalyzeCtx(context.Background(), g, model, cfg)
 	var he *HealthError
 	if !errors.As(err, &he) {
 		t.Fatalf("err = %v, want *HealthError", err)
@@ -99,7 +100,7 @@ func TestHealthCheckIllConditioned(t *testing.T) {
 	}
 
 	cfg.CondLimit = base.Condition * 2 // within the 10⁴ warning band
-	warned, err := Analyze(g, model, cfg)
+	warned, err := AnalyzeCtx(context.Background(), g, model, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

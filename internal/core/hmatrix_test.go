@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -29,7 +30,7 @@ func TestAnalyzeHMatrixMatchesDense(t *testing.T) {
 	model := soil.NewUniform(0.016)
 	cfg := hmatrixTestConfig()
 
-	res, err := Analyze(g, model, cfg)
+	res, err := AnalyzeCtx(context.Background(), g, model, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestAnalyzeHMatrixMatchesDense(t *testing.T) {
 
 	denseCfg := cfg
 	denseCfg.Solver = PCG
-	want, err := Analyze(g, model, denseCfg)
+	want, err := AnalyzeCtx(context.Background(), g, model, denseCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestHMatrixDenseFallbackWarning(t *testing.T) {
 	// down, the dense fallback (which never touches the H-matrix) completes.
 	defer faultinject.Set(faultinject.HMatrixCGIter, faultinject.PoisonNaN())()
 
-	res, err := Analyze(g, model, cfg)
+	res, err := AnalyzeCtx(context.Background(), g, model, cfg)
 	if err != nil {
 		t.Fatalf("fallback should have absorbed the compressed failure: %v", err)
 	}
@@ -86,7 +87,7 @@ func TestHMatrixDenseFallbackWarning(t *testing.T) {
 
 	denseCfg := cfg
 	denseCfg.Solver = PCG
-	want, err := Analyze(g, model, denseCfg)
+	want, err := AnalyzeCtx(context.Background(), g, model, denseCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestHMatrixFallbackDisabled(t *testing.T) {
 
 	defer faultinject.Set(faultinject.HMatrixCGIter, faultinject.PoisonNaN())()
 
-	_, err := Analyze(g, soil.NewUniform(0.016), cfg)
+	_, err := AnalyzeCtx(context.Background(), g, soil.NewUniform(0.016), cfg)
 	if !errors.Is(err, linalg.ErrCGBreakdown) {
 		t.Fatalf("err = %v, want linalg.ErrCGBreakdown", err)
 	}

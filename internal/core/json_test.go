@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 func TestWriteJSONRoundTrip(t *testing.T) {
 	g := grid.RectMesh(0, 0, 20, 20, 3, 3, 0.8, 0.006)
-	res, err := Analyze(g, soil.NewTwoLayer(0.005, 0.016, 1.0), Config{
+	res, err := AnalyzeCtx(context.Background(), g, soil.NewTwoLayer(0.005, 0.016, 1.0), Config{
 		GPR: 10_000,
 		BEM: bem.Options{Workers: 4},
 	})
@@ -49,7 +50,7 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 
 func TestJSONSequentialOmitsParallelFields(t *testing.T) {
 	g := grid.RectMesh(0, 0, 10, 10, 2, 2, 0.8, 0.006)
-	res, err := Analyze(g, soil.NewUniform(0.02), Config{BEM: bem.Options{Workers: 1}})
+	res, err := AnalyzeCtx(context.Background(), g, soil.NewUniform(0.02), Config{BEM: bem.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

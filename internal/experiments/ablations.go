@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -16,7 +17,7 @@ import (
 // AblationAssembly compares the paper's dependency-breaking transformation
 // (store all elemental matrices, assemble sequentially afterwards, §6.2)
 // against assembling under a mutex inside the parallel loop.
-func AblationAssembly(out io.Writer, q Quality, workers []int) (err error) {
+func AblationAssembly(ctx context.Context, out io.Writer, q Quality, workers []int) (err error) {
 	w, flush := buffered(out)
 	defer flush(&err)
 
@@ -33,7 +34,7 @@ func AblationAssembly(out io.Writer, q Quality, workers []int) (err error) {
 			opt := q.bemOptions(p)
 			opt.Assembly = mode
 			wall, err := minDuration(q.Repeats, func() (time.Duration, error) {
-				d, _, err := matrixGenTime(m, model, opt)
+				d, _, err := matrixGenTime(ctx, m, model, opt)
 				return d, err
 			})
 			if err != nil {
@@ -56,12 +57,12 @@ type SeriesTolPoint struct {
 // reports the accuracy/time trade-off that makes multilayer models so much
 // more expensive than uniform ones (§4.3: series "numerically added up until
 // a tolerance is fulfilled").
-func RunAblationSeriesTol(tols []float64, workers int) ([]SeriesTolPoint, error) {
+func RunAblationSeriesTol(ctx context.Context, tols []float64, workers int) ([]SeriesTolPoint, error) {
 	var pts []SeriesTolPoint
 	for _, tol := range tols {
 		q := Quality{SeriesTol: tol, Repeats: 1}
 		start := time.Now()
-		res, err := AnalyzeBalaidos(BalaidosModels()[2], q, workers) // model C, worst convergence
+		res, err := AnalyzeBalaidos(ctx, BalaidosModels()[2], q, workers) // model C, worst convergence
 		if err != nil {
 			return nil, err
 		}
@@ -71,11 +72,11 @@ func RunAblationSeriesTol(tols []float64, workers int) ([]SeriesTolPoint, error)
 }
 
 // AblationSeriesTol prints the tolerance sweep.
-func AblationSeriesTol(out io.Writer, workers int) (err error) {
+func AblationSeriesTol(ctx context.Context, out io.Writer, workers int) (err error) {
 	w, flush := buffered(out)
 	defer flush(&err)
 
-	pts, err := RunAblationSeriesTol([]float64{1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7}, workers)
+	pts, err := RunAblationSeriesTol(ctx, []float64{1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7}, workers)
 	if err != nil {
 		return err
 	}
@@ -89,7 +90,7 @@ func AblationSeriesTol(out io.Writer, workers int) (err error) {
 
 // AblationSolver compares the direct Cholesky solve with the diagonal
 // preconditioned CG the paper recommends (§4.3), on the Barberá system.
-func AblationSolver(out io.Writer, q Quality) (err error) {
+func AblationSolver(ctx context.Context, out io.Writer, q Quality) (err error) {
 	w, flush := buffered(out)
 	defer flush(&err)
 
@@ -103,7 +104,7 @@ func AblationSolver(out io.Writer, q Quality) (err error) {
 	if err != nil {
 		return err
 	}
-	r, _, err := a.Matrix()
+	r, _, err := a.MatrixCtx(ctx)
 	if err != nil {
 		return err
 	}
@@ -141,7 +142,7 @@ func AblationSolver(out io.Writer, q Quality) (err error) {
 // analysis in a three-layer soil, comparing the closed-form "double series"
 // image expansion (fast path, electrodes in the top layer) against the
 // numeric Hankel-transform kernels.
-func AblationThreeLayer(out io.Writer) (err error) {
+func AblationThreeLayer(ctx context.Context, out io.Writer) (err error) {
 	w, flush := buffered(out)
 	defer flush(&err)
 
@@ -152,7 +153,7 @@ func AblationThreeLayer(out io.Writer) (err error) {
 	header(w, "Ablation — three-layer soil: double-series images vs Hankel quadrature (§4.2)")
 	run := func(model soil.Model, label string) (float64, time.Duration, error) {
 		start := time.Now()
-		res, err := core.Analyze(g, model, core.Config{
+		res, err := core.AnalyzeCtx(ctx, g, model, core.Config{
 			GPR: 10_000,
 			BEM: bem.Options{SeriesTol: 1e-7, MaxGroups: 200},
 		})
@@ -209,7 +210,7 @@ func abs(x float64) float64 {
 // the perimeter (where leakage concentrates), and the sweep shows Req is
 // almost insensitive to it — which pins the residual §5.1 offset on the
 // unpublished outline rather than interior spacing (see EXPERIMENTS.md).
-func AblationGrading(out io.Writer, q Quality) (err error) {
+func AblationGrading(ctx context.Context, out io.Writer, q Quality) (err error) {
 	w, flush := buffered(out)
 	defer flush(&err)
 
@@ -222,7 +223,7 @@ func AblationGrading(out io.Writer, q Quality) (err error) {
 		if err != nil {
 			return err
 		}
-		res, err := core.AnalyzeMesh(m, BarberaUniform(), core.Config{
+		res, err := core.AnalyzeMeshCtx(ctx, m, BarberaUniform(), core.Config{
 			GPR: 10_000, BEM: q.bemOptions(0),
 		})
 		if err != nil {
@@ -241,7 +242,7 @@ func AblationGrading(out io.Writer, q Quality) (err error) {
 // The FD lattice cannot represent the thin conductor radius, so its Req
 // corresponds to an electrode of effective radius ≈ 0.3·h — the accuracy
 // gap that only shrinks with (expensively) finer lattices.
-func BaselineFDM(out io.Writer) (err error) {
+func BaselineFDM(ctx context.Context, out io.Writer) (err error) {
 	w, flush := buffered(out)
 	defer flush(&err)
 
@@ -262,7 +263,7 @@ func BaselineFDM(out io.Writer) (err error) {
 		"problem", "method", "unknowns", "Req (ohm)", "time", "CG iters")
 	for _, c := range cases {
 		start := time.Now()
-		res, err := core.Analyze(c.g, model, core.Config{MaxElemLen: 1})
+		res, err := core.AnalyzeCtx(ctx, c.g, model, core.Config{MaxElemLen: 1})
 		if err != nil {
 			return err
 		}
@@ -300,13 +301,13 @@ type ConvergencePoint struct {
 // RunAblationElements refines a 30×30 m test grid and reports Req for
 // constant and linear element families — the discretization study behind
 // the choice of Galerkin linear elements (§4.2).
-func RunAblationElements(maxLens []float64) ([]ConvergencePoint, error) {
+func RunAblationElements(ctx context.Context, maxLens []float64) ([]ConvergencePoint, error) {
 	g := grid.RectMesh(0, 0, 30, 30, 4, 4, 0.8, 0.006)
 	model := soil.NewTwoLayer(0.005, 0.016, 1.0)
 	var pts []ConvergencePoint
 	for _, kind := range []grid.ElementKind{grid.Constant, grid.Linear} {
 		for _, ml := range maxLens {
-			res, err := core.Analyze(g, model, core.Config{
+			res, err := core.AnalyzeCtx(ctx, g, model, core.Config{
 				ElementKind: kind, MaxElemLen: ml,
 			})
 			if err != nil {
@@ -319,11 +320,11 @@ func RunAblationElements(maxLens []float64) ([]ConvergencePoint, error) {
 }
 
 // AblationElements prints the element-family convergence study.
-func AblationElements(out io.Writer) (err error) {
+func AblationElements(ctx context.Context, out io.Writer) (err error) {
 	w, flush := buffered(out)
 	defer flush(&err)
 
-	pts, err := RunAblationElements([]float64{10, 5, 2.5, 1.25})
+	pts, err := RunAblationElements(ctx, []float64{10, 5, 2.5, 1.25})
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"earthing/internal/bem"
@@ -21,7 +22,7 @@ func benchBalaidosAssemblyCase(b *testing.B, soilCase int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := asm.Matrix(); err != nil {
+		if _, _, err := asm.MatrixCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

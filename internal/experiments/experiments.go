@@ -16,6 +16,7 @@ package experiments
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -95,21 +96,21 @@ func BalaidosModels() []SoilCase {
 }
 
 // AnalyzeBarbera runs the Barberá grid under the given model.
-func AnalyzeBarbera(model soil.Model, q Quality, workers int) (*core.Result, error) {
+func AnalyzeBarbera(ctx context.Context, model soil.Model, q Quality, workers int) (*core.Result, error) {
 	q = q.withDefaults()
 	m, err := grid.BarberaMesh()
 	if err != nil {
 		return nil, err
 	}
-	return core.AnalyzeMesh(m, model, core.Config{
+	return core.AnalyzeMeshCtx(ctx, m, model, core.Config{
 		GPR: 10_000, BEM: q.bemOptions(workers),
 	})
 }
 
 // AnalyzeBalaidos runs the Balaidos grid under one of the §5.2 soil cases.
-func AnalyzeBalaidos(c SoilCase, q Quality, workers int) (*core.Result, error) {
+func AnalyzeBalaidos(ctx context.Context, c SoilCase, q Quality, workers int) (*core.Result, error) {
 	q = q.withDefaults()
-	return core.Analyze(grid.Balaidos(), c.Model, core.Config{
+	return core.AnalyzeCtx(ctx, grid.Balaidos(), c.Model, core.Config{
 		GPR:         10_000,
 		RodElements: c.RodElements,
 		BEM:         q.bemOptions(workers),

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -16,7 +17,7 @@ import (
 var quick = Quick()
 
 func TestBarberaSummaryShape(t *testing.T) {
-	res, err := RunBarberaSummary(quick, 0)
+	res, err := RunBarberaSummary(context.Background(), quick, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestBarberaSummaryShape(t *testing.T) {
 }
 
 func TestTable51ShapeMatchesPaper(t *testing.T) {
-	rows, err := RunTable51(quick, 0)
+	rows, err := RunTable51(context.Background(), quick, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestTable51ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestTable61MatrixDominates(t *testing.T) {
-	res, err := RunTable61(quick)
+	res, err := RunTable61(context.Background(), quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestTable61MatrixDominates(t *testing.T) {
 
 func TestTable62PredictedSpeedupShape(t *testing.T) {
 	q := quick
-	cells, err := RunTable62(q, []int{4})
+	cells, err := RunTable62(context.Background(), q, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestTable62PredictedSpeedupShape(t *testing.T) {
 }
 
 func TestFig61OuterBeatsInner(t *testing.T) {
-	pts, err := RunFig61(quick, []int{4})
+	pts, err := RunFig61(context.Background(), quick, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestTable63ModelOrdering(t *testing.T) {
 	// concurrently running test packages cannot invert the ordering.
 	q := quick
 	q.Repeats = 3
-	rows, err := RunTable63(q, []int{1})
+	rows, err := RunTable63(context.Background(), q, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +154,10 @@ func TestTable63ModelOrdering(t *testing.T) {
 func TestFiguresEmitArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := Fig52(&buf, quick, 0, dir, 16, 20); err != nil {
+	if err := Fig52(context.Background(), &buf, quick, 0, dir, 16, 20); err != nil {
 		t.Fatal(err)
 	}
-	if err := Fig54(&buf, quick, 0, dir, 16, 12); err != nil {
+	if err := Fig54(context.Background(), &buf, quick, 0, dir, 16, 12); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -191,7 +192,7 @@ func TestPlanSVG(t *testing.T) {
 }
 
 func TestAblationSeriesTolMonotoneCost(t *testing.T) {
-	pts, err := RunAblationSeriesTol([]float64{1e-2, 1e-5}, 0)
+	pts, err := RunAblationSeriesTol(context.Background(), []float64{1e-2, 1e-5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestAblationSeriesTolMonotoneCost(t *testing.T) {
 }
 
 func TestAblationElementsConverge(t *testing.T) {
-	pts, err := RunAblationElements([]float64{10, 2.5})
+	pts, err := RunAblationElements(context.Background(), []float64{10, 2.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +229,10 @@ func TestAblationElementsConverge(t *testing.T) {
 
 func TestTextReportsRun(t *testing.T) {
 	var buf bytes.Buffer
-	if err := BarberaSummary(&buf, quick, 0); err != nil {
+	if err := BarberaSummary(context.Background(), &buf, quick, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := Table51(&buf, quick, 0); err != nil {
+	if err := Table51(context.Background(), &buf, quick, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

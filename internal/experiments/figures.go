@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -21,10 +22,9 @@ type soilModelFunc func() soil.Model
 
 // surfaceMap computes the Figure 5.2/5.4-style raster for a solved result,
 // in units of ×10 kV like the paper's contour labels.
-func surfaceMap(res *core.Result, nx, ny int) *post.Raster {
-	r := post.SurfacePotential(res.Assembler(), res.Mesh, res.Sigma, res.GPR/10_000,
+func surfaceMap(ctx context.Context, res *core.Result, nx, ny int) (*post.Raster, error) {
+	return post.SurfacePotentialCtx(ctx, res.Assembler(), res.Mesh, res.Sigma, res.GPR/10_000,
 		post.SurfaceOptions{NX: nx, NY: ny, Margin: 20})
-	return r
 }
 
 // writeFigure emits a raster as CSV, ASCII and contour SVG under dir with
@@ -54,7 +54,7 @@ func writeFigure(w io.Writer, dir, base string, r *post.Raster) error {
 // Fig52 regenerates Figure 5.2: the Barberá earth-surface potential
 // distribution (×10 kV) for the uniform and the two-layer soil model.
 // Artifacts (CSV + contour SVG) go under dir when non-empty.
-func Fig52(out io.Writer, q Quality, workers int, dir string, nx, ny int) (err error) {
+func Fig52(ctx context.Context, out io.Writer, q Quality, workers int, dir string, nx, ny int) (err error) {
 	w, flush := buffered(out)
 	defer flush(&err)
 
@@ -72,12 +72,15 @@ func Fig52(out io.Writer, q Quality, workers int, dir string, nx, ny int) (err e
 		{"uniform", BarberaUniform},
 		{"two-layer", BarberaTwoLayer},
 	} {
-		res, err := AnalyzeBarbera(c.model(), q, workers)
+		res, err := AnalyzeBarbera(ctx, c.model(), q, workers)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "\n-- %s soil model (Req = %.4f ohm) --\n", c.name, res.Req)
-		r := surfaceMap(res, nx, ny)
+		r, err := surfaceMap(ctx, res, nx, ny)
+		if err != nil {
+			return err
+		}
 		if err := writeFigure(w, dir, "fig5.2-"+c.name, r); err != nil {
 			return err
 		}
@@ -87,7 +90,7 @@ func Fig52(out io.Writer, q Quality, workers int, dir string, nx, ny int) (err e
 
 // Fig54 regenerates Figure 5.4: the Balaidos surface potential (×10 kV) for
 // soil models A, B and C.
-func Fig54(out io.Writer, q Quality, workers int, dir string, nx, ny int) (err error) {
+func Fig54(ctx context.Context, out io.Writer, q Quality, workers int, dir string, nx, ny int) (err error) {
 	w, flush := buffered(out)
 	defer flush(&err)
 
@@ -99,12 +102,15 @@ func Fig54(out io.Writer, q Quality, workers int, dir string, nx, ny int) (err e
 	}
 	header(w, "Figure 5.4 — Balaidos surface potential (×10 kV), models A/B/C")
 	for _, c := range BalaidosModels() {
-		res, err := AnalyzeBalaidos(c, q, workers)
+		res, err := AnalyzeBalaidos(ctx, c, q, workers)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "\n-- model %s (Req = %.4f ohm) --\n", c.Name, res.Req)
-		r := surfaceMap(res, nx, ny)
+		r, err := surfaceMap(ctx, res, nx, ny)
+		if err != nil {
+			return err
+		}
 		if err := writeFigure(w, dir, "fig5.4-"+c.Name, r); err != nil {
 			return err
 		}
@@ -124,7 +130,7 @@ type Fig61Point struct {
 // RunFig61 measures the Barberá two-layer matrix-generation speed-up for
 // outer- and inner-loop parallelization across worker counts, with the
 // paper's Dynamic,1 schedule.
-func RunFig61(q Quality, workers []int) ([]Fig61Point, error) {
+func RunFig61(ctx context.Context, q Quality, workers []int) ([]Fig61Point, error) {
 	q = q.withDefaults()
 	m, err := grid.BarberaMesh()
 	if err != nil {
@@ -132,7 +138,7 @@ func RunFig61(q Quality, workers []int) ([]Fig61Point, error) {
 	}
 	model := BarberaTwoLayer()
 	seq, err := minDuration(q.Repeats, func() (time.Duration, error) {
-		d, _, err := matrixGenTime(m, model, q.bemOptions(1))
+		d, _, err := matrixGenTime(ctx, m, model, q.bemOptions(1))
 		return d, err
 	})
 	if err != nil {
@@ -146,7 +152,7 @@ func RunFig61(q Quality, workers []int) ([]Fig61Point, error) {
 			opt.Schedule = sched.Schedule{Kind: sched.Dynamic, Chunk: 1}
 			var pred float64
 			wall, err := minDuration(q.Repeats, func() (time.Duration, error) {
-				d, pd, err := matrixGenTime(m, model, opt)
+				d, pd, err := matrixGenTime(ctx, m, model, opt)
 				pred = pd
 				return d, err
 			})
@@ -166,11 +172,11 @@ func RunFig61(q Quality, workers []int) ([]Fig61Point, error) {
 // Fig61 prints the outer-vs-inner speed-up series (paper: outer-loop
 // parallelization wins because its granularity is larger, and the gap grows
 // with the number of processors).
-func Fig61(out io.Writer, q Quality, workers []int) (err error) {
+func Fig61(ctx context.Context, out io.Writer, q Quality, workers []int) (err error) {
 	w, flush := buffered(out)
 	defer flush(&err)
 
-	pts, err := RunFig61(q, workers)
+	pts, err := RunFig61(ctx, q, workers)
 	if err != nil {
 		return err
 	}

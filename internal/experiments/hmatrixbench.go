@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -118,7 +119,7 @@ func powerFit(ns []float64, ts []float64, fallbackExp float64) (c, p float64) {
 }
 
 // runHMatrixRung measures one ladder point.
-func runHMatrixRung(target int, seed int64, q Quality, workers, denseCutoff int) (HMatrixRung, error) {
+func runHMatrixRung(ctx context.Context, target int, seed int64, q Quality, workers, denseCutoff int) (HMatrixRung, error) {
 	out := HMatrixRung{TargetDoF: target}
 	g := grid.Interconnected(target, seed)
 	m, err := grid.Discretize(g, grid.Linear, 0)
@@ -131,7 +132,7 @@ func runHMatrixRung(target int, seed int64, q Quality, workers, denseCutoff int)
 	opt := q.bemOptions(workers)
 	model := soil.NewTwoLayer(0.0025, 0.020, 1.0)
 
-	res, err := core.AnalyzeMesh(m, model, core.Config{
+	res, err := core.AnalyzeMeshCtx(ctx, m, model, core.Config{
 		GPR:    10_000,
 		Solver: core.SolverHMatrix,
 		BEM:    opt,
@@ -163,7 +164,7 @@ func runHMatrixRung(target int, seed int64, q Quality, workers, denseCutoff int)
 		return out, err
 	}
 	t0 := time.Now()
-	r, _, err := asm.Matrix()
+	r, _, err := asm.MatrixCtx(ctx)
 	if err != nil {
 		return out, err
 	}
@@ -185,7 +186,7 @@ func runHMatrixRung(target int, seed int64, q Quality, workers, denseCutoff int)
 
 // RunHMatrixBench sweeps the DoF ladder and assembles the scaling record.
 // workers ≤ 0 selects GOMAXPROCS.
-func RunHMatrixBench(q Quality, workers int) (HMatrixBench, error) {
+func RunHMatrixBench(ctx context.Context, q Quality, workers int) (HMatrixBench, error) {
 	q = q.withDefaults()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -197,7 +198,7 @@ func RunHMatrixBench(q Quality, workers int) (HMatrixBench, error) {
 
 	var fitN, fitAsm, fitFac []float64
 	for _, target := range targets {
-		rung, err := runHMatrixRung(target, seed, q, workers, denseCutoff)
+		rung, err := runHMatrixRung(ctx, target, seed, q, workers, denseCutoff)
 		if err != nil {
 			return out, fmt.Errorf("rung %d: %w", target, err)
 		}
@@ -238,11 +239,11 @@ func RunHMatrixBench(q Quality, workers int) (HMatrixBench, error) {
 // HMatrixScaling prints the compressed-solver scaling benchmark and, when
 // jsonPath is non-empty, writes the HMatrixBench record there
 // (BENCH_hmatrix.json in the repo convention).
-func HMatrixScaling(out io.Writer, q Quality, workers int, jsonPath string) (err error) {
+func HMatrixScaling(ctx context.Context, out io.Writer, q Quality, workers int, jsonPath string) (err error) {
 	w, flush := buffered(out)
 	defer flush(&err)
 
-	hb, err := RunHMatrixBench(q, workers)
+	hb, err := RunHMatrixBench(ctx, q, workers)
 	if err != nil {
 		return err
 	}

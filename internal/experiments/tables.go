@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -21,13 +22,13 @@ type BarberaResult struct {
 // RunBarberaSummary computes the §5.1 text numbers: Req and IΓ of the
 // Barberá grid at 10 kV GPR for the uniform and two-layer soil models
 // (paper: 0.3128 Ω / 31.97 kA and 0.3704 Ω / 26.99 kA).
-func RunBarberaSummary(q Quality, workers int) (BarberaResult, error) {
+func RunBarberaSummary(ctx context.Context, q Quality, workers int) (BarberaResult, error) {
 	var out BarberaResult
-	ru, err := AnalyzeBarbera(BarberaUniform(), q, workers)
+	ru, err := AnalyzeBarbera(ctx, BarberaUniform(), q, workers)
 	if err != nil {
 		return out, err
 	}
-	rt, err := AnalyzeBarbera(BarberaTwoLayer(), q, workers)
+	rt, err := AnalyzeBarbera(ctx, BarberaTwoLayer(), q, workers)
 	if err != nil {
 		return out, err
 	}
@@ -37,11 +38,11 @@ func RunBarberaSummary(q Quality, workers int) (BarberaResult, error) {
 }
 
 // BarberaSummary prints the §5.1 comparison.
-func BarberaSummary(out io.Writer, q Quality, workers int) (err error) {
+func BarberaSummary(ctx context.Context, out io.Writer, q Quality, workers int) (err error) {
 	w, flush := buffered(out)
 	defer flush(&err)
 
-	res, err := RunBarberaSummary(q, workers)
+	res, err := RunBarberaSummary(ctx, q, workers)
 	if err != nil {
 		return err
 	}
@@ -65,7 +66,7 @@ type Table51Row struct {
 
 // RunTable51 computes Table 5.1: the Balaidos equivalent resistance and
 // total current for soil models A, B and C.
-func RunTable51(q Quality, workers int) ([]Table51Row, error) {
+func RunTable51(ctx context.Context, q Quality, workers int) ([]Table51Row, error) {
 	paper := map[string][2]float64{
 		"A": {0.3366, 29_710},
 		"B": {0.3522, 28_390},
@@ -73,7 +74,7 @@ func RunTable51(q Quality, workers int) ([]Table51Row, error) {
 	}
 	var rows []Table51Row
 	for _, c := range BalaidosModels() {
-		res, err := AnalyzeBalaidos(c, q, workers)
+		res, err := AnalyzeBalaidos(ctx, c, q, workers)
 		if err != nil {
 			return nil, fmt.Errorf("model %s: %w", c.Name, err)
 		}
@@ -87,11 +88,11 @@ func RunTable51(q Quality, workers int) ([]Table51Row, error) {
 }
 
 // Table51 prints Table 5.1 with the paper's values alongside.
-func Table51(out io.Writer, q Quality, workers int) (err error) {
+func Table51(ctx context.Context, out io.Writer, q Quality, workers int) (err error) {
 	w, flush := buffered(out)
 	defer flush(&err)
 
-	rows, err := RunTable51(q, workers)
+	rows, err := RunTable51(ctx, q, workers)
 	if err != nil {
 		return err
 	}
@@ -115,17 +116,17 @@ type Table61Result struct {
 // RunTable61 measures the sequential per-stage times of the Barberá
 // two-layer analysis, including the data-input stage by round-tripping the
 // grid through its text format.
-func RunTable61(q Quality) (Table61Result, error) {
+func RunTable61(ctx context.Context, q Quality) (Table61Result, error) {
 	q = q.withDefaults()
 	var out Table61Result
 	// Serialize the Barberá grid so the input stage has real work to do.
 	pr, pw := io.Pipe()
-	//lint:ignore goleak bounded by the pipe: AnalyzeReader drains pr, so CloseWithError returns and the goroutine exits
+	//lint:ignore goleak bounded by the pipe: AnalyzeReaderCtx drains pr, so CloseWithError returns and the goroutine exits
 	go func() {
 		//lint:ignore errdrop io.PipeWriter.CloseWithError documents that it always returns nil
 		pw.CloseWithError(grid.Write(pw, grid.Barbera()))
 	}()
-	res, err := core.AnalyzeReader(pr, BarberaTwoLayer(), core.Config{
+	res, err := core.AnalyzeReaderCtx(ctx, pr, BarberaTwoLayer(), core.Config{
 		GPR: 10_000,
 		BEM: func() bem.Options { o := q.bemOptions(1); return o }(),
 	})
@@ -141,11 +142,11 @@ func RunTable61(q Quality) (Table61Result, error) {
 
 // Table61 prints the stage breakdown (paper: matrix generation 1723 s of a
 // 1724 s total on one O2000 processor — 99.9 % of the work).
-func Table61(out io.Writer, q Quality) (err error) {
+func Table61(ctx context.Context, out io.Writer, q Quality) (err error) {
 	w, flush := buffered(out)
 	defer flush(&err)
 
-	res, err := RunTable61(q)
+	res, err := RunTable61(ctx, q)
 	if err != nil {
 		return err
 	}
@@ -191,13 +192,13 @@ type SpeedupCell struct {
 // matrixGenTime assembles the given mesh/model once and reports the wall
 // time of the matrix-generation stage plus the simulated ideal-machine
 // speed-up of its (loop, schedule, workers) configuration.
-func matrixGenTime(m *grid.Mesh, model soil.Model, opt bem.Options) (time.Duration, float64, error) {
+func matrixGenTime(ctx context.Context, m *grid.Mesh, model soil.Model, opt bem.Options) (time.Duration, float64, error) {
 	a, err := bem.New(m, model, opt)
 	if err != nil {
 		return 0, 0, err
 	}
 	start := time.Now()
-	if _, _, err := a.Matrix(); err != nil {
+	if _, _, err := a.MatrixCtx(ctx); err != nil {
 		return 0, 0, err
 	}
 	wall := time.Since(start)
@@ -241,7 +242,7 @@ func PredictLoopSpeedup(m int, opt bem.Options) float64 {
 // RunTable62 measures the Barberá two-layer matrix-generation speed-up for
 // every schedule row of Table 6.2 across the given worker counts (the paper
 // uses 1, 2, 4, 8 O2000 processors with outer-loop parallelization).
-func RunTable62(q Quality, workers []int) ([]SpeedupCell, error) {
+func RunTable62(ctx context.Context, q Quality, workers []int) ([]SpeedupCell, error) {
 	q = q.withDefaults()
 	m, err := grid.BarberaMesh()
 	if err != nil {
@@ -250,7 +251,7 @@ func RunTable62(q Quality, workers []int) ([]SpeedupCell, error) {
 	model := BarberaTwoLayer()
 
 	seq, err := minDuration(q.Repeats, func() (time.Duration, error) {
-		d, _, err := matrixGenTime(m, model, q.bemOptions(1))
+		d, _, err := matrixGenTime(ctx, m, model, q.bemOptions(1))
 		return d, err
 	})
 	if err != nil {
@@ -264,7 +265,7 @@ func RunTable62(q Quality, workers []int) ([]SpeedupCell, error) {
 			opt.Schedule = s
 			var pred float64
 			wall, err := minDuration(q.Repeats, func() (time.Duration, error) {
-				d, pd, err := matrixGenTime(m, model, opt)
+				d, pd, err := matrixGenTime(ctx, m, model, opt)
 				pred = pd
 				return d, err
 			})
@@ -282,11 +283,11 @@ func RunTable62(q Quality, workers []int) ([]SpeedupCell, error) {
 }
 
 // Table62 prints the schedule × processors speed-up table.
-func Table62(out io.Writer, q Quality, workers []int) (err error) {
+func Table62(ctx context.Context, out io.Writer, q Quality, workers []int) (err error) {
 	w, flush := buffered(out)
 	defer flush(&err)
 
-	cells, err := RunTable62(q, workers)
+	cells, err := RunTable62(ctx, q, workers)
 	if err != nil {
 		return err
 	}
@@ -326,12 +327,12 @@ type Table63Row struct {
 // RunTable63 measures the Balaidos matrix-generation times and speed-ups
 // for soil models A, B and C across worker counts (paper Table 6.3; model A
 // is sequential-only there because it is already real-time).
-func RunTable63(q Quality, workers []int) ([]Table63Row, error) {
+func RunTable63(ctx context.Context, q Quality, workers []int) ([]Table63Row, error) {
 	q = q.withDefaults()
 	var rows []Table63Row
 	for _, c := range BalaidosModels() {
 		// Build the paper-accurate mesh through the engine preprocessing.
-		res, err := AnalyzeBalaidos(c, q, 1)
+		res, err := AnalyzeBalaidos(ctx, c, q, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -342,7 +343,7 @@ func RunTable63(q Quality, workers []int) ([]Table63Row, error) {
 			opt := q.bemOptions(p)
 			var pred float64
 			wall, err := minDuration(q.Repeats, func() (time.Duration, error) {
-				d, pd, err := matrixGenTime(mesh, c.Model, opt)
+				d, pd, err := matrixGenTime(ctx, mesh, c.Model, opt)
 				pred = pd
 				return d, err
 			})
@@ -364,11 +365,11 @@ func RunTable63(q Quality, workers []int) ([]Table63Row, error) {
 }
 
 // Table63 prints the Balaidos CPU-time/speed-up table.
-func Table63(out io.Writer, q Quality, workers []int) (err error) {
+func Table63(ctx context.Context, out io.Writer, q Quality, workers []int) (err error) {
 	w, flush := buffered(out)
 	defer flush(&err)
 
-	rows, err := RunTable63(q, workers)
+	rows, err := RunTable63(ctx, q, workers)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 func TestBaselineFDMWriter(t *testing.T) {
 	var buf bytes.Buffer
-	if err := BaselineFDM(&buf); err != nil {
+	if err := BaselineFDM(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -31,7 +32,7 @@ func TestBaselineFDMWriter(t *testing.T) {
 
 func TestAblationThreeLayerWriter(t *testing.T) {
 	var buf bytes.Buffer
-	if err := AblationThreeLayer(&buf); err != nil {
+	if err := AblationThreeLayer(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -45,7 +46,7 @@ func TestAblationThreeLayerWriter(t *testing.T) {
 
 func TestAblationSolverWriter(t *testing.T) {
 	var buf bytes.Buffer
-	if err := AblationSolver(&buf, Quick()); err != nil {
+	if err := AblationSolver(context.Background(), &buf, Quick()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -56,7 +57,7 @@ func TestAblationSolverWriter(t *testing.T) {
 
 func TestAblationElementsWriter(t *testing.T) {
 	var buf bytes.Buffer
-	if err := AblationElements(&buf); err != nil {
+	if err := AblationElements(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -67,7 +68,7 @@ func TestAblationElementsWriter(t *testing.T) {
 
 func TestFig61Writer(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Fig61(&buf, Quick(), []int{2}); err != nil {
+	if err := Fig61(context.Background(), &buf, Quick(), []int{2}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -81,7 +82,7 @@ func TestTable62And63Writers(t *testing.T) {
 		t.Skip("full schedule sweep is slow")
 	}
 	var buf bytes.Buffer
-	if err := Table63(&buf, Quick(), []int{1, 2}); err != nil {
+	if err := Table63(context.Background(), &buf, Quick(), []int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Table 6.3") {

@@ -1,6 +1,7 @@
 package fdm
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -110,7 +111,7 @@ func TestRodAgainstBEM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.AnalyzeMesh(m, soil.NewUniform(gamma), core.Config{})
+		res, err := core.AnalyzeMeshCtx(context.Background(), m, soil.NewUniform(gamma), core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func buildSystem(t *testing.T, g *grid.Grid, model soil.Model, maxElem float64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, err := asm.Matrix()
+	a, _, err := asm.MatrixCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

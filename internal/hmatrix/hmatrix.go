@@ -276,9 +276,10 @@ func (h *HMatrix) Diag() []float64 {
 }
 
 // Apply implements linalg.Operator: y = H·x in the original DoF ordering.
-// Block products run in parallel over sched.ForTiles into disjoint staging
-// ranges; the scatter into y is sequential in fixed block order, so the
-// result is bit-identical for every worker count and schedule.
+// Block products run in parallel over sched.ForTilesCtx into disjoint
+// staging ranges; the scatter into y is sequential in fixed block order, so
+// the result is bit-identical for every worker count and schedule. A
+// contained block panic is re-raised on the caller's goroutine.
 func (h *HMatrix) Apply(x, y []float64) {
 	if len(x) != h.n || len(y) != h.n {
 		panic("hmatrix: Apply dimension mismatch")
@@ -286,12 +287,15 @@ func (h *HMatrix) Apply(x, y []float64) {
 	for p, d := range h.perm {
 		h.xp[p] = x[d]
 	}
-	sched.ForTiles(len(h.blocks), 1, h.workers, h.schedule, func(lo, hi int) {
+	err := sched.ForTilesCtx(nil, len(h.blocks), 1, h.workers, h.schedule, func(lo, hi int) {
 		var w [maxRankScratch]float64
 		for i := lo; i < hi; i++ {
 			h.blocks[i].compute(h.xp, h.staging, w[:])
 		}
 	})
+	if err != nil {
+		panic(err)
+	}
 	for i := range h.yp {
 		h.yp[i] = 0
 	}

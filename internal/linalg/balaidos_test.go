@@ -1,6 +1,7 @@
 package linalg_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestBlockedMatchesReferenceOnBalaidos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, _, err := asm.Matrix()
+		r, _, err := asm.MatrixCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

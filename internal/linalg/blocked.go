@@ -19,7 +19,7 @@ import (
 //     (reference arithmetic restricted to the panel's columns);
 //  2. triangular solve — every row below the panel solves its nb panel
 //     entries against the factored diagonal block, one independent row at a
-//     time (parallelized over row tiles via sched.ForTiles);
+//     time (parallelized over row tiles via sched.ForTilesCtx);
 //  3. blocked SYRK — the trailing triangle is downdated by the panel's outer
 //     product, again over independent row tiles.
 //
@@ -79,7 +79,8 @@ func rowBase(i int) int { return i * (i + 1) / 2 }
 // algorithm described in the package comment above. The input matrix is not
 // modified. With opt.Mixed == false the returned factor (and everything
 // derived from it: Solve, Det, LogDet) is bit-identical to the column sweep's;
-// with Mixed the handle additionally retains a for refinement in Solve.
+// with Mixed the handle additionally retains a for refinement in Solve. A
+// panic inside a row tile is contained and returned as its *sched.PanicError.
 func NewCholeskyBlocked(a *SymMatrix, opt FactorOpts) (*Cholesky, error) {
 	opt = opt.withDefaults()
 	n := a.n
@@ -188,31 +189,29 @@ func NewCholeskyBlocked(a *SymMatrix, opt FactorOpts) (*Cholesky, error) {
 			}
 		}
 
+		// Below two row tiles the stages run inline (p = 1): the tile loop
+		// then visits rows in ascending order, the sequential sweep.
 		rows := n - p1
-		if opt.Workers > 1 && rows >= 2*rowTile {
-			sched.ForTiles(rows, rowTile, opt.Workers, tileSched, func(lo, hi int) {
-				for r := lo; r < hi; r++ {
-					solveRow(p1 + r)
-				}
-			})
-			if f32 != nil {
-				mirrorPanel(l, f32, p0, p1, n)
+		p := opt.Workers
+		if p < 1 || rows < 2*rowTile {
+			p = 1
+		}
+		if err := sched.ForTilesCtx(nil, rows, rowTile, p, tileSched, func(lo, hi int) {
+			for r := lo; r < hi; r++ {
+				solveRow(p1 + r)
 			}
-			sched.ForTiles(rows, rowTile, opt.Workers, tileSched, func(lo, hi int) {
-				for r := lo; r < hi; r++ {
-					syrkRow(p1 + r)
-				}
-			})
-		} else {
-			for i := p1; i < n; i++ {
-				solveRow(i)
+		}); err != nil {
+			return nil, err
+		}
+		if f32 != nil {
+			mirrorPanel(l, f32, p0, p1, n)
+		}
+		if err := sched.ForTilesCtx(nil, rows, rowTile, p, tileSched, func(lo, hi int) {
+			for r := lo; r < hi; r++ {
+				syrkRow(p1 + r)
 			}
-			if f32 != nil {
-				mirrorPanel(l, f32, p0, p1, n)
-			}
-			for i := p1; i < n; i++ {
-				syrkRow(i)
-			}
+		}); err != nil {
+			return nil, err
 		}
 	}
 	return c, nil

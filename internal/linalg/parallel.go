@@ -9,7 +9,9 @@ import "earthing/internal/sched"
 // traffic but removes all write sharing, so it scales with cores for the
 // large dense systems where the CG solve starts to matter.
 //
-// workers ≤ 1 falls back to the sequential MulVec.
+// workers ≤ 1 falls back to the sequential MulVec. The row bodies cannot
+// panic on well-formed input; should one, the contained *sched.PanicError is
+// re-raised on the caller's goroutine after every worker has joined.
 func (m *SymMatrix) MulVecParallel(x, y []float64, workers int) {
 	if len(x) != m.n || len(y) != m.n {
 		panic("linalg: MulVecParallel dimension mismatch")
@@ -20,7 +22,7 @@ func (m *SymMatrix) MulVecParallel(x, y []float64, workers int) {
 	}
 	// Dynamic chunks balance the triangular row costs.
 	s := sched.Schedule{Kind: sched.Dynamic, Chunk: 8}
-	sched.For(m.n, workers, s, func(i int) {
+	_, err := sched.ForStatsCtx(nil, m.n, workers, s, func(i, _ int) {
 		base := i * (i + 1) / 2
 		var sum float64
 		row := m.data[base : base+i+1]
@@ -37,6 +39,9 @@ func (m *SymMatrix) MulVecParallel(x, y []float64, workers int) {
 		}
 		y[i] = sum
 	})
+	if err != nil {
+		panic(err)
+	}
 }
 
 // SolveCGParallel is SolveCG with the matrix-vector products distributed

@@ -3,7 +3,10 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"earthing/internal/sched"
 )
 
 func TestMulVecParallelMatchesSerial(t *testing.T) {
@@ -105,5 +108,28 @@ func BenchmarkMulVecParallel(b *testing.B) {
 				a.MulVecParallel(x, y, w)
 			}
 		})
+	}
+}
+
+// TestMulVecParallelRepanics pins the containment contract of the one
+// loop caller without an error result: a row body that panics (here a
+// truncated packed triangle indexes out of range) surfaces on the caller's
+// goroutine as a *sched.PanicError once every worker has joined, never on a
+// worker goroutine where it would kill the process.
+func TestMulVecParallelRepanics(t *testing.T) {
+	const n = 128
+	m := &SymMatrix{n: n, data: make([]float64, n)} // far shorter than n(n+1)/2
+	x, y := make([]float64, n), make([]float64, n)
+	recovered := func() (v any) {
+		defer func() { v = recover() }()
+		m.MulVecParallel(x, y, 4)
+		return nil
+	}()
+	pe, ok := recovered.(*sched.PanicError)
+	if !ok {
+		t.Fatalf("recovered %T (%v), want *sched.PanicError", recovered, recovered)
+	}
+	if !strings.Contains(string(pe.Stack), "MulVecParallel") {
+		t.Errorf("stack does not name the faulting function:\n%s", pe.Stack)
 	}
 }

@@ -11,14 +11,25 @@ import (
 
 // TestProfilePotentialOptMatchesSerial checks the parallelized profile path
 // against direct per-point evaluation, bit-identical across worker counts
-// (same per-point arithmetic regardless of schedule).
+// (same per-point arithmetic regardless of schedule), and that a profile of
+// fewer than two points is an error, not a panic.
 func TestProfilePotentialOptMatchesSerial(t *testing.T) {
 	res := solved(t)
 	a := res.Assembler()
-	sSeq, vSeq := ProfilePotentialOpt(a, res.Sigma, res.GPR, -5, 3, 25, 17, 40,
+	ctx := context.Background()
+	sSeq, vSeq, err := ProfilePotential(ctx, a, res.Sigma, res.GPR, -5, 3, 25, 17, 40,
 		SurfaceOptions{Workers: 1})
-	sPar, vPar := ProfilePotentialOpt(a, res.Sigma, res.GPR, -5, 3, 25, 17, 40,
+	if err != nil {
+		t.Fatal(err)
+	}
+	sPar, vPar, err := ProfilePotential(ctx, a, res.Sigma, res.GPR, -5, 3, 25, 17, 40,
 		SurfaceOptions{Workers: 4, Schedule: sched.Schedule{Kind: sched.Static}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ProfilePotential(ctx, a, res.Sigma, res.GPR, 0, 0, 1, 1, 1, SurfaceOptions{}); err == nil {
+		t.Error("one-point profile accepted")
+	}
 	for i := range vSeq {
 		if sSeq[i] != sPar[i] || vSeq[i] != vPar[i] {
 			t.Fatalf("point %d: parallel (%v, %v) vs serial (%v, %v)",
@@ -42,10 +53,17 @@ func TestEFieldSurfaceMatchesRect(t *testing.T) {
 	res := solved(t)
 	a := res.Assembler()
 	opt := SurfaceOptions{NX: 9, NY: 9, Margin: 4}
-	r := EFieldSurface(a, res.Mesh, res.Sigma, res.GPR, opt)
+	ctx := context.Background()
+	r, err := EFieldSurfaceCtx(ctx, a, res.Mesh, res.Sigma, res.GPR, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := res.Mesh.Bounds()
-	want := EFieldRaster(a, res.Sigma, res.GPR,
+	want, err := EFieldRasterCtx(ctx, a, res.Sigma, res.GPR,
 		b.Min.X-4, b.Min.Y-4, b.Max.X+4, b.Max.Y+4, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range r.V {
 		if r.V[i] != want.V[i] {
 			t.Fatalf("cell %d: surface %v vs rect %v", i, r.V[i], want.V[i])

@@ -1,6 +1,8 @@
 package post
 
 import (
+	"context"
+
 	"earthing/internal/bem"
 	"earthing/internal/geom"
 )
@@ -14,8 +16,10 @@ import (
 // refract at the layer interfaces (the flux continuity condition of
 // eq. 2.3), which surface maps cannot show. Points at different depths hit
 // different observation layers; the evaluator builds one flattened plan per
-// layer on first touch.
-func CrossSection(a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, y1, maxDepth float64, opt SurfaceOptions) *Raster {
+// layer on first touch. Cancellation is observed at sample-point
+// boundaries; on cancellation the partial raster is discarded and ctx.Err()
+// returned.
+func CrossSection(ctx context.Context, a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, y1, maxDepth float64, opt SurfaceOptions) (*Raster, error) {
 	opt = opt.WithDefaults()
 	length := geom.V(x1-x0, y1-y0, 0).Norm()
 	r := &Raster{
@@ -33,6 +37,8 @@ func CrossSection(a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, 
 			pts[j*opt.NX+i] = geom.V(x0+t*(x1-x0), y0+t*(y1-y0), depth)
 		}
 	}
-	a.Evaluator().PotentialBatch(pts, sigma, scale, r.V, batchOpt(opt))
-	return r
+	if _, err := a.Evaluator().PotentialBatchCtx(ctx, pts, sigma, scale, r.V, batchOpt(opt)); err != nil {
+		return nil, err
+	}
+	return r, nil
 }

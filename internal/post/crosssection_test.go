@@ -1,6 +1,7 @@
 package post
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,7 +10,10 @@ import (
 
 func TestCrossSection(t *testing.T) {
 	res := solved(t)
-	cs := CrossSection(res.Assembler(), res.Sigma, res.GPR, -10, 10, 30, 10, 5, SurfaceOptions{NX: 21, NY: 11})
+	cs, err := CrossSection(context.Background(), res.Assembler(), res.Sigma, res.GPR, -10, 10, 30, 10, 5, SurfaceOptions{NX: 21, NY: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cs.NX != 21 || cs.NY != 11 {
 		t.Fatal("dims wrong")
 	}
@@ -45,8 +49,15 @@ func TestCrossSection(t *testing.T) {
 
 func TestCrossSectionParallelDeterministic(t *testing.T) {
 	res := solved(t)
-	a := CrossSection(res.Assembler(), res.Sigma, res.GPR, 0, 0, 20, 20, 4, SurfaceOptions{NX: 9, NY: 7, Workers: 1})
-	b := CrossSection(res.Assembler(), res.Sigma, res.GPR, 0, 0, 20, 20, 4, SurfaceOptions{NX: 9, NY: 7, Workers: 4})
+	ctx := context.Background()
+	a, err := CrossSection(ctx, res.Assembler(), res.Sigma, res.GPR, 0, 0, 20, 20, 4, SurfaceOptions{NX: 9, NY: 7, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := CrossSection(ctx, res.Assembler(), res.Sigma, res.GPR, 0, 0, 20, 20, 4, SurfaceOptions{NX: 9, NY: 7, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range a.V {
 		if a.V[i] != b.V[i] {
 			t.Fatalf("parallel cross-section differs at %d", i)

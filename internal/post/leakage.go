@@ -112,38 +112,16 @@ func WriteLeakageSummary(w io.Writer, rep LeakageReport, n int) error {
 	return bw.Flush()
 }
 
-// EFieldRaster samples the horizontal surface electric-field magnitude
+// EFieldRasterCtx samples the horizontal surface electric-field magnitude
 // |E_h|·scale on a rectangle (V/m at the caller's GPR scale when scale is
 // the GPR). Multiplied by the 1 m step distance this is the step-voltage
 // map, the gradient counterpart of the potential rasters of Figures
 // 5.2/5.4; its maxima sit at the grid edges and corners where step hazards
-// concentrate.
-func EFieldRaster(a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, y1 float64, opt SurfaceOptions) *Raster {
-	//lint:ignore errdrop background context never cancels, so the error is always nil
-	//lint:ignore ctxflow synchronous compatibility wrapper; the ctx-first variant is the primary API
-	r, _ := EFieldRasterCtx(context.Background(), a, sigma, scale, x0, y0, x1, y1, opt)
-	return r
-}
-
-// EFieldRasterCtx is EFieldRaster with cooperative cancellation at raster-
-// point boundaries; on cancellation the partial raster is discarded and
-// ctx.Err() returned.
+// concentrate. Cancellation is observed at raster-point boundaries; on
+// cancellation the partial raster is discarded and ctx.Err() returned.
 func EFieldRasterCtx(ctx context.Context, a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, y1 float64, opt SurfaceOptions) (*Raster, error) {
 	opt = opt.WithDefaults()
-	r := &Raster{
-		X0: x0, Y0: y0,
-		DX: (x1 - x0) / float64(opt.NX-1),
-		DY: (y1 - y0) / float64(opt.NY-1),
-		NX: opt.NX, NY: opt.NY,
-		V: make([]float64, opt.NX*opt.NY),
-	}
-	pts := make([]geom.Vec3, opt.NX*opt.NY)
-	for j := 0; j < opt.NY; j++ {
-		y := r.Y0 + float64(j)*r.DY
-		for i := 0; i < opt.NX; i++ {
-			pts[j*opt.NX+i] = geom.V(r.X0+float64(i)*r.DX, y, 0)
-		}
-	}
+	r, pts := surfaceRaster(x0, y0, x1, y1, opt)
 	grads := make([]geom.Vec3, len(pts))
 	if _, err := a.Evaluator().GradBatchCtx(ctx, pts, sigma, grads, batchOpt(opt)); err != nil {
 		return nil, err
@@ -155,47 +133,32 @@ func EFieldRasterCtx(ctx context.Context, a *bem.Assembler, sigma []float64, sca
 	return r, nil
 }
 
-// EFieldSurface is EFieldRaster over the mesh bounds plus opt.Margin — the
-// step-voltage map companion of SurfacePotential.
-func EFieldSurface(a *bem.Assembler, mesh interface{ Bounds() geom.AABB }, sigma []float64, scale float64, opt SurfaceOptions) *Raster {
-	//lint:ignore errdrop background context never cancels, so the error is always nil
-	//lint:ignore ctxflow synchronous compatibility wrapper; the ctx-first variant is the primary API
-	r, _ := EFieldSurfaceCtx(context.Background(), a, mesh, sigma, scale, opt)
-	return r
-}
-
-// EFieldSurfaceCtx is EFieldSurface with cooperative cancellation (see
-// EFieldRasterCtx).
+// EFieldSurfaceCtx is EFieldRasterCtx over the mesh bounds plus opt.Margin —
+// the step-voltage map companion of SurfacePotentialCtx.
 func EFieldSurfaceCtx(ctx context.Context, a *bem.Assembler, mesh interface{ Bounds() geom.AABB }, sigma []float64, scale float64, opt SurfaceOptions) (*Raster, error) {
 	opt = opt.WithDefaults()
-	b := mesh.Bounds()
-	return EFieldRasterCtx(ctx, a, sigma, scale,
-		b.Min.X-opt.Margin, b.Min.Y-opt.Margin,
-		b.Max.X+opt.Margin, b.Max.Y+opt.Margin, opt)
+	x0, y0, x1, y1 := footprint(mesh, opt)
+	return EFieldRasterCtx(ctx, a, sigma, scale, x0, y0, x1, y1, opt)
 }
 
 // StepProfileByField samples the surface electric-field magnitude along a
-// line and converts it to the per-metre step voltage |E|·1 m — the gradient
-// counterpart to ProfilePotential's finite differences.
-func StepProfileByField(a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, y1 float64, n int) (s, step []float64) {
-	if n < 2 {
-		panic("post: profile needs ≥ 2 points")
-	}
-	s = make([]float64, n)
-	step = make([]float64, n)
-	pts := make([]geom.Vec3, n)
-	length := math.Hypot(x1-x0, y1-y0)
-	for i := 0; i < n; i++ {
-		t := float64(i) / float64(n-1)
-		s[i] = t * length
-		pts[i] = geom.V(x0+t*(x1-x0), y0+t*(y1-y0), 0)
+// line at n ≥ 2 points and converts it to the per-metre step voltage
+// |E|·1 m — the gradient counterpart to ProfilePotential's finite
+// differences. On cancellation ctx.Err() is returned.
+func StepProfileByField(ctx context.Context, a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, y1 float64, n int) (s, step []float64, err error) {
+	s, pts, err := linePoints(x0, y0, x1, y1, n)
+	if err != nil {
+		return nil, nil, err
 	}
 	grads := make([]geom.Vec3, n)
-	a.Evaluator().GradBatch(pts, sigma, grads, bem.BatchOptions{})
+	if _, err := a.Evaluator().GradBatchCtx(ctx, pts, sigma, grads, bem.BatchOptions{}); err != nil {
+		return nil, nil, err
+	}
+	step = make([]float64, n)
 	for i, g := range grads {
 		// Horizontal field only: the vertical component vanishes on the
 		// surface (air is insulating) and a step spans 1 m horizontally.
 		step[i] = scale * math.Hypot(g.X, g.Y)
 	}
-	return s, step
+	return s, step, nil
 }

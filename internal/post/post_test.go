@@ -17,16 +17,26 @@ import (
 func solved(t *testing.T) *core.Result {
 	t.Helper()
 	g := grid.RectMesh(0, 0, 20, 20, 3, 3, 0.8, 0.006)
-	res, err := core.Analyze(g, soil.NewTwoLayer(0.005, 0.016, 1.0), core.Config{GPR: 10_000})
+	res, err := core.AnalyzeCtx(context.Background(), g, soil.NewTwoLayer(0.005, 0.016, 1.0), core.Config{GPR: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
+// surface samples the surface potential of res·scale, failing tb on error.
+func surface(tb testing.TB, res *core.Result, scale float64, opt SurfaceOptions) *Raster {
+	tb.Helper()
+	r, err := SurfacePotentialCtx(context.Background(), res.Assembler(), res.Mesh, res.Sigma, scale, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
 func TestSurfacePotentialRaster(t *testing.T) {
 	res := solved(t)
-	r := SurfacePotential(res.Assembler(), res.Mesh, res.Sigma, res.GPR, SurfaceOptions{NX: 21, NY: 21, Margin: 10})
+	r := surface(t, res, res.GPR, SurfaceOptions{NX: 21, NY: 21, Margin: 10})
 	if r.NX != 21 || r.NY != 21 || len(r.V) != 441 {
 		t.Fatalf("raster dims %dx%d", r.NX, r.NY)
 	}
@@ -59,8 +69,8 @@ func TestSurfacePotentialRaster(t *testing.T) {
 func TestSurfaceParallelMatchesSequential(t *testing.T) {
 	res := solved(t)
 	opt := SurfaceOptions{NX: 15, NY: 15, Margin: 5}
-	seq := SurfacePotential(res.Assembler(), res.Mesh, res.Sigma, res.GPR, func() SurfaceOptions { o := opt; o.Workers = 1; return o }())
-	par := SurfacePotential(res.Assembler(), res.Mesh, res.Sigma, res.GPR, func() SurfaceOptions { o := opt; o.Workers = 4; return o }())
+	seq := surface(t, res, res.GPR, func() SurfaceOptions { o := opt; o.Workers = 1; return o }())
+	par := surface(t, res, res.GPR, func() SurfaceOptions { o := opt; o.Workers = 4; return o }())
 	for i := range seq.V {
 		if seq.V[i] != par.V[i] {
 			t.Fatalf("parallel raster differs at %d: %v vs %v", i, seq.V[i], par.V[i])
@@ -70,7 +80,10 @@ func TestSurfaceParallelMatchesSequential(t *testing.T) {
 
 func TestProfilePotential(t *testing.T) {
 	res := solved(t)
-	s, v := ProfilePotential(res.Assembler(), res.Sigma, res.GPR, 10, 10, 200, 10, 50)
+	s, v, err := ProfilePotential(context.Background(), res.Assembler(), res.Sigma, res.GPR, 10, 10, 200, 10, 50, SurfaceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(s) != 50 || len(v) != 50 {
 		t.Fatal("wrong profile length")
 	}
@@ -206,7 +219,7 @@ func TestWriteASCII(t *testing.T) {
 
 func TestWriteSVG(t *testing.T) {
 	res := solved(t)
-	r := SurfacePotential(res.Assembler(), res.Mesh, res.Sigma, res.GPR, SurfaceOptions{NX: 25, NY: 25})
+	r := surface(t, res, res.GPR, SurfaceOptions{NX: 25, NY: 25})
 	lines := Contours(r, EquallySpacedLevels(r, 8))
 	if len(lines) == 0 {
 		t.Fatal("no contours from solved potential")
@@ -223,13 +236,13 @@ func TestWriteSVG(t *testing.T) {
 
 func BenchmarkSurfacePotential(b *testing.B) {
 	g := grid.RectMesh(0, 0, 20, 20, 3, 3, 0.8, 0.006)
-	res, err := core.Analyze(g, soil.NewTwoLayer(0.005, 0.016, 1.0), core.Config{})
+	res, err := core.AnalyzeCtx(context.Background(), g, soil.NewTwoLayer(0.005, 0.016, 1.0), core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SurfacePotential(res.Assembler(), res.Mesh, res.Sigma, 1, SurfaceOptions{NX: 16, NY: 16})
+		surface(b, res, 1, SurfaceOptions{NX: 16, NY: 16})
 	}
 }
 

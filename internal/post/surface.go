@@ -85,40 +85,40 @@ func (o SurfaceOptions) WithDefaults() SurfaceOptions {
 	return o
 }
 
-// SurfacePotential samples V(x, y, z=0)·scale over a rectangle covering the
-// mesh bounds plus margin, distributing raster rows over workers. sigma is
-// the solved DoF vector (per unit GPR); scale is typically the GPR.
-func SurfacePotential(a *bem.Assembler, mesh interface{ Bounds() geom.AABB }, sigma []float64, scale float64, opt SurfaceOptions) *Raster {
-	//lint:ignore errdrop background context never cancels, so the error is always nil
-	//lint:ignore ctxflow synchronous compatibility wrapper; the ctx-first variant is the primary API
-	r, _ := SurfacePotentialCtx(context.Background(), a, mesh, sigma, scale, opt)
-	return r
-}
-
-// SurfacePotentialCtx is SurfacePotential with cooperative cancellation at
-// raster-point boundaries; on cancellation the partial raster is discarded
-// and ctx.Err() returned.
+// SurfacePotentialCtx samples V(x, y, z=0)·scale over a rectangle covering
+// the mesh bounds plus margin, distributing raster points over workers.
+// sigma is the solved DoF vector (per unit GPR); scale is typically the GPR.
+// Cancellation is observed at raster-point boundaries; on cancellation the
+// partial raster is discarded and ctx.Err() returned.
 func SurfacePotentialCtx(ctx context.Context, a *bem.Assembler, mesh interface{ Bounds() geom.AABB }, sigma []float64, scale float64, opt SurfaceOptions) (*Raster, error) {
 	opt = opt.WithDefaults()
-	b := mesh.Bounds()
-	return SurfacePotentialRectCtx(ctx, a, sigma, scale,
-		b.Min.X-opt.Margin, b.Min.Y-opt.Margin,
-		b.Max.X+opt.Margin, b.Max.Y+opt.Margin, opt)
+	x0, y0, x1, y1 := footprint(mesh, opt)
+	return SurfacePotentialRectCtx(ctx, a, sigma, scale, x0, y0, x1, y1, opt)
 }
 
-// SurfacePotentialRect samples V·scale on an explicit rectangle
-// [x0, x1] × [y0, y1] at z = 0 through the batched field evaluator.
-func SurfacePotentialRect(a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, y1 float64, opt SurfaceOptions) *Raster {
-	//lint:ignore errdrop background context never cancels, so the error is always nil
-	//lint:ignore ctxflow synchronous compatibility wrapper; the ctx-first variant is the primary API
-	r, _ := SurfacePotentialRectCtx(context.Background(), a, sigma, scale, x0, y0, x1, y1, opt)
-	return r
-}
-
-// SurfacePotentialRectCtx is SurfacePotentialRect with cooperative
-// cancellation (see SurfacePotentialCtx).
+// SurfacePotentialRectCtx samples V·scale on an explicit rectangle
+// [x0, x1] × [y0, y1] at z = 0 through the batched field evaluator, with
+// the cancellation semantics of SurfacePotentialCtx.
 func SurfacePotentialRectCtx(ctx context.Context, a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, y1 float64, opt SurfaceOptions) (*Raster, error) {
 	opt = opt.WithDefaults()
+	r, pts := surfaceRaster(x0, y0, x1, y1, opt)
+	if _, err := a.Evaluator().PotentialBatchCtx(ctx, pts, sigma, scale, r.V, batchOpt(opt)); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// footprint returns the rectangle covering the mesh bounds plus opt.Margin.
+func footprint(mesh interface{ Bounds() geom.AABB }, opt SurfaceOptions) (x0, y0, x1, y1 float64) {
+	b := mesh.Bounds()
+	return b.Min.X - opt.Margin, b.Min.Y - opt.Margin, b.Max.X + opt.Margin, b.Max.Y + opt.Margin
+}
+
+// surfaceRaster allocates the opt.NX × opt.NY raster spanning
+// [x0, x1] × [y0, y1] and returns its surface (z = 0) sample points in
+// raster order — the point set every surface raster, potential or field,
+// is evaluated on. opt must already carry its defaults.
+func surfaceRaster(x0, y0, x1, y1 float64, opt SurfaceOptions) (*Raster, []geom.Vec3) {
 	r := &Raster{
 		X0: x0, Y0: y0,
 		DX: (x1 - x0) / float64(opt.NX-1),
@@ -133,10 +133,7 @@ func SurfacePotentialRectCtx(ctx context.Context, a *bem.Assembler, sigma []floa
 			pts[j*opt.NX+i] = geom.V(r.X0+float64(i)*r.DX, y, 0)
 		}
 	}
-	if _, err := a.Evaluator().PotentialBatchCtx(ctx, pts, sigma, scale, r.V, batchOpt(opt)); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return r, pts
 }
 
 // batchOpt forwards the worker/schedule knobs of a SurfaceOptions to the
@@ -146,29 +143,36 @@ func batchOpt(opt SurfaceOptions) bem.BatchOptions {
 }
 
 // ProfilePotential samples V·scale along the straight surface segment from
-// (x0, y0) to (x1, y1) at n evenly spaced points, returning the arc
-// coordinates and values. Useful for step-voltage profiles. Points are
-// evaluated in parallel; see ProfilePotentialOpt for worker/schedule control.
-func ProfilePotential(a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, y1 float64, n int) (s, v []float64) {
-	return ProfilePotentialOpt(a, sigma, scale, x0, y0, x1, y1, n, SurfaceOptions{})
+// (x0, y0) to (x1, y1) at n ≥ 2 evenly spaced points, returning the arc
+// coordinates and values — the raw material of step-voltage profiles.
+// Points are evaluated in parallel; only the Workers and Schedule fields of
+// opt are consulted. On cancellation ctx.Err() is returned.
+func ProfilePotential(ctx context.Context, a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, y1 float64, n int, opt SurfaceOptions) (s, v []float64, err error) {
+	s, pts, err := linePoints(x0, y0, x1, y1, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	v = make([]float64, n)
+	if _, err := a.Evaluator().PotentialBatchCtx(ctx, pts, sigma, scale, v, batchOpt(opt.WithDefaults())); err != nil {
+		return nil, nil, err
+	}
+	return s, v, nil
 }
 
-// ProfilePotentialOpt is ProfilePotential with explicit worker/schedule
-// knobs (only the Workers and Schedule fields of opt are consulted).
-func ProfilePotentialOpt(a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, y1 float64, n int, opt SurfaceOptions) (s, v []float64) {
+// linePoints returns n evenly spaced surface points on the segment from
+// (x0, y0) to (x1, y1) and their arc coordinates — the point set both line
+// profiles (potential and field) are evaluated on.
+func linePoints(x0, y0, x1, y1 float64, n int) (s []float64, pts []geom.Vec3, err error) {
 	if n < 2 {
-		panic(fmt.Sprintf("post: profile needs ≥ 2 points, got %d", n))
+		return nil, nil, fmt.Errorf("post: profile needs ≥ 2 points, got %d", n)
 	}
-	opt = opt.WithDefaults()
 	s = make([]float64, n)
-	v = make([]float64, n)
-	pts := make([]geom.Vec3, n)
+	pts = make([]geom.Vec3, n)
 	length := math.Hypot(x1-x0, y1-y0)
 	for i := 0; i < n; i++ {
 		t := float64(i) / float64(n-1)
 		s[i] = t * length
 		pts[i] = geom.V(x0+t*(x1-x0), y0+t*(y1-y0), 0)
 	}
-	a.Evaluator().PotentialBatch(pts, sigma, scale, v, batchOpt(opt))
-	return s, v
+	return s, pts, nil
 }

@@ -15,7 +15,7 @@ import (
 // replaced: sample V·gpr at stepRes over the mesh bounds plus 2 m, scan the
 // scaled raster for the step maxima, and measure every sample's conductor
 // distance inline. It is the oracle for bit-identity.
-func referenceVoltages(a *bem.Assembler, m *grid.Mesh, sigma []float64, gpr, stepRes float64) Voltages {
+func referenceVoltages(t *testing.T, a *bem.Assembler, m *grid.Mesh, sigma []float64, gpr, stepRes float64) Voltages {
 	if stepRes <= 0 {
 		stepRes = 1
 	}
@@ -24,7 +24,10 @@ func referenceVoltages(a *bem.Assembler, m *grid.Mesh, sigma []float64, gpr, ste
 	x1, y1 := b.Max.X+2, b.Max.Y+2
 	nx := max(int((x1-x0)/stepRes)+1, 2)
 	ny := max(int((y1-y0)/stepRes)+1, 2)
-	r := SurfacePotentialRect(a, sigma, gpr, x0, y0, x1, y1, SurfaceOptions{NX: nx, NY: ny})
+	r, err := SurfacePotentialRectCtx(context.Background(), a, sigma, gpr, x0, y0, x1, y1, SurfaceOptions{NX: nx, NY: ny})
+	if err != nil {
+		t.Fatal(err)
+	}
 	v := Voltages{GPR: gpr}
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
@@ -84,7 +87,7 @@ func TestVoltageFieldUnitScaleMatches(t *testing.T) {
 				t.Fatal(err)
 			}
 			memo := unit.Voltages(gpr, gpr)
-			want := referenceVoltages(a, res.Mesh, res.Sigma, gpr, stepRes)
+			want := referenceVoltages(t, a, res.Mesh, res.Sigma, gpr, stepRes)
 			if !sameBits(got, want) {
 				t.Errorf("stepRes %g, gpr %g: ComputeVoltagesCtx %+v, oracle %+v", stepRes, gpr, got, want)
 			}

@@ -93,8 +93,9 @@ type leakRow struct {
 }
 
 // BuildHTML computes the report sections from a solved analysis and renders
-// the document.
-func BuildHTML(w io.Writer, res *core.Result, g *grid.Grid, opt Options) error {
+// the document. The surface-potential raster observes ctx at raster-point
+// boundaries.
+func BuildHTML(ctx context.Context, w io.Writer, res *core.Result, g *grid.Grid, opt Options) error {
 	opt = opt.withDefaults()
 	p := page{
 		Title:    opt.Title,
@@ -122,8 +123,11 @@ func BuildHTML(w io.Writer, res *core.Result, g *grid.Grid, opt Options) error {
 	p.PlanSVG = template.HTML(plan.String()) //nolint:gosec // generated internally
 
 	// Surface potential contours.
-	raster := post.SurfacePotential(res.Assembler(), res.Mesh, res.Sigma, res.GPR,
+	raster, err := post.SurfacePotentialCtx(ctx, res.Assembler(), res.Mesh, res.Sigma, res.GPR,
 		post.SurfaceOptions{NX: opt.SurfaceNX, NY: opt.SurfaceNY})
+	if err != nil {
+		return err
+	}
 	lines := post.Contours(raster, post.EquallySpacedLevels(raster, opt.ContourLevels))
 	var contours bytes.Buffer
 	if err := post.WriteSVG(&contours, raster, lines); err != nil {

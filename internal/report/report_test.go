@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func buildSample(t *testing.T) (*core.Result, *grid.Grid) {
 	t.Helper()
 	g := grid.RectMesh(0, 0, 20, 20, 3, 3, 0.8, 0.006)
 	g.AddRod(0, 0, 0.8, 2, 0.007)
-	res, err := core.Analyze(g, soil.NewTwoLayer(0.005, 0.016, 1.0), core.Config{GPR: 5000})
+	res, err := core.AnalyzeCtx(context.Background(), g, soil.NewTwoLayer(0.005, 0.016, 1.0), core.Config{GPR: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func buildSample(t *testing.T) (*core.Result, *grid.Grid) {
 func TestBuildHTML(t *testing.T) {
 	res, g := buildSample(t)
 	var sb strings.Builder
-	err := BuildHTML(&sb, res, g, Options{
+	err := BuildHTML(context.Background(), &sb, res, g, Options{
 		Title:      "Test substation",
 		SurfaceNX:  16,
 		SurfaceNY:  16,
@@ -67,7 +68,7 @@ func TestBuildHTML(t *testing.T) {
 func TestBuildHTMLWithoutSafety(t *testing.T) {
 	res, g := buildSample(t)
 	var sb strings.Builder
-	if err := BuildHTML(&sb, res, g, Options{SurfaceNX: 12, SurfaceNY: 12}); err != nil {
+	if err := BuildHTML(context.Background(), &sb, res, g, Options{SurfaceNX: 12, SurfaceNY: 12}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(sb.String(), "IEEE Std 80 verdict") {

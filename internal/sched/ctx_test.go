@@ -17,20 +17,22 @@ var ctxKinds = []Schedule{
 	{Kind: Guided, Chunk: 2},
 }
 
-// TestForCtxCompletesWithoutError: a background context never aborts and the
-// Ctx variants match the plain ones exactly.
+// TestForCtxCompletesWithoutError: a background or nil context never
+// aborts, and every iteration runs exactly once.
 func TestForCtxCompletesWithoutError(t *testing.T) {
 	for _, s := range ctxKinds {
 		for _, p := range []int{1, 3} {
-			var n64 int64
-			err := ForCtx(context.Background(), 100, p, s, func(i int) {
-				atomic.AddInt64(&n64, 1)
-			})
-			if err != nil {
-				t.Errorf("%v p=%d: unexpected error %v", s, p, err)
-			}
-			if n64 != 100 {
-				t.Errorf("%v p=%d: ran %d iterations, want 100", s, p, n64)
+			for _, ctx := range []context.Context{context.Background(), nil} {
+				var n64 int64
+				_, err := ForStatsCtx(ctx, 100, p, s, func(i, _ int) {
+					atomic.AddInt64(&n64, 1)
+				})
+				if err != nil {
+					t.Errorf("%v p=%d: unexpected error %v", s, p, err)
+				}
+				if n64 != 100 {
+					t.Errorf("%v p=%d: ran %d iterations, want 100", s, p, n64)
+				}
 			}
 		}
 	}
@@ -44,7 +46,7 @@ func TestForCtxCancelStopsEarly(t *testing.T) {
 		for _, p := range []int{1, 4} {
 			ctx, cancel := context.WithCancel(context.Background())
 			var ran int64
-			err := ForCtx(ctx, n, p, s, func(i int) {
+			_, err := ForStatsCtx(ctx, n, p, s, func(i, _ int) {
 				if atomic.AddInt64(&ran, 1) == 50 {
 					cancel()
 				}
@@ -88,7 +90,7 @@ func TestForCtxLateCancelNoSpuriousError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran int64
-	err := ForCtx(ctx, 64, 2, Schedule{Kind: Dynamic, Chunk: 64}, func(i int) {
+	_, err := ForStatsCtx(ctx, 64, 2, Schedule{Kind: Dynamic, Chunk: 64}, func(i, _ int) {
 		if atomic.AddInt64(&ran, 1) == 64 {
 			cancel() // fires with no work left to distribute
 		}

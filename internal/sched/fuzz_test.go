@@ -42,7 +42,7 @@ func FuzzParseSchedule(f *testing.F) {
 		// An accepted schedule must actually run a loop: every iteration
 		// exactly once.
 		seen := make([]bool, 37)
-		For(len(seen), 2, s, func(i int) { seen[i] = true })
+		run(t, len(seen), 2, s, func(i, _ int) { seen[i] = true })
 		for i, ok := range seen {
 			if !ok {
 				t.Fatalf("schedule %v skipped iteration %d", s, i)

@@ -11,13 +11,12 @@ import (
 // chunks at the next schedule boundary, and the loop joins all goroutines
 // before reporting.
 //
-// The ctx variants (ForCtx, ForStatsCtx) return the *PanicError as an
-// ordinary error, so long-lived callers (servers, batch engines) degrade
-// gracefully. The non-ctx variants (For, ForStats) re-panic the *PanicError
-// on the caller's goroutine once every worker has joined, preserving
-// library semantics — a panic escapes where the caller can see (and
-// recover) it, never on an anonymous worker goroutine where it would be
-// unrecoverable and fatal to the process.
+// ForStatsCtx and ForTilesCtx return the *PanicError as an ordinary error,
+// so long-lived callers (servers, batch engines) degrade gracefully. A
+// caller with no error result (a matrix-vector product) re-raises it on its
+// own goroutine once every worker has joined, where the caller's caller can
+// see and recover it — never on an anonymous worker goroutine, where it
+// would be unrecoverable and fatal to the process.
 type PanicError struct {
 	// Value is the original value passed to panic().
 	Value any
@@ -49,7 +48,7 @@ func (e *PanicError) Unwrap() error {
 
 // UnknownScheduleError reports a Schedule whose Kind is not one of Static,
 // Dynamic or Guided reaching a parallel loop. ParseSchedule can never
-// produce one; a hand-built Schedule can, and the ctx loop variants return
+// produce one; a hand-built Schedule can, and the loops return
 // this instead of panicking mid-request (see Schedule.Validate for the
 // construction-time check).
 type UnknownScheduleError struct {

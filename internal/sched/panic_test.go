@@ -84,18 +84,23 @@ func TestPanicContainmentCtx(t *testing.T) {
 	}
 }
 
-// TestPanicRepanicNonCtx: the non-ctx variants re-raise the contained panic
-// on the caller's goroutine as a *PanicError, after all workers joined.
+// TestPanicRepanicNonCtx: a caller with no context and no error result
+// (linalg.MulVecParallel, HMatrix.Apply) passes a nil ctx and re-raises the
+// contained panic on its own goroutine; its caller recovers the
+// *PanicError, after all workers joined, with the faulting frame on the
+// captured stack.
 func TestPanicRepanicNonCtx(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
 			recovered := func() (v any) {
 				defer func() { v = recover() }()
-				ForStats(1000, p, Schedule{Kind: Dynamic, Chunk: 1}, func(i, w int) {
+				if _, err := ForStatsCtx(nil, 1000, p, Schedule{Kind: Dynamic, Chunk: 1}, func(i, w int) {
 					if i == 100 {
 						explode(i)
 					}
-				})
+				}); err != nil {
+					panic(err)
+				}
 				return nil
 			}()
 			pe, ok := recovered.(*PanicError)
@@ -143,7 +148,7 @@ func TestPanicWinsOverCancel(t *testing.T) {
 	}
 }
 
-// TestUnknownScheduleKindPanicFree: the ctx variants reject a hand-built bad
+// TestUnknownScheduleKindPanicFree: the loop rejects a hand-built bad
 // schedule kind with a typed error before any work starts; Validate catches
 // it at construction time.
 func TestUnknownScheduleKindPanicFree(t *testing.T) {
@@ -163,16 +168,6 @@ func TestUnknownScheduleKindPanicFree(t *testing.T) {
 	if ran.Load() != 0 {
 		t.Errorf("%d iterations ran under an invalid schedule", ran.Load())
 	}
-	// The non-ctx variant keeps panic semantics for this programmer error,
-	// but panics on the caller's goroutine with the same typed value.
-	defer func() {
-		if v := recover(); v == nil {
-			t.Error("ForStats did not panic on an unknown schedule kind")
-		} else if _, ok := v.(*UnknownScheduleError); !ok {
-			t.Errorf("ForStats panicked with %T, want *UnknownScheduleError", v)
-		}
-	}()
-	ForStats(128, 4, bad, func(i, w int) {})
 }
 
 // TestValidSchedulesStillComplete guards the containment plumbing: a loop

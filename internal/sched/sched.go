@@ -25,7 +25,7 @@ type Kind int
 const (
 	// Unspecified is the zero value: callers that receive it substitute
 	// their documented default (packages bem and post use Dynamic,1, the
-	// paper's best schedule). For and ForStats reject it.
+	// paper's best schedule). ForStatsCtx rejects it.
 	Unspecified Kind = iota
 	// Static splits the index range into equal blocks ahead of time. With a
 	// chunk it deals fixed-size chunks round-robin, like schedule(static,c).
@@ -57,8 +57,8 @@ func (k Kind) String() string {
 // Schedule is a schedule kind plus chunk parameter. Chunk ≤ 0 means "no
 // chunk specified": Static then pre-splits into one block per worker, while
 // Dynamic and Guided default the chunk to 1, matching OpenMP defaults.
-// The zero value has Kind Unspecified, which For rejects; option structs use
-// it to detect "use the package default".
+// The zero value has Kind Unspecified, which ForStatsCtx rejects; option
+// structs use it to detect "use the package default".
 type Schedule struct {
 	Kind  Kind
 	Chunk int
@@ -144,95 +144,21 @@ func (s Stats) Imbalance() float64 {
 	return float64(max)/mean - 1
 }
 
-// For runs body(i) for every i in [0, n) using p workers under the given
-// schedule, blocking until all iterations complete. p ≤ 0 selects
-// runtime.GOMAXPROCS(0). p = 1 executes sequentially in the calling
-// goroutine (no synchronization cost), which is the baseline the paper's
-// speed-ups are referenced to.
+// ForStatsCtx runs body(i, worker) for every i in [0, n) using p workers
+// under the given schedule, blocking until the loop finishes, and returns
+// execution statistics. It is the package's one loop (ForTilesCtx maps tile
+// ranges onto it). p ≤ 0 selects runtime.GOMAXPROCS(0); p = 1 runs
+// sequentially in the calling goroutine, the baseline the paper's speed-ups
+// are referenced to.
 //
-// A panic in a body is contained: sibling workers stop at the next chunk
-// boundary, every worker joins, and the panic is re-raised on the calling
-// goroutine as a *PanicError (carrying the original value and stack), where
-// the caller can recover it. It never escapes on a worker goroutine, which
-// would be unconditionally fatal to the process.
-func For(n, p int, s Schedule, body func(i int)) {
-	ForStats(n, p, s, func(i, _ int) { body(i) })
-}
-
-// ForStats is For with the worker id passed to the body and execution
-// statistics returned. Body panics re-raise on the calling goroutine as
-// *PanicError, as in For.
-func ForStats(n, p int, s Schedule, body func(i, worker int)) Stats {
-	st, err := forStats(nil, n, p, s, body)
-	if err != nil {
-		// With no context there is nothing to cancel, so the only errors are
-		// a contained body panic — re-raised here, on the caller's goroutine,
-		// after all workers joined — or an unknown schedule kind, which is a
-		// programmer error on the non-ctx API and keeps its panic semantics.
-		panic(err)
-	}
-	return st
-}
-
-// ForCtx is For with cooperative cancellation: workers observe ctx at every
-// chunk boundary and stop claiming new chunks once it is done. Iterations
-// already dispatched within a chunk still run to completion (the loop bodies
-// in this codebase are single element pairs or field points, so abandonment
-// latency is one body call plus one chunk). Returns ctx.Err() if the loop was
-// cut short, nil if every iteration ran.
-//
-// A panic in a body is contained and returned as a *PanicError instead of
-// crashing the process: siblings stop at the next chunk boundary, all
-// workers join, and the error carries the original panic value plus its
-// stack. A *UnknownScheduleError is returned (before any work starts) for a
-// Schedule whose kind is not Static, Dynamic or Guided.
-func ForCtx(ctx context.Context, n, p int, s Schedule, body func(i int)) error {
-	_, err := ForStatsCtx(ctx, n, p, s, func(i, _ int) { body(i) })
-	return err
-}
-
-// ForStatsCtx is ForStats with the cancellation and panic-containment
-// semantics of ForCtx. The returned Stats reflect the iterations actually
-// executed, which is fewer than n when err is non-nil.
+// Workers observe ctx at chunk boundaries and stop claiming chunks once it
+// is done, returning ctx.Err(); a nil ctx never cancels, so callers with
+// nothing to cancel pass nil instead of minting a root context. A panic in
+// a body is contained and returned as a *PanicError (siblings stop at their
+// next poll, all workers join); a Schedule whose kind is not Static,
+// Dynamic or Guided returns *UnknownScheduleError before any work starts.
+// Stats reflect the iterations actually executed.
 func ForStatsCtx(ctx context.Context, n, p int, s Schedule, body func(i, worker int)) (Stats, error) {
-	if ctx == nil {
-		//lint:ignore ctxflow nil ctx defaults to Background by documented contract, mirroring net/http
-		ctx = context.Background()
-	}
-	return forStats(ctx, n, p, s, body)
-}
-
-// canceller is the shared per-loop control block: it adapts a context into
-// the cheap per-chunk poll the inner loops use (a receive-with-default on
-// Done, nil for background contexts) and records the first contained body
-// panic, which aborts siblings the same way a cancellation does. aborted
-// records whether any worker actually cut its loop short, so a context
-// cancelled after the last iteration does not spuriously fail a completed
-// loop.
-type canceller struct {
-	done     <-chan struct{}
-	aborted  atomic.Bool
-	panicErr atomic.Pointer[PanicError]
-}
-
-// stop reports whether the loop should abandon further chunks.
-func (c *canceller) stop() bool {
-	if c.panicErr.Load() != nil {
-		return true
-	}
-	if c.done == nil {
-		return false
-	}
-	select {
-	case <-c.done:
-		c.aborted.Store(true)
-		return true
-	default:
-		return false
-	}
-}
-
-func forStats(ctx context.Context, n, p int, s Schedule, body func(i, worker int)) (Stats, error) {
 	cn := &canceller{}
 	if ctx != nil {
 		cn.done = ctx.Done()
@@ -277,25 +203,49 @@ func forStats(ctx context.Context, n, p int, s Schedule, body func(i, worker int
 		return st, cn.loopErr(ctx)
 	}
 
+	var claim func(w, k int) (lo, hi int)
 	switch s.Kind {
 	case Static:
-		runStatic(n, p, s.Chunk, safeBody, &st, cn)
+		claim = staticClaim(n, p, s.Chunk)
 	case Dynamic:
-		c := s.Chunk
-		if c < 1 {
-			c = 1
-		}
-		runDynamic(n, p, c, safeBody, &st, cn)
+		claim = dynamicClaim(n, max(s.Chunk, 1))
 	case Guided:
-		c := s.Chunk
-		if c < 1 {
-			c = 1
-		}
-		runGuided(n, p, c, safeBody, &st, cn)
+		claim = guidedClaim(n, p, max(s.Chunk, 1))
 	default:
 		return st, &UnknownScheduleError{Kind: s.Kind}
 	}
+	runWorkers(p, claim, safeBody, &st, cn)
 	return st, cn.loopErr(ctx)
+}
+
+// canceller is the shared per-loop control block: it adapts a context into
+// the cheap per-chunk poll the inner loops use (a receive-with-default on
+// Done, nil for background contexts) and records the first contained body
+// panic, which aborts siblings the same way a cancellation does. aborted
+// records whether any worker actually cut its loop short, so a context
+// cancelled after the last iteration does not spuriously fail a completed
+// loop.
+type canceller struct {
+	done     <-chan struct{}
+	aborted  atomic.Bool
+	panicErr atomic.Pointer[PanicError]
+}
+
+// stop reports whether the loop should abandon further chunks.
+func (c *canceller) stop() bool {
+	if c.panicErr.Load() != nil {
+		return true
+	}
+	if c.done == nil {
+		return false
+	}
+	select {
+	case <-c.done:
+		c.aborted.Store(true)
+		return true
+	default:
+		return false
+	}
 }
 
 // loopErr resolves how an aborted loop failed: a contained panic wins over a
@@ -311,94 +261,36 @@ func (c *canceller) loopErr(ctx context.Context) error {
 	return nil
 }
 
-// runStatic implements schedule(static) and schedule(static,c): the full
-// assignment of iterations to workers is fixed before the loop starts.
-// body reports false when its iteration panicked, which stops this worker
-// immediately (siblings stop at their next cn.stop() poll).
-func runStatic(n, p, chunk int, body func(i, w int) bool, st *Stats, cn *canceller) {
+// runWorkers runs p workers, each claiming chunks [lo, hi) from claim
+// (given its worker id and how many chunks it already claimed) until claim
+// returns an empty range. A worker polls cn before every chunk — only while
+// work remains, so a context cancelled after the final chunk does not fail
+// a completed loop — and every blockCheck iterations inside one, so a long
+// chunk (a pre-split static block, an early guided chunk) does not run to
+// completion after the loop was cancelled. body reports false when its
+// iteration panicked, which stops this worker immediately (siblings stop at
+// their next poll).
+func runWorkers(p int, claim func(w, k int) (lo, hi int), body func(i, w int) bool, st *Stats, cn *canceller) {
+	const blockCheck = 64
 	var wg sync.WaitGroup
 	wg.Add(p)
 	for w := 0; w < p; w++ {
 		go func(w int) {
 			defer wg.Done()
 			count, chunks := 0, 0
-			if chunk < 1 {
-				// One contiguous block per worker, sizes differing by ≤ 1;
-				// cancellation is polled every blockCheck iterations so a
-				// pre-split block does not run to completion after ctx ends.
-				const blockCheck = 64
-				lo := w * n / p
-				hi := (w + 1) * n / p
-				if hi > lo {
-					chunks = 1
-				}
-				for i := lo; i < hi; i++ {
-					if (i-lo)%blockCheck == 0 && cn.stop() {
-						break
-					}
-					if !body(i, w) {
-						break
-					}
-					count++
-				}
-			} else {
-				// Fixed chunks dealt round-robin: worker w owns chunks
-				// w, w+p, w+2p, …
-			chunked:
-				for base := w * chunk; base < n; base += p * chunk {
-					if cn.stop() {
-						break
-					}
-					chunks++
-					hi := base + chunk
-					if hi > n {
-						hi = n
-					}
-					for i := base; i < hi; i++ {
-						if !body(i, w) {
-							break chunked
-						}
-						count++
-					}
-				}
-			}
-			st.PerWorker[w] = count
-			st.ChunksPerWorker[w] = chunks
-		}(w)
-	}
-	wg.Wait()
-}
-
-// runDynamic implements schedule(dynamic,c): workers atomically claim the
-// next chunk of c iterations when they become idle. body reports false when
-// its iteration panicked, which stops this worker immediately.
-func runDynamic(n, p, chunk int, body func(i, w int) bool, st *Stats, cn *canceller) {
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(w int) {
-			defer wg.Done()
-			count, chunks := 0, 0
-		claim:
+		work:
 			for {
-				base := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-				if base >= n {
-					break
-				}
-				// Poll only while work remains, so a context cancelled after
-				// the final chunk does not fail a completed loop.
-				if cn.stop() {
+				lo, hi := claim(w, chunks)
+				if lo >= hi || cn.stop() {
 					break
 				}
 				chunks++
-				hi := base + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := base; i < hi; i++ {
+				for i := lo; i < hi; i++ {
+					if i > lo && (i-lo)%blockCheck == 0 && cn.stop() {
+						break work
+					}
 					if !body(i, w) {
-						break claim
+						break work
 					}
 					count++
 				}
@@ -410,60 +302,49 @@ func runDynamic(n, p, chunk int, body func(i, w int) bool, st *Stats, cn *cancel
 	wg.Wait()
 }
 
-// runGuided implements schedule(guided,c): chunk sizes start at roughly
+// staticClaim implements schedule(static) and schedule(static,c): the full
+// assignment of iterations to workers is fixed before the loop starts.
+// Without a chunk each worker owns one contiguous block, sizes differing by
+// ≤ 1; with one, fixed chunks are dealt round-robin — worker w owns chunks
+// w, w+p, w+2p, …
+func staticClaim(n, p, chunk int) func(w, k int) (lo, hi int) {
+	if chunk < 1 {
+		return func(w, k int) (lo, hi int) {
+			if k > 0 {
+				return n, n
+			}
+			return w * n / p, (w + 1) * n / p
+		}
+	}
+	return func(w, k int) (lo, hi int) {
+		lo = (w + k*p) * chunk
+		return min(lo, n), min(lo+chunk, n)
+	}
+}
+
+// dynamicClaim implements schedule(dynamic,c): an idle worker atomically
+// claims the next chunk of c iterations.
+func dynamicClaim(n, chunk int) func(w, k int) (lo, hi int) {
+	var next int64
+	return func(int, int) (lo, hi int) {
+		lo = int(atomic.AddInt64(&next, int64(chunk))) - chunk
+		return min(lo, n), min(lo+chunk, n)
+	}
+}
+
+// guidedClaim implements schedule(guided,c): chunk sizes start at roughly
 // remaining/(2p) — the proportion common OpenMP runtimes use — and decay
 // exponentially, never below c. A mutex serializes the (cheap) chunk-size
-// computation; the loop bodies run fully in parallel. body reports false
-// when its iteration panicked, which stops this worker immediately.
-func runGuided(n, p, minChunk int, body func(i, w int) bool, st *Stats, cn *canceller) {
+// computation; the loop bodies run fully in parallel.
+func guidedClaim(n, p, minChunk int) func(w, k int) (lo, hi int) {
 	var mu sync.Mutex
 	next := 0
-	grab := func() (lo, hi int) {
+	return func(int, int) (lo, hi int) {
 		mu.Lock()
 		defer mu.Unlock()
-		if next >= n {
-			return n, n
-		}
-		remaining := n - next
-		size := (remaining + 2*p - 1) / (2 * p)
-		if size < minChunk {
-			size = minChunk
-		}
-		lo = next
-		hi = lo + size
-		if hi > n {
-			hi = n
-		}
+		size := max((n-next+2*p-1)/(2*p), minChunk)
+		lo, hi = next, min(next+size, n)
 		next = hi
 		return lo, hi
 	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(w int) {
-			defer wg.Done()
-			count, chunks := 0, 0
-		claim:
-			for {
-				lo, hi := grab()
-				if lo >= hi {
-					break
-				}
-				// As in runDynamic: poll only while work remains.
-				if cn.stop() {
-					break
-				}
-				chunks++
-				for i := lo; i < hi; i++ {
-					if !body(i, w) {
-						break claim
-					}
-					count++
-				}
-			}
-			st.PerWorker[w] = count
-			st.ChunksPerWorker[w] = chunks
-		}(w)
-	}
-	wg.Wait()
 }

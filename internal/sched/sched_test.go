@@ -16,12 +16,23 @@ var allSchedules = []Schedule{
 
 // TestCoverage verifies every schedule visits each index exactly once —
 // the fundamental correctness contract of a work-sharing loop.
+// run executes body through ForStatsCtx with no context, failing tb on a
+// loop error (no body in these tests panics).
+func run(tb testing.TB, n, p int, s Schedule, body func(i, w int)) Stats {
+	tb.Helper()
+	st, err := ForStatsCtx(nil, n, p, s, body)
+	if err != nil {
+		tb.Fatalf("%v n=%d p=%d: %v", s, n, p, err)
+	}
+	return st
+}
+
 func TestCoverage(t *testing.T) {
 	for _, s := range allSchedules {
 		for _, n := range []int{0, 1, 2, 7, 100, 408, 1000} {
 			for _, p := range []int{1, 2, 3, 4, 8, 17} {
 				visits := make([]int32, n)
-				For(n, p, s, func(i int) {
+				run(t, n, p, s, func(i, _ int) {
 					atomic.AddInt32(&visits[i], 1)
 				})
 				for i, v := range visits {
@@ -42,7 +53,7 @@ func TestCoverageProperty(t *testing.T) {
 		s := allSchedules[r.Intn(len(allSchedules))]
 		var total int64
 		visits := make([]int32, n)
-		For(n, p, s, func(i int) {
+		run(t, n, p, s, func(i, _ int) {
 			atomic.AddInt32(&visits[i], 1)
 			atomic.AddInt64(&total, 1)
 		})
@@ -63,7 +74,7 @@ func TestCoverageProperty(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	for _, s := range allSchedules {
-		st := ForStats(1000, 4, s, func(i, w int) {})
+		st := run(t, 1000, 4, s, func(i, w int) {})
 		if st.Workers != 4 || st.Iterations != 1000 {
 			t.Fatalf("%v: stats header %+v", s, st)
 		}
@@ -78,7 +89,7 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestStaticNoChunkBalance(t *testing.T) {
-	st := ForStats(100, 4, Schedule{Static, 0}, func(i, w int) {})
+	st := run(t, 100, 4, Schedule{Static, 0}, func(i, w int) {})
 	for w, c := range st.PerWorker {
 		if c != 25 {
 			t.Errorf("worker %d got %d iterations, want 25", w, c)
@@ -92,7 +103,7 @@ func TestStaticNoChunkBalance(t *testing.T) {
 func TestStaticChunkRoundRobin(t *testing.T) {
 	// With static,2 and p=2 over n=8: worker0 gets {0,1,4,5}, worker1 {2,3,6,7}.
 	owner := make([]int32, 8)
-	ForStats(8, 2, Schedule{Static, 2}, func(i, w int) {
+	run(t, 8, 2, Schedule{Static, 2}, func(i, w int) {
 		atomic.StoreInt32(&owner[i], int32(w))
 	})
 	want := []int32{0, 0, 1, 1, 0, 0, 1, 1}
@@ -119,7 +130,7 @@ func TestDynamicBalancesSkewedWork(t *testing.T) {
 	}
 	elapsed := func(s Schedule) time.Duration {
 		start := time.Now()
-		For(n, p, s, work)
+		run(t, n, p, s, func(i, _ int) { work(i) })
 		return time.Since(start)
 	}
 	// Warm up.
@@ -134,7 +145,7 @@ func TestDynamicBalancesSkewedWork(t *testing.T) {
 }
 
 func TestGuidedChunkDecay(t *testing.T) {
-	st := ForStats(1024, 4, Schedule{Guided, 1}, func(i, w int) {})
+	st := run(t, 1024, 4, Schedule{Guided, 1}, func(i, w int) {})
 	totalChunks := 0
 	for _, c := range st.ChunksPerWorker {
 		totalChunks += c
@@ -149,7 +160,7 @@ func TestGuidedChunkDecay(t *testing.T) {
 func TestWorkerIDsWithinRange(t *testing.T) {
 	for _, s := range allSchedules {
 		bad := int32(0)
-		ForStats(500, 3, s, func(i, w int) {
+		run(t, 500, 3, s, func(i, w int) {
 			if w < 0 || w >= 3 {
 				atomic.StoreInt32(&bad, 1)
 			}
@@ -162,7 +173,7 @@ func TestWorkerIDsWithinRange(t *testing.T) {
 
 func TestMoreWorkersThanIterations(t *testing.T) {
 	var count int64
-	st := ForStats(3, 16, Schedule{Dynamic, 1}, func(i, w int) {
+	st := run(t, 3, 16, Schedule{Dynamic, 1}, func(i, w int) {
 		atomic.AddInt64(&count, 1)
 	})
 	if count != 3 {
@@ -232,7 +243,7 @@ func TestSequentialPathNoGoroutines(t *testing.T) {
 	// p=1 must run in the calling goroutine: body can use goroutine-unsafe
 	// state without races.
 	counter := 0
-	For(100, 1, Schedule{Dynamic, 1}, func(i int) { counter++ })
+	run(t, 100, 1, Schedule{Dynamic, 1}, func(int, int) { counter++ })
 	if counter != 100 {
 		t.Errorf("counter = %d", counter)
 	}
@@ -242,7 +253,7 @@ func BenchmarkScheduleOverhead(b *testing.B) {
 	for _, s := range []Schedule{{Static, 0}, {Dynamic, 1}, {Dynamic, 16}, {Guided, 1}} {
 		b.Run(s.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				For(4096, 4, s, func(int) {})
+				run(b, 4096, 4, s, func(int, int) {})
 			}
 		})
 	}

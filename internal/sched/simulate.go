@@ -17,7 +17,7 @@ import "fmt"
 // 4.38 speed-ups at p = 2 / 4 / 8 almost exactly.
 //
 // work[i] is the cost of cycle i in arbitrary units; cycles are handed out
-// in index order, matching ForStats.
+// in index order, matching ForStatsCtx.
 func Simulate(work []int64, p int, s Schedule) (makespan int64, perWorker []int64) {
 	n := len(work)
 	if p <= 0 {

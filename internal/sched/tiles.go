@@ -7,7 +7,7 @@ import "context"
 // single iterations, because a tile owns a cache-sized slab of the packed
 // matrix. These wrappers map a tile index space onto the existing schedule
 // machinery so tiled loops inherit the OpenMP-style schedules, cancellation
-// and panic containment of For/ForCtx.
+// and panic containment of ForStatsCtx.
 
 // NumTiles returns the number of tiles of size tile covering [0, n): the
 // last tile may be short. tile ≤ 0 is treated as 1.
@@ -21,33 +21,17 @@ func NumTiles(n, tile int) int {
 	return (n + tile - 1) / tile
 }
 
-// ForTiles runs body(lo, hi) for every tile [lo, hi) of size tile covering
-// [0, n), distributing tiles over p workers under schedule s. Tiles are
-// disjoint, so bodies writing only inside their range need no
-// synchronization. Panics in a body re-raise on the caller as *PanicError,
-// as in For.
-func ForTiles(n, tile, p int, s Schedule, body func(lo, hi int)) {
-	if tile < 1 {
-		tile = 1
-	}
-	For(NumTiles(n, tile), p, s, func(t int) {
-		lo := t * tile
-		hi := lo + tile
-		if hi > n {
-			hi = n
-		}
-		body(lo, hi)
-	})
-}
-
-// ForTilesCtx is ForTiles with the cooperative-cancellation and
-// panic-containment semantics of ForCtx: workers observe ctx at tile
-// boundaries and a contained body panic is returned as a *PanicError.
+// ForTilesCtx runs body(lo, hi) for every tile [lo, hi) of size tile
+// covering [0, n), distributing tiles over p workers under schedule s with
+// the cancellation and panic-containment semantics of ForStatsCtx: workers
+// observe ctx at tile boundaries (nil never cancels) and a contained body
+// panic is returned as a *PanicError. Tiles are disjoint, so bodies writing
+// only inside their range need no synchronization.
 func ForTilesCtx(ctx context.Context, n, tile, p int, s Schedule, body func(lo, hi int)) error {
 	if tile < 1 {
 		tile = 1
 	}
-	return ForCtx(ctx, NumTiles(n, tile), p, s, func(t int) {
+	_, err := ForStatsCtx(ctx, NumTiles(n, tile), p, s, func(t, _ int) {
 		lo := t * tile
 		hi := lo + tile
 		if hi > n {
@@ -55,4 +39,5 @@ func ForTilesCtx(ctx context.Context, n, tile, p int, s Schedule, body func(lo, 
 		}
 		body(lo, hi)
 	})
+	return err
 }

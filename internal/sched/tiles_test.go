@@ -36,7 +36,7 @@ func TestForTilesCoversDisjointly(t *testing.T) {
 			for _, p := range []int{1, 4} {
 				var mu sync.Mutex
 				seen := make([]int, n)
-				ForTiles(n, tile, p, Schedule{Kind: Dynamic, Chunk: 1}, func(lo, hi int) {
+				err := ForTilesCtx(nil, n, tile, p, Schedule{Kind: Dynamic, Chunk: 1}, func(lo, hi int) {
 					if lo < 0 || hi > n || lo >= hi {
 						t.Errorf("n=%d tile=%d: bad range [%d, %d)", n, tile, lo, hi)
 						return
@@ -47,6 +47,9 @@ func TestForTilesCoversDisjointly(t *testing.T) {
 					}
 					mu.Unlock()
 				})
+				if err != nil {
+					t.Fatalf("n=%d tile=%d p=%d: %v", n, tile, p, err)
+				}
 				for i, c := range seen {
 					if c != 1 {
 						t.Fatalf("n=%d tile=%d p=%d: index %d visited %d times", n, tile, p, i, c)

@@ -447,24 +447,36 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 // mapSolveErr translates a pipeline failure into its HTTP disposition,
-// bumping the resilience counters: a contained worker panic is a server
-// fault (500), a failed numerical health check is an unprocessable scenario
-// (422) — the request was well-formed, its system just cannot be trusted.
+// bumping the resilience counters (countFailure): a contained worker panic
+// is a server fault (500), anything else — a failed numerical health check
+// included — an unprocessable scenario (422): the request was well-formed,
+// its system just cannot be trusted.
 func (s *Server) mapSolveErr(err error) *httpError {
-	var pe *sched.PanicError
-	if errors.As(err, &pe) {
-		s.metrics.WorkerPanics.Add(1)
+	if pe := s.countFailure(err); pe != nil {
 		return &httpError{
 			status: http.StatusInternalServerError,
 			msg: fmt.Sprintf("worker panic (iteration %d, worker %d): %v",
 				pe.Iteration, pe.Worker, pe.Value),
 		}
 	}
+	return &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
+}
+
+// countFailure is groundd's one failure classifier, shared by /v1/solve
+// (mapSolveErr) and the per-scenario failures of /v1/sweep: it bumps
+// workerPanics for a contained worker panic or healthFailures for a failed
+// numerical health check, and returns the panic if it was one.
+func (s *Server) countFailure(err error) *sched.PanicError {
+	var pe *sched.PanicError
+	if errors.As(err, &pe) {
+		s.metrics.WorkerPanics.Add(1)
+		return pe
+	}
 	var he *core.HealthError
 	if errors.As(err, &he) {
 		s.metrics.HealthFailures.Add(1)
 	}
-	return &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
+	return nil
 }
 
 // solved obtains the unit-GPR solution for a scenario by walking the

@@ -1,14 +1,11 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
 	"earthing"
-	"earthing/internal/core"
-	"earthing/internal/sched"
 )
 
 // maxSweepScenarios bounds one sweep request; beyond it the request is
@@ -199,7 +196,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			// Per-scenario failure (contained worker panic or health-check
 			// rejection): this scenario reports its error on its own line —
 			// never cached — and the rest of the sweep keeps streaming.
-			s.countSweepFailure(sr.Err)
+			s.countFailure(sr.Err)
 			return sw.emit(SweepLine{
 				ID: sr.ID, Index: i, Key: b.key,
 				Cache: string(sr.Reuse), Error: sr.Err.Error(),
@@ -228,20 +225,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// as a terminal NDJSON line carrying the typed code.
 		//lint:ignore errdrop the client is the only consumer of this line; if it is gone, so is the report
 		sw.emit(SweepLine{Index: -1, Error: herr.msg, Code: errorCode(herr.status)})
-	}
-}
-
-// countSweepFailure bumps the resilience counter matching a per-scenario
-// sweep failure.
-func (s *Server) countSweepFailure(err error) {
-	var pe *sched.PanicError
-	if errors.As(err, &pe) {
-		s.metrics.WorkerPanics.Add(1)
-		return
-	}
-	var he *core.HealthError
-	if errors.As(err, &he) {
-		s.metrics.HealthFailures.Add(1)
 	}
 }
 

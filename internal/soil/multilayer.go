@@ -34,6 +34,7 @@ type MultiLayer struct {
 	gammaSeries expSeries
 	gammaPow    expSeries
 	imgCache    [][]Image
+	ladderEnd   bool // a group failed expandOnce's moment check
 }
 
 // NewMultiLayer builds a model from per-layer conductivities (top first) and
@@ -92,8 +93,9 @@ func (m *MultiLayer) Conductivity(layer int) float64 {
 // exponential series and returns the resulting real images — the "double
 // series" (three layers), "triple series" (four layers), … of §4.2. Group n
 // collects the images of the Γⁿ ladder rung, so the assembler's group-wise
-// tolerance truncation applies unchanged. Other layer pairs return
-// ok = false and callers fall back to the Hankel-transform kernel.
+// tolerance truncation applies unchanged; the ladder ends early at the last
+// group it can trust (see expandOnce). Other layer pairs return ok = false
+// and callers fall back to the Hankel-transform kernel.
 func (m *MultiLayer) ImageExpansion(src, obs, maxGroup int) ([]Image, bool) {
 	if len(m.gammas) == 1 {
 		return Uniform{Gamma: m.gammas[0]}.ImageExpansion(src, obs, maxGroup)
@@ -113,15 +115,29 @@ func (m *MultiLayer) ImageExpansion(src, obs, maxGroup int) ([]Image, bool) {
 }
 
 // expandOnce builds (and caches) the image groups up to maxGroup.
+//
+// Γ_1's geometric inversions run to convergence: every power adds at least
+// one 2·t depth, so the depth cut ends them, and maxPow only bounds the work
+// for pathologically thin layers. An inversion cut short is not the
+// physical coefficient: at contrasts |K| ≳ 0.95 the coefficients of its
+// powers grow exponentially and the depth-pruned groups lose the
+// cancellation between them, so the ladder diverges.
+//
+// A group joins the ladder only if it passes a moment check: at λ = 0 the
+// weights of group n sum to Γ_1(0)ⁿ exactly. The depth cut is exact for the
+// depths it keeps, so the missing moment δ is image mass beyond maxDepth,
+// worth a potential of order |δ|/maxDepth per unit source; a group with
+// |δ| > trustTol·maxDepth ends the ladder, which serves the groups before it.
 func (m *MultiLayer) expandOnce(maxGroup int) {
 	m.expMu.Lock()
 	defer m.expMu.Unlock()
-	if len(m.imgCache) > maxGroup && len(m.imgCache) > 0 {
+	if len(m.imgCache) > maxGroup && len(m.imgCache) > 0 || m.ladderEnd {
 		return
 	}
 	const (
 		pruneTol = 1e-10
-		maxPow   = 64
+		maxPow   = 1 << 12
+		trustTol = 1e-6
 	)
 	total := m.depths[len(m.depths)-1]
 	maxDepth := 400 * (total + 1)
@@ -144,9 +160,17 @@ func (m *MultiLayer) expandOnce(maxGroup int) {
 		})
 		m.gammaPow = newExpConst(1)
 	}
+	// At λ = 0 every inner layer is transparent (the recursion composes
+	// K_j = tanh(½·ln γ_j/γ_{j+1}) by tanh addition), so Γ_1(0) = K_{1,C}.
+	c := len(m.gammas)
+	gamma0 := (m.gammas[0] - m.gammas[c-1]) / (m.gammas[0] + m.gammas[c-1])
 	for n := len(m.imgCache); n <= maxGroup; n++ {
 		m.gammaPow = m.gammaPow.mul(m.gammaSeries).prune(pruneTol, maxDepth)
 		if len(m.gammaPow.c) == 0 {
+			break
+		}
+		if math.Abs(m.gammaPow.eval(0)-math.Pow(gamma0, float64(n))) > trustTol*maxDepth {
+			m.ladderEnd = true
 			break
 		}
 		var grp []Image

@@ -190,6 +190,42 @@ func TestChaosSweepCholeskyPanelIsolation(t *testing.T) {
 	}
 }
 
+// TestChaosSweepSolvePanicIsolation: a panic in one job's solve stage (here
+// the first panel of its blocked factorization) is contained to that job
+// like a column panic — scenario 0 fails with a *sched.PanicError while its
+// siblings complete bit-identically, instead of the panic escaping to the
+// shared loop and aborting the whole sweep.
+func TestChaosSweepSolvePanicIsolation(t *testing.T) {
+	g := chaosGrid()
+	cfg := chaosConfig()
+	// One worker makes job completion (and thus factorization) order
+	// deterministic: job 0 finalizes first and absorbs the Once fault.
+	cfg.BEM.Workers = 1
+	cfg.Solver = core.Cholesky
+	opt := Options{Config: cfg}
+	scens := chaosScenarios(5)
+
+	baseline := runChaosSweep(t, g, scens, opt)
+	for i, r := range baseline {
+		if r.Err != nil {
+			t.Fatalf("clean run: scenario %d failed: %v", i, r.Err)
+		}
+	}
+
+	defer faultinject.Set(faultinject.CholeskyPanel,
+		faultinject.Once(faultinject.Panic("injected solve fault")))()
+
+	faulty := runChaosSweep(t, g, scens, opt)
+	assertIsolated(t, baseline, faulty, map[int]bool{0: true})
+	var pe *sched.PanicError
+	if !errors.As(faulty[0].Err, &pe) {
+		t.Fatalf("victim Err = %v, want *sched.PanicError", faulty[0].Err)
+	}
+	if pe.Value != "injected solve fault" {
+		t.Errorf("PanicError.Value = %v", pe.Value)
+	}
+}
+
 // hmatrixChaosConfig selects the compressed solver with its dense fallback
 // disabled (the chaos contract is a typed per-scenario failure, not silent
 // degradation) at one worker, so job completion order is deterministic and a

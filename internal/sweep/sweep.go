@@ -388,7 +388,8 @@ func Run(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options) (
 // form).
 //
 // Faults are isolated per assembly job: a worker panic during one job's
-// columns, or a solver/health failure of one job's system, emits ReuseFailed
+// columns or its assembly and solve, or a solver/health failure of one
+// job's system, emits ReuseFailed
 // results (Err set, Res nil) for that job's scenarios while every other job
 // completes normally. Stream itself returns nil in that case — per-scenario
 // failures live on the Results, not the sweep.
@@ -465,12 +466,38 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 		}
 	}
 
+	// recoverJob, deferred by every per-job work unit (iteration global on
+	// worker w), contains a panic to that job: the job fails with the
+	// *sched.PanicError instead of the panic unwinding the shared loop and
+	// aborting every sibling job.
+	recoverJob := func(j *job, w, global int) {
+		if v := recover(); v != nil {
+			j.fail(&sched.PanicError{Value: v, Stack: debug.Stack(), Iteration: global, Worker: w})
+		}
+	}
+
+	// solveJob assembles a dense job's system and solves it at unit GPR; a
+	// failure or panic of either stage fails the job (nil result).
+	solveJob := func(j *job, w, global int) *core.Result {
+		defer recoverJob(j, w, global)
+		rmat := j.store.Assemble()
+		j.store = nil
+		cfgUnit := p.cfg
+		cfgUnit.GPR = 1
+		unit, err := core.CompleteAssembled(j.asm, j.model, rmat, sched.Stats{}, j.group.warnings, cfgUnit)
+		if err != nil {
+			j.fail(err)
+		}
+		return unit
+	}
+
 	// finalize assembles, solves and emits a completed job. It runs inside
 	// the worker that computed the job's last column while other workers
 	// continue on the remaining jobs' columns. Numerical failures (solver,
-	// health checks) fail this job alone. H-matrix jobs arrive here already
-	// solved (the unit result is stored on the job); finalize only emits.
-	finalize := func(j *job) {
+	// health checks) and panics of the solve stage fail this job alone.
+	// H-matrix jobs arrive here already solved (the unit result is stored on
+	// the job); finalize only emits.
+	finalize := func(j *job, w, global int) {
 		if ictx.Err() != nil {
 			return
 		}
@@ -485,12 +512,8 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 			solve, assembly = unit.Timings.Solve, unit.Timings.MatrixGen
 		} else {
 			t0 := time.Now()
-			rmat := j.store.Assemble()
-			j.store = nil
-			cfgUnit := p.cfg
-			cfgUnit.GPR = 1
-			unit, err = core.CompleteAssembled(j.asm, j.model, rmat, sched.Stats{}, j.group.warnings, cfgUnit)
-			if err != nil {
+			unit = solveJob(j, w, global)
+			if err := j.failed(); err != nil {
 				emitFailed(j, err)
 				return
 			}
@@ -541,11 +564,7 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 	// that job: a panicking kernel (or injected fault) marks the job failed
 	// instead of unwinding the shared loop, so sibling jobs keep assembling.
 	computeColumn := func(j *job, local, w, global int) {
-		defer func() {
-			if v := recover(); v != nil {
-				j.fail(&sched.PanicError{Value: v, Stack: debug.Stack(), Iteration: global, Worker: w})
-			}
-		}()
+		defer recoverJob(j, w, global)
 		// Largest column first within each job, matching the assembler's
 		// own outer loop so late chunks are small.
 		beta := j.asm.NumColumns() - 1 - local
@@ -572,11 +591,7 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 	// oversubscribe workers² goroutines; the division cannot change results —
 	// the compressed build and matvec are bit-identical across worker counts.
 	runHMatrixJob := func(j *job, w, global int) {
-		defer func() {
-			if v := recover(); v != nil {
-				j.fail(&sched.PanicError{Value: v, Stack: debug.Stack(), Iteration: global, Worker: w})
-			}
-		}()
+		defer recoverJob(j, w, global)
 		cfgUnit := p.cfg
 		cfgUnit.GPR = 1
 		inner := maxW / len(p.jobs)
@@ -596,12 +611,12 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 
 	// completeJob dispatches a job whose last work unit just finished: failed
 	// jobs emit error results, healthy ones assemble (dense) and emit.
-	completeJob := func(j *job) {
+	completeJob := func(j *job, w, global int) {
 		if err := j.failed(); err != nil {
 			emitFailed(j, err)
 			return
 		}
-		finalize(j)
+		finalize(j, w, global)
 	}
 
 	_, loopErr := sched.ForStatsCtx(ictx, p.total, workers, schedule, func(i, w int) {
@@ -617,7 +632,7 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 			}
 		}
 		if j.remaining.Add(-1) == 0 {
-			completeJob(j)
+			completeJob(j, w, i)
 		}
 	})
 

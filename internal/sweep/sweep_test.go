@@ -99,7 +99,7 @@ func TestSweepMatchesAnalyze(t *testing.T) {
 					}
 					seqCfg := cfg
 					seqCfg.GPR = scens[i].GPR
-					want, err := core.Analyze(gc.g, scens[i].Model, seqCfg)
+					want, err := core.AnalyzeCtx(context.Background(), gc.g, scens[i].Model, seqCfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -148,7 +148,7 @@ func TestSweepGPRReuse(t *testing.T) {
 	for _, i := range []int{0, 4, 9} {
 		seqCfg := cfg
 		seqCfg.GPR = scens[i].GPR
-		want, err := core.Analyze(g, model, seqCfg)
+		want, err := core.AnalyzeCtx(context.Background(), g, model, seqCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestSweepHMatrix(t *testing.T) {
 	for i, r := range got {
 		seqCfg := cfg
 		seqCfg.GPR = scens[i].GPR
-		want, err := core.Analyze(g, scens[i].Model, seqCfg)
+		want, err := core.AnalyzeCtx(context.Background(), g, scens[i].Model, seqCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestSweepMultiGrid(t *testing.T) {
 		}
 		seqCfg := cfg
 		seqCfg.GPR = scens[i].GPR
-		want, err := core.Analyze(scens[i].Grid, model, seqCfg)
+		want, err := core.AnalyzeCtx(context.Background(), scens[i].Grid, model, seqCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestSweepScaledTier(t *testing.T) {
 	}
 	seqCfg := cfg
 	seqCfg.GPR = 10_000
-	want, err := core.Analyze(g, double, seqCfg)
+	want, err := core.AnalyzeCtx(context.Background(), g, double, seqCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

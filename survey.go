@@ -1,6 +1,7 @@
 package earthing
 
 import (
+	"context"
 	"io"
 
 	"earthing/internal/post"
@@ -89,13 +90,15 @@ func WriteLeakageSummary(w io.Writer, rep LeakageReport, n int) error {
 }
 
 // StepVoltageProfile samples the gradient-based step voltage |E_horizontal|
-// × 1 m along a surface line.
-func StepVoltageProfile(res *Result, x0, y0, x1, y1 float64, n int) (s, step []float64) {
-	return post.StepProfileByField(res.Assembler(), res.Sigma, res.GPR, x0, y0, x1, y1, n)
+// × 1 m at n ≥ 2 points along a surface line. Cancellation is observed at
+// point boundaries.
+func StepVoltageProfile(ctx context.Context, res *Result, x0, y0, x1, y1 float64, n int) (s, step []float64, err error) {
+	return post.StepProfileByField(ctx, res.Assembler(), res.Sigma, res.GPR, x0, y0, x1, y1, n)
 }
 
 // CrossSectionPotential samples the potential on a vertical plane from
 // (x0, y0) to (x1, y1) down to maxDepth (raster X = arc length, Y = depth).
-func CrossSectionPotential(res *Result, x0, y0, x1, y1, maxDepth float64, opt SurfaceOptions) *Raster {
-	return post.CrossSection(res.Assembler(), res.Sigma, res.GPR, x0, y0, x1, y1, maxDepth, opt)
+// Cancellation is observed at sample-point boundaries.
+func CrossSectionPotential(ctx context.Context, res *Result, x0, y0, x1, y1, maxDepth float64, opt SurfaceOptions) (*Raster, error) {
+	return post.CrossSection(ctx, res.Assembler(), res.Sigma, res.GPR, x0, y0, x1, y1, maxDepth, opt)
 }

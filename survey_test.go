@@ -71,7 +71,10 @@ func TestFieldFacade(t *testing.T) {
 		t.Error("summary malformed")
 	}
 
-	s, step := earthing.StepVoltageProfile(res, 10, 10, 60, 10, 20)
+	s, step, err := earthing.StepVoltageProfile(context.Background(), res, 10, 10, 60, 10, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(s) != 20 || step[0] < 0 {
 		t.Error("step profile malformed")
 	}
@@ -90,11 +93,11 @@ func TestOptimizeFacade(t *testing.T) {
 	}
 	opt := earthing.OptimizeOptions{Starts: 2, MaxEvals: 80}
 	opt.Config.BEM.SeriesTol = 1e-2
+	opt.Config.BEM.Workers = 2
 
 	var updates int
 	best, stats, err := earthing.OptimizeStream(context.Background(), spec, opt,
-		func(p earthing.OptimizeProgress) error { updates++; return nil },
-		earthing.WithWorkers(2))
+		func(p earthing.OptimizeProgress) error { updates++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
