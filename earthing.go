@@ -143,7 +143,7 @@ type (
 	Result = core.Result
 	// StageTimings holds per-pipeline-stage durations (Table 6.1).
 	StageTimings = core.StageTimings
-	// SolverKind selects PCG, Cholesky, CholeskyMixed or SolverHMatrix.
+	// SolverKind selects PCG, Cholesky or SolverHMatrix.
 	SolverKind = core.SolverKind
 	// BEMOptions configures matrix generation (workers, schedule, loop
 	// strategy, series tolerance).
@@ -180,10 +180,6 @@ const (
 	//
 	// Deprecated: use Cholesky.
 	CholeskyBlocked = core.CholeskyBlocked
-	// CholeskyMixed adds float32 trailing updates with float64 iterative
-	// refinement; accuracy is validated per solve and the engine refactors in
-	// full precision rather than degrade silently.
-	CholeskyMixed = core.CholeskyMixed
 	// SolverHMatrix compresses the system into a hierarchical matrix (ACA on
 	// the admissible far field, dense near-field leaves) and solves it with
 	// near-field-preconditioned conjugate gradients — O(N·log N)-ish memory

@@ -256,3 +256,42 @@ func ExamplePotentialProfile() {
 	// 40 samples from 0 to 105 m
 	// potential decays away from the grid: true
 }
+
+// TestHugeWorkerCount: a parallel width far beyond any host runs no more
+// workers than a loop has iterations and sizes every per-worker buffer by
+// that, so Analyze and a surface raster at Workers = 2⁴⁰ complete and are
+// bit-identical to the sequential run.
+func TestHugeWorkerCount(t *testing.T) {
+	ctx := context.Background()
+	g := earthing.RectGrid(0, 0, 15, 15, 3, 3, 0.8, 0.006)
+	model := earthing.TwoLayerSoil(0.005, 0.016, 1.0)
+	run := func(workers int) (*earthing.Result, *earthing.Raster) {
+		t.Helper()
+		res, err := earthing.Analyze(ctx, g, model, earthing.Config{
+			Solver: earthing.Cholesky, BEM: earthing.BEMOptions{Workers: workers},
+		})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		r, err := earthing.SurfacePotential(ctx, res, earthing.SurfaceOptions{NX: 9, NY: 7, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers %d: raster: %v", workers, err)
+		}
+		return res, r
+	}
+	wantRes, wantRaster := run(1)
+	gotRes, gotRaster := run(1 << 40)
+	if math.Float64bits(gotRes.Req) != math.Float64bits(wantRes.Req) {
+		t.Errorf("Req %v at 2⁴⁰ workers, %v at 1", gotRes.Req, wantRes.Req)
+	}
+	for i := range wantRes.Sigma {
+		if math.Float64bits(gotRes.Sigma[i]) != math.Float64bits(wantRes.Sigma[i]) {
+			t.Fatalf("Sigma[%d] %v at 2⁴⁰ workers, %v at 1", i, gotRes.Sigma[i], wantRes.Sigma[i])
+		}
+	}
+	for i := range wantRaster.V {
+		if math.Float64bits(gotRaster.V[i]) != math.Float64bits(wantRaster.V[i]) {
+			t.Fatalf("raster V[%d] %v at 2⁴⁰ workers, %v at 1", i, gotRaster.V[i], wantRaster.V[i])
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -260,26 +259,20 @@ func (a *Assembler) newScratch() *pairScratch {
 func (a *Assembler) runPairLoop(ctx context.Context, cl *pairClasses, body func(c, beta int, scratch *pairScratch)) (sched.Stats, error) {
 	m := len(a.mesh.Elements)
 	p := a.opt.Workers
-	if p <= 0 {
-		p = 0 // sched resolves to GOMAXPROCS
-	}
-	maxW := p
-	if maxW <= 0 {
-		maxW = runtime.GOMAXPROCS(0)
-	}
-	scratches := make([]*pairScratch, maxW+1)
+	// Both strategies run at most sched.Width(m, p) workers: a column owns
+	// at most m classes. busy keeps one spare trailing slot because the
+	// benchmark's replay (bench/replay.go) divides by len(WorkerBusy())−1.
+	width := sched.Width(m, p)
+	scratches := make([]*pairScratch, width)
 	getScratch := func(w int) *pairScratch {
-		if w >= len(scratches) {
-			w = len(scratches) - 1
-		}
 		if scratches[w] == nil {
 			scratches[w] = a.newScratch()
 		}
 		return scratches[w]
 	}
 
-	busy := make([]time.Duration, maxW+1)
-	pairs := make([]int64, maxW+1)
+	busy := make([]time.Duration, width+1)
+	pairs := make([]int64, width)
 	defer func() {
 		a.lastBusy = busy
 		a.lastPairs = pairs
@@ -299,12 +292,8 @@ func (a *Assembler) runPairLoop(ctx context.Context, cl *pairClasses, body func(
 			for c := lo; c < hi; c++ {
 				body(c, beta, s)
 			}
-			wi := w
-			if wi >= len(busy) {
-				wi = len(busy) - 1
-			}
-			busy[wi] += time.Since(start)
-			pairs[wi] += int64(hi - lo)
+			busy[w] += time.Since(start)
+			pairs[w] += int64(hi - lo)
 		})
 	case InnerLoop:
 		// The classes of each column are distributed among workers; the
@@ -316,12 +305,8 @@ func (a *Assembler) runPairLoop(ctx context.Context, cl *pairClasses, body func(
 			st, err := sched.ForStatsCtx(ctx, hi-lo, p, a.opt.Schedule, func(i, w int) {
 				start := time.Now()
 				body(lo+i, beta, getScratch(w))
-				wi := w
-				if wi >= len(busy) {
-					wi = len(busy) - 1
-				}
-				busy[wi] += time.Since(start)
-				pairs[wi]++
+				busy[w] += time.Since(start)
+				pairs[w]++
 			})
 			agg.Iterations += st.Iterations
 			if st.Workers > agg.Workers {

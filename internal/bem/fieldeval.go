@@ -3,7 +3,6 @@ package bem
 import (
 	"context"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -541,18 +540,11 @@ func (fe *FieldEvaluator) GradBatchCtx(ctx context.Context, points []geom.Vec3, 
 // runBatch distributes body over n points with per-worker busy tracking.
 func (fe *FieldEvaluator) runBatch(ctx context.Context, n int, opt BatchOptions, body func(i int)) (BatchStats, error) {
 	opt = opt.withDefaults()
-	maxW := opt.Workers
-	if maxW <= 0 {
-		maxW = runtime.GOMAXPROCS(0)
-	}
-	busy := make([]time.Duration, maxW+1)
+	busy := make([]time.Duration, sched.Width(n, opt.Workers))
 	start := time.Now()
 	st, err := sched.ForStatsCtx(ctx, n, opt.Workers, opt.Schedule, func(i, wk int) {
 		t0 := time.Now()
 		body(i)
-		if wk >= len(busy) {
-			wk = len(busy) - 1
-		}
 		busy[wk] += time.Since(t0)
 	})
 	return BatchStats{Sched: st, Busy: busy[:st.Workers], Wall: time.Since(start)}, err

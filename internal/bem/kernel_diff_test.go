@@ -3,7 +3,6 @@ package bem_test
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 
 	"earthing"
@@ -17,8 +16,8 @@ import (
 
 // The differential suite of the production pipeline against the closed-form
 // oracles of the package tests (bem.ReferenceMatrix, ReferencePotential,
-// ReferenceGradient): the flat pair-class assembly, the blocked and mixed
-// factorizations and the batched field evaluator, on the paper's grids.
+// ReferenceGradient): the flat pair-class assembly, the blocked
+// factorization and the batched field evaluator, on the paper's grids.
 
 // kernelDiffCase is one scenario of the production-vs-reference kernel
 // differential test.
@@ -154,59 +153,6 @@ func meshExtent(m *grid.Mesh) (lo, hi geom.Vec3) {
 		}
 	}
 	return lo, hi
-}
-
-// TestMixedRefinementBalaidos pins the mixed-precision refinement stop rule
-// on real Galerkin systems: on the Balaidos soil cases A–C, for both the
-// production (flat) and the reference matrix, the float32-updated factor
-// refines to the residual floor (no ErrRefinementStalled from corrections
-// already at float64 round-off) and matches the full-precision solve to
-// 1e-12 relative.
-func TestMixedRefinementBalaidos(t *testing.T) {
-	for _, c := range kernelDiffCases(t) {
-		if !strings.HasPrefix(c.name, "balaidos") {
-			continue
-		}
-		mesh, _, err := core.BuildMesh(c.grid, c.model, core.Config{RodElements: c.rods})
-		if err != nil {
-			t.Fatal(err)
-		}
-		asm, err := bem.New(mesh, c.model, bem.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		flat, _, err := asm.MatrixCtx(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := bem.RHS(mesh)
-		for _, m := range []struct {
-			name string
-			r    *linalg.SymMatrix
-		}{{"flat", flat}, {"reference", bem.ReferenceMatrix(asm)}} {
-			full, err := linalg.NewCholeskyBlocked(m.r, linalg.FactorOpts{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := full.Solve(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mixed, err := linalg.NewCholeskyBlocked(m.r, linalg.FactorOpts{Workers: 1, Mixed: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := mixed.Solve(b)
-			if err != nil {
-				t.Fatalf("%s/%s: mixed solve: %v", c.name, m.name, err)
-			}
-			for i := range got {
-				if d := math.Abs(got[i] - want[i]); d > 1e-12*math.Abs(want[i]) {
-					t.Fatalf("%s/%s: x[%d] mixed %v full %v", c.name, m.name, i, got[i], want[i])
-				}
-			}
-		}
-	}
 }
 
 // fig54Raster solves Balaidos under soil model B at reduced fidelity (series

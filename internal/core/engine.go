@@ -7,7 +7,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -34,13 +33,6 @@ const (
 	// factorization linalg.NewCholeskyBlocked, bit-identical to the
 	// reference column sweep at every worker count.
 	Cholesky
-	// CholeskyMixed is Cholesky with float32 trailing updates and float64
-	// iterative refinement of every solve. Results agree with the
-	// full-precision solvers to float64 working accuracy; if refinement
-	// cannot repair the float32 factor (hopelessly conditioned system) the
-	// engine refactors in full precision rather than serving a degraded
-	// solution.
-	CholeskyMixed
 	// SolverHMatrix skips dense assembly entirely: the system is compressed
 	// into a hierarchical matrix (ACA on the η-admissible far field, dense
 	// near-field leaves) and solved by near-field-preconditioned conjugate
@@ -62,8 +54,6 @@ func (s SolverKind) String() string {
 		return "pcg"
 	case Cholesky:
 		return "cholesky"
-	case CholeskyMixed:
-		return "cholesky-mixed"
 	case SolverHMatrix:
 		return "hmatrix"
 	default:
@@ -90,13 +80,11 @@ type Config struct {
 	// BEM configures matrix generation (schedules, loop strategy, series
 	// tolerance, workers).
 	BEM bem.Options
-	// Solver selects PCG (default), Cholesky, CholeskyMixed or SolverHMatrix.
+	// Solver selects PCG (default), Cholesky or SolverHMatrix.
 	Solver SolverKind
-	// CGTol is the PCG relative-residual target (default 1e-10).
-	CGTol float64
 	// HMatrix tunes the compressed solver tier (Solver = SolverHMatrix):
-	// block tolerance, admissibility, leaf size, rank cap and the dense
-	// fallback threshold.
+	// block tolerance, admissibility, leaf size and the dense fallback
+	// threshold.
 	HMatrix HMatrixConfig
 	// HealthCheck enables the numerical health checks around the solve
 	// stage: the system matrix and load vector are scanned for NaN/Inf
@@ -277,23 +265,48 @@ func BuildMesh(g *grid.Grid, model soil.Model, cfg Config) (*grid.Mesh, []string
 	}
 	split := g.SplitAtDepths(interfaceDepths(model)...)
 	mesh, err := grid.DiscretizeN(split, cfg.ElementKind, func(c grid.Conductor) int {
-		n := 1
-		if cfg.MaxElemLen > 0 {
-			n = int(math.Ceil(c.Length() / cfg.MaxElemLen))
-		}
-		if cfg.RodElements > 0 && c.Seg.IsVertical(1e-9) && n < cfg.RodElements {
-			n = cfg.RodElements
-		}
-		if n < 1 {
-			n = 1
-		}
-		return n
+		return elementsOf(c, cfg)
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: preprocess: %w", err)
 	}
 	return mesh, warnings, nil
 }
+
+// maxConductorElements bounds elementsOf, so a hostile MaxElemLen cannot
+// overflow the int conversion or a sum of per-conductor counts.
+const maxConductorElements = 1 << 30
+
+// elementsOf is the per-conductor discretization rule of BuildMesh: one
+// element, or ⌈length / MaxElemLen⌉ when MaxElemLen is set, and at least
+// RodElements for a vertical conductor.
+func elementsOf(c grid.Conductor, cfg Config) int {
+	n := 1
+	if cfg.MaxElemLen > 0 {
+		n = int(math.Min(math.Ceil(c.Length()/cfg.MaxElemLen), maxConductorElements))
+	}
+	if cfg.RodElements > 0 && c.Seg.IsVertical(1e-9) && n < cfg.RodElements {
+		n = min(cfg.RodElements, maxConductorElements)
+	}
+	return max(n, 1)
+}
+
+// CountElements returns the number of elements BuildMesh would discretize g
+// into under model and cfg, without building the mesh: the grid is split at
+// the model's interfaces and each conductor counted by BuildMesh's own rule.
+// It lets a service refuse an oversized scenario before allocating anything
+// proportional to it.
+func CountElements(g *grid.Grid, model soil.Model, cfg Config) int {
+	n := 0
+	for _, c := range g.SplitAtDepths(interfaceDepths(model)...).Conductors {
+		n += elementsOf(c, cfg)
+	}
+	return n
+}
+
+// cgTol is the relative-residual target of both conjugate-gradient solves:
+// dense PCG and the compressed tier's preconditioned CG.
+const cgTol = 1e-10
 
 // solveSystem runs the linear-system-solving stage into res.
 func solveSystem(res *Result, r *linalg.SymMatrix, cfg Config) error {
@@ -311,11 +324,7 @@ func solveSystem(res *Result, r *linalg.SymMatrix, cfg Config) error {
 	var chol *linalg.Cholesky
 	switch cfg.Solver {
 	case PCG:
-		tol := cfg.CGTol
-		if tol <= 0 {
-			tol = 1e-10
-		}
-		cg, err := linalg.SolveCGParallel(r, nu, linalg.CGOptions{Tol: tol}, cfg.BEM.Workers)
+		cg, err := linalg.SolveCGParallel(r, nu, linalg.CGOptions{Tol: cgTol}, cfg.BEM.Workers)
 		if err != nil {
 			return fmt.Errorf("core: solve: %w", err)
 		}
@@ -324,25 +333,12 @@ func solveSystem(res *Result, r *linalg.SymMatrix, cfg Config) error {
 		}
 		res.CG = cg
 		res.Sigma = cg.X
-	case Cholesky, CholeskyMixed:
-		opt := linalg.FactorOpts{Workers: cfg.BEM.Workers, Mixed: cfg.Solver == CholeskyMixed}
-		ch, err := linalg.NewCholeskyBlocked(r, opt)
+	case Cholesky:
+		ch, err := linalg.NewCholeskyBlocked(r, linalg.FactorOpts{Workers: cfg.BEM.Workers})
 		if err != nil {
 			return fmt.Errorf("core: solve: %w", err)
 		}
 		x, err := ch.Solve(nu)
-		if errors.Is(err, linalg.ErrRefinementStalled) {
-			// The float32 factor cannot be refined to float64 accuracy on
-			// this system. Refusing to degrade silently, refactor in full
-			// precision and record what happened.
-			res.Warnings = append(res.Warnings, fmt.Sprintf(
-				"core: solve: %v; refactored in full precision", err))
-			opt.Mixed = false
-			if ch, err = linalg.NewCholeskyBlocked(r, opt); err != nil {
-				return fmt.Errorf("core: solve: full-precision fallback: %w", err)
-			}
-			x, err = ch.Solve(nu)
-		}
 		if err != nil {
 			return fmt.Errorf("core: solve: %w", err)
 		}
@@ -351,7 +347,7 @@ func solveSystem(res *Result, r *linalg.SymMatrix, cfg Config) error {
 	case SolverHMatrix:
 		// The compressed tier owns its own pipeline stages; an externally
 		// assembled dense system has nothing left to compress.
-		return fmt.Errorf("core: SolverHMatrix cannot solve an externally assembled dense system; use CompleteHMatrix")
+		return fmt.Errorf("core: SolverHMatrix cannot solve an externally assembled dense system; use AnalyzeCtx")
 	default:
 		return fmt.Errorf("core: unknown solver %v", cfg.Solver)
 	}

@@ -272,8 +272,8 @@ func TestBondingWarning(t *testing.T) {
 }
 
 func TestSolverKindString(t *testing.T) {
-	// Four distinct kinds: the map literal would not compile otherwise.
-	want := map[SolverKind]string{PCG: "pcg", Cholesky: "cholesky", CholeskyMixed: "cholesky-mixed", SolverHMatrix: "hmatrix"}
+	// Three distinct kinds: the map literal would not compile otherwise.
+	want := map[SolverKind]string{PCG: "pcg", Cholesky: "cholesky", SolverHMatrix: "hmatrix"}
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("%d.String() = %q, want %q", int(k), k.String(), s)

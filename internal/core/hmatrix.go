@@ -11,13 +11,12 @@ import (
 	"earthing/internal/faultinject"
 	"earthing/internal/hmatrix"
 	"earthing/internal/linalg"
-	"earthing/internal/soil"
 )
 
 // HMatrixConfig tunes the compressed solver tier (Config.Solver =
 // SolverHMatrix). The zero value selects the defaults of hmatrix.Params
-// (ε = 1e-6, η = 2, leaf 64, rank cap 96) plus a 2000-DoF dense fallback
-// threshold.
+// (ε = 1e-6, η = 2, leaf 64; the rank cap is the constant 96) plus a
+// 2000-DoF dense fallback threshold.
 type HMatrixConfig struct {
 	// Eps is the relative block tolerance of the ACA compression. The
 	// engineering outputs track it: the differential suite pins |ΔReq|/Req
@@ -27,8 +26,6 @@ type HMatrixConfig struct {
 	Eta float64
 	// LeafSize is the cluster-tree leaf capacity.
 	LeafSize int
-	// MaxRank caps the per-block ACA rank.
-	MaxRank int
 	// DenseFallbackN gates the graceful degradation of the compressed tier:
 	// when the build or the iterative solve fails on a system of order
 	// ≤ DenseFallbackN, the engine re-runs the scenario through the dense
@@ -63,7 +60,6 @@ func hmatrixParams(cfg Config) hmatrix.Params {
 		Eps:      cfg.HMatrix.Eps,
 		Eta:      cfg.HMatrix.Eta,
 		LeafSize: cfg.HMatrix.LeafSize,
-		MaxRank:  cfg.HMatrix.MaxRank,
 		Workers:  cfg.BEM.Workers,
 		Schedule: cfg.BEM.Schedule,
 	}
@@ -97,7 +93,7 @@ func runHMatrix(ctx context.Context, res *Result, asm *bem.Assembler, cfg Config
 			}
 		}
 	}
-	sr, err := h.Solve(nu, hmatrix.SolveOptions{Tol: cfg.CGTol})
+	sr, err := h.Solve(nu, hmatrix.SolveOptions{Tol: cgTol})
 	if err != nil {
 		return fmt.Errorf("core: solve: %w", err)
 	}
@@ -143,28 +139,4 @@ func runHMatrixWithFallback(ctx context.Context, res *Result, asm *bem.Assembler
 	res.Timings.MatrixGen = time.Since(start)
 	cfg.Solver = PCG
 	return solveSystem(res, r, cfg)
-}
-
-// CompleteHMatrix runs the compressed pipeline (with its dense fallback) on
-// an existing assembler, mirroring CompleteAssembled for the sweep engine's
-// H-matrix jobs: the outcome is identical to AnalyzeCtx of the same
-// (mesh, model, cfg) scenario with Solver = SolverHMatrix.
-func CompleteHMatrix(ctx context.Context, asm *bem.Assembler, model soil.Model, warnings []string, cfg Config) (*Result, error) {
-	if err := validGPR(&cfg); err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Mesh:     asm.Mesh(),
-		Model:    model,
-		GPR:      cfg.GPR,
-		Warnings: warnings,
-		asm:      asm,
-	}
-	if err := runHMatrixWithFallback(ctx, res, asm, cfg); err != nil {
-		return nil, err
-	}
-	if err := finishResults(res, cfg.GPR); err != nil {
-		return nil, err
-	}
-	return res, nil
 }

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"earthing/internal/faultinject"
 	"earthing/internal/grid"
+	"earthing/internal/hmatrix"
 	"earthing/internal/linalg"
 	"earthing/internal/soil"
 )
@@ -96,17 +99,43 @@ func TestHMatrixDenseFallbackWarning(t *testing.T) {
 	}
 }
 
-// TestHMatrixFallbackDisabled: DenseFallbackN < 0 turns the same failure into
-// a typed error — the contract the chaos suites build on.
+// TestHMatrixFallbackDisabled: DenseFallbackN < 0 turns a compressed-tier
+// failure into a typed error instead of a dense re-run, at both fault sites
+// of the tier — a NaN poisoned into the first ACA cross row fails the build,
+// one poisoned into the operator's product vector breaks the CG recurrence —
+// and neither failure strands a worker goroutine.
 func TestHMatrixFallbackDisabled(t *testing.T) {
 	g := grid.RectMesh(0, 0, 24, 24, 4, 4, 0.8, 0.006)
 	cfg := hmatrixTestConfig()
 	cfg.HMatrix.DenseFallbackN = -1
 
-	defer faultinject.Set(faultinject.HMatrixCGIter, faultinject.PoisonNaN())()
-
-	_, err := AnalyzeCtx(context.Background(), g, soil.NewUniform(0.016), cfg)
-	if !errors.Is(err, linalg.ErrCGBreakdown) {
-		t.Fatalf("err = %v, want linalg.ErrCGBreakdown", err)
+	for _, tc := range []struct {
+		name    string
+		point   faultinject.Point
+		want    error
+		wrapper any
+	}{
+		{"ACA", faultinject.HMatrixACABlock, hmatrix.ErrNonFinite, new(*hmatrix.BuildError)},
+		{"CG", faultinject.HMatrixCGIter, linalg.ErrCGBreakdown, new(*hmatrix.SolveError)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			restore := faultinject.Set(tc.point, faultinject.Once(faultinject.PoisonNaN()))
+			_, err := AnalyzeCtx(context.Background(), g, soil.NewUniform(0.016), cfg)
+			restore()
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if !errors.As(err, tc.wrapper) {
+				t.Fatalf("err = %v, want %T in the chain", err, tc.wrapper)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("goroutines grew from %d to %d after the failed analysis", before, n)
+			}
+		})
 	}
 }

@@ -190,6 +190,20 @@ func (s Spec) buildGrid(c candidate) *grid.Grid {
 	return g
 }
 
+// LargestGrid returns the layout of the search's largest candidate after
+// the spec's defaults: the MaxLines × MaxLines lattice with MaxRods perimeter
+// rods, at MaxDepth. Another candidate can discretize into slightly more
+// elements only through the ⌈length / MaxElemLen⌉ rounding of its shorter
+// spans or rods crossing other soil interfaces, so a service can size a
+// search by this grid before running it.
+func (s Spec) LargestGrid() (*grid.Grid, error) {
+	s, err := s.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	return s.buildGrid(candidate{nx: s.MaxLines, ny: s.MaxLines, rods: s.MaxRods, depth: s.MaxDepth}), nil
+}
+
 // perimeterPoint walks distance t along the rectangle perimeter from the
 // origin corner, counter-clockwise.
 func perimeterPoint(w, h, t float64) (x, y float64) {

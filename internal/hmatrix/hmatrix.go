@@ -10,6 +10,11 @@ import (
 	"earthing/internal/sched"
 )
 
+// maxRank caps the ACA rank of every compressed block. Hitting the cap
+// without meeting Params.Eps fails the build with ErrACAStalled. It also
+// sizes the per-tile scratch of the low-rank matvec.
+const maxRank = 96
+
 // Params configures the H-matrix construction. The zero value selects the
 // defaults tuned for the grounding kernels (see DESIGN.md §14).
 type Params struct {
@@ -22,9 +27,6 @@ type Params struct {
 	Eta float64
 	// LeafSize is the cluster-tree leaf capacity (default 64).
 	LeafSize int
-	// MaxRank caps the ACA rank per block (default 96). Hitting the cap
-	// without meeting Eps fails the build with ErrACAStalled.
-	MaxRank int
 	// Workers is the parallel width of the block fill and the matvec
 	// (≤ 0 selects GOMAXPROCS).
 	Workers int
@@ -42,12 +44,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.LeafSize <= 0 {
 		p.LeafSize = 64
-	}
-	if p.MaxRank <= 0 {
-		p.MaxRank = 96
-	}
-	if p.MaxRank > maxRankScratch {
-		p.MaxRank = maxRankScratch
 	}
 	if p.Workers <= 0 {
 		p.Workers = runtime.GOMAXPROCS(0)
@@ -147,26 +143,22 @@ func Build(ctx context.Context, asm *bem.Assembler, p Params) (*HMatrix, error) 
 		schedule: p.Schedule,
 	}
 
-	// Per-worker fillers are created lazily inside the loop body; sched may
-	// deliver a worker index one past the requested width (the coordinator
-	// slot), hence the +1.
+	// Per-worker fillers are created lazily inside the loop body.
 	adj := adjacency(mesh)
 	k := mesh.DoFCount()
-	fillers := make([]*filler, p.Workers+1)
-	arenas := make([]bem.Arena, p.Workers+1)
+	width := sched.Width(len(pairs), p.Workers)
+	fillers := make([]*filler, width)
+	arenas := make([]bem.Arena, width)
 	errs := make([]error, len(pairs))
 
 	_, err = sched.ForStatsCtx(ctx, len(pairs), p.Workers, p.Schedule, func(i, w int) {
-		if w >= len(fillers) {
-			w = len(fillers) - 1
-		}
 		f := fillers[w]
 		if f == nil {
 			f = newFiller(asm, adj, k, asm.ColumnScratchFromArena(&arenas[w]))
 			fillers[w] = f
 		}
 		f.resetCache()
-		errs[i] = h.fillBlock(f, pairs[i], i, p.Eps, p.MaxRank)
+		errs[i] = h.fillBlock(f, pairs[i], i, p.Eps)
 	})
 	if err != nil {
 		return nil, err
@@ -186,7 +178,7 @@ func Build(ctx context.Context, asm *bem.Assembler, p Params) (*HMatrix, error) 
 }
 
 // fillBlock computes the stored form of partition node i.
-func (h *HMatrix) fillBlock(f *filler, bp blockPair, i int, eps float64, maxRank int) error {
+func (h *HMatrix) fillBlock(f *filler, bp blockPair, i int, eps float64) error {
 	b := &h.blocks[i]
 	b.rowLo, b.rowHi = bp.row.Lo, bp.row.Hi
 	b.colLo, b.colHi = bp.col.Lo, bp.col.Hi
@@ -288,7 +280,7 @@ func (h *HMatrix) Apply(x, y []float64) {
 		h.xp[p] = x[d]
 	}
 	err := sched.ForTilesCtx(nil, len(h.blocks), 1, h.workers, h.schedule, func(lo, hi int) {
-		var w [maxRankScratch]float64
+		var w [maxRank]float64
 		for i := lo; i < hi; i++ {
 			h.blocks[i].compute(h.xp, h.staging, w[:])
 		}
@@ -315,10 +307,6 @@ func (h *HMatrix) Apply(x, y []float64) {
 	}
 	faultinject.Fire(faultinject.HMatrixCGIter, int(h.applies.Add(1)), y)
 }
-
-// maxRankScratch bounds the per-tile low-rank product scratch; Params
-// validation keeps MaxRank within it.
-const maxRankScratch = 256
 
 // compute writes the block's matvec contributions into its staging ranges:
 // the row-range product, and for off-diagonal blocks also the transposed

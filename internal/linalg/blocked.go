@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -25,26 +24,11 @@ import (
 //
 // Every stage subtracts products term by term in ascending column order —
 // exactly the operation sequence of the reference column sweep — so the
-// float64 blocked factor, its Solve, Det and LogDet are bit-identical to the
-// column sweep's. What changes is the memory access pattern: all inner loops
+// blocked factor, its Solve, Det and LogDet are bit-identical to the column
+// sweep's. What changes is the memory access pattern: all inner loops
 // walk contiguous row segments of the packed triangle (no per-element index
 // arithmetic), and the O(n³) trailing update touches each panel row while it
 // is cache-hot instead of streaming the whole triangle once per column.
-//
-// Mixed precision (FactorOpts.Mixed) converts the panel to float32 for the
-// trailing SYRK — the dominant O(n³) stage — halving its memory traffic.
-// The panel factor, triangular solves and substitutions stay float64. The
-// factor then carries O(1e-7) relative error, which Solve repairs by
-// float64 iterative refinement on the residual (the handle retains the
-// matrix for that); see Solve for the accuracy contract.
-
-// ErrRefinementStalled is returned by Solve on a mixed-precision handle when
-// iterative refinement cannot drive the residual below the float64
-// backward-error floor: the system is too ill-conditioned for the float32
-// factor to act as a contraction. Callers must re-factor in full precision
-// (core.solveSystem does this automatically) — the error exists so mixed
-// precision never degrades accuracy silently.
-var ErrRefinementStalled = errors.New("linalg: mixed-precision refinement stalled")
 
 // FactorOpts configures NewCholeskyBlocked.
 type FactorOpts struct {
@@ -57,12 +41,6 @@ type FactorOpts struct {
 	// arithmetic is identical at any width, so results are bit-identical
 	// across worker counts.
 	Workers int
-	// Mixed enables float32 trailing updates + float64 iterative refinement
-	// in Solve. The handle retains a reference to the input matrix for the
-	// refinement residuals; the caller must not mutate it while the handle
-	// is in use. Results are within refinement tolerance of, but not
-	// bit-identical to, the full-precision factor.
-	Mixed bool
 }
 
 func (o FactorOpts) withDefaults() FactorOpts {
@@ -77,25 +55,17 @@ func rowBase(i int) int { return i * (i + 1) / 2 }
 
 // NewCholeskyBlocked factorizes the SPD matrix a with the tiled right-looking
 // algorithm described in the package comment above. The input matrix is not
-// modified. With opt.Mixed == false the returned factor (and everything
-// derived from it: Solve, Det, LogDet) is bit-identical to the column sweep's;
-// with Mixed the handle additionally retains a for refinement in Solve. A
-// panic inside a row tile is contained and returned as its *sched.PanicError.
+// modified. The returned factor (and everything derived from it: Solve, Det,
+// LogDet) is bit-identical to the column sweep's. A panic inside a row tile
+// is contained and returned as its *sched.PanicError.
 func NewCholeskyBlocked(a *SymMatrix, opt FactorOpts) (*Cholesky, error) {
 	opt = opt.withDefaults()
 	n := a.n
 	l := make([]float64, len(a.data))
 	copy(l, a.data)
-	c := &Cholesky{n: n, l: l, workers: opt.Workers}
-	if opt.Mixed {
-		c.refineA, c.refineNorm = a, a.NormInf()
-	}
+	c := &Cholesky{n: n, l: l}
 
 	nb := opt.BlockSize
-	var f32 []float32 // mixed-precision panel mirror, reused across panels
-	if opt.Mixed && n > nb {
-		f32 = make([]float32, n*nb)
-	}
 	// Row-tile width for the parallel stages: big enough that a tile
 	// amortizes its chunk claim, small enough that dynamic scheduling can
 	// balance the triangular row costs.
@@ -162,22 +132,9 @@ func NewCholeskyBlocked(a *SymMatrix, opt FactorOpts) (*Cholesky, error) {
 		// term by term in ascending k so the op sequence matches the
 		// reference sweep. All reads of rows < i are panel segments finalized
 		// in stage 2; writes stay within row i, so row tiles are disjoint.
-		width := p1 - p0
 		syrkRow := func(i int) {
 			ib := rowBase(i)
 			panelI := l[ib+p0 : ib+p1]
-			if f32 != nil {
-				fi := f32[(i-p1)*width : (i-p1+1)*width]
-				for j := p1; j <= i; j++ {
-					fj := f32[(j-p1)*width : (j-p1+1)*width]
-					var acc float32
-					for k, v := range fj {
-						acc += fi[k] * v
-					}
-					l[ib+j] -= float64(acc)
-				}
-				return
-			}
 			for j := p1; j <= i; j++ {
 				jb := rowBase(j)
 				panelJ := l[jb+p0 : jb+p1]
@@ -203,9 +160,6 @@ func NewCholeskyBlocked(a *SymMatrix, opt FactorOpts) (*Cholesky, error) {
 		}); err != nil {
 			return nil, err
 		}
-		if f32 != nil {
-			mirrorPanel(l, f32, p0, p1, n)
-		}
 		if err := sched.ForTilesCtx(nil, rows, rowTile, p, tileSched, func(lo, hi int) {
 			for r := lo; r < hi; r++ {
 				syrkRow(p1 + r)
@@ -215,18 +169,4 @@ func NewCholeskyBlocked(a *SymMatrix, opt FactorOpts) (*Cholesky, error) {
 		}
 	}
 	return c, nil
-}
-
-// mirrorPanel converts the finalized panel segments of rows [p1, n) to the
-// float32 mirror used by the mixed-precision SYRK.
-func mirrorPanel(l []float64, f32 []float32, p0, p1, n int) {
-	width := p1 - p0
-	for i := p1; i < n; i++ {
-		ib := rowBase(i)
-		row := l[ib+p0 : ib+p1]
-		dst := f32[(i-p1)*width : (i-p1+1)*width]
-		for k, v := range row {
-			dst[k] = float32(v)
-		}
-	}
 }

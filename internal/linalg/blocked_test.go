@@ -184,77 +184,6 @@ func TestBlockedCholeskyNearSingular(t *testing.T) {
 	}
 }
 
-// TestMixedPrecisionRefinement checks the mixed-precision accuracy contract:
-// the refined solution matches the full-precision one to float64 working
-// accuracy (≪ the 1e-10 acceptance bar), while the unrefined float32-updated
-// factor alone is visibly coarser than the reference.
-func TestMixedPrecisionRefinement(t *testing.T) {
-	for _, n := range []int{150, 300} {
-		a := spdMatrix(n, 7)
-		b := rhs(n)
-		ref, err := referenceCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xRef, err := ref.Solve(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mixed, err := NewCholeskyBlocked(a, FactorOpts{BlockSize: 48, Workers: 2, Mixed: true})
-		if err != nil {
-			t.Fatalf("n=%d: mixed factor: %v", n, err)
-		}
-		x, err := mixed.Solve(b)
-		if err != nil {
-			t.Fatalf("n=%d: mixed solve: %v", n, err)
-		}
-		var maxRel float64
-		for i := range x {
-			rel := math.Abs(x[i]-xRef[i]) / math.Max(1e-300, math.Abs(xRef[i]))
-			if rel > maxRel {
-				maxRel = rel
-			}
-		}
-		if maxRel > 1e-12 {
-			t.Fatalf("n=%d: refined mixed solution off by %g relative", n, maxRel)
-		}
-		// The raw mixed factor (no refinement) must be measurably coarser —
-		// proving refinement is doing real work, not that float32 was free.
-		raw := make([]float64, n)
-		mixed.solveInto(raw, b)
-		var rawRel float64
-		for i := range raw {
-			rel := math.Abs(raw[i]-xRef[i]) / math.Max(1e-300, math.Abs(xRef[i]))
-			if rel > rawRel {
-				rawRel = rel
-			}
-		}
-		if rawRel < 1e-9 {
-			t.Fatalf("n=%d: unrefined mixed solution suspiciously exact (%g); float32 path not engaged?", n, rawRel)
-		}
-	}
-}
-
-// TestMixedPrecisionRefusesGarbage pins the no-silent-degradation contract:
-// on a system too ill-conditioned for the float32 factor to contract,
-// Solve returns ErrRefinementStalled instead of a half-refined solution.
-func TestMixedPrecisionRefusesGarbage(t *testing.T) {
-	n := 120
-	a := nearSingular(n, 1e-13)
-	mixed, err := NewCholeskyBlocked(a, FactorOpts{BlockSize: 32, Mixed: true})
-	if err != nil {
-		// The float32 downdates may already break positive definiteness at
-		// this conditioning; that is an acceptable loud failure too.
-		if errors.Is(err, ErrNotPositiveDefinite) {
-			return
-		}
-		t.Fatal(err)
-	}
-	if _, err := mixed.Solve(rhs(n)); !errors.Is(err, ErrRefinementStalled) {
-		t.Fatalf("expected ErrRefinementStalled on a cond≈1e13 system, got %v", err)
-	}
-}
-
 // TestConditionEstimateCached pins the handle-level cache: the estimate
 // matches the free-function estimator and repeated calls return the first
 // result without re-running the iteration.
@@ -312,16 +241,6 @@ func BenchmarkCholeskyBlocked(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewCholeskyBlocked(a, FactorOpts{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCholeskyBlockedMixed(b *testing.B) {
-	a := benchmarkMatrix(300)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewCholeskyBlocked(a, FactorOpts{Mixed: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,21 +13,12 @@ import (
 var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
 
 // Cholesky holds the lower-triangular factor L with A = L·Lᵀ in packed
-// storage. Obtain one from NewCholeskyBlocked (tiled panels, optionally
-// mixed precision), the one factorization; the package tests pin it bit for
-// bit to a textbook column sweep.
+// storage. Obtain one from NewCholeskyBlocked (tiled panels), the one
+// factorization; the package tests pin it bit for bit to a textbook column
+// sweep.
 type Cholesky struct {
 	n int
 	l []float64 // packed lower triangle of L
-
-	// workers is the parallel width the factorization ran at; refinement
-	// residuals reuse it for their matrix-vector products.
-	workers int
-	// refineA is the factored matrix, retained only by mixed-precision
-	// handles: Solve then runs float64 iterative refinement against it.
-	// refineNorm is its infinity norm, the scale of the residual floor.
-	refineA    *SymMatrix
-	refineNorm float64
 
 	// condOnce caches the first ConditionEstimate so repeated health checks
 	// sharing one factorization (cached unit-GPR solves, sweep columns) pay
@@ -37,23 +28,13 @@ type Cholesky struct {
 	condErr  error
 }
 
-// Solve returns x with A·x = b. On a mixed-precision handle the triangular
-// solves are followed by float64 iterative refinement on the residual until
-// it reaches the float64 backward-error floor (see refine); if refinement
-// cannot contract (hopelessly ill-conditioned system), ErrRefinementStalled
-// is returned rather than a silently degraded solution.
+// Solve returns x with A·x = b.
 func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 	if len(b) != c.n {
 		return nil, fmt.Errorf("linalg: rhs length %d, want %d", len(b), c.n)
 	}
 	x := make([]float64, c.n)
 	c.solveInto(x, b)
-	if c.refineA == nil {
-		return x, nil
-	}
-	if err := c.refine(x, b); err != nil {
-		return nil, err
-	}
 	return x, nil
 }
 
@@ -88,62 +69,6 @@ func (c *Cholesky) solveInto(x, b []float64) {
 		}
 		x[i] = s / l[rowBase(i)+i]
 	}
-}
-
-// refineMaxIter bounds refinement; a float32 factor of a sanely conditioned
-// system contracts by ~1e-7 per step, so 2–3 steps suffice and 40 means the
-// iteration is not contracting at all.
-const refineMaxIter = 40
-
-// refine runs float64 iterative refinement x ← x + A⁻¹(b − A·x) in place,
-// using the (mixed-precision) factor as the approximate inverse. It stops at
-// the residual floor of LAPACK's DSPOSV, ‖b − A·x‖∞ ≤ √n·ε·‖A‖∞·‖x‖∞: an x
-// meeting it is a float64-accurate solution (small backward error), even
-// when the last correction sits at round-off and no longer contracts.
-// Returns ErrRefinementStalled when the residual stops contracting above
-// that floor — the caller must fall back to a full-precision factorization.
-func (c *Cholesky) refine(x, b []float64) error {
-	n := c.n
-	r := make([]float64, n)
-	d := make([]float64, n)
-	floor := math.Sqrt(float64(n)) * epsilon * c.refineNorm
-	prev := math.Inf(1)
-	for it := 0; it < refineMaxIter; it++ {
-		// r = b − A·x in float64 against the original matrix.
-		c.refineA.MulVecParallel(x, r, c.workers)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		normR := maxAbs(r)
-		if normR <= floor*maxAbs(x) {
-			return nil
-		}
-		// Not contracting by at least 2× per step means the float32 factor
-		// is no contraction for this system; more steps will oscillate.
-		if normR > 0.5*prev {
-			return fmt.Errorf("%w: residual %.3g above floor %.3g after %d iterations",
-				ErrRefinementStalled, normR, floor*maxAbs(x), it)
-		}
-		prev = normR
-		c.solveInto(d, r)
-		for i := range x {
-			x[i] += d[i]
-		}
-	}
-	return fmt.Errorf("%w: residual floor not reached in %d iterations", ErrRefinementStalled, refineMaxIter)
-}
-
-// epsilon is the float64 machine epsilon 2⁻⁵².
-const epsilon = 0x1p-52
-
-func maxAbs(v []float64) float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Det returns the determinant of A (= Π L_ii²).

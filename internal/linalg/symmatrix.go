@@ -1,6 +1,6 @@
 // Package linalg implements the dense linear algebra required by the
-// Galerkin boundary-element solver: packed symmetric matrices, Cholesky and
-// LDLᵀ direct factorizations, and a conjugate-gradient solver with Jacobi
+// Galerkin boundary-element solver: packed symmetric matrices, the blocked
+// Cholesky direct factorization, and a conjugate-gradient solver with Jacobi
 // (diagonal) preconditioning — the method the paper identifies as the most
 // efficient for large grounding systems (§4.3).
 //
@@ -121,24 +121,6 @@ func (m *SymMatrix) MaxAbs() float64 {
 		}
 	}
 	return max
-}
-
-// NormInf returns the infinity norm max_i Σ_j |a_ij| of the full symmetric
-// matrix (0 for an empty matrix).
-func (m *SymMatrix) NormInf() float64 {
-	rows := make([]float64, m.n)
-	k := 0
-	for i := 0; i < m.n; i++ {
-		for j := 0; j <= i; j++ {
-			v := math.Abs(m.data[k])
-			k++
-			rows[i] += v
-			if j < i {
-				rows[j] += v
-			}
-		}
-	}
-	return maxAbs(rows)
 }
 
 // AllFinite reports whether every stored entry is finite (no NaN or ±Inf) —

@@ -144,6 +144,18 @@ func (s Stats) Imbalance() float64 {
 	return float64(max)/mean - 1
 }
 
+// Width returns the number of workers ForStatsCtx (and ForTilesCtx, over
+// its tile count) runs for an n-iteration loop at requested width p: p, or
+// runtime.GOMAXPROCS(0) when p ≤ 0, but never more than n. The worker ids a
+// loop body receives lie in [0, Width(n, p)), so per-worker buffers sized by
+// it need no clamp, and a hostile p costs no more than n workers.
+func Width(n, p int) int {
+	if p <= 0 {
+		p = runtime.GOMAXPROCS(0)
+	}
+	return max(0, min(p, n))
+}
+
 // ForStatsCtx runs body(i, worker) for every i in [0, n) using p workers
 // under the given schedule, blocking until the loop finishes, and returns
 // execution statistics. It is the package's one loop (ForTilesCtx maps tile
@@ -163,12 +175,7 @@ func ForStatsCtx(ctx context.Context, n, p int, s Schedule, body func(i, worker 
 	if ctx != nil {
 		cn.done = ctx.Done()
 	}
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > n {
-		p = n
-	}
+	p = Width(n, p)
 	st := Stats{Workers: p, Iterations: n}
 	if n == 0 {
 		return st, nil

@@ -157,16 +157,25 @@ func TestGuidedChunkDecay(t *testing.T) {
 	}
 }
 
+// TestWorkerIDsWithinRange: worker ids lie in [0, Width(n, p)) and the loop
+// runs exactly Width(n, p) workers — the contract per-worker buffers are
+// sized by — including for p ≤ 0 (GOMAXPROCS) and p far beyond n.
 func TestWorkerIDsWithinRange(t *testing.T) {
-	for _, s := range allSchedules {
-		bad := int32(0)
-		run(t, 500, 3, s, func(i, w int) {
-			if w < 0 || w >= 3 {
-				atomic.StoreInt32(&bad, 1)
+	for _, c := range []struct{ n, p int }{{500, 3}, {500, 0}, {5, 1 << 40}, {1, 64}} {
+		width := Width(c.n, c.p)
+		for _, s := range allSchedules {
+			bad := int32(0)
+			st := run(t, c.n, c.p, s, func(i, w int) {
+				if w < 0 || w >= width {
+					atomic.StoreInt32(&bad, 1)
+				}
+			})
+			if bad != 0 {
+				t.Fatalf("n=%d p=%d %v: worker id outside [0, %d)", c.n, c.p, s, width)
 			}
-		})
-		if bad != 0 {
-			t.Fatalf("%v: worker id out of range", s)
+			if st.Workers != width {
+				t.Fatalf("n=%d p=%d %v: %d workers, Width says %d", c.n, c.p, s, st.Workers, width)
+			}
 		}
 	}
 }

@@ -133,6 +133,14 @@ func (req OptimizeRequest) build(defaultWorkers int) (earthing.OptimizeSpec, ear
 	if req.MaxEvals > maxOptimizeEvals {
 		return spec, opt, fmt.Errorf("optimize: %d evals exceed the limit of %d", req.MaxEvals, maxOptimizeEvals)
 	}
+	// Bound the largest candidate's inputs before building it: every rod
+	// is at least one element.
+	if req.MinLines > maxRectLines || req.MaxLines > maxRectLines {
+		return spec, opt, fmt.Errorf("optimize: lattice lines (%d, %d) exceed the limit of %d", req.MinLines, req.MaxLines, maxRectLines)
+	}
+	if req.MaxRods > maxScenarioElements {
+		return spec, opt, fmt.Errorf("optimize: %d rods exceed the limit of %d elements", req.MaxRods, maxScenarioElements)
+	}
 
 	spec = earthing.OptimizeSpec{
 		Width: req.Width, Height: req.Height,
@@ -151,6 +159,13 @@ func (req OptimizeRequest) build(defaultWorkers int) (earthing.OptimizeSpec, ear
 		ConductorCost:   req.ConductorCost,
 		RodCost:         req.RodCost,
 		VoltageRes:      req.VoltageResM,
+	}
+	largest, err := spec.LargestGrid()
+	if err != nil {
+		return spec, opt, err
+	}
+	if err := checkElements(largest, model, cfg); err != nil {
+		return spec, opt, fmt.Errorf("optimize: largest candidate: %w", err)
 	}
 	opt = earthing.OptimizeOptions{
 		Config:        cfg,

@@ -22,7 +22,28 @@ import (
 	"strings"
 
 	"earthing"
+	"earthing/internal/core"
 	"earthing/internal/grid"
+)
+
+// Request-size bounds. Each is checked before any work proportional to the
+// quantity it bounds, so a single hostile request gets a 400 instead of
+// exhausting the process.
+const (
+	// maxRectLines bounds the lattice lines per direction of a rect grid
+	// and of an /v1/optimize search.
+	maxRectLines = 512
+	// maxRequestWorkers bounds a request's parallel width. A loop never
+	// runs more workers than it has iterations, but a raster at a huge
+	// width would still start one goroutine per point.
+	maxRequestWorkers = 1024
+	// maxScenarioElements bounds the discretization groundd solves. Matrix
+	// generation keeps a 4-byte pair-class entry per element pair,
+	// 4 B × M(M+1)/2 ≈ 134 MB at M = 8192 elements. The direct solve keeps
+	// a packed matrix of 8 B × N(N+1)/2 over N DoF: a connected grid of M
+	// linear elements has N ≤ M+1, ≈ 268 MB. A grid of disjoint conductors
+	// (served with a bonding warning) can reach N = 2M, four times that.
+	maxScenarioElements = 8192
 )
 
 // RodSpec is one vertical ground rod of a synthesized grid.
@@ -149,8 +170,8 @@ func (g GridSpec) buildGrid() (*earthing.Grid, error) {
 		if r.NX < 2 || r.NY < 2 {
 			return nil, fmt.Errorf("grid: rect needs ≥ 2 lattice lines per direction, got %d × %d", r.NX, r.NY)
 		}
-		if r.NX > 512 || r.NY > 512 {
-			return nil, fmt.Errorf("grid: rect lattice %d × %d too dense (max 512)", r.NX, r.NY)
+		if r.NX > maxRectLines || r.NY > maxRectLines {
+			return nil, fmt.Errorf("grid: rect lattice %d × %d too dense (max %d)", r.NX, r.NY, maxRectLines)
 		}
 		if !finitePos(r.Radius) || r.Depth < 0 || math.IsNaN(r.Depth) || math.IsInf(r.Depth, 0) {
 			return nil, fmt.Errorf("grid: rect radius %g must be positive and depth %g non-negative", r.Radius, r.Depth)
@@ -252,8 +273,8 @@ func (sc Scenario) buildConfig(defaultWorkers int) (earthing.Config, error) {
 	if seriesTol < 0 || seriesTol >= 1 || math.IsNaN(seriesTol) {
 		return cfg, fmt.Errorf("seriesTol %g must be in (0, 1)", sc.SeriesTol)
 	}
-	if sc.Workers < 0 {
-		return cfg, fmt.Errorf("workers %d must be non-negative", sc.Workers)
+	if sc.Workers < 0 || sc.Workers > maxRequestWorkers {
+		return cfg, fmt.Errorf("workers %d must be in [0, %d]", sc.Workers, maxRequestWorkers)
 	}
 	workers := sc.Workers
 	if workers == 0 {
@@ -310,6 +331,9 @@ func (sc Scenario) build(defaultWorkers int) (*built, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkElements(g, model, cfg); err != nil {
+		return nil, err
+	}
 	return &built{
 		grid:  g,
 		model: model,
@@ -318,6 +342,16 @@ func (sc Scenario) build(defaultWorkers int) (*built, error) {
 		gpr:   gpr,
 		key:   scenarioKey(g, sc.Soil, sc.MaxElemLen, sc.RodElements, cfg.BEM.SeriesTol),
 	}, nil
+}
+
+// checkElements refuses a grid whose discretization under model and cfg
+// exceeds maxScenarioElements, counted by the engine's own rule without
+// building the mesh.
+func checkElements(g *earthing.Grid, model earthing.SoilModel, cfg earthing.Config) error {
+	if n := core.CountElements(g, model, cfg); n > maxScenarioElements {
+		return fmt.Errorf("discretization of %d elements exceeds the limit of %d", n, maxScenarioElements)
+	}
+	return nil
 }
 
 // scenarioKey hashes the result-affecting inputs into a deterministic key.

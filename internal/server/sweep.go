@@ -189,6 +189,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	sweepCfg := builts[0].cfg
 	sweepCfg.HealthCheck = s.cfg.HealthCheck
+	// AssembleNanos is charged once per request, like /v1/solve: the
+	// engine's wall time, when it assembled at least one job. A result's
+	// Wall runs from the sweep's start, so summing them would re-count
+	// every earlier job.
+	start := time.Now()
+	assembled := false
 	err := earthing.SweepStream(ctx, builts[0].grid, scens, sweepCfg, func(sr earthing.SweepResult) error {
 		i := missIdx[sr.Index]
 		b := builts[i]
@@ -204,7 +210,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		if sr.Reuse == earthing.SweepAssembled {
 			s.metrics.Assemblies.Add(1)
-			s.metrics.AssembleNanos.Add(int64(sr.Wall))
+			assembled = true
 			// Cache the unit-GPR solution under the scenario key, exactly as
 			// /v1/solve would have. Scaled-tier results are deliberately NOT
 			// cached: the cache only ever serves bit-reproducible solutions.
@@ -215,6 +221,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		return sw.emit(s.sweepLine(i, sr.ID, b, sr.Res, string(sr.Reuse), &sr))
 	}, opts...)
+	if assembled {
+		s.metrics.AssembleNanos.Add(int64(time.Since(start)))
+	}
 	if err != nil {
 		herr := s.mapCtxErr(err)
 		if !sw.wrote {

@@ -324,3 +324,37 @@ func TestSweepScaledTierNotCached(t *testing.T) {
 		t.Errorf("follow-up solve of scaled scenario: cache %q, want miss", got)
 	}
 }
+
+// TestSweepAssembleNanosOncePerRequest: /v1/sweep charges assembleNanos
+// the engine's wall time once per request, as /v1/solve does, so the
+// counter never exceeds the request's own wall time. Summing each
+// assembled line's time-since-sweep-start would count the first job of a
+// three-job sweep three times.
+func TestSweepAssembleNanosOncePerRequest(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1})
+	body := `{
+		"grid": {"rect": {"width": 40, "height": 40, "nx": 8, "ny": 8, "depth": 0.8, "radius": 0.006, "beta": 0.3}},
+		"seriesTol": 1e-5, "workers": 1,
+		"scenarios": [
+			{"soil": {"kind": "two-layer", "gamma1": 0.005, "gamma2": 0.016, "h1": 1.0}},
+			{"soil": {"kind": "two-layer", "gamma1": 0.005, "gamma2": 0.012, "h1": 1.0}},
+			{"soil": {"kind": "two-layer", "gamma1": 0.005, "gamma2": 0.008, "h1": 1.0}}
+		]
+	}`
+	before := s.Counters().AssembleNanos.Load()
+	start := time.Now()
+	code, _, out := post(t, context.Background(), ts.URL, "/v1/sweep", body)
+	wall := time.Since(start)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, out)
+	}
+	for _, l := range decodeSweep(t, out) {
+		if l.Cache != "assembled" {
+			t.Fatalf("line %+v, want three assembled jobs", l)
+		}
+	}
+	charged := time.Duration(s.Counters().AssembleNanos.Load() - before)
+	if charged <= 0 || charged > wall {
+		t.Errorf("assembleNanos grew by %v for a request of %v wall time", charged, wall)
+	}
+}

@@ -3,15 +3,12 @@ package sweep
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"earthing/internal/core"
 	"earthing/internal/faultinject"
 	"earthing/internal/grid"
-	"earthing/internal/hmatrix"
 	"earthing/internal/linalg"
 	"earthing/internal/sched"
 	"earthing/internal/soil"
@@ -224,100 +221,6 @@ func TestChaosSweepSolvePanicIsolation(t *testing.T) {
 	if pe.Value != "injected solve fault" {
 		t.Errorf("PanicError.Value = %v", pe.Value)
 	}
-}
-
-// hmatrixChaosConfig selects the compressed solver with its dense fallback
-// disabled (the chaos contract is a typed per-scenario failure, not silent
-// degradation) at one worker, so job completion order is deterministic and a
-// Once fault always lands on scenario 0's job.
-func hmatrixChaosConfig() core.Config {
-	cfg := testConfig(1)
-	cfg.MaxElemLen = 3
-	cfg.Solver = core.SolverHMatrix
-	cfg.HMatrix = core.HMatrixConfig{LeafSize: 4, DenseFallbackN: -1}
-	return cfg
-}
-
-// hmatrixChaosGrid is large enough that the cluster tree at leaf size 4
-// yields admissible (ACA-compressed) blocks, so the injection sites fire.
-func hmatrixChaosGrid() *grid.Grid { return grid.RectMesh(0, 0, 24, 24, 4, 4, 0.6, 0.006) }
-
-// checkNoGoroutineLeak asserts the sweep left no workers behind (the
-// compressed solve path spawns its own inner loops; a failed job must not
-// strand them).
-func checkNoGoroutineLeak(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > before+2 {
-		t.Errorf("goroutines grew from %d to %d after the chaos sweep", before, g)
-	}
-}
-
-// TestChaosSweepHMatrixPoisonedACA: a NaN poisoned into the first ACA cross
-// row fails exactly one compressed scenario with the typed
-// hmatrix.ErrNonFinite build error (inside a *hmatrix.BuildError naming the
-// block), while sibling scenarios complete bit-identically to a clean run
-// and no worker goroutine is left behind.
-func TestChaosSweepHMatrixPoisonedACA(t *testing.T) {
-	g := hmatrixChaosGrid()
-	opt := Options{Config: hmatrixChaosConfig()}
-	scens := chaosScenarios(5)
-
-	baseline := runChaosSweep(t, g, scens, opt)
-	for i, r := range baseline {
-		if r.Err != nil {
-			t.Fatalf("clean run: scenario %d failed: %v", i, r.Err)
-		}
-		if r.Res.HMatrix.LowRank == 0 {
-			t.Fatalf("scenario %d built no ACA blocks; the fault site would never fire", i)
-		}
-	}
-
-	before := runtime.NumGoroutine()
-	defer faultinject.Set(faultinject.HMatrixACABlock,
-		faultinject.Once(faultinject.PoisonNaN()))()
-
-	faulty := runChaosSweep(t, g, scens, opt)
-	assertIsolated(t, baseline, faulty, map[int]bool{0: true})
-	if !errors.Is(faulty[0].Err, hmatrix.ErrNonFinite) {
-		t.Fatalf("victim Err = %v, want hmatrix.ErrNonFinite", faulty[0].Err)
-	}
-	var be *hmatrix.BuildError
-	if !errors.As(faulty[0].Err, &be) {
-		t.Fatalf("victim Err = %v, want *hmatrix.BuildError in the chain", faulty[0].Err)
-	}
-	checkNoGoroutineLeak(t, before)
-}
-
-// TestChaosSweepHMatrixStalledCG: a NaN poisoned into the compressed
-// operator's product vector breaks that scenario's CG recurrence with the
-// typed linalg.ErrCGBreakdown (inside a *hmatrix.SolveError) — and with the
-// dense fallback disabled the failure stays a failure — while sibling
-// scenarios are bit-identical to the clean baseline.
-func TestChaosSweepHMatrixStalledCG(t *testing.T) {
-	g := hmatrixChaosGrid()
-	opt := Options{Config: hmatrixChaosConfig()}
-	scens := chaosScenarios(5)
-
-	baseline := runChaosSweep(t, g, scens, opt)
-
-	before := runtime.NumGoroutine()
-	defer faultinject.Set(faultinject.HMatrixCGIter,
-		faultinject.Once(faultinject.PoisonNaN()))()
-
-	faulty := runChaosSweep(t, g, scens, opt)
-	assertIsolated(t, baseline, faulty, map[int]bool{0: true})
-	if !errors.Is(faulty[0].Err, linalg.ErrCGBreakdown) {
-		t.Fatalf("victim Err = %v, want linalg.ErrCGBreakdown", faulty[0].Err)
-	}
-	var se *hmatrix.SolveError
-	if !errors.As(faulty[0].Err, &se) {
-		t.Fatalf("victim Err = %v, want *hmatrix.SolveError in the chain", faulty[0].Err)
-	}
-	checkNoGoroutineLeak(t, before)
 }
 
 // TestChaosSweepSharedJobFailure: scenarios riding a failed job through the

@@ -19,23 +19,21 @@
 //     R' = R/s; mathematically exact but not bit-identical to a fresh
 //     assembly, so Options.AllowScaled gates it.
 //  4. Fresh assembly — truly distinct models become independent assembly
-//     jobs whose element-pair columns are interleaved on one sched.For
-//     loop, so the pool never idles between scenarios and the assembled
-//     systems stay bit-identical to Analyze's store-then-assemble path.
+//     jobs whose element-pair columns are interleaved on one
+//     sched.ForStatsCtx loop, so the pool never idles between scenarios and
+//     the assembled systems stay bit-identical to Analyze's
+//     store-then-assemble path.
 //
-// Under Config.Solver = SolverHMatrix the fresh-assembly tier changes shape:
-// each job runs the whole compressed pipeline (core.CompleteHMatrix) as one
-// work unit on the shared loop, with the pool width divided across the
-// concurrent jobs. The reuse tiers and the per-job fault isolation are
-// unchanged — both operate on the solved unit result, which the compressed
-// and dense paths produce alike.
+// The sweep solves dense systems only (PCG or Cholesky): the compressed
+// tier, Config.Solver = SolverHMatrix, is core.AnalyzeCtx's alone, and Run
+// and Stream reject it with ErrUnsupportedSolver before any work starts.
 package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -69,15 +67,20 @@ type Scenario struct {
 	Grid *grid.Grid
 }
 
+// ErrUnsupportedSolver is returned by Run and Stream, before any work
+// starts, when Options.Config.Solver is core.SolverHMatrix: the compressed
+// tier has no dense system to share between scenarios, so sweep it by
+// calling core.AnalyzeCtx per scenario instead.
+var ErrUnsupportedSolver = errors.New("sweep: the compressed solver tier is not supported; analyze each scenario instead")
+
 // Options configures a sweep.
 type Options struct {
 	// Config carries the shared discretization, solver and BEM knobs; its
 	// GPR is the default for scenarios that set none. The BEM Loop and
 	// Assembly strategies are ignored: the sweep always generates matrices
 	// column-wise into a store and assembles sequentially (the
-	// deterministic store-then-assemble path) — except under
-	// Solver = SolverHMatrix, where each job runs the compressed pipeline
-	// whole (no dense store exists to stream).
+	// deterministic store-then-assemble path). Solver must be a dense
+	// solver (see ErrUnsupportedSolver).
 	Config core.Config
 	// AllowScaled enables the scaled-reuse tier: scenarios whose model is
 	// an exact conductivity multiple of another scenario's are derived by
@@ -139,27 +142,20 @@ type meshGroup struct {
 	geo      *bem.Geometry
 }
 
-// job is one fresh assembly: a distinct (mesh, model) pair. In the dense
-// solvers it is a stream of matrix columns interleaved with other jobs; under
-// Config.Solver = SolverHMatrix it is a single work unit that runs the whole
-// compressed pipeline (cluster tree, ACA build, preconditioned CG) in one
-// worker while sibling jobs occupy the rest of the pool.
+// job is one fresh assembly: a distinct (mesh, model) pair, whose matrix
+// columns are interleaved with other jobs' on the shared loop.
 type job struct {
 	group *meshGroup
 	model soil.Model
 	asm   *bem.Assembler
-	units int   // work units on the shared loop: NumColumns, or 1 (hmatrix)
 	scens []int // scenario indices served by this job, ascending
 	// scaled lists the proportional models derived from this job's
 	// solution (AllowScaled tier).
 	scaled []*scaledTier
 
-	// store is the job's elemental-matrix store (nil for H-matrix jobs),
-	// classified by Stream before the shared loop starts.
-	store *bem.PairStore
-	// hres is the unit-GPR result of an H-matrix job (nil for column jobs
-	// and for failed jobs).
-	hres      *core.Result
+	// store is the job's elemental-matrix store, classified by Stream
+	// before the shared loop starts.
+	store     *bem.PairStore
 	remaining atomic.Int64
 	busyNanos atomic.Int64
 	// failErr holds the first failure of this job (worker panic, health
@@ -192,12 +188,11 @@ type scaledTier struct {
 // plan is the grouped, deduplicated work list of a sweep.
 type plan struct {
 	cfg     core.Config
-	hmatrix bool      // Solver == SolverHMatrix: jobs are single units
 	gprs    []float64 // resolved per-scenario GPR
 	ids     []string  // resolved per-scenario ID
 	jobs    []*job
-	offsets []int // offsets[j] = first global work-unit index of jobs[j]
-	total   int   // total work units across jobs
+	offsets []int // offsets[j] = first global column index of jobs[j]
+	total   int   // total columns across jobs
 }
 
 // depthsKey renders interface depths at full precision.
@@ -236,10 +231,9 @@ func buildPlan(g *grid.Grid, scenarios []Scenario, opt Options) (*plan, error) {
 		return nil, fmt.Errorf("sweep: invalid default GPR %g", opt.Config.GPR)
 	}
 	p := &plan{
-		cfg:     cfg,
-		hmatrix: cfg.Solver == core.SolverHMatrix,
-		gprs:    make([]float64, len(scenarios)),
-		ids:     make([]string, len(scenarios)),
+		cfg:  cfg,
+		gprs: make([]float64, len(scenarios)),
+		ids:  make([]string, len(scenarios)),
 	}
 	groups := map[string]*meshGroup{}
 	jobsByKey := map[string]*job{}
@@ -333,16 +327,9 @@ func buildPlan(g *grid.Grid, scenarios []Scenario, opt Options) (*plan, error) {
 			group: grp,
 			model: sc.Model,
 			asm:   asm,
-			units: asm.NumColumns(),
 			scens: []int{i},
 		}
-		if p.hmatrix {
-			// The compressed pipeline builds and solves as one unit; the
-			// pool width is split across concurrent jobs instead, inside
-			// each job's own build loop (see Stream).
-			j.units = 1
-		}
-		j.remaining.Store(int64(j.units))
+		j.remaining.Store(int64(asm.NumColumns()))
 		jobsByKey[jk] = j
 		p.jobs = append(p.jobs, j)
 	}
@@ -350,7 +337,7 @@ func buildPlan(g *grid.Grid, scenarios []Scenario, opt Options) (*plan, error) {
 	p.offsets = make([]int, len(p.jobs))
 	for j, jb := range p.jobs {
 		p.offsets[j] = p.total
-		p.total += jb.units
+		p.total += jb.asm.NumColumns()
 	}
 	return p, nil
 }
@@ -392,31 +379,29 @@ func Run(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options) (
 // job's system, emits ReuseFailed
 // results (Err set, Res nil) for that job's scenarios while every other job
 // completes normally. Stream itself returns nil in that case — per-scenario
-// failures live on the Results, not the sweep.
+// failures live on the Results, not the sweep. A Config.Solver of
+// core.SolverHMatrix returns ErrUnsupportedSolver before any work starts.
 func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options, emit func(Result) error) error {
+	if opt.Config.Solver == core.SolverHMatrix {
+		return ErrUnsupportedSolver
+	}
 	if len(scenarios) == 0 {
 		return nil
 	}
 	workers := opt.Config.BEM.Workers
-	maxW := workers
-	if maxW <= 0 {
-		maxW = runtime.GOMAXPROCS(0)
-	}
 	p, err := buildPlan(g, scenarios, opt)
 	if err != nil {
 		return err
 	}
-	if !p.hmatrix {
-		for _, j := range p.jobs {
-			if j.store, err = j.asm.NewPairStore(ctx); err != nil {
-				return fmt.Errorf("sweep: %w", err)
-			}
+	for _, j := range p.jobs {
+		if j.store, err = j.asm.NewPairStore(ctx); err != nil {
+			return fmt.Errorf("sweep: %w", err)
 		}
 	}
 	// Per-worker scratch arenas, shared across every job a worker touches:
 	// scratch memory scales with the worker count, not workers × jobs, and a
 	// worker hopping between same-shaped jobs reuses one warm scratch.
-	arenas := make([]*bem.Arena, maxW+1)
+	arenas := make([]*bem.Arena, sched.Width(p.total, workers))
 	schedule := p.cfg.BEM.Schedule
 	if schedule.IsZero() {
 		schedule = sched.Schedule{Kind: sched.Dynamic, Chunk: 1}
@@ -495,31 +480,18 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 	// the worker that computed the job's last column while other workers
 	// continue on the remaining jobs' columns. Numerical failures (solver,
 	// health checks) and panics of the solve stage fail this job alone.
-	// H-matrix jobs arrive here already solved (the unit result is stored on
-	// the job); finalize only emits.
 	finalize := func(j *job, w, global int) {
 		if ictx.Err() != nil {
 			return
 		}
-		var (
-			unit            *core.Result
-			err             error
-			solve, assembly time.Duration
-		)
-		if p.hmatrix {
-			unit = j.hres
-			j.hres = nil
-			solve, assembly = unit.Timings.Solve, unit.Timings.MatrixGen
-		} else {
-			t0 := time.Now()
-			unit = solveJob(j, w, global)
-			if err := j.failed(); err != nil {
-				emitFailed(j, err)
-				return
-			}
-			solve = time.Since(t0)
-			assembly = time.Duration(j.busyNanos.Load())
+		t0 := time.Now()
+		unit := solveJob(j, w, global)
+		if err := j.failed(); err != nil {
+			emitFailed(j, err)
+			return
 		}
+		solve := time.Since(t0)
+		assembly := time.Duration(j.busyNanos.Load())
 
 		mu.Lock()
 		defer mu.Unlock()
@@ -530,6 +502,7 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 			res := unit
 			//lint:ignore floatcmp exact unit-GPR sentinel: the job solved at GPR 1, so only other values need the rescale clone
 			if p.gprs[si] != 1 {
+				var err error
 				res, err = unit.WithGPR(p.gprs[si])
 				if err != nil {
 					firstErr = err
@@ -568,49 +541,19 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 		// Largest column first within each job, matching the assembler's
 		// own outer loop so late chunks are small.
 		beta := j.asm.NumColumns() - 1 - local
-		wi := w
-		if wi >= len(arenas) {
-			wi = len(arenas) - 1
-		}
-		if arenas[wi] == nil {
-			arenas[wi] = &bem.Arena{}
+		if arenas[w] == nil {
+			arenas[w] = &bem.Arena{}
 		}
 		t0 := time.Now()
-		j.store.ComputeColumn(beta, j.asm.ColumnScratchFromArena(arenas[wi]))
+		j.store.ComputeColumn(beta, j.asm.ColumnScratchFromArena(arenas[w]))
 		if faultinject.Active() {
 			faultinject.Fire(faultinject.SweepColumn, global, j.store.ColumnRange(beta))
 		}
 		j.busyNanos.Add(int64(time.Since(t0)))
 	}
 
-	// runHMatrixJob runs one scenario's whole compressed pipeline as a single
-	// work unit, with the same per-job fault containment as computeColumn: a
-	// panic or a typed failure (poisoned ACA block, stalled CG, health check)
-	// marks this job failed and leaves sibling jobs untouched. The pool width
-	// is divided across the concurrent jobs so a multi-scenario sweep does not
-	// oversubscribe workers² goroutines; the division cannot change results —
-	// the compressed build and matvec are bit-identical across worker counts.
-	runHMatrixJob := func(j *job, w, global int) {
-		defer recoverJob(j, w, global)
-		cfgUnit := p.cfg
-		cfgUnit.GPR = 1
-		inner := maxW / len(p.jobs)
-		if inner < 1 {
-			inner = 1
-		}
-		cfgUnit.BEM.Workers = inner
-		res, err := core.CompleteHMatrix(ictx, j.asm, j.model, j.group.warnings, cfgUnit)
-		if err != nil {
-			if ictx.Err() == nil {
-				j.fail(err)
-			}
-			return
-		}
-		j.hres = res
-	}
-
 	// completeJob dispatches a job whose last work unit just finished: failed
-	// jobs emit error results, healthy ones assemble (dense) and emit.
+	// jobs emit error results, healthy ones assemble and emit.
 	completeJob := func(j *job, w, global int) {
 		if err := j.failed(); err != nil {
 			emitFailed(j, err)
@@ -625,11 +568,7 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 		// would be discarded) but still counted, so the job reaches
 		// completion and reports its scenarios.
 		if j.failed() == nil {
-			if p.hmatrix {
-				runHMatrixJob(j, w, i)
-			} else {
-				computeColumn(j, local, w, i)
-			}
+			computeColumn(j, local, w, i)
 		}
 		if j.remaining.Add(-1) == 0 {
 			completeJob(j, w, i)

@@ -161,53 +161,6 @@ func TestSweepGPRReuse(t *testing.T) {
 	}
 }
 
-// TestSweepHMatrix pins the compressed-solver sweep mode: under
-// Solver = SolverHMatrix each job runs the whole H-matrix pipeline as one
-// work unit, reuse tiers still apply, and every assembled result is
-// bit-identical to a sequential analysis of the same scenario (the compressed
-// build and matvec are bit-identical across worker counts, so the sweep's
-// pool-width division cannot show through).
-func TestSweepHMatrix(t *testing.T) {
-	g := grid.Barbera()
-	cfg := testConfig(2)
-	cfg.Solver = core.SolverHMatrix
-	scens := []Scenario{
-		{ID: "uniform", Model: soil.NewUniform(0.020), GPR: 10_000},
-		{ID: "two-layer", Model: soil.NewTwoLayer(0.0025, 0.020, 0.7), GPR: 12_500},
-		{ID: "gpr-variant", Model: soil.NewUniform(0.020), GPR: 5_000},
-	}
-	got, err := Run(context.Background(), g, scens, Options{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Reuse != ReuseAssembled || got[1].Reuse != ReuseAssembled {
-		t.Fatalf("reuse (%q, %q), want both assembled", got[0].Reuse, got[1].Reuse)
-	}
-	if got[2].Reuse != ReuseSolve {
-		t.Fatalf("gpr-variant reuse %q, want solve (same model as uniform)", got[2].Reuse)
-	}
-	for i, r := range got {
-		seqCfg := cfg
-		seqCfg.GPR = scens[i].GPR
-		want, err := core.AnalyzeCtx(context.Background(), g, scens[i].Model, seqCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Res.Req != want.Req || r.Res.Current != want.Current {
-			t.Errorf("%s: (Req, Current) = (%v, %v), want (%v, %v)",
-				r.ID, r.Res.Req, r.Res.Current, want.Req, want.Current)
-		}
-		sameFloats(t, r.ID+" Sigma", r.Res.Sigma, want.Sigma)
-		if r.Res.HMatrix.N == 0 {
-			t.Errorf("%s: Result.HMatrix stats empty — compressed path not taken", r.ID)
-		}
-	}
-	if got[0].Assembly <= 0 || got[0].Solve <= 0 {
-		t.Errorf("assembled result carries timings (%v, %v), want both positive",
-			got[0].Assembly, got[0].Solve)
-	}
-}
-
 // TestSweepMeshGrouping pins the geometry-reuse tier: models with equal
 // interface depths share one mesh; models with different depths do not.
 func TestSweepMeshGrouping(t *testing.T) {
@@ -386,5 +339,20 @@ func TestSweepEmptyAndInvalid(t *testing.T) {
 	if err := Stream(context.Background(), nil,
 		[]Scenario{{Model: soil.NewUniform(0.02)}}, Options{}, nil); err == nil {
 		t.Error("nil grid accepted")
+	}
+	// The compressed tier is refused before any work starts: emit is never
+	// called.
+	hm := Options{Config: core.Config{Solver: core.SolverHMatrix}}
+	err := Stream(context.Background(), grid.Barbera(),
+		[]Scenario{{Model: soil.NewUniform(0.02)}}, hm, func(Result) error {
+			t.Error("emit called under SolverHMatrix")
+			return nil
+		})
+	if !errors.Is(err, ErrUnsupportedSolver) {
+		t.Errorf("SolverHMatrix: err = %v, want ErrUnsupportedSolver", err)
+	}
+	if _, err := Run(context.Background(), grid.Barbera(),
+		[]Scenario{{Model: soil.NewUniform(0.02)}}, hm); !errors.Is(err, ErrUnsupportedSolver) {
+		t.Errorf("Run under SolverHMatrix: err = %v, want ErrUnsupportedSolver", err)
 	}
 }

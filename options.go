@@ -45,8 +45,9 @@ func WithFlatAssembly() Option {
 // Frobenius tolerance per compressed block; the equivalent resistance
 // tracks it within a small multiple). eta ≤ 0 keeps the default 2 —
 // larger values compress more of the matrix at slightly higher rank.
-// Leaf size, rank cap and the dense fallback threshold stay at their
-// Config.HMatrix defaults unless the base Config sets them.
+// Leaf size and the dense fallback threshold stay at their Config.HMatrix
+// defaults unless the base Config sets them; the per-block rank cap is the
+// constant 96.
 func WithHMatrix(eps, eta float64) Option {
 	return func(s *settings) {
 		s.cfg.Solver = SolverHMatrix
