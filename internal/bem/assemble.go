@@ -182,7 +182,7 @@ func (a *Assembler) MatrixCtx(ctx context.Context) (*linalg.SymMatrix, sched.Sta
 		if err != nil {
 			return nil, stats, err
 		}
-		return ps.Assemble(), stats, nil
+		return ps.assemble(), stats, nil
 
 	case MutexAssemble:
 		// Each class is scattered onto its members under a lock as soon as
@@ -208,6 +208,45 @@ func (a *Assembler) MatrixCtx(ctx context.Context) (*linalg.SymMatrix, sched.Sta
 	default:
 		return nil, sched.Stats{}, fmt.Errorf("bem: unknown assembly mode %v", a.opt.Assembly)
 	}
+}
+
+// pairStore is the elemental-matrix store of a StoreThenAssemble
+// generation: the pair → class table and one k×k slot per pair class. Each
+// class is computed by the column that owns it (see pairClasses); distinct
+// columns touch disjoint slots, so concurrent workers fill different
+// columns without synchronization.
+type pairStore struct {
+	a       *Assembler
+	classes *pairClasses
+	data    []float64
+}
+
+func (a *Assembler) newPairStore(cl *pairClasses) *pairStore {
+	return &pairStore{a: a, classes: cl, data: make([]float64, len(cl.keys)*a.k*a.k)}
+}
+
+// class returns class c's slot.
+func (ps *pairStore) class(c int) []float64 {
+	kk := ps.a.k * ps.a.k
+	return ps.data[c*kk : (c+1)*kk]
+}
+
+// assemble scatters a fully computed store into a fresh global matrix:
+// every pair, in triangle order, receives its class matrix under its flip.
+func (ps *pairStore) assemble() *linalg.SymMatrix {
+	a := ps.a
+	m := len(a.mesh.Elements)
+	r := linalg.NewSymMatrix(a.mesh.NumDoF)
+	var member [4]float64
+	for beta := 0; beta < m; beta++ {
+		row := beta * (beta + 1) / 2
+		for alpha := 0; alpha <= beta; alpha++ {
+			c := ps.classes.of[row+alpha]
+			PairFlip(c&3).Apply(a.k, ps.class(int(c>>2)), member[:])
+			a.assemblePair(r, beta, alpha, member[:])
+		}
+	}
+	return r
 }
 
 // pairScratch holds per-worker scratch buffers so the hot loop does not

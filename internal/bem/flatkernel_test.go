@@ -94,42 +94,9 @@ func solveStoreReq(t *testing.T, m *grid.Mesh, r *linalg.SymMatrix) float64 {
 	return 1 / TotalCurrent(m, x)
 }
 
-// TestFlatKernelColumnsMatchMatrix pins the column API under the flat kernel:
-// PairStore.ComputeColumn + Assemble must reproduce MatrixCtx bit for bit,
-// the invariant the sweep engine's interleaved assembly relies on.
-func TestFlatKernelColumnsMatchMatrix(t *testing.T) {
-	model := soil.NewTwoLayer(0.005, 0.016, 1.0)
-	m := flatFixtureMesh(t, model, grid.Linear)
-	a, err := New(m, model, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := a.MatrixCtx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := a.NewPairStore(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ar Arena
-	for beta := 0; beta < a.NumColumns(); beta++ {
-		store.ComputeColumn(beta, a.ColumnScratchFromArena(&ar))
-	}
-	got := store.Assemble()
-	n := want.Order()
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			if want.At(i, j) != got.At(i, j) {
-				t.Fatalf("entry (%d,%d): Matrix %v, column path %v", i, j, want.At(i, j), got.At(i, j))
-			}
-		}
-	}
-}
-
-// TestFlatKernelColumnZeroAllocs proves the arena contract: once the plan and
-// the arena scratch are warm, computing a column allocates nothing, for
-// uniform and two-layer soils.
+// TestFlatKernelColumnZeroAllocs proves the scratch contract: once the
+// plan and a NewColumnScratch are warm, evaluating a column's pair classes
+// allocates nothing, for uniform and two-layer soils.
 func TestFlatKernelColumnZeroAllocs(t *testing.T) {
 	for _, name := range []string{"uniform", "two-layer"} {
 		model := flatFixtureModels(t)[name]
@@ -138,74 +105,25 @@ func TestFlatKernelColumnZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store, err := a.NewPairStore(context.Background())
+		cl, err := a.classify(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ar Arena
-		cs := a.ColumnScratchFromArena(&ar)
-		beta := a.NumColumns() - 1
-		store.ComputeColumn(beta, cs) // warm the scratch
-		allocs := testing.AllocsPerRun(10, func() {
-			store.ComputeColumn(beta, a.ColumnScratchFromArena(&ar))
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: %v allocations per warmed column", name, allocs)
+		beta := len(m.Elements) - 1
+		lo, hi := cl.columnClasses(beta)
+		if hi == lo {
+			t.Fatalf("%s: column %d owns no class", name, beta)
 		}
-	}
-}
-
-// TestArenaReuseAcrossAssemblers pins the cross-job reuse the sweep workers
-// depend on: assemblers with matching scratch dimensions share the cached
-// scratch, and a dimension change rebuilds it without corrupting results.
-func TestArenaReuseAcrossAssemblers(t *testing.T) {
-	modelA := soil.NewUniform(0.01)
-	modelB := soil.NewTwoLayer(0.005, 0.016, 1.0)
-	mA := flatFixtureMesh(t, modelA, grid.Linear)
-	mB := flatFixtureMesh(t, modelB, grid.Linear)
-	aA, err := New(mA, modelA, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aB, err := New(mB, modelB, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ar Arena
-	csA := aA.ColumnScratchFromArena(&ar)
-	if aB.ColumnScratchFromArena(&ar) != csA {
-		t.Fatal("same-dimension assemblers did not share the arena scratch")
-	}
-	// A constant-element mesh has k=1: dimensions change, scratch rebuilds.
-	mC, err := grid.Discretize(grid.RectMesh(0, 0, 10, 10, 2, 2, 0.6, 0.006), grid.Constant, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aC, err := New(mC, modelA, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	csC := aC.ColumnScratchFromArena(&ar)
-	if csC == csA {
-		t.Fatal("dimension change did not rebuild the scratch")
-	}
-	// And the rebuilt scratch still computes correct columns.
-	store, err := aC.NewPairStore(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.ComputeColumn(0, csC)
-	want, _, err := aC.MatrixCtx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for beta := 1; beta < aC.NumColumns(); beta++ {
-		store.ComputeColumn(beta, aC.ColumnScratchFromArena(&ar))
-	}
-	got := store.Assemble()
-	for i := 0; i < want.Order(); i++ {
-		if want.At(i, i) != got.At(i, i) {
-			t.Fatalf("arena-backed column %d diverged from Matrix", i)
+		out := make([]float64, a.k*a.k)
+		cs := a.NewColumnScratch()
+		column := func() {
+			for c := lo; c < hi; c++ {
+				a.evalClass(cl, c, beta, out, cs.s)
+			}
+		}
+		column() // warm the plan and the scratch
+		if allocs := testing.AllocsPerRun(10, column); allocs != 0 {
+			t.Fatalf("%s: %v allocations per warmed column", name, allocs)
 		}
 	}
 }

@@ -19,8 +19,9 @@ import (
 // pair a class signature (PairKey); the kernel evaluated on the canonical
 // geometry the key describes is an exact function of the key, so each class
 // is evaluated once and its matrix is mapped back onto every member by
-// swapping rows and columns (PairFlip). Dense assembly, the sweep's column
-// store and the H-matrix entry generator all key on this one form.
+// swapping rows and columns (PairFlip). Dense assembly (MatrixCtx, which
+// the sweep runs per job too) and the H-matrix entry generator both key on
+// this one form.
 //
 // The canonical pose is chosen among the eight isometries of the dihedral
 // group D4. The doubled horizontal offset v between the two midpoints picks
@@ -251,6 +252,35 @@ func (k *PairKey) hash() uint64 {
 	h ^= h >> 30
 	h *= 0x94d049bb133111eb
 	return h ^ h>>31
+}
+
+// ColumnScratch is the per-worker scratch of ClassMatrix and PairMatrix
+// (the H-matrix entry generator's evaluations). A scratch must not be
+// shared between concurrent workers; allocate one per worker with
+// NewColumnScratch.
+type ColumnScratch struct {
+	s *pairScratch
+}
+
+// NewColumnScratch allocates the per-worker buffers of ClassMatrix and
+// PairMatrix.
+func (a *Assembler) NewColumnScratch() *ColumnScratch {
+	return &ColumnScratch{s: a.newScratch()}
+}
+
+// PairMatrix computes the elemental matrix of the ordered element pair
+// (beta, alpha) into out (row-major k×k, out[j·k+i] = ∫_β w_j ∫_α N_i G)
+// with exactly the arithmetic of the MatrixCtx pair loop: the pair's class
+// matrix under its flip, or the pair's own evaluation when it has no class.
+// cs must not be shared between concurrent workers.
+func (a *Assembler) PairMatrix(beta, alpha int, out []float64, cs *ColumnScratch) {
+	var key PairKey
+	if flip, ok := a.PairClass(beta, alpha, &key); ok {
+		a.classMatrix(&key, cs.s.elemental, cs.s)
+		flip.Apply(a.k, cs.s.elemental, out)
+		return
+	}
+	a.pairMatrixExact(beta, alpha, out, cs.s)
 }
 
 // ClassMatrix evaluates the flat kernel on the canonical geometry of a class

@@ -222,8 +222,7 @@ func TestPairClassMirrorBitIdentical(t *testing.T) {
 }
 
 // TestPairClassWorkerInvariant: the class loop is bit-identical across
-// worker counts, loop strategies and schedules (the PairStore column path
-// is pinned to Matrix by TestFlatKernelColumnsMatchMatrix).
+// worker counts, loop strategies and schedules.
 func TestPairClassWorkerInvariant(t *testing.T) {
 	model := soil.NewTwoLayer(0.005, 0.016, 1.0)
 	m := classFixtureMeshes(t, model, grid.Linear)["graded"]
@@ -272,9 +271,6 @@ func TestPairClassCancelledDuringKeyPhase(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := a.NewPairStore(ctx); err != context.Canceled {
-		t.Errorf("NewPairStore on a cancelled ctx: err = %v, want context.Canceled", err)
-	}
 	if _, _, err := a.MatrixCtx(ctx); err != context.Canceled {
 		t.Errorf("MatrixCtx on a cancelled ctx: err = %v, want context.Canceled", err)
 	}

@@ -27,7 +27,7 @@ func (im ladderImage) applySegment(s geom.Segment) geom.Segment {
 }
 
 // referenceMatrix generates the Galerkin matrix pair by pair, in the
-// triangle order of PairStore.Assemble: referencePairMatrix for layer pairs
+// triangle order of MatrixCtx's scatter: referencePairMatrix for layer pairs
 // with an image expansion, the production quadrature fallback otherwise.
 func (a *Assembler) referenceMatrix() *linalg.SymMatrix {
 	m := len(a.mesh.Elements)

@@ -344,10 +344,6 @@ func solveSystem(res *Result, r *linalg.SymMatrix, cfg Config) error {
 		}
 		chol = ch
 		res.Sigma = x
-	case SolverHMatrix:
-		// The compressed tier owns its own pipeline stages; an externally
-		// assembled dense system has nothing left to compress.
-		return fmt.Errorf("core: SolverHMatrix cannot solve an externally assembled dense system; use AnalyzeCtx")
 	default:
 		return fmt.Errorf("core: unknown solver %v", cfg.Solver)
 	}
@@ -375,28 +371,49 @@ func finishResults(res *Result, gpr float64) error {
 	return nil
 }
 
-// CompleteAssembled finishes the pipeline for an externally generated system
-// matrix r (e.g. one the sweep engine assembled column-by-column through
-// bem.PairStore.ComputeColumn/Assemble): it runs the solve and results
-// stages exactly as the full pipeline does, so the outcome is bit-identical
-// to AnalyzeCtx of the same (mesh, model, cfg) scenario. warnings are the
-// preprocessing warnings of BuildMesh; stats describes the loop that
-// generated the matrix (zero if unknown).
-func CompleteAssembled(asm *bem.Assembler, model soil.Model, r *linalg.SymMatrix, stats sched.Stats, warnings []string, cfg Config) (*Result, error) {
+// AnalyzeAssembler runs the matrix-generation, solve and results stages of
+// AnalyzeCtx on a prebuilt assembler — the pipeline after preprocessing,
+// with the same cancellation semantics. AnalyzeCtx itself runs these stages
+// through it, so any caller holding an assembler of the same (mesh, model,
+// cfg.BEM) scenario gets a bit-identical result; the sweep engine builds its
+// assemblers on shared geometry (bem.NewWithGeometry) and analyzes each
+// through here. warnings are the preprocessing warnings of BuildMesh.
+// cfg.Solver must be a dense solver: the compressed tier never generates the
+// dense matrix.
+func AnalyzeAssembler(ctx context.Context, asm *bem.Assembler, model soil.Model, warnings []string, cfg Config) (*Result, error) {
 	if err := validGPR(&cfg); err != nil {
 		return nil, err
 	}
+	if cfg.Solver == SolverHMatrix {
+		return nil, fmt.Errorf("core: SolverHMatrix has no dense matrix-generation stage; use AnalyzeCtx")
+	}
 	res := &Result{
-		Mesh:      asm.Mesh(),
-		Model:     model,
-		GPR:       cfg.GPR,
-		LoopStats: stats,
-		Warnings:  warnings,
-		asm:       asm,
+		Mesh:     asm.Mesh(),
+		Model:    model,
+		GPR:      cfg.GPR,
+		Warnings: warnings,
+		asm:      asm,
+	}
+
+	// Stage: matrix generation — the dominant cost for layered soils
+	// (Table 6.1) and the parallelized loop (§6.2).
+	start := time.Now()
+	r, stats, err := asm.MatrixCtx(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("core: matrix generation: %w", err)
+	}
+	res.LoopStats = stats
+	res.Timings.MatrixGen = time.Since(start)
+
+	// Stage: linear system solving.
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: solve: %w", err)
 	}
 	if err := solveSystem(res, r, cfg); err != nil {
 		return nil, err
 	}
+
+	// Stage: results.
 	if err := finishResults(res, cfg.GPR); err != nil {
 		return nil, err
 	}
@@ -500,63 +517,37 @@ func analyze(ctx context.Context, g *grid.Grid, mesh *grid.Mesh, model soil.Mode
 	if err := validGPR(&cfg); err != nil {
 		return nil, err
 	}
-	res := &Result{Model: model, GPR: cfg.GPR}
-	res.Timings.Input = inputTime
 
 	// Stage: data preprocessing — interface splitting, discretization, DoF
 	// numbering, assembler setup (element Gauss data, kernel expansions).
 	start := time.Now()
+	var warnings []string
 	if mesh == nil {
-		var warnings []string
 		var err error
 		mesh, warnings, err = BuildMesh(g, model, cfg)
 		if err != nil {
 			return nil, err
 		}
-		res.Warnings = warnings
 	}
-	res.Mesh = mesh
 	asm, err := bem.New(mesh, model, cfg.BEM)
 	if err != nil {
 		return nil, fmt.Errorf("core: preprocess: %w", err)
 	}
-	res.asm = asm
-	res.Timings.Preprocess = time.Since(start)
+	preprocess := time.Since(start)
 
 	// The compressed tier replaces both the dense matrix-generation and the
 	// packed solve stages (degrading to them on small systems when the
 	// compression or the iterative solve fails).
+	var res *Result
 	if cfg.Solver == SolverHMatrix {
-		if err := runHMatrixWithFallback(ctx, res, asm, cfg); err != nil {
-			return nil, err
-		}
-		if err := finishResults(res, cfg.GPR); err != nil {
-			return nil, err
-		}
-		return res, nil
+		res, err = analyzeHMatrix(ctx, asm, model, warnings, cfg)
+	} else {
+		res, err = AnalyzeAssembler(ctx, asm, model, warnings, cfg)
 	}
-
-	// Stage: matrix generation — the dominant cost for layered soils
-	// (Table 6.1) and the parallelized loop (§6.2).
-	start = time.Now()
-	r, stats, err := asm.MatrixCtx(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("core: matrix generation: %w", err)
-	}
-	res.LoopStats = stats
-	res.Timings.MatrixGen = time.Since(start)
-
-	// Stage: linear system solving.
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: solve: %w", err)
-	}
-	if err := solveSystem(res, r, cfg); err != nil {
 		return nil, err
 	}
-
-	// Stage: results.
-	if err := finishResults(res, cfg.GPR); err != nil {
-		return nil, err
-	}
+	res.Timings.Input = inputTime
+	res.Timings.Preprocess = preprocess
 	return res, nil
 }

@@ -11,6 +11,7 @@ import (
 	"earthing/internal/faultinject"
 	"earthing/internal/hmatrix"
 	"earthing/internal/linalg"
+	"earthing/internal/soil"
 )
 
 // HMatrixConfig tunes the compressed solver tier (Config.Solver =
@@ -110,33 +111,27 @@ func runHMatrix(ctx context.Context, res *Result, asm *bem.Assembler, cfg Config
 	return nil
 }
 
-// runHMatrixWithFallback runs the compressed stages and, when they fail on a
-// system small enough to afford the dense path (HMatrixConfig.
-// DenseFallbackN), degrades to dense assembly + PCG with a Result warning.
-// Health-check errors never degrade: a poisoned load vector would poison the
-// dense run identically.
-func runHMatrixWithFallback(ctx context.Context, res *Result, asm *bem.Assembler, cfg Config) error {
+// analyzeHMatrix runs the compressed stages and the results stage on a
+// prebuilt assembler. When the compressed stages fail on a system small
+// enough to afford the dense path (HMatrixConfig.DenseFallbackN), it
+// degrades to AnalyzeAssembler under PCG with a Result warning. Health-check
+// errors never degrade: a poisoned load vector would poison the dense run
+// identically.
+func analyzeHMatrix(ctx context.Context, asm *bem.Assembler, model soil.Model, warnings []string, cfg Config) (*Result, error) {
+	res := &Result{Mesh: asm.Mesh(), Model: model, GPR: cfg.GPR, Warnings: warnings, asm: asm}
 	hErr := runHMatrix(ctx, res, asm, cfg)
 	if hErr == nil {
-		return nil
+		if err := finishResults(res, cfg.GPR); err != nil {
+			return nil, err
+		}
+		return res, nil
 	}
 	var health *HealthError
-	if errors.As(hErr, &health) || !hmatrixFallbackAllowed(cfg, res.Mesh.NumDoF) {
-		return hErr
+	if errors.As(hErr, &health) || !hmatrixFallbackAllowed(cfg, res.Mesh.NumDoF) || ctx.Err() != nil {
+		return nil, hErr
 	}
-	if err := ctx.Err(); err != nil {
-		return hErr
-	}
-	res.Warnings = append(res.Warnings, fmt.Sprintf(
+	warnings = append(warnings[:len(warnings):len(warnings)], fmt.Sprintf(
 		"core: hmatrix solver failed (%v); fell back to dense pcg", hErr))
-	res.HMatrix = hmatrix.BuildStats{}
-	start := time.Now()
-	r, stats, err := asm.MatrixCtx(ctx)
-	if err != nil {
-		return fmt.Errorf("core: matrix generation (dense fallback): %w", err)
-	}
-	res.LoopStats = stats
-	res.Timings.MatrixGen = time.Since(start)
 	cfg.Solver = PCG
-	return solveSystem(res, r, cfg)
+	return AnalyzeAssembler(ctx, asm, model, warnings, cfg)
 }

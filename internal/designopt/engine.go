@@ -43,11 +43,15 @@ type Options struct {
 	// (default 20 — an excess of 1 % already costs ≈20 % of the design,
 	// dominating the cost gap between adjacent lattice densities).
 	PenaltyWeight float64
-	// TolF, TolX forward to optimize.Options (defaults 1e-6, 1e-3 — the
-	// quantized landscape is piecewise constant, so tight tolerances only
-	// burn budget).
-	TolF, TolX float64
 }
+
+// The Nelder–Mead stopping tolerances of every start (optimize.Options):
+// the quantized landscape is piecewise constant, so tighter tolerances only
+// burn budget.
+const (
+	tolF = 1e-6
+	tolX = 1e-3
+)
 
 func (o Options) withDefaults() Options {
 	if o.Starts <= 0 {
@@ -61,12 +65,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PenaltyWeight <= 0 {
 		o.PenaltyWeight = 20
-	}
-	if o.TolF <= 0 {
-		o.TolF = 1e-6
-	}
-	if o.TolX <= 0 {
-		o.TolX = 1e-3
 	}
 	return o
 }
@@ -190,8 +188,8 @@ func (e *engine) search(ctx context.Context) (*Design, Stats, error) {
 	events := make(chan event, e.opt.Starts)
 	nmOpt := optimize.Options{
 		MaxIter: e.opt.MaxEvals / e.opt.Starts,
-		TolF:    e.opt.TolF,
-		TolX:    e.opt.TolX,
+		TolF:    tolF,
+		TolX:    tolX,
 	}
 
 	// Deterministic start points: the box center first (the "obvious"

@@ -184,7 +184,7 @@ func (s Spec) buildGrid(c candidate) *grid.Grid {
 	g.Name = c.key()
 	perim := 2 * (s.Width + s.Height)
 	for k := 0; k < c.rods; k++ {
-		x, y := perimeterPoint(s.Width, s.Height, perim*float64(k)/float64(c.rods))
+		x, y := grid.PerimeterPoint(s.Width, s.Height, perim*float64(k)/float64(c.rods))
 		g.AddRod(x, y, c.depth, s.RodLength, s.RodRadius)
 	}
 	return g
@@ -202,21 +202,6 @@ func (s Spec) LargestGrid() (*grid.Grid, error) {
 		return nil, err
 	}
 	return s.buildGrid(candidate{nx: s.MaxLines, ny: s.MaxLines, rods: s.MaxRods, depth: s.MaxDepth}), nil
-}
-
-// perimeterPoint walks distance t along the rectangle perimeter from the
-// origin corner, counter-clockwise.
-func perimeterPoint(w, h, t float64) (x, y float64) {
-	switch {
-	case t < w:
-		return t, 0
-	case t < w+h:
-		return w, t - w
-	case t < 2*w+h:
-		return w - (t - w - h), h
-	default:
-		return 0, h - (t - 2*w - h)
-	}
 }
 
 // cost is the copper objective in cost units: lattice length at the

@@ -1,8 +1,8 @@
 // Package faultinject is a deterministic fault-injection registry for the
 // resilience test suites. Production code is instrumented with named
 // injection points (Fire calls) at the places the chaos tests need to break:
-// assembly columns, quadrature kernels, the server cache and the admission
-// path. Tests install hooks that panic, poison buffers with NaN, delay, or
+// pair-class evaluations, quadrature kernels, the solvers, the server cache
+// and the admission path. Tests install hooks that panic, poison buffers with NaN, delay, or
 // cancel contexts at an exact, reproducible firing — which is what makes
 // graceful degradation testable under -race.
 //
@@ -14,7 +14,7 @@
 // Hooks are process-global; tests that install them must not run in
 // parallel with each other and must restore on exit:
 //
-//	defer faultinject.Set(faultinject.AssemblyColumn,
+//	defer faultinject.Set(faultinject.AssemblyPair,
 //		faultinject.Counted(3, faultinject.Panic("injected")))()
 package faultinject
 
@@ -29,25 +29,19 @@ type Point string
 
 // The instrumented sites.
 const (
-	// AssemblyColumn fires once per element-pair-triangle column inside
-	// bem.PairStore.ComputeColumn, with i = column index and data = the
-	// slots of the pair classes that column evaluates (poisonable; empty
-	// when every pair of the column belongs to an earlier column's class).
-	AssemblyColumn Point = "bem.assembly.column"
 	// AssemblyPair fires once per evaluated pair class — the unit of the
-	// Matrix pair loop and of the sweep's columns, each class standing for
-	// every congruent element pair (see bem.PairClass) — with i = the
-	// evaluating column β and data = the class's elemental matrix
-	// (poisoning it poisons every member pair).
+	// MatrixCtx pair loop, each class standing for every congruent element
+	// pair (see bem.PairClass) — with i = the evaluating column β and
+	// data = the class's elemental matrix (poisoning it poisons every
+	// member pair). The sweep runs its jobs one at a time in plan order, so
+	// the n-th firing of a sweep belongs to a known job: with C classes per
+	// job, firings k·C+1 … (k+1)·C are job k's.
 	AssemblyPair Point = "bem.assembly.pair"
 	// Quadrature fires on entry of the slow quadrature kernel (models
 	// without an image expansion), once per such pair — those pairs have
 	// no class and are evaluated one by one — with i = pair column β and
 	// data = the elemental output buffer.
 	Quadrature Point = "bem.quadrature"
-	// SweepColumn fires once per global sweep column, with i = the global
-	// interleaved column index and data = that column's store slice.
-	SweepColumn Point = "sweep.column"
 	// Solve fires on entry of the linear-system-solving stage, with
 	// i = system order and data = the RHS vector.
 	Solve Point = "core.solve"
@@ -214,7 +208,7 @@ func Counted(n int64, h Hook) Hook {
 }
 
 // At wraps h so it fires only when the site index equals i — e.g. exactly
-// the global sweep column that belongs to one scenario's job.
+// one panel of a blocked factorization.
 func At(i int, h Hook) Hook {
 	return func(j int, data []float64) {
 		if j == i {

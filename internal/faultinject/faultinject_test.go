@@ -15,7 +15,7 @@ func TestFireInactive(t *testing.T) {
 		t.Fatal("Active() = true with no hooks installed")
 	}
 	data := []float64{1, 2, 3}
-	Fire(AssemblyColumn, 0, data)
+	Fire(AssemblyPair, 0, data)
 	for i, v := range data {
 		if v != float64(i+1) {
 			t.Fatalf("Fire mutated data with no hook: %v", data)

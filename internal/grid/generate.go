@@ -15,22 +15,9 @@ import (
 // conductor, which is the natural unit for the paper's per-segment
 // discretization. nx, ny ≥ 2.
 func RectMesh(x0, y0, width, height float64, nx, ny int, depth, radius float64) *Grid {
-	if nx < 2 || ny < 2 {
-		panic(fmt.Sprintf("grid: RectMesh needs nx, ny ≥ 2, got %d×%d", nx, ny))
-	}
+	checkLines("RectMesh", nx, ny)
 	g := &Grid{Name: fmt.Sprintf("rect-%dx%d", nx, ny)}
-	xs := linspace(x0, x0+width, nx)
-	ys := linspace(y0, y0+height, ny)
-	for _, x := range xs {
-		for j := 0; j+1 < ny; j++ {
-			g.AddConductor(geom.V(x, ys[j], depth), geom.V(x, ys[j+1], depth), radius)
-		}
-	}
-	for _, y := range ys {
-		for i := 0; i+1 < nx; i++ {
-			g.AddConductor(geom.V(xs[i], y, depth), geom.V(xs[i+1], y, depth), radius)
-		}
-	}
+	g.addLattice(linspace(x0, x0+width, nx), linspace(y0, y0+height, ny), depth, radius, nil)
 	return g
 }
 
@@ -40,12 +27,47 @@ func RectMesh(x0, y0, width, height float64, nx, ny int, depth, radius float64) 
 // the triangle; spans whose endpoints both survive the clip become
 // conductors. This is the Barberá plan shape (Fig 5.1).
 func TriangleMesh(legX, legY float64, nx, ny int, depth, radius float64) *Grid {
-	if nx < 2 || ny < 2 {
-		panic(fmt.Sprintf("grid: TriangleMesh needs nx, ny ≥ 2, got %d×%d", nx, ny))
-	}
+	checkLines("TriangleMesh", nx, ny)
 	g := &Grid{Name: fmt.Sprintf("triangle-%dx%d", nx, ny)}
-	xs := linspace(0, legX, nx)
-	ys := linspace(0, legY, ny)
+	g.addTriangleLattice(legX, legY, linspace(0, legX, nx), linspace(0, legY, ny), depth, radius)
+	return g
+}
+
+// checkLines panics unless a lattice generator got at least two lines per
+// direction.
+func checkLines(fn string, nx, ny int) {
+	if nx < 2 || ny < 2 {
+		panic(fmt.Sprintf("grid: %s needs nx, ny ≥ 2, got %d×%d", fn, nx, ny))
+	}
+}
+
+// addLattice adds the crossing lattice of the lines x = xs[i] and
+// y = ys[j] at the given depth: one conductor per span between adjacent
+// crossings, the x = const lines first, each in ascending order. Spans
+// for which skip (when non-nil) reports true are left out.
+func (g *Grid) addLattice(xs, ys []float64, depth, radius float64, skip func(a, b geom.Vec3) bool) {
+	add := func(a, b geom.Vec3) {
+		if skip == nil || !skip(a, b) {
+			g.AddConductor(a, b, radius)
+		}
+	}
+	for _, x := range xs {
+		for j := 0; j+1 < len(ys); j++ {
+			add(geom.V(x, ys[j], depth), geom.V(x, ys[j+1], depth))
+		}
+	}
+	for _, y := range ys {
+		for i := 0; i+1 < len(xs); i++ {
+			add(geom.V(xs[i], y, depth), geom.V(xs[i+1], y, depth))
+		}
+	}
+}
+
+// addTriangleLattice adds the crossing lattice of xs × ys clipped to the
+// right triangle with legs legX, legY at the origin: crossings with
+// x/legX + y/legY ≤ 1 survive, and each span whose two endpoints survive
+// becomes a conductor, node by node.
+func (g *Grid) addTriangleLattice(legX, legY float64, xs, ys []float64, depth, radius float64) {
 	const eps = 1e-9
 	keep := func(x, y float64) bool { return x/legX+y/legY <= 1+eps }
 	for i, x := range xs {
@@ -53,15 +75,14 @@ func TriangleMesh(legX, legY float64, nx, ny int, depth, radius float64) *Grid {
 			if !keep(x, y) {
 				continue
 			}
-			if i+1 < nx && keep(xs[i+1], y) {
+			if i+1 < len(xs) && keep(xs[i+1], y) {
 				g.AddConductor(geom.V(x, y, depth), geom.V(xs[i+1], y, depth), radius)
 			}
-			if j+1 < ny && keep(x, ys[j+1]) {
+			if j+1 < len(ys) && keep(x, ys[j+1]) {
 				g.AddConductor(geom.V(x, y, depth), geom.V(x, ys[j+1], depth), radius)
 			}
 		}
 	}
-	return g
 }
 
 // Barbera builds the Barberá substation grounding grid of Example 1
@@ -94,36 +115,15 @@ func Balaidos() *Grid {
 		w, h       = 80.0, 60.0
 	)
 	g := &Grid{Name: "balaidos"}
-	xs := linspace(0, w, 9)
-	ys := linspace(0, h, 7)
 	removedNode := geom.V(w, h, depth) // clipped corner
-	skip := func(a, b geom.Vec3) bool {
+	g.addLattice(linspace(0, w, 9), linspace(0, h, 7), depth, condRadius, func(a, b geom.Vec3) bool {
 		if a.ApproxEqual(removedNode, 1e-9) || b.ApproxEqual(removedNode, 1e-9) {
 			return true
 		}
 		// One omitted span on the west edge (real plans are rarely full
 		// lattices; this lands the count at exactly 107).
-		if a.ApproxEqual(geom.V(0, 50, depth), 1e-9) && b.ApproxEqual(geom.V(0, 60, depth), 1e-9) {
-			return true
-		}
-		return false
-	}
-	for _, x := range xs {
-		for j := 0; j+1 < len(ys); j++ {
-			a, b := geom.V(x, ys[j], depth), geom.V(x, ys[j+1], depth)
-			if !skip(a, b) {
-				g.AddConductor(a, b, condRadius)
-			}
-		}
-	}
-	for _, y := range ys {
-		for i := 0; i+1 < len(xs); i++ {
-			a, b := geom.V(xs[i], y, depth), geom.V(xs[i+1], y, depth)
-			if !skip(a, b) {
-				g.AddConductor(a, b, condRadius)
-			}
-		}
-	}
+		return a.ApproxEqual(geom.V(0, 50, depth), 1e-9) && b.ApproxEqual(geom.V(0, 60, depth), 1e-9)
+	})
 	// 67 rods equally spaced along the perimeter stretches that carry a
 	// conductor (the clipped corner and the omitted west span have none —
 	// a rod there would be electrically floating). In arc length from the
@@ -143,7 +143,7 @@ func Balaidos() *Grid {
 				s += e[1] - e[0]
 			}
 		}
-		x, y := perimeterPoint(w, h, s)
+		x, y := PerimeterPoint(w, h, s)
 		g.AddRod(x, y, depth, rodLen, rodRadius)
 	}
 	return g
@@ -166,9 +166,10 @@ func BalaidosMesh() (*Mesh, error) {
 	})
 }
 
-// perimeterPoint maps arc length s (from the origin, counter-clockwise) to a
-// point on the w × h rectangle boundary.
-func perimeterPoint(w, h, s float64) (x, y float64) {
+// PerimeterPoint maps arc length s (from the origin, counter-clockwise) to a
+// point on the w × h rectangle boundary; s wraps modulo the perimeter, and
+// s ∈ [0, 2(w+h)) maps without rounding.
+func PerimeterPoint(w, h, s float64) (x, y float64) {
 	s = math.Mod(s, 2*(w+h))
 	switch {
 	case s < w:
@@ -249,16 +250,7 @@ func Interconnected(n int, seed int64) *Grid {
 		yOff := (rng.Float64() - 0.5) * 0.3 * height
 		xs := linspace(x0, x0+width, nx)
 		ys := linspace(yOff, yOff+height, ny)
-		for _, x := range xs {
-			for j := 0; j+1 < ny; j++ {
-				g.AddConductor(geom.V(x, ys[j], depth), geom.V(x, ys[j+1], depth), condRadius)
-			}
-		}
-		for _, y := range ys {
-			for m := 0; m+1 < nx; m++ {
-				g.AddConductor(geom.V(xs[m], y, depth), geom.V(xs[m+1], y, depth), condRadius)
-			}
-		}
+		g.addLattice(xs, ys, depth, condRadius, nil)
 		for _, cx := range []float64{xs[0], xs[nx-1]} {
 			for _, cy := range []float64{ys[0], ys[ny-1]} {
 				g.AddRod(cx, cy, depth, rodLen, rodRadius)
@@ -331,22 +323,9 @@ func gradedSpace(a, b float64, n int, beta float64) []float64 {
 // RectMeshGraded is RectMesh with edge-compressed line spacings (grading
 // factor beta ∈ [0, 1)).
 func RectMeshGraded(x0, y0, width, height float64, nx, ny int, depth, radius, beta float64) *Grid {
-	if nx < 2 || ny < 2 {
-		panic(fmt.Sprintf("grid: RectMeshGraded needs nx, ny ≥ 2, got %d×%d", nx, ny))
-	}
+	checkLines("RectMeshGraded", nx, ny)
 	g := &Grid{Name: fmt.Sprintf("rect-graded-%dx%d", nx, ny)}
-	xs := gradedSpace(x0, x0+width, nx, beta)
-	ys := gradedSpace(y0, y0+height, ny, beta)
-	for _, x := range xs {
-		for j := 0; j+1 < ny; j++ {
-			g.AddConductor(geom.V(x, ys[j], depth), geom.V(x, ys[j+1], depth), radius)
-		}
-	}
-	for _, y := range ys {
-		for i := 0; i+1 < nx; i++ {
-			g.AddConductor(geom.V(xs[i], y, depth), geom.V(xs[i+1], y, depth), radius)
-		}
-	}
+	g.addLattice(gradedSpace(x0, x0+width, nx, beta), gradedSpace(y0, y0+height, ny, beta), depth, radius, nil)
 	return g
 }
 
@@ -354,26 +333,8 @@ func RectMeshGraded(x0, y0, width, height float64, nx, ny int, depth, radius, be
 // clip keeps lattice nodes with x/legX + y/legY ≤ 1, so the element count
 // may differ slightly from the ungraded lattice.
 func TriangleMeshGraded(legX, legY float64, nx, ny int, depth, radius, beta float64) *Grid {
-	if nx < 2 || ny < 2 {
-		panic(fmt.Sprintf("grid: TriangleMeshGraded needs nx, ny ≥ 2, got %d×%d", nx, ny))
-	}
+	checkLines("TriangleMeshGraded", nx, ny)
 	g := &Grid{Name: fmt.Sprintf("triangle-graded-%dx%d", nx, ny)}
-	xs := gradedSpace(0, legX, nx, beta)
-	ys := gradedSpace(0, legY, ny, beta)
-	const eps = 1e-9
-	keep := func(x, y float64) bool { return x/legX+y/legY <= 1+eps }
-	for i, x := range xs {
-		for j, y := range ys {
-			if !keep(x, y) {
-				continue
-			}
-			if i+1 < nx && keep(xs[i+1], y) {
-				g.AddConductor(geom.V(x, y, depth), geom.V(xs[i+1], y, depth), radius)
-			}
-			if j+1 < ny && keep(x, ys[j+1]) {
-				g.AddConductor(geom.V(x, y, depth), geom.V(x, ys[j+1], depth), radius)
-			}
-		}
-	}
+	g.addTriangleLattice(legX, legY, gradedSpace(0, legX, nx, beta), gradedSpace(0, legY, ny, beta), depth, radius)
 	return g
 }

@@ -295,9 +295,9 @@ func TestPerimeterPoint(t *testing.T) {
 		{280, 0, 0}, // wraps
 	}
 	for _, c := range cases {
-		x, y := perimeterPoint(w, h, c.s)
+		x, y := PerimeterPoint(w, h, c.s)
 		if math.Abs(x-c.x) > 1e-9 || math.Abs(y-c.y) > 1e-9 {
-			t.Errorf("perimeterPoint(%v) = (%v,%v), want (%v,%v)", c.s, x, y, c.x, c.y)
+			t.Errorf("PerimeterPoint(%v) = (%v,%v), want (%v,%v)", c.s, x, y, c.x, c.y)
 		}
 	}
 }

@@ -148,13 +148,12 @@ func Build(ctx context.Context, asm *bem.Assembler, p Params) (*HMatrix, error) 
 	k := mesh.DoFCount()
 	width := sched.Width(len(pairs), p.Workers)
 	fillers := make([]*filler, width)
-	arenas := make([]bem.Arena, width)
 	errs := make([]error, len(pairs))
 
 	_, err = sched.ForStatsCtx(ctx, len(pairs), p.Workers, p.Schedule, func(i, w int) {
 		f := fillers[w]
 		if f == nil {
-			f = newFiller(asm, adj, k, asm.ColumnScratchFromArena(&arenas[w]))
+			f = newFiller(asm, adj, k, asm.NewColumnScratch())
 			fillers[w] = f
 		}
 		f.resetCache()

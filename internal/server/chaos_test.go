@@ -177,8 +177,8 @@ func TestChaosSweepPartialFailure(t *testing.T) {
 		"scenarios": [%s]
 	}`, strings.Join(scens, ","))
 
-	// Poison the first sweep column computed; exactly one job fails.
-	defer faultinject.Set(faultinject.SweepColumn,
+	// Panic in the first pair class evaluated; exactly one job fails.
+	defer faultinject.Set(faultinject.AssemblyPair,
 		faultinject.Once(faultinject.Panic("chaos: sweep worker fault")))()
 
 	code, _, resp := post(t, context.Background(), ts.URL, "/v1/sweep", body)

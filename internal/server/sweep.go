@@ -26,7 +26,7 @@ type SweepScenarioSpec struct {
 // SweepRequest asks for a batch solve of one grid under many soil/GPR
 // variants. It embeds the shared Scenario envelope: the grid and the
 // discretization/execution knobs are common to every variant — that is what
-// lets the engine amortize meshing and interleave assemblies — and the
+// lets the engine amortize meshing and geometry — and the
 // envelope's soil/GPR serve as defaults for scenarios that omit their own.
 // The embedding promotes the same JSON field names the endpoint has always
 // used (grid, maxElemLen, rodElements, seriesTol, workers, schedule), so
@@ -134,9 +134,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	// The whole sweep runs under ONE admission slot: internally it already
-	// interleaves all assemblies on a worker pool of the requested width, so
-	// claiming a slot per scenario would overcommit the machine.
+	// The whole sweep runs under ONE admission slot: internally it runs its
+	// assemblies one at a time, each on a worker pool of the requested
+	// width, so claiming a slot per scenario would overcommit the machine.
 	release, herr := s.acquire(ctx)
 	if herr != nil {
 		s.writeError(w, herr)

@@ -33,23 +33,22 @@ func chaosScenarios(n int) []Scenario {
 	return scens
 }
 
-// firstColumnOf returns the global interleaved column index of the first
-// column of the job serving scenario scen — a deterministic fault target.
-func firstColumnOf(t *testing.T, g *grid.Grid, scens []Scenario, opt Options, scen int) int {
+// firstClassOf returns the 1-based AssemblyPair firing that evaluates the
+// first pair class of plan job k — a deterministic fault target, because
+// jobs run one at a time in plan order. Every job of a chaos sweep is a
+// uniform model on one mesh, so all share the class count of a clean run.
+func firstClassOf(t *testing.T, baseline []Result, k int) int64 {
 	t.Helper()
-	p, err := buildPlan(g, scens, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ji, j := range p.jobs {
-		for _, si := range j.scens {
-			if si == scen {
-				return p.offsets[ji]
-			}
+	c := baseline[0].Res.Assembler().NumClasses()
+	for i, r := range baseline {
+		if r.Reuse == ReuseAssembled && r.Res.Assembler().NumClasses() != c {
+			t.Fatalf("scenario %d: %d classes, scenario 0: %d; want one count per job", i, r.Res.Assembler().NumClasses(), c)
 		}
 	}
-	t.Fatalf("scenario %d not found in any job", scen)
-	return -1
+	if c == 0 {
+		t.Fatal("clean run evaluated no pair classes")
+	}
+	return int64(k*c + 1)
 }
 
 // runChaosSweep runs the sweep and returns results indexed by scenario.
@@ -92,7 +91,7 @@ func assertIsolated(t *testing.T, baseline, faulty []Result, failed map[int]bool
 }
 
 // TestChaosSweepPanicIsolation: a panic injected into exactly one scenario's
-// assembly columns fails that scenario alone — the other eight of nine
+// matrix generation fails that scenario alone — the other eight of nine
 // complete and are bit-identical to a clean run.
 func TestChaosSweepPanicIsolation(t *testing.T) {
 	g := chaosGrid()
@@ -107,9 +106,8 @@ func TestChaosSweepPanicIsolation(t *testing.T) {
 		}
 	}
 
-	target := firstColumnOf(t, g, scens, opt, victim)
-	defer faultinject.Set(faultinject.SweepColumn,
-		faultinject.At(target, faultinject.Panic("injected sweep fault")))()
+	defer faultinject.Set(faultinject.AssemblyPair,
+		faultinject.Counted(firstClassOf(t, baseline, victim), faultinject.Panic("injected sweep fault")))()
 
 	faulty := runChaosSweep(t, g, scens, opt)
 	assertIsolated(t, baseline, faulty, map[int]bool{victim: true})
@@ -126,8 +124,8 @@ func TestChaosSweepPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestChaosSweepNaNHealthIsolation: a NaN poisoned into one scenario's store
-// is caught by the health checks at that scenario's solve — a typed
+// TestChaosSweepNaNHealthIsolation: a NaN poisoned into one scenario's pair
+// class is caught by the health checks at that scenario's solve — a typed
 // *core.HealthError on its Result — while the rest of the batch is clean and
 // bit-identical.
 func TestChaosSweepNaNHealthIsolation(t *testing.T) {
@@ -140,9 +138,8 @@ func TestChaosSweepNaNHealthIsolation(t *testing.T) {
 
 	baseline := runChaosSweep(t, g, scens, opt)
 
-	target := firstColumnOf(t, g, scens, opt, victim)
-	defer faultinject.Set(faultinject.SweepColumn,
-		faultinject.At(target, faultinject.PoisonNaN()))()
+	defer faultinject.Set(faultinject.AssemblyPair,
+		faultinject.Counted(firstClassOf(t, baseline, victim), faultinject.PoisonNaN()))()
 
 	faulty := runChaosSweep(t, g, scens, opt)
 	assertIsolated(t, baseline, faulty, map[int]bool{victim: true})
@@ -159,13 +156,12 @@ func TestChaosSweepNaNHealthIsolation(t *testing.T) {
 // TestChaosSweepCholeskyPanelIsolation: a NaN poisoned into the first panel
 // of the blocked factorization fails that scenario's solve with a typed
 // ErrNotPositiveDefinite — the solver-stage counterpart of the
-// assembly-column chaos cases — while sibling jobs complete bit-identically.
+// pair-class chaos cases — while sibling jobs complete bit-identically.
 func TestChaosSweepCholeskyPanelIsolation(t *testing.T) {
 	g := chaosGrid()
 	cfg := chaosConfig()
-	// One worker makes job completion (and thus factorization) order
-	// deterministic: job 0 finalizes first and absorbs the Once fault.
-	cfg.BEM.Workers = 1
+	// Jobs run in plan order: job 0 factorizes first and absorbs the Once
+	// fault.
 	cfg.Solver = core.Cholesky
 	opt := Options{Config: cfg}
 	scens := chaosScenarios(5)
@@ -189,15 +185,14 @@ func TestChaosSweepCholeskyPanelIsolation(t *testing.T) {
 
 // TestChaosSweepSolvePanicIsolation: a panic in one job's solve stage (here
 // the first panel of its blocked factorization) is contained to that job
-// like a column panic — scenario 0 fails with a *sched.PanicError while its
-// siblings complete bit-identically, instead of the panic escaping to the
-// shared loop and aborting the whole sweep.
+// like a matrix-generation panic — scenario 0 fails with a
+// *sched.PanicError while its siblings complete bit-identically, instead of
+// the panic aborting the whole sweep.
 func TestChaosSweepSolvePanicIsolation(t *testing.T) {
 	g := chaosGrid()
 	cfg := chaosConfig()
-	// One worker makes job completion (and thus factorization) order
-	// deterministic: job 0 finalizes first and absorbs the Once fault.
-	cfg.BEM.Workers = 1
+	// Jobs run in plan order: job 0 factorizes first and absorbs the Once
+	// fault.
 	cfg.Solver = core.Cholesky
 	opt := Options{Config: cfg}
 	scens := chaosScenarios(5)
@@ -238,9 +233,9 @@ func TestChaosSweepSharedJobFailure(t *testing.T) {
 
 	baseline := runChaosSweep(t, g, scens, opt)
 
-	target := firstColumnOf(t, g, scens, opt, 1)
-	defer faultinject.Set(faultinject.SweepColumn,
-		faultinject.At(target, faultinject.Panic("shared job fault")))()
+	// Plan order: job 0 serves scenario 0, job 1 scenarios 1 and 3.
+	defer faultinject.Set(faultinject.AssemblyPair,
+		faultinject.Counted(firstClassOf(t, baseline, 1), faultinject.Panic("shared job fault")))()
 
 	faulty := runChaosSweep(t, g, scens, opt)
 	assertIsolated(t, baseline, faulty, map[int]bool{1: true, 3: true})

@@ -1,8 +1,7 @@
 // Package sweep is the batch solve engine: it takes one grounding grid plus
 // N scenario variants (soil models, GPR values, optionally per-scenario grid
-// overrides) and schedules all of their matrix work through a single shared
-// worker pool, exploiting structure across scenarios instead of running N
-// independent pipelines.
+// overrides) and deduplicates their work, exploiting structure across
+// scenarios instead of running N independent pipelines.
 //
 // Reuse tiers, cheapest first:
 //
@@ -18,11 +17,14 @@
 //     every conductivity multiplied by one exact factor s has σ' = s·σ and
 //     R' = R/s; mathematically exact but not bit-identical to a fresh
 //     assembly, so Options.AllowScaled gates it.
-//  4. Fresh assembly — truly distinct models become independent assembly
-//     jobs whose element-pair columns are interleaved on one
-//     sched.ForStatsCtx loop, so the pool never idles between scenarios and
-//     the assembled systems stay bit-identical to Analyze's
-//     store-then-assemble path.
+//  4. Fresh assembly — truly distinct models become assembly jobs, run one
+//     at a time in plan order through the stages core.AnalyzeCtx runs after
+//     preprocessing (core.AnalyzeAssembler: matrix generation, solve,
+//     results). Each job's matrix generation is the assembler's own
+//     parallel loop at the configured width, so the workers stay busy
+//     inside a job, the results are bit-identical to Analyze by
+//     construction, and peak memory is one job's (its pair-class table and
+//     system matrix), however many distinct models the sweep holds.
 //
 // The sweep solves dense systems only (PCG or Cholesky): the compressed
 // tier, Config.Solver = SolverHMatrix, is core.AnalyzeCtx's alone, and Run
@@ -35,15 +37,11 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"earthing/internal/bem"
 	"earthing/internal/core"
-	"earthing/internal/faultinject"
 	"earthing/internal/grid"
 	"earthing/internal/sched"
 	"earthing/internal/soil"
@@ -76,11 +74,10 @@ var ErrUnsupportedSolver = errors.New("sweep: the compressed solver tier is not 
 // Options configures a sweep.
 type Options struct {
 	// Config carries the shared discretization, solver and BEM knobs; its
-	// GPR is the default for scenarios that set none. The BEM Loop and
-	// Assembly strategies are ignored: the sweep always generates matrices
-	// column-wise into a store and assembles sequentially (the
-	// deterministic store-then-assemble path). Solver must be a dense
-	// solver (see ErrUnsupportedSolver).
+	// GPR is the default for scenarios that set none. Every job runs it
+	// exactly as core.AnalyzeCtx does, BEM loop, schedule and assembly
+	// strategy included. Solver must be a dense solver (see
+	// ErrUnsupportedSolver).
 	Config core.Config
 	// AllowScaled enables the scaled-reuse tier: scenarios whose model is
 	// an exact conductivity multiple of another scenario's are derived by
@@ -126,11 +123,11 @@ type Result struct {
 	Err error
 	// Wall is the time from sweep start to this result's emission.
 	Wall time.Duration
-	// Assembly is the aggregate worker-busy time spent generating this
-	// scenario's system matrix (zero for reused tiers).
+	// Assembly is the wall time of this scenario's matrix generation
+	// (Res.Timings.MatrixGen; zero for reused tiers).
 	Assembly time.Duration
-	// Solve is the wall time of the assemble-scatter + factorization +
-	// solve of this scenario's job (zero for reused tiers).
+	// Solve is the wall time of the solve and results stages of this
+	// scenario's job (zero for reused tiers).
 	Solve time.Duration
 }
 
@@ -142,8 +139,7 @@ type meshGroup struct {
 	geo      *bem.Geometry
 }
 
-// job is one fresh assembly: a distinct (mesh, model) pair, whose matrix
-// columns are interleaved with other jobs' on the shared loop.
+// job is one fresh assembly: a distinct (mesh, model) pair.
 type job struct {
 	group *meshGroup
 	model soil.Model
@@ -152,29 +148,6 @@ type job struct {
 	// scaled lists the proportional models derived from this job's
 	// solution (AllowScaled tier).
 	scaled []*scaledTier
-
-	// store is the job's elemental-matrix store, classified by Stream
-	// before the shared loop starts.
-	store     *bem.PairStore
-	remaining atomic.Int64
-	busyNanos atomic.Int64
-	// failErr holds the first failure of this job (worker panic, health
-	// check); once set, the job's remaining columns are skipped and its
-	// scenarios are emitted as ReuseFailed results.
-	failErr atomic.Pointer[error]
-}
-
-// fail records the job's first failure; later failures are dropped.
-func (j *job) fail(err error) {
-	j.failErr.CompareAndSwap(nil, &err)
-}
-
-// failed returns the job's failure, or nil while it is healthy.
-func (j *job) failed() error {
-	if p := j.failErr.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // scaledTier is one proportional model hanging off a base job.
@@ -187,12 +160,10 @@ type scaledTier struct {
 
 // plan is the grouped, deduplicated work list of a sweep.
 type plan struct {
-	cfg     core.Config
-	gprs    []float64 // resolved per-scenario GPR
-	ids     []string  // resolved per-scenario ID
-	jobs    []*job
-	offsets []int // offsets[j] = first global column index of jobs[j]
-	total   int   // total columns across jobs
+	cfg  core.Config
+	gprs []float64 // resolved per-scenario GPR
+	ids  []string  // resolved per-scenario ID
+	jobs []*job
 }
 
 // depthsKey renders interface depths at full precision.
@@ -329,23 +300,10 @@ func buildPlan(g *grid.Grid, scenarios []Scenario, opt Options) (*plan, error) {
 			asm:   asm,
 			scens: []int{i},
 		}
-		j.remaining.Store(int64(asm.NumColumns()))
 		jobsByKey[jk] = j
 		p.jobs = append(p.jobs, j)
 	}
-
-	p.offsets = make([]int, len(p.jobs))
-	for j, jb := range p.jobs {
-		p.offsets[j] = p.total
-		p.total += jb.asm.NumColumns()
-	}
 	return p, nil
-}
-
-// locate maps a global column index to (job, local column).
-func (p *plan) locate(i int) (*job, int) {
-	j := sort.Search(len(p.offsets), func(k int) bool { return p.offsets[k] > i }) - 1
-	return p.jobs[j], i - p.offsets[j]
 }
 
 // Run executes the sweep and returns one Result per scenario, in input
@@ -363,24 +321,27 @@ func Run(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options) (
 	return out, nil
 }
 
-// Stream executes the sweep, calling emit for each scenario's result as soon
-// as its job completes (completion order, not input order; scenarios of one
-// job are emitted together, ascending). emit calls are serialized. If emit
-// returns an error the sweep is cancelled and Stream returns that error.
-// On ctx cancellation the workers stop at the next schedule chunk boundary
-// and Stream returns ctx's error; results already emitted stay valid.
+// Stream executes the sweep, calling emit for each scenario's result on the
+// caller's goroutine. Jobs run one at a time in plan order (the order of
+// their first scenarios); each job's scenarios are emitted together —
+// the assembled one, its GPR variants, then its scaled derivations — before
+// the next job starts, so the sweep holds one job's system matrix and
+// pair-class table at a time. If emit returns an error the sweep stops and
+// Stream returns that error. On ctx cancellation the running job stops at
+// its next schedule chunk boundary and Stream returns ctx's error; results
+// already emitted stay valid.
 //
 // g is the shared grid; a scenario with a non-nil Grid overrides it. g may be
 // nil when every scenario carries its own grid (the design-synthesis multi-grid
 // form).
 //
-// Faults are isolated per assembly job: a worker panic during one job's
-// columns or its assembly and solve, or a solver/health failure of one
-// job's system, emits ReuseFailed
-// results (Err set, Res nil) for that job's scenarios while every other job
-// completes normally. Stream itself returns nil in that case — per-scenario
-// failures live on the Results, not the sweep. A Config.Solver of
-// core.SolverHMatrix returns ErrUnsupportedSolver before any work starts.
+// Faults are isolated per assembly job: a panic during one job's matrix
+// generation, assembly or solve (*sched.PanicError), or a solver/health
+// failure of its system, emits ReuseFailed results (Err set, Res nil) for
+// that job's scenarios while every other job completes normally. Stream
+// itself returns nil in that case — per-scenario failures live on the
+// Results, not the sweep. A Config.Solver of core.SolverHMatrix returns
+// ErrUnsupportedSolver before any work starts.
 func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options, emit func(Result) error) error {
 	if opt.Config.Solver == core.SolverHMatrix {
 		return ErrUnsupportedSolver
@@ -388,201 +349,91 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 	if len(scenarios) == 0 {
 		return nil
 	}
-	workers := opt.Config.BEM.Workers
 	p, err := buildPlan(g, scenarios, opt)
 	if err != nil {
 		return err
 	}
-	for _, j := range p.jobs {
-		if j.store, err = j.asm.NewPairStore(ctx); err != nil {
-			return fmt.Errorf("sweep: %w", err)
-		}
-	}
-	// Per-worker scratch arenas, shared across every job a worker touches:
-	// scratch memory scales with the worker count, not workers × jobs, and a
-	// worker hopping between same-shaped jobs reuses one warm scratch.
-	arenas := make([]*bem.Arena, sched.Width(p.total, workers))
-	schedule := p.cfg.BEM.Schedule
-	if schedule.IsZero() {
-		schedule = sched.Schedule{Kind: sched.Dynamic, Chunk: 1}
-	}
-
-	ictx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	var mu sync.Mutex // serializes emissions and guards firstErr
-	var firstErr error
 	start := time.Now()
-
-	// send delivers one result; callers must hold mu. An emit error cancels
-	// the whole sweep (the consumer is gone — nothing left to isolate for).
-	send := func(r Result) bool {
-		if err := emit(r); err != nil {
-			firstErr = fmt.Errorf("sweep: emit: %w", err)
-			cancel(firstErr)
-			return false
+	for ji, j := range p.jobs {
+		unit, jerr := p.runJob(ctx, ji, j)
+		if jerr != nil && ctx.Err() != nil {
+			// A cancelled sweep, not a failed job.
+			return fmt.Errorf("sweep: %w", ctx.Err())
 		}
-		return true
-	}
-
-	// emitFailed delivers a failed job's scenarios as ReuseFailed results —
-	// the per-job fault isolation path: one poisoned or panicking scenario
-	// reports its error while the rest of the batch completes.
-	emitFailed := func(j *job, jerr error) {
-		wall := time.Since(start)
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr != nil {
-			return
-		}
-		one := func(si int) bool {
-			return send(Result{Index: si, ID: p.ids[si], Reuse: ReuseFailed, Err: jerr, Wall: wall})
-		}
-		for _, si := range j.scens {
-			if !one(si) {
-				return
-			}
-		}
-		for _, st := range j.scaled {
-			for _, si := range st.scens {
-				if !one(si) {
-					return
-				}
-			}
+		if err := p.emitJob(j, unit, jerr, start, emit); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	// recoverJob, deferred by every per-job work unit (iteration global on
-	// worker w), contains a panic to that job: the job fails with the
-	// *sched.PanicError instead of the panic unwinding the shared loop and
-	// aborting every sibling job.
-	recoverJob := func(j *job, w, global int) {
+// runJob analyzes job ji at unit GPR on its shared-geometry assembler. A
+// panic on this goroutine (the sequential scatter or solve) fails the job
+// alone as a *sched.PanicError; panics inside the parallel loops arrive as
+// the same error type through core.
+func (p *plan) runJob(ctx context.Context, ji int, j *job) (unit *core.Result, err error) {
+	defer func() {
 		if v := recover(); v != nil {
-			j.fail(&sched.PanicError{Value: v, Stack: debug.Stack(), Iteration: global, Worker: w})
+			unit, err = nil, &sched.PanicError{Value: v, Stack: debug.Stack(), Iteration: ji}
 		}
+	}()
+	cfg := p.cfg
+	cfg.GPR = 1
+	return core.AnalyzeAssembler(ctx, j.asm, j.model, j.group.warnings, cfg)
+}
+
+// emitJob delivers every scenario of a finished job: ReuseFailed results
+// carrying jerr when the job failed, otherwise the assembled scenario, its
+// solve-tier GPR rescales and its scaled derivations.
+func (p *plan) emitJob(j *job, unit *core.Result, jerr error, start time.Time, emit func(Result) error) error {
+	send := func(r Result) error {
+		r.ID, r.Wall = p.ids[r.Index], time.Since(start)
+		if err := emit(r); err != nil {
+			return fmt.Errorf("sweep: emit: %w", err)
+		}
+		return nil
 	}
-
-	// solveJob assembles a dense job's system and solves it at unit GPR; a
-	// failure or panic of either stage fails the job (nil result).
-	solveJob := func(j *job, w, global int) *core.Result {
-		defer recoverJob(j, w, global)
-		rmat := j.store.Assemble()
-		j.store = nil
-		cfgUnit := p.cfg
-		cfgUnit.GPR = 1
-		unit, err := core.CompleteAssembled(j.asm, j.model, rmat, sched.Stats{}, j.group.warnings, cfgUnit)
-		if err != nil {
-			j.fail(err)
-		}
-		return unit
-	}
-
-	// finalize assembles, solves and emits a completed job. It runs inside
-	// the worker that computed the job's last column while other workers
-	// continue on the remaining jobs' columns. Numerical failures (solver,
-	// health checks) and panics of the solve stage fail this job alone.
-	finalize := func(j *job, w, global int) {
-		if ictx.Err() != nil {
-			return
-		}
-		t0 := time.Now()
-		unit := solveJob(j, w, global)
-		if err := j.failed(); err != nil {
-			emitFailed(j, err)
-			return
-		}
-		solve := time.Since(t0)
-		assembly := time.Duration(j.busyNanos.Load())
-
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr != nil {
-			return
-		}
-		for n, si := range j.scens {
-			res := unit
-			//lint:ignore floatcmp exact unit-GPR sentinel: the job solved at GPR 1, so only other values need the rescale clone
-			if p.gprs[si] != 1 {
-				var err error
-				res, err = unit.WithGPR(p.gprs[si])
-				if err != nil {
-					firstErr = err
-					cancel(err)
-					return
-				}
-			}
-			r := Result{Index: si, ID: p.ids[si], Reuse: ReuseSolve, Res: res, Wall: time.Since(start)}
-			if n == 0 {
-				r.Reuse, r.Assembly, r.Solve = ReuseAssembled, assembly, solve
-			}
-			if !send(r) {
-				return
-			}
-		}
+	if jerr != nil {
+		failed := j.scens
 		for _, st := range j.scaled {
-			for _, si := range st.scens {
-				res, err := core.ScaledResult(unit, st.model, st.asm, st.scale, p.gprs[si])
-				if err != nil {
-					firstErr = err
-					cancel(err)
-					return
-				}
-				if !send(Result{Index: si, ID: p.ids[si], Reuse: ReuseScaled, Res: res, Wall: time.Since(start)}) {
-					return
-				}
+			failed = append(failed[:len(failed):len(failed)], st.scens...)
+		}
+		for _, si := range failed {
+			if err := send(Result{Index: si, Reuse: ReuseFailed, Err: jerr}); err != nil {
+				return err
 			}
 		}
+		return nil
 	}
-
-	// computeColumn runs one column of one job with the panic contained to
-	// that job: a panicking kernel (or injected fault) marks the job failed
-	// instead of unwinding the shared loop, so sibling jobs keep assembling.
-	computeColumn := func(j *job, local, w, global int) {
-		defer recoverJob(j, w, global)
-		// Largest column first within each job, matching the assembler's
-		// own outer loop so late chunks are small.
-		beta := j.asm.NumColumns() - 1 - local
-		if arenas[w] == nil {
-			arenas[w] = &bem.Arena{}
+	for n, si := range j.scens {
+		res := unit
+		//lint:ignore floatcmp exact unit-GPR sentinel: the job solved at GPR 1, so only other values need the rescale clone
+		if p.gprs[si] != 1 {
+			var err error
+			if res, err = unit.WithGPR(p.gprs[si]); err != nil {
+				return err
+			}
 		}
-		t0 := time.Now()
-		j.store.ComputeColumn(beta, j.asm.ColumnScratchFromArena(arenas[w]))
-		if faultinject.Active() {
-			faultinject.Fire(faultinject.SweepColumn, global, j.store.ColumnRange(beta))
+		r := Result{Index: si, Reuse: ReuseSolve, Res: res}
+		if n == 0 {
+			r.Reuse = ReuseAssembled
+			r.Assembly = unit.Timings.MatrixGen
+			r.Solve = unit.Timings.Solve + unit.Timings.Results
 		}
-		j.busyNanos.Add(int64(time.Since(t0)))
+		if err := send(r); err != nil {
+			return err
+		}
 	}
-
-	// completeJob dispatches a job whose last work unit just finished: failed
-	// jobs emit error results, healthy ones assemble and emit.
-	completeJob := func(j *job, w, global int) {
-		if err := j.failed(); err != nil {
-			emitFailed(j, err)
-			return
+	for _, st := range j.scaled {
+		for _, si := range st.scens {
+			res, err := core.ScaledResult(unit, st.model, st.asm, st.scale, p.gprs[si])
+			if err != nil {
+				return err
+			}
+			if err := send(Result{Index: si, Reuse: ReuseScaled, Res: res}); err != nil {
+				return err
+			}
 		}
-		finalize(j, w, global)
-	}
-
-	_, loopErr := sched.ForStatsCtx(ictx, p.total, workers, schedule, func(i, w int) {
-		j, local := p.locate(i)
-		// Work units of an already-failed job are skipped (their output
-		// would be discarded) but still counted, so the job reaches
-		// completion and reports its scenarios.
-		if j.failed() == nil {
-			computeColumn(j, local, w, i)
-		}
-		if j.remaining.Add(-1) == 0 {
-			completeJob(j, w, i)
-		}
-	})
-
-	mu.Lock()
-	err = firstErr
-	mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if loopErr != nil {
-		return fmt.Errorf("sweep: %w", loopErr)
 	}
 	return nil
 }

@@ -47,8 +47,9 @@ const (
 // Sweep solves many scenario variants of one grid in a single batch,
 // amortizing work the variants share: the mesh is built once per distinct
 // set of soil-interface depths, each distinct soil model is assembled
-// exactly once (with all assemblies interleaved on one worker pool), and
-// scenarios differing only in GPR reuse the cached unit-GPR solve.
+// exactly once (one model at a time, each through Analyze's own parallel
+// matrix generation, so memory stays at one model's), and scenarios
+// differing only in GPR reuse the cached unit-GPR solve.
 // Results are returned in scenario order and each is bit-identical to a
 // sequential Analyze of that scenario at the same worker count (except the
 // opt-in WithScaledReuse tier, which is exact only up to rounding).
@@ -69,10 +70,11 @@ func Sweep(ctx context.Context, g *Grid, scenarios []SweepScenario, cfg Config, 
 }
 
 // SweepStream is Sweep with streaming delivery: emit is called once per
-// scenario as soon as its result is ready, which may be out of scenario
-// order (Result.Index gives the position). Emit is never called
-// concurrently. A non-nil error from emit aborts the sweep and is returned
-// wrapped.
+// scenario as soon as its result is ready, on the caller's goroutine: one
+// distinct model at a time, in the order the models first appear, so
+// scenarios sharing a model arrive together and may come out of scenario
+// order (Result.Index gives the position). A non-nil error from emit aborts
+// the sweep and is returned wrapped.
 func SweepStream(ctx context.Context, g *Grid, scenarios []SweepScenario, cfg Config, emit func(SweepResult) error, opts ...Option) error {
 	s := applyOptions(cfg, opts)
 	return sweep.Stream(ctx, g, toScenarios(scenarios), sweep.Options{
