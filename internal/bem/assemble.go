@@ -31,10 +31,12 @@ type Assembler struct {
 
 	// lastBusy and lastPairs record per-worker busy time and pair-class
 	// counts of the most recent MatrixCtx call, for load-balance analysis
-	// (see WorkerBusy and WorkerPairs); lastClasses is its class count.
+	// (see WorkerBusy and WorkerPairs); lastClasses is its class count and
+	// lastFar the classes of it the far-field branch evaluated.
 	lastBusy    []time.Duration
 	lastPairs   []int64
 	lastClasses int
+	lastFar     int
 
 	// Image expansions of every (src, obs) layer pair, flattened once and
 	// grouped by series index (see imageLadder). Pairs without a closed
@@ -42,6 +44,10 @@ type Assembler struct {
 	// may mix fast image kernels (e.g. the top layer of an N-layer soil)
 	// with slow exact ones.
 	ladder *imageLadder
+
+	// far holds the far-field ladder tables (see farfield.go), built
+	// lazily and shared read-only by every worker, like the ladder.
+	far farTables
 
 	// evalOnce/eval lazily build the batched field evaluator shared by all
 	// post-processing consumers (see fieldeval.go); eval is atomic so that
@@ -99,16 +105,18 @@ func NewWithGeometry(geo *Geometry, model soil.Model, opt Options) (*Assembler, 
 	}
 
 	a.ladder = newImageLadder(model, opt.MaxGroups)
+	a.initFar()
 	return a, nil
 }
 
 // Footprint estimates the resident bytes an assembler pins beyond its mesh:
-// the quadrature geometry, the shared image ladder and every field-evaluation
-// plan built so far (the flat kernel builds one per source-element layer; a
-// raster may add the others). It is the sizing input of groundd's
-// byte-bounded cache of solved systems.
+// the quadrature geometry, the shared image ladder, the far-field tables and
+// panels built so far, and every field-evaluation plan built so far (the
+// flat kernel builds one per source-element layer; a raster may add the
+// others). It is the sizing input of groundd's byte-bounded cache of solved
+// systems.
 func (a *Assembler) Footprint() int64 {
-	n := a.Geometry.Footprint() + int64(len(a.elemLayer))*8 + a.ladder.footprint()
+	n := a.Geometry.Footprint() + int64(len(a.elemLayer))*8 + a.ladder.footprint() + a.far.footprint()
 	if fe := a.eval.Load(); fe != nil {
 		n += fe.footprint()
 	}
@@ -123,13 +131,17 @@ func (a *Assembler) WorkerBusy() []time.Duration { return a.lastBusy }
 
 // WorkerPairs returns the number of pair classes each worker evaluated in
 // the most recent MatrixCtx call (one flat-kernel elemental matrix per class;
-// see PairClass). Because every class costs a near-identical kernel-series
-// evaluation, Σ/max is a host-independent prediction of the wall-clock
-// speed-up a schedule achieves on a machine with one core per worker — the
-// load-balance quantity behind Table 6.2 (see EXPERIMENTS.md).
+// see PairClass). Σ/max is the speed-up a schedule achieves on a machine
+// with one core per worker when every class costs the same — the
+// load-balance quantity behind Table 6.2 (see EXPERIMENTS.md). In layered
+// soil classes do not cost the same: a far class (NumFarClasses) reads the
+// tabulated ladder and costs a small fraction of a class that walks it, so
+// there the count is a host-independent proxy, not a prediction; prefer
+// WorkerBusy on a host with a free core per worker.
 func (a *Assembler) WorkerPairs() []int64 { return a.lastPairs }
 
-// PredictedSpeedup returns Σpairs/max(pairs) of the most recent MatrixCtx call.
+// PredictedSpeedup returns Σpairs/max(pairs) of the most recent MatrixCtx
+// call: the speed-up if every class cost the same (see WorkerPairs).
 func (a *Assembler) PredictedSpeedup() float64 {
 	var total, max int64
 	for _, n := range a.lastPairs {
@@ -148,6 +160,11 @@ func (a *Assembler) PredictedSpeedup() float64 {
 // evaluated — the elemental matrices computed, against the NumPairs it
 // served.
 func (a *Assembler) NumClasses() int { return a.lastClasses }
+
+// NumFarClasses returns how many of the most recent MatrixCtx call's classes
+// the far-field branch evaluated from the tabulated ladder (see
+// farfield.go); the others walked the ladder.
+func (a *Assembler) NumFarClasses() int { return a.lastFar }
 
 // NumPairs returns the number of element pairs M(M+1)/2 of the triangle.
 func (a *Assembler) NumPairs() int {
@@ -263,6 +280,13 @@ type pairScratch struct {
 	chiZ []float64 // observation depth
 	wsh0 []float64 // gpW·lenB·shape₀ (gpW·lenB for constant elements)
 	wsh1 []float64 // gpW·lenB·shape₁ (unused for constant elements)
+
+	// Far-branch inner points along the source axis (farInnerMax-sized).
+	innerX, innerY []float64
+	// far counts the classes this scratch evaluated by the far branch;
+	// farLast is the table of the last one (most share one depth pair).
+	far     int
+	farLast *farTable
 }
 
 // maxGauss returns the larger of the far- and near-field outer rule sizes —
@@ -287,6 +311,8 @@ func (a *Assembler) newScratch() *pairScratch {
 		chiZ:      make([]float64, ng),
 		wsh0:      make([]float64, ng),
 		wsh1:      make([]float64, ng),
+		innerX:    make([]float64, farInnerMax),
+		innerY:    make([]float64, farInnerMax),
 	}
 }
 
@@ -315,6 +341,12 @@ func (a *Assembler) runPairLoop(ctx context.Context, cl *pairClasses, body func(
 	defer func() {
 		a.lastBusy = busy
 		a.lastPairs = pairs
+		a.lastFar = 0
+		for _, s := range scratches {
+			if s != nil {
+				a.lastFar += s.far
+			}
+		}
 	}()
 
 	switch a.opt.Loop {

@@ -7,3 +7,6 @@ var (
 	ReferencePotential = (*Assembler).referencePotential
 	ReferenceGradient  = (*Assembler).referenceGradient
 )
+
+// ConvergedTol is the series tolerance of the layered differential tests.
+const ConvergedTol = convergedTol

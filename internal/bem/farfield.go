@@ -1,0 +1,436 @@
+package bem
+
+import (
+	"cmp"
+	"math"
+	"slices"
+	"sync/atomic"
+
+	"earthing/internal/quad"
+)
+
+// The far-field branch of the flat kernel. Between two horizontal elements
+// every image of a layered soil sits at the source's horizontal position, so
+// the whole image ladder seen from one observation depth zo is a point
+// kernel of the squared horizontal distance alone:
+//
+//	G(ρ²; zo, zs) = Σ_images w / √(ρ² + (zo − (sign·zs + off))²).
+//
+// The exact path walks that ladder for every (image, Gauss point) of every
+// class, and the ladder grows as |K| → 1. A far class — both elements
+// horizontal, a layer pair with reflected images, midpoints at least
+// farSepRatio element lengths apart — instead reads G from a table summed
+// once per node, and integrates it with the class's configured outer rule
+// and a short inner Gauss rule along the source.
+//
+// Table layout: one farTable per (source depth, observation depth) pair of
+// the mesh's horizontal elements, created on first use. Each holds one
+// polynomial panel per quarter octave of ρ²: the panel index is the top
+// bits of ρ²'s float64 representation (biased exponent and the two leading
+// mantissa bits) and the local coordinate u ∈ [−1, 1) is the remaining
+// mantissa, so a lookup is one Horner pass with no logarithm or square
+// root. A panel is built on first use by Chebyshev interpolation of the
+// exact ladder at farNodes points, each summed until two consecutive series
+// groups fall below farSeriesTol of the total, or to the end of the ladder
+// (MaxGroups, the exact path's own cap). Panels are pure functions of
+// (model, depth pair, panel index); a worker that loses the race to publish
+// one adopts the winner's, which is bitwise the same, so class matrices stay
+// pure functions of their keys.
+//
+// Error budget (per class entry, relative to the class's largest entry):
+// the panel polynomial reproduces the summed ladder to ~3e-15 relative
+// (worst case the direct term 1/ρ at equal depths, whose singularity at
+// ρ² = 0 lies 9 half-widths from every panel); the inner rule has the
+// smallest order n with ρ_B^(−2n) ≤ 1e-15, where ρ_B = a + √(a²−1) is the
+// Bernstein ellipse of the nearest kernel singularity at a half-lengths
+// from the source midpoint (a ≥ 7 by the gate, so n ≤ 7). Against the
+// converged exact ladder the far classes agree to ~1e-13 relative
+// (TestFarTableMatchesExactLadder pins 1e-10).
+//
+// A class whose thin-wire radius clamp could bind (the exact path raises a
+// perpendicular distance below the conductor radius to the radius, which
+// happens for in-line elements at one depth) keeps the exact ladder: the
+// table kernel has no clamp.
+
+const (
+	// farSepRatio is the gate's separation: a class is far when its
+	// horizontal midpoint distance is at least farSepRatio times the longer
+	// element, so every source–test point distance lies within ±25 % of it.
+	farSepRatio = 4
+	// farPanelBits is log2 of the panels per octave of ρ².
+	farPanelBits = 2
+	// farLocalBits are the mantissa bits left below the panel index.
+	farLocalBits = 52 - farPanelBits
+	// farNodes is the Chebyshev interpolation size of a panel (degree
+	// farNodes−1; eval's Horner pass is unrolled for it).
+	farNodes = 12
+	// farExpLo and farExpHi bound the tabulated ρ² to [2^farExpLo,
+	// 2^farExpHi) m²; the gate keeps every far class inside.
+	farExpLo = -30
+	farExpHi = 40
+	// farPanels is the number of panel slots of a table.
+	farPanels = (farExpHi - farExpLo) << farPanelBits
+	// farIdxLo is the panel index (float64 bits >> farLocalBits) of 2^farExpLo.
+	farIdxLo = (1023 + farExpLo) << farPanelBits
+	// farLocalScale maps the local mantissa bits onto [0, 2).
+	farLocalScale = 1.0 / (1 << (farLocalBits - 1))
+	// farSeriesTol ends a node's ladder sum after two consecutive groups
+	// contribute less than this fraction of the total (2⁻⁵⁵).
+	farSeriesTol = 0x1p-55
+	// farInnerDigits is ln(1e15): the inner order satisfies
+	// ρ_B^(−2n) ≤ 1e-15.
+	farInnerDigits = 34.538776394910684
+	farInnerMin    = 3
+	farInnerMax    = 8
+	// farMaxDepths caps the registered horizontal depths, and so the
+	// tables, at farMaxDepths² (grids are buried at one or a few depths).
+	farMaxDepths = 16
+)
+
+// farPanel holds the monomial coefficients of one panel's polynomial in the
+// local coordinate u.
+type farPanel [farNodes]float64
+
+// farPanelBytes is the resident size of a built panel.
+const farPanelBytes = farNodes * 8
+
+// farTable is the tabulated ladder of one (source depth, observation depth)
+// pair. Panels are built lazily and shared read-only by all workers.
+type farTable struct {
+	lad      *imageLadder
+	src, obs int     // the layer pair
+	lo, hi   int32   // its series-group range
+	zs, zo   float64 // source and observation depths, quantized as in the key
+	// dz2min is the smallest squared depth offset (zo − image depth)² of
+	// the ladder: the clamp check's floor.
+	dz2min float64
+	panels [farPanels]atomic.Pointer[farPanel]
+}
+
+// farTableBytes is the resident size of a table without its panels.
+const farTableBytes = farPanels*8 + 96
+
+// farDepth is one (layer, quantized depth) of a horizontal element.
+type farDepth struct {
+	layer int
+	z     uint64 // math.Float64bits of quantGeom(depth)
+}
+
+func cmpFarDepth(a, b farDepth) int {
+	if c := cmp.Compare(a.layer, b.layer); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.z, b.z)
+}
+
+// farTables is the assembler's registry of far-field tables: the distinct
+// depths of its horizontal elements and one lazily created table per
+// ordered pair of them.
+type farTables struct {
+	depths []farDepth
+	tabs   []atomic.Pointer[farTable] // [src·len(depths) + obs]
+}
+
+// initFar registers the depths of the mesh's horizontal elements: all of
+// them, or the farMaxDepths shared by the most elements (ties to the lower
+// layer and depth), so a mesh with a depth per element cannot ask for a
+// table per element pair.
+func (a *Assembler) initFar() {
+	var ds []farDepth
+	for e, el := range a.mesh.Elements {
+		if el.Seg.B.Z-el.Seg.A.Z == 0 { // exactly the key's horizontal test
+			ds = append(ds, farDepth{a.elemLayer[e], math.Float64bits(quantGeom(el.Seg.A.Z))})
+		}
+	}
+	slices.SortFunc(ds, cmpFarDepth)
+	type counted struct {
+		d farDepth
+		n int
+	}
+	var cs []counted
+	for i, d := range ds {
+		if i == 0 || d != ds[i-1] {
+			cs = append(cs, counted{d, 0})
+		}
+		cs[len(cs)-1].n++
+	}
+	if len(cs) > farMaxDepths {
+		slices.SortStableFunc(cs, func(x, y counted) int { return cmp.Compare(y.n, x.n) })
+		cs = cs[:farMaxDepths]
+		slices.SortFunc(cs, func(x, y counted) int { return cmpFarDepth(x.d, y.d) })
+	}
+	a.far.depths = make([]farDepth, len(cs))
+	for i, c := range cs {
+		a.far.depths[i] = c.d
+	}
+	a.far.tabs = make([]atomic.Pointer[farTable], len(cs)*len(cs))
+}
+
+// footprint returns the registry's resident bytes, counting the tables and
+// panels built so far.
+func (f *farTables) footprint() int64 {
+	n := int64(len(f.depths))*16 + int64(len(f.tabs))*8
+	for i := range f.tabs {
+		if t := f.tabs[i].Load(); t != nil {
+			n += farTableBytes
+			for j := range t.panels {
+				if t.panels[j].Load() != nil {
+					n += farPanelBytes
+				}
+			}
+		}
+	}
+	return n
+}
+
+// farTable returns the table of a (source, observation) layer and depth pair,
+// creating it on first use, or nil when either depth is not registered.
+func (a *Assembler) farTable(src, obs int, zs, zo uint64, lo, hi int32) *farTable {
+	f := &a.far
+	i, ok := slices.BinarySearchFunc(f.depths, farDepth{src, zs}, cmpFarDepth)
+	if !ok {
+		return nil
+	}
+	j, ok := slices.BinarySearchFunc(f.depths, farDepth{obs, zo}, cmpFarDepth)
+	if !ok {
+		return nil
+	}
+	slot := &f.tabs[i*len(f.depths)+j]
+	if t := slot.Load(); t != nil {
+		return t
+	}
+	t := &farTable{
+		lad: a.ladder,
+		src: src,
+		obs: obs,
+		lo:  lo,
+		hi:  hi,
+		zs:  math.Float64frombits(zs),
+		zo:  math.Float64frombits(zo),
+	}
+	t.dz2min = math.Inf(1)
+	for _, im := range a.ladder.imgs[a.ladder.grpOff[lo]:a.ladder.grpOff[hi]] {
+		dz := t.zo - (im.sign*t.zs + im.off)
+		t.dz2min = math.Min(t.dz2min, dz*dz)
+	}
+	if slot.CompareAndSwap(nil, t) {
+		return t
+	}
+	return slot.Load()
+}
+
+// eval returns G(x) for a squared horizontal distance x inside the table's
+// range, building the panel on first use.
+func (t *farTable) eval(x float64) float64 {
+	b := math.Float64bits(x)
+	idx := b >> farLocalBits
+	p := t.panels[idx-farIdxLo].Load()
+	if p == nil {
+		p = t.build(idx)
+	}
+	u := float64(b&(1<<farLocalBits-1))*farLocalScale - 1
+	return ((((((((((p[11]*u+p[10])*u+p[9])*u+p[8])*u+p[7])*u+p[6])*u+p[5])*u+p[4])*u+p[3])*u+p[2])*u+p[1])*u + p[0]
+}
+
+// build interpolates panel idx from the exact ladder and publishes it.
+func (t *farTable) build(idx uint64) *farPanel {
+	xlo := math.Float64frombits(idx << farLocalBits)
+	w := math.Float64frombits(idx>>farPanelBits<<52) * (1.0 / (1 << farPanelBits))
+	var c [farNodes]float64
+	for j, u := range farCheb.nodes {
+		fj := t.node(xlo + (u+1)*0.5*w)
+		for k := range c {
+			c[k] += fj * farCheb.cos[k][j]
+		}
+	}
+	p := new(farPanel)
+	for k, ck := range c {
+		for i, m := range farCheb.mono[k] {
+			p[i] += ck * m
+		}
+	}
+	slot := &t.panels[idx-farIdxLo]
+	if slot.CompareAndSwap(nil, p) {
+		return p
+	}
+	return slot.Load()
+}
+
+// node sums the ladder at squared horizontal distance x (compensated: the
+// series is long and, for K < 0, alternating).
+func (t *farTable) node(x float64) float64 {
+	var acc quad.KahanSum
+	small := 0
+	for g := t.lo; g < t.hi; g++ {
+		before := acc.Sum()
+		for _, im := range t.lad.group(g) {
+			dz := t.zo - (im.sign*t.zs + im.off)
+			acc.Add(im.w / math.Sqrt(x+dz*dz))
+		}
+		if math.Abs(acc.Sum()-before) <= farSeriesTol*math.Abs(acc.Sum()) {
+			if small++; small >= 2 {
+				break
+			}
+		} else {
+			small = 0
+		}
+	}
+	return acc.Sum()
+}
+
+// farCheb holds the Chebyshev interpolation constants of a panel: the nodes
+// u_j = cos(π(j+½)/N), the scaled transform cos[k][j] = (2/N)·cos(πk(j+½)/N)
+// (halved for k = 0) giving the Chebyshev coefficients, and mono[k], the
+// monomial coefficients of T_k.
+var farCheb = func() (c struct {
+	nodes [farNodes]float64
+	cos   [farNodes][farNodes]float64
+	mono  [farNodes][farNodes]float64
+}) {
+	const n = farNodes
+	for j := range c.nodes {
+		c.nodes[j] = math.Cos(math.Pi * (float64(j) + 0.5) / n)
+		for k := 0; k < n; k++ {
+			v := 2.0 / n * math.Cos(math.Pi*float64(k)*(float64(j)+0.5)/n)
+			if k == 0 {
+				v /= 2
+			}
+			c.cos[k][j] = v
+		}
+	}
+	c.mono[0][0] = 1
+	c.mono[1][1] = 1
+	for k := 2; k < n; k++ {
+		for i := 0; i < n-1; i++ {
+			c.mono[k][i+1] += 2 * c.mono[k-1][i]
+		}
+		for i := 0; i < n; i++ {
+			c.mono[k][i] -= c.mono[k-2][i]
+		}
+	}
+	return c
+}()
+
+// farRule is an inner Gauss–Legendre rule on [0, 1]: nodes t and weights w
+// (Σw = 1).
+type farRule struct {
+	t, w []float64
+}
+
+// farRules[n] is the n-point inner rule, for farInnerMin ≤ n ≤ farInnerMax.
+var farRules = func() (r [farInnerMax + 1]farRule) {
+	for n := farInnerMin; n <= farInnerMax; n++ {
+		q := quad.GaussLegendre(n)
+		r[n] = farRule{t: make([]float64, n), w: make([]float64, n)}
+		for i, x := range q.X {
+			r[n].t[i] = 0.5 * (x + 1)
+			r[n].w[i] = 0.5 * q.W[i]
+		}
+	}
+	return r
+}()
+
+// farInnerA[n] is the smallest a = dmin/(l/2) at which the n-point inner
+// rule meets ρ_B^(−2n) ≤ 1e-15: ρ_B = e^(farInnerDigits/2n), a = (ρ_B +
+// 1/ρ_B)/2.
+var farInnerA = func() (a [farInnerMax + 1]float64) {
+	for n := farInnerMin; n <= farInnerMax; n++ {
+		rho := math.Exp(farInnerDigits / (2 * float64(n)))
+		a[n] = 0.5 * (rho + 1/rho)
+	}
+	return a
+}()
+
+// farInnerOrder returns the inner rule order for a source of length l whose
+// nearest test point lies dmin from its midpoint: the smallest n with
+// ρ_B^(−2n) ≤ 1e-15, capped at farInnerMax (which the gate's a ≥ 7 never
+// needs).
+func farInnerOrder(dmin, l float64) int {
+	a := 2 * dmin / l
+	n := farInnerMin
+	for n < farInnerMax && a < farInnerA[n] {
+		n++
+	}
+	return n
+}
+
+// farClass evaluates the class of key through the far-field branch into out
+// and reports true, or reports false, writing nothing, when the class does
+// not pass the gate. lo, hi is the layer pair's series-group range.
+func (a *Assembler) farClass(key *PairKey, lo, hi int32, out []float64, s *pairScratch) bool {
+	hdr := key[kwHeader]
+	if hdr&1 != 0 || hi-lo < 2 || key[kwSrcDZ] != 0 || key[kwObsDZ] != 0 {
+		return false
+	}
+	f := func(w int) float64 { return math.Float64frombits(key[w]) }
+	dx, dy := f(kwSrcDX), f(kwSrcDY)
+	ox, oy := f(kwObsX), f(kwObsY)
+	bx, by := f(kwObsDX), f(kwObsDY)
+	l2, lb2 := dx*dx+dy*dy, bx*bx+by*by
+	mx, my := ox+0.5*(bx-dx), oy+0.5*(by-dy)
+	d2 := mx*mx + my*my
+	if d2 < farSepRatio*farSepRatio*max(l2, lb2) || d2 < 0x1p-29 || d2 >= 0x1p39 {
+		return false
+	}
+	src, obs := int(hdr>>1&0xff), int(hdr>>9&0xff)
+	t := s.farLast
+	if t == nil || t.src != src || t.obs != obs || math.Float64bits(t.zs) != key[kwSrcZ] || math.Float64bits(t.zo) != key[kwObsZ] {
+		if t = a.farTable(src, obs, key[kwSrcZ], key[kwObsZ], lo, hi); t == nil {
+			return false
+		}
+		s.farLast = t
+	}
+	l := math.Sqrt(l2)
+	tx, ty := dx/l, dy/l
+	// The clamp check: every image's perpendicular distance from the source
+	// line must clear the conductor radius with margin, at every outer point.
+	gpT, gpW, gpShape := a.gpT, a.gpW, a.gpShape
+	if floor := 2*f(kwRadius2) - t.dz2min; floor > 0 {
+		for _, u := range gpT {
+			x, y := ox+u*bx, oy+u*by
+			if p := x*ty - y*tx; p*p <= floor {
+				return false
+			}
+		}
+	}
+
+	rule := farRules[farInnerOrder(math.Sqrt(d2)-0.5*math.Sqrt(lb2), l)]
+	n := len(rule.t)
+	// Inner points along the source axis.
+	sx, sy := s.innerX[:n], s.innerY[:n]
+	for h, u := range rule.t {
+		sx[h], sy[h] = u*l*tx, u*l*ty
+	}
+	lenB := math.Sqrt(lb2)
+	for i := range out {
+		out[i] = 0
+	}
+	for g, u := range gpT {
+		x, y := ox+u*bx, oy+u*by
+		var i0, i1 float64
+		for h, wh := range rule.w {
+			ex, ey := x-sx[h], y-sy[h]
+			v := wh * t.eval(ex*ex+ey*ey)
+			i0 += v
+			i1 += v * rule.t[h]
+		}
+		i0 *= l
+		i1 *= l
+		wl := gpW[g] * lenB
+		if a.linear {
+			in0 := i0 - i1
+			w0, w1 := wl*gpShape[g][0], wl*gpShape[g][1]
+			out[0] += w0 * in0
+			out[1] += w0 * i1
+			out[2] += w1 * in0
+			out[3] += w1 * i1
+		} else {
+			out[0] += wl * gpShape[g][0] * i0
+		}
+	}
+	pref := 1 / (4 * math.Pi * a.model.Conductivity(src))
+	for i := range out {
+		out[i] *= pref
+	}
+	return true
+}

@@ -20,8 +20,9 @@ func asinhRatio(t float64) float64 {
 			t*(2027025.0/175472640))))))))
 }
 
-// flatSeries accumulates the elemental matrix of one pair from the shared
-// image ladder, given the source element's header pe and the hoisted
+// flatSeries accumulates the elemental matrix of one pair by walking the
+// shared image ladder — the path of every class the far-field table branch
+// (farfield.go) refuses — given the source element's header pe and the hoisted
 // per-Gauss-point observation geometry in s (ng points): hxy, the axial
 // projection of the horizontal offset from the source start; dxy2, its
 // squared length; chiZ, the observation depth; wsh0/wsh1, the outer weight

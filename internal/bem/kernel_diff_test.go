@@ -54,8 +54,8 @@ func kernelDiffCases(t *testing.T) []kernelDiffCase {
 		// Balaidos soil cases A–C of §5.2.
 		{name: "balaidos-A", grid: grid.Balaidos(), model: soil.NewUniform(0.020), rods: 2},
 		{name: "balaidos-B", grid: grid.Balaidos(), model: soil.NewTwoLayer(0.0025, 0.020, 0.7), rods: 2},
-		{name: "balaidos-C", grid: grid.Balaidos(), model: soil.NewTwoLayer(0.0025, 0.020, 1.0), rods: 1, reqBits: 0x3fde5fd0811ed0db},
-		{name: "lattice-crossing-rods", grid: crossingLattice(), model: soil.NewTwoLayer(0.004, 0.02, 1.0), reqBits: 0x3ff1e831de421097},
+		{name: "balaidos-C", grid: grid.Balaidos(), model: soil.NewTwoLayer(0.0025, 0.020, 1.0), rods: 1, reqBits: 0x3fde5fd0815648f6},
+		{name: "lattice-crossing-rods", grid: crossingLattice(), model: soil.NewTwoLayer(0.004, 0.02, 1.0), reqBits: 0x3ff1e831df5a4e93},
 	}
 }
 
@@ -63,6 +63,11 @@ func kernelDiffCases(t *testing.T) []kernelDiffCase {
 func (c kernelDiffCase) analyze(t *testing.T) *core.Result {
 	t.Helper()
 	cfg := core.Config{GPR: 1, RodElements: c.rods, Solver: core.Cholesky}
+	if c.model.NumLayers() > 1 {
+		// The far-field branch sums its table to convergence, so both
+		// sides of a layered comparison run the series to convergence.
+		cfg.BEM.SeriesTol = bem.ConvergedTol
+	}
 	var res *core.Result
 	var err error
 	if c.mesh != nil {
@@ -95,9 +100,11 @@ func solveUnit(t *testing.T, m *grid.Mesh, r *linalg.SymMatrix) (sigma []float64
 // production pipeline (flat pair-class assembly, blocked factor, batched
 // FieldEvaluator) against the closed-form oracles on the same assembler.
 // Budgets: |ΔReq|/Req ≤ 1e-10, and surface and buried potentials and field
-// gradients within 1e-10 of the largest reference magnitude. Three
-// production Req values are pinned bit for bit, so refactors of the image
-// tables cannot drift the arithmetic silently.
+// gradients within 1e-10 of the largest reference magnitude. Layered cases
+// run at a converged series tolerance (the production side's far classes
+// read a converged table; see analyze). Three production Req values are
+// pinned bit for bit, so refactors of the image tables cannot drift the
+// arithmetic silently.
 func TestProductionKernelMatchesReference(t *testing.T) {
 	const budget = 1e-10
 	for _, c := range kernelDiffCases(t) {

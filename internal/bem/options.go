@@ -41,11 +41,20 @@ func (l LoopStrategy) String() string {
 // callers that still set Options.Kernel.
 type KernelStrategy int
 
-// FlatKernel, the zero value, streams the shared image ladder (three scalars
-// per image) through a hoisted log-form inner integral: one logarithm and
-// two square roots per (image, Gauss point). Its elemental matrices are
+// FlatKernel, the zero value, evaluates each pair class from the shared
+// image ladder (three scalars per image) in one of two branches. A far
+// class — two horizontal elements, a layer pair with reflected images,
+// midpoints at least four element lengths apart — reads the whole ladder
+// from a per-depth-pair polynomial table of ρ² and integrates it with a
+// short inner Gauss rule: no logarithm, no square root per (image, Gauss
+// point). Every other class walks the ladder with a hoisted log-form inner
+// integral, in which horizontal sources fuse the logarithms of an
+// equal-weight image group into one per (group, Gauss point) and far terms
+// replace the logarithm by a Maclaurin polynomial. The ladder walk is
 // pinned to the closed-form asinh oracle of the package tests (grid
-// resistances to ≤ 1e-10 relative).
+// resistances to ≤ 1e-10 relative), and the table branch to the ladder
+// walk at a converged series tolerance (every far-class entry within 1e-10
+// of its class's largest).
 //
 // Deprecated: it is the only kernel; leave Options.Kernel unset.
 const FlatKernel KernelStrategy = 0
@@ -104,6 +113,8 @@ type Options struct {
 	// SeriesTol truncates the image-series accumulation of an elemental
 	// matrix once a whole series group contributes less than
 	// SeriesTol·|accumulated| for two consecutive groups. Default 1e-7.
+	// Far classes (see FlatKernel) read a table summed to convergence and
+	// do not consult it.
 	SeriesTol float64
 	// MaxGroups caps the image series (the paper's "upper limit of
 	// summands"). Default 256.

@@ -243,7 +243,7 @@ func (k *PairKey) less(o *PairKey) bool {
 }
 
 // hash mixes the key words: a multiply-rotate per word and the splitmix64
-// finalizer, for the classSet's power-of-two table.
+// finalizer, for the ClassIndex's power-of-two table.
 func (k *PairKey) hash() uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, w := range k {
@@ -291,11 +291,25 @@ func (a *Assembler) ClassMatrix(key *PairKey, out []float64, cs *ColumnScratch) 
 	a.classMatrix(key, out, cs.s)
 }
 
+// classMatrix evaluates a canonical class: far classes (see farfield.go)
+// from the tabulated ladder, every other class by walking the ladder.
 func (a *Assembler) classMatrix(key *PairKey, out []float64, s *pairScratch) {
+	hdr := key[kwHeader]
+	lo, hi, _ := a.ladder.pair(int(hdr>>1&0xff), int(hdr>>9&0xff))
+	if a.farClass(key, lo, hi, out, s) {
+		s.far++
+		return
+	}
+	a.ladderClassMatrix(key, lo, hi, out, s)
+}
+
+// ladderClassMatrix evaluates a class by the exact image ladder: the
+// production path of every class the far-field gate refuses, and the
+// far branch's test oracle.
+func (a *Assembler) ladderClassMatrix(key *PairKey, lo, hi int32, out []float64, s *pairScratch) {
 	f := func(w int) float64 { return math.Float64frombits(key[w]) }
 	hdr := key[kwHeader]
-	src, obs := int(hdr>>1&0xff), int(hdr>>9&0xff)
-	lo, hi, _ := a.ladder.pair(src, obs)
+	src := int(hdr >> 1 & 0xff)
 	dx, dy, dz := f(kwSrcDX), f(kwSrcDY), f(kwSrcDZ)
 	l := math.Sqrt(dx*dx + dy*dy + dz*dz)
 	inv := 1 / l
@@ -403,9 +417,8 @@ func (cl *pairClasses) columnClasses(beta int) (lo, hi int) {
 func (a *Assembler) classify(ctx context.Context) (*pairClasses, error) {
 	m := len(a.mesh.Elements)
 	of := make([]uint32, a.NumPairs())
-	var keys []PairKey
 	var owner []int32 // per class in scan order: the owning column
-	set := classSet{slots: make([]uint64, 1024)}
+	var set ClassIndex
 	var key PairKey
 	for alpha := 0; alpha < m; alpha++ {
 		if err := ctx.Err(); err != nil {
@@ -415,10 +428,9 @@ func (a *Assembler) classify(ctx context.Context) (*pairClasses, error) {
 			flip, ok := a.PairClass(beta, alpha, &key)
 			var c int32
 			if ok {
-				c = set.intern(&key, &keys)
+				c, _ = set.Intern(&key)
 			} else {
-				c = int32(len(keys))
-				keys = append(keys, PairKey{exactClass, uint64(beta), uint64(alpha)})
+				c = set.add(&PairKey{exactClass, uint64(beta), uint64(alpha)})
 			}
 			if int(c) == len(owner) {
 				owner = append(owner, int32(beta))
@@ -429,7 +441,7 @@ func (a *Assembler) classify(ctx context.Context) (*pairClasses, error) {
 
 	// Renumber by owning column in loop order (counting sort, stable in
 	// scan order within a column).
-	cl := &pairClasses{of: of, colOff: make([]int32, m+1), keys: make([]PairKey, len(keys))}
+	cl := &pairClasses{of: of, colOff: make([]int32, m+1), keys: make([]PairKey, set.Len())}
 	for _, beta := range owner {
 		cl.colOff[m-int(beta)]++
 	}
@@ -437,11 +449,11 @@ func (a *Assembler) classify(ctx context.Context) (*pairClasses, error) {
 		cl.colOff[i+1] += cl.colOff[i]
 	}
 	next := append([]int32(nil), cl.colOff[:m]...)
-	renum := make([]uint32, len(keys))
+	renum := make([]uint32, set.Len())
 	for c, beta := range owner {
 		i := m - 1 - int(beta)
 		renum[c] = uint32(next[i])
-		cl.keys[next[i]] = keys[c]
+		cl.keys[next[i]] = *set.key(int32(c))
 		next[i]++
 	}
 	for p, v := range of {
@@ -450,53 +462,97 @@ func (a *Assembler) classify(ctx context.Context) (*pairClasses, error) {
 	return cl, nil
 }
 
-// classSet is an open-addressing (linear probing) index over the canonical
-// keys of a pairClasses table. A slot holds the key's hash in its high 32
-// bits and class+1 in its low 32 (0 marks empty), so probes compare full
-// keys only on a hash match.
-type classSet struct {
-	slots []uint64
-	n     int
+// ClassIndex is an open-addressing (linear probing) index of class keys:
+// the class table of MatrixCtx's classification and the H-matrix filler's
+// class cache. A slot holds the key's hash in its high 32 bits and class+1
+// in its low 32 (0 marks empty), so probes compare full keys only on a hash
+// match. Classes are numbered in insertion order; their keys live in
+// fixed-size chunks, so growing the index never copies a key. The zero
+// value is an empty index; it is not safe for concurrent use.
+type ClassIndex struct {
+	slots   []uint64
+	chunks  [][]PairKey // classChunk keys each; class c is chunks[c/classChunk][c%classChunk]
+	n       int         // classes
+	indexed int         // classes in slots (exact classes are not)
 }
 
-// intern returns the class of key, appending it to keys as a new class when
-// unseen.
-func (s *classSet) intern(key *PairKey, keys *[]PairKey) int32 {
-	h := key.hash()
+// classChunk is the number of keys per ClassIndex chunk (96 KiB).
+const classChunk = 1024
+
+// Len returns the number of classes.
+func (x *ClassIndex) Len() int { return x.n }
+
+// key returns class c's key.
+func (x *ClassIndex) key(c int32) *PairKey {
+	return &x.chunks[c/classChunk][c%classChunk]
+}
+
+// Find returns the class of key and whether it is present.
+func (x *ClassIndex) Find(key *PairKey) (int32, bool) {
+	if len(x.slots) == 0 {
+		return 0, false
+	}
+	return x.find(key, key.hash())
+}
+
+func (x *ClassIndex) find(key *PairKey, h uint64) (int32, bool) {
 	tag := h &^ (1<<32 - 1)
-	mask := uint64(len(s.slots) - 1)
+	mask := uint64(len(x.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		v := s.slots[i]
+		v := x.slots[i]
 		if v == 0 {
-			break
+			return 0, false
 		}
-		if v&^(1<<32-1) == tag && (*keys)[v&(1<<32-1)-1] == *key {
-			return int32(v&(1<<32-1)) - 1
+		if c := int32(v&(1<<32-1)) - 1; v&^(1<<32-1) == tag && *x.key(c) == *key {
+			return c, true
 		}
 	}
-	c := int32(len(*keys))
-	*keys = append(*keys, *key)
-	s.n++
-	if 2*s.n > len(s.slots) {
-		s.slots = make([]uint64, 2*len(s.slots))
-		for j := range *keys {
-			if k := &(*keys)[j]; k[kwHeader] != exactClass {
-				s.put(k.hash(), int32(j))
+}
+
+// Intern returns the class of key, adding it as a new class (added = true)
+// when absent.
+func (x *ClassIndex) Intern(key *PairKey) (c int32, added bool) {
+	if len(x.slots) == 0 {
+		x.slots = make([]uint64, 1024)
+	}
+	h := key.hash()
+	if c, ok := x.find(key, h); ok {
+		return c, false
+	}
+	c = x.add(key)
+	if x.indexed++; 2*x.indexed > len(x.slots) {
+		x.slots = make([]uint64, 2*len(x.slots))
+		for j := int32(0); j < int32(x.n); j++ {
+			if k := x.key(j); k[kwHeader] != exactClass {
+				x.put(k.hash(), j)
 			}
 		}
 	} else {
-		s.put(h, c)
+		x.put(h, c)
 	}
-	return c
+	return c, true
 }
 
-func (s *classSet) put(h uint64, c int32) {
-	mask := uint64(len(s.slots) - 1)
+// add stores key as the next class without indexing it: Intern's insert,
+// and classify's exactClass placeholder of a pair without a canonical
+// evaluation, which no other pair shares.
+func (x *ClassIndex) add(key *PairKey) int32 {
+	if x.n%classChunk == 0 {
+		x.chunks = append(x.chunks, make([]PairKey, 0, classChunk))
+	}
+	last := &x.chunks[len(x.chunks)-1]
+	*last = append(*last, *key)
+	x.n++
+	return int32(x.n - 1)
+}
+
+func (x *ClassIndex) put(h uint64, c int32) {
+	mask := uint64(len(x.slots) - 1)
 	i := h & mask
-	for s.slots[i] != 0 {
+	for x.slots[i] != 0 {
 		i = (i + 1) & mask
 	}
-	s.slots[i] = h&^(1<<32-1) | uint64(c+1)
+	x.slots[i] = h&^(1<<32-1) | uint64(c+1)
 }
 
 // evalClass computes class c's elemental matrix into out: canonical classes

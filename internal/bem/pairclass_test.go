@@ -120,7 +120,8 @@ func classFixtureMeshes(t *testing.T, model soil.Model, kind grid.ElementKind) m
 // rotated and interconnected (two-layer and uniform soil) meshes, every
 // global entry stays within
 // 1e-12·max|A| of the exact per-pair flat kernel and Req within 1e-10
-// relative.
+// relative. The series runs to convergence, because the class path's far
+// classes read a converged table.
 func TestPairClassesMatchExactFlat(t *testing.T) {
 	for sname, model := range flatFixtureModels(t) {
 		for _, kind := range []grid.ElementKind{grid.Linear, grid.Constant} {
@@ -128,7 +129,7 @@ func TestPairClassesMatchExactFlat(t *testing.T) {
 				if mname == "interconnected" && model.NumLayers() > 2 {
 					continue // seconds of quadrature fallback; the lattices cover it
 				}
-				a, err := New(m, model, Options{Workers: 2})
+				a, err := New(m, model, Options{Workers: 2, SeriesTol: convergedTol})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,8 +153,8 @@ func TestPairClassesMatchExactFlat(t *testing.T) {
 				if rel > 1e-10 {
 					t.Errorf("%s/%v/%s: Req classes %v exact %v (rel Δ %.3g > 1e-10)", sname, kind, mname, reqGot, reqWant, rel)
 				}
-				t.Logf("%s/%v/%s: %d classes / %d pairs, worst entry Δ %.2g·max|A|, Req rel Δ %.2g",
-					sname, kind, mname, a.NumClasses(), a.NumPairs(), worst/scale, rel)
+				t.Logf("%s/%v/%s: %d classes (%d far) / %d pairs, worst entry Δ %.2g·max|A|, Req rel Δ %.2g",
+					sname, kind, mname, a.NumClasses(), a.NumFarClasses(), a.NumPairs(), worst/scale, rel)
 			}
 		}
 	}

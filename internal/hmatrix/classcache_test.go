@@ -43,8 +43,8 @@ func TestClassCacheMatchesDense(t *testing.T) {
 			pairs++
 		}
 	}
-	if len(f.classes) >= pairs {
-		t.Errorf("class cache holds %d classes for %d pairs; want sharing", len(f.classes), pairs)
+	if f.classes.Len() >= pairs {
+		t.Errorf("class cache holds %d classes for %d pairs; want sharing", f.classes.Len(), pairs)
 	}
 }
 

@@ -69,7 +69,7 @@ type filler struct {
 	cache map[int64]int // ordered pair key → offset into slab
 	slab  []float64     // cached k×k elemental matrices, back to back
 
-	classes   map[bem.PairKey]int // class signature → offset into classSlab
+	classes   bem.ClassIndex // class signature → class c, at classSlab[c·k²:]
 	classSlab []float64
 	key       bem.PairKey
 	class     []float64 // k×k class matrix of an uncached class
@@ -82,13 +82,12 @@ const classCacheCap = 1 << 21
 
 func newFiller(asm *bem.Assembler, adj [][]elemRef, k int, cs *bem.ColumnScratch) *filler {
 	return &filler{
-		asm:     asm,
-		adj:     adj,
-		k:       k,
-		cs:      cs,
-		cache:   make(map[int64]int),
-		classes: make(map[bem.PairKey]int),
-		class:   make([]float64, k*k),
+		asm:   asm,
+		adj:   adj,
+		k:     k,
+		cs:    cs,
+		cache: make(map[int64]int),
+		class: make([]float64, k*k),
 	}
 }
 
@@ -130,14 +129,17 @@ func (f *filler) fillPair(beta, alpha int, out []float64) {
 	}
 	kk := f.k * f.k
 	class := f.class
-	if off, hit := f.classes[f.key]; hit {
-		class = f.classSlab[off : off+kk]
-	} else {
-		f.asm.ClassMatrix(&f.key, class, f.cs)
-		if len(f.classes) < classCacheCap {
-			f.classes[f.key] = len(f.classSlab)
+	if f.classes.Len() < classCacheCap {
+		c, added := f.classes.Intern(&f.key)
+		if added {
+			f.asm.ClassMatrix(&f.key, class, f.cs)
 			f.classSlab = append(f.classSlab, class...)
 		}
+		class = f.classSlab[int(c)*kk : int(c+1)*kk]
+	} else if c, hit := f.classes.Find(&f.key); hit {
+		class = f.classSlab[int(c)*kk : int(c+1)*kk]
+	} else {
+		f.asm.ClassMatrix(&f.key, class, f.cs)
 	}
 	flip.Apply(f.k, class, out)
 }

@@ -17,7 +17,9 @@ import (
 // legacyScenarioKey is a cache key format of older binaries: tail is what
 // followed "kind=linear" — "" for binaries that did not key the assembly
 // kernel (they assembled with the reference kernel), ";kernel=flat" for
-// binaries that evaluated the flat kernel pair by pair, before pair classes.
+// binaries that evaluated the flat kernel pair by pair, before pair classes,
+// and ";kernel=flat;pairs=d4q42" for binaries that walked the image ladder
+// for every class, before the far-field table branch.
 func legacyScenarioKey(t *testing.T, sc Scenario, tail string) string {
 	t.Helper()
 	b, err := sc.build(0)
@@ -34,8 +36,9 @@ func legacyScenarioKey(t *testing.T, sc Scenario, tail string) string {
 }
 
 // TestLegacyKeyRecordMisses pins the kernel arithmetic in the cache key:
-// durable records written under the pre-kernel key format and under the
-// per-pair flat-kernel format before pair classes — each holding a genuine
+// durable records written under the pre-kernel key format, under the
+// per-pair flat-kernel format before pair classes and under the pair-class
+// format before the far-field table branch — each holding a genuine
 // density for the scenario, so only the key can reject it — are never
 // served; the scenario is solved afresh and stored under the current key.
 func TestLegacyKeyRecordMisses(t *testing.T) {
@@ -47,7 +50,11 @@ func TestLegacyKeyRecordMisses(t *testing.T) {
 		SeriesTol: 1e-3,
 	}
 	key := scenarioKeyOf(t, 20)
-	legacy := []string{legacyScenarioKey(t, sc, ""), legacyScenarioKey(t, sc, ";kernel=flat")}
+	legacy := []string{
+		legacyScenarioKey(t, sc, ""),
+		legacyScenarioKey(t, sc, ";kernel=flat"),
+		legacyScenarioKey(t, sc, ";kernel=flat;pairs=d4q42"),
+	}
 	for _, l := range legacy {
 		if l == key {
 			t.Fatalf("current key equals the legacy key %s", l)
@@ -123,12 +130,12 @@ func TestScenarioKeyPinned(t *testing.T) {
 		{"rect-two-layer", Scenario{
 			Grid: GridSpec{Rect: &RectSpec{Width: 30, Height: 20, NX: 4, NY: 3, Depth: 0.8, Radius: 0.006}},
 			Soil: SoilSpec{Kind: "two-layer", Gamma1: 0.005, Gamma2: 0.016, H1: 1.0},
-		}, "28a5e91f94b6c13fa3b7b72104d92a4e"},
+		}, "99983d25a0bf49698229461f0de923d9"},
 		{"balaidos-uniform", Scenario{
 			Grid:        GridSpec{Builtin: "balaidos"},
 			Soil:        SoilSpec{Kind: "uniform", Gamma1: 0.02},
 			RodElements: 2,
-		}, "088d875d867d2424eff30a3f5d924753"},
+		}, "b0fa5775e357dc473b86c352ba733453"},
 	} {
 		b, err := c.sc.build(0)
 		if err != nil {

@@ -358,10 +358,13 @@ func checkElements(g *earthing.Grid, model earthing.SoilModel, cfg earthing.Conf
 // The grid is canonicalized through its text serialization (so a rect spec
 // and the equivalent hand-written conductor list key identically), the soil
 // through full-precision parameter rendering, and the discretization knobs
-// are appended verbatim. The kernel=flat component names the assembly
-// kernel, so records and peer frames of older binaries that assembled with
-// another kernel (agreeing only to ~1e-10) are never served next to fresh
-// solves; the pairs=d4q42 component names the pair-class arithmetic
+// are appended verbatim. The kernel=flat-far4 component names the assembly
+// kernel — the flat image ladder with its far-field table branch (classes
+// 4 element lengths apart, see bem's farfield.go) — so records and peer
+// frames of older binaries that assembled with another kernel (the
+// reference kernel, or the flat kernel walking the ladder for every class,
+// ~1e-8 apart at the default series tolerance) are never served next to
+// fresh solves; the pairs=d4q42 component names the pair-class arithmetic
 // (D4-canonical classes at 42-bit quantization, see bem.PairClass), so
 // frames from the per-pair arithmetic before it, ~1e-13 apart, miss too.
 // Workers, schedules and GPR are excluded: they do not change the solution.
@@ -374,7 +377,7 @@ func scenarioKey(g *earthing.Grid, soil SoilSpec, maxElemLen float64, rodElement
 		panic(err)
 	}
 	//lint:ignore errdrop writing to a hash.Hash never fails
-	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear;kernel=flat;pairs=d4q42\n",
+	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear;kernel=flat-far4;pairs=d4q42\n",
 		soil.canonicalSoil(), maxElemLen, rodElements, seriesTol)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }

@@ -26,14 +26,16 @@ func fastScenario(width float64, gpr float64) string {
 	}`, width, gpr)
 }
 
-// slowScenario takes ~0.2 s to assemble on a 2-core host (≫ under -race): a
+// slowScenario takes ~0.12 s to solve on a 2-core host (≫ under -race): a
 // denser, edge-graded lattice in two-layer soil, whose kernel series
 // dominate matrix generation. The grading (β = 0.3) keeps most element pairs
 // geometrically distinct, so pair classes cannot collapse the work the way
-// they do on a uniform lattice.
+// they do on a uniform lattice. It has 20 lines a side: the far-field table
+// branch made the former 16×16 lattice fast enough (~60 ms) to finish inside
+// TestDeadline504's 50 ms deadline.
 func slowScenario(width float64) string {
 	return fmt.Sprintf(`{
-		"grid": {"rect": {"width": %g, "height": 60, "nx": 16, "ny": 16, "depth": 0.8, "radius": 0.006, "beta": 0.3}},
+		"grid": {"rect": {"width": %g, "height": 60, "nx": 20, "ny": 20, "depth": 0.8, "radius": 0.006, "beta": 0.3}},
 		"soil": {"kind": "two-layer", "gamma1": 0.005, "gamma2": 0.016, "h1": 1.0},
 		"seriesTol": 1e-5
 	}`, width)
