@@ -59,7 +59,6 @@ func run(args []string, stdout io.Writer) error {
 		workers  = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		schedule = fs.String("schedule", "dynamic,1", "loop schedule: static|dynamic|guided[,chunk]")
 		sweep    = fs.String("sweep", "", "JSON scenario file for a batch solve ([{id, soil, gpr}, ...]); - for stdin")
-		scaled   = fs.Bool("scaled", false, "with -sweep: allow proportional-soil reuse (exact, not bit-identical)")
 		surface  = fs.String("surface", "", "write surface potential raster CSV to this file")
 		stepmap  = fs.String("stepmap", "", "write per-metre step voltage raster CSV to this file")
 		ascii    = fs.Bool("ascii", false, "print an ASCII surface potential map")
@@ -97,7 +96,7 @@ func run(args []string, stdout io.Writer) error {
 			MaxElemLen: *maxLen,
 			BEM:        earthing.BEMOptions{Workers: *workers, Schedule: sch},
 		}
-		return runSweep(ctx, g, *sweep, cfg, *scaled, *jsonOut, stdout)
+		return runSweep(ctx, g, *sweep, cfg, *jsonOut, stdout)
 	}
 
 	model, err := buildSoil(*soilKind, *gamma1, *gamma2, *h1, *multi)
@@ -238,7 +237,7 @@ type sweepSpec struct {
 // grid, solved through the sweep engine. With -json every result streams as
 // one NDJSON line the moment it completes; otherwise a summary table in
 // scenario order is printed at the end.
-func runSweep(ctx context.Context, g *earthing.Grid, file string, cfg earthing.Config, scaled, jsonOut bool, stdout io.Writer) error {
+func runSweep(ctx context.Context, g *earthing.Grid, file string, cfg earthing.Config, jsonOut bool, stdout io.Writer) error {
 	var rd io.Reader
 	if file == "-" {
 		rd = os.Stdin
@@ -271,11 +270,6 @@ func runSweep(ctx context.Context, g *earthing.Grid, file string, cfg earthing.C
 		models[i] = model
 		scens[i] = earthing.SweepScenario{ID: sp.ID, Soil: model, GPR: sp.GPR}
 	}
-	var opts []earthing.Option
-	if scaled {
-		opts = append(opts, earthing.WithScaledReuse())
-	}
-
 	if jsonOut {
 		enc := json.NewEncoder(stdout)
 		return earthing.SweepStream(ctx, g, scens, cfg, func(r earthing.SweepResult) error {
@@ -292,10 +286,10 @@ func runSweep(ctx context.Context, g *earthing.Grid, file string, cfg earthing.C
 				"elements": len(r.Res.Mesh.Elements), "dof": len(r.Res.Sigma),
 				"wallMs": float64(r.Wall) / 1e6,
 			})
-		}, opts...)
+		})
 	}
 
-	results, err := earthing.Sweep(ctx, g, scens, cfg, opts...)
+	results, err := earthing.Sweep(ctx, g, scens, cfg)
 	if err != nil {
 		return err
 	}

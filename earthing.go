@@ -219,31 +219,34 @@ func ParseSchedule(s string) (Schedule, error) { return sched.ParseSchedule(s) }
 // the error wraps ctx.Err() when cut short. Options are applied on top of
 // cfg (see Option).
 func Analyze(ctx context.Context, g *Grid, model SoilModel, cfg Config, opts ...Option) (*Result, error) {
-	return core.AnalyzeCtx(ctx, g, model, applyOptions(cfg, opts).cfg)
+	return core.AnalyzeCtx(ctx, g, model, applyOptions(cfg, opts))
 }
 
 // AnalyzeMesh analyzes an explicitly discretized mesh, with the
 // cancellation semantics of Analyze.
 func AnalyzeMesh(ctx context.Context, m *Mesh, model SoilModel, cfg Config, opts ...Option) (*Result, error) {
-	return core.AnalyzeMeshCtx(ctx, m, model, applyOptions(cfg, opts).cfg)
+	return core.AnalyzeMeshCtx(ctx, m, model, applyOptions(cfg, opts))
 }
 
-// Rehydrate rebuilds a solved Result from a previously stored unit-GPR
-// density without re-running matrix generation or the solve: only the
-// deterministic preprocessing and results stages execute, so a density
-// produced by Analyze of the same scenario yields bit-identical design
-// parameters at a tiny fraction of the cost. This is how groundd warm-starts
-// from its durable scenario store and serves entries fetched from fleet
-// peers. A density that does not match the scenario's discretization (or is
-// physically inconsistent) is rejected with an error.
+// Rehydrate rebuilds a solved Result from a previously stored density
+// without re-running matrix generation or the solve: only the deterministic
+// preprocessing and results stages execute, so a density produced by
+// Analyze of the same scenario yields bit-identical design parameters at a
+// tiny fraction of the cost. The density is a Result.Sigma: the one at unit
+// GPR and unit top-layer conductivity γ₁ (physical A/m is GPR·γ₁·Sigma), so
+// a model with every conductivity scaled by one factor rehydrates the same
+// vector. This is how groundd warm-starts from its durable scenario store
+// and serves entries fetched from fleet peers. A density that does not match
+// the scenario's discretization (or is physically inconsistent) is rejected
+// with an error.
 func Rehydrate(g *Grid, model SoilModel, sigma []float64, cfg Config, opts ...Option) (*Result, error) {
-	return core.Rehydrate(g, model, sigma, applyOptions(cfg, opts).cfg)
+	return core.Rehydrate(g, model, sigma, applyOptions(cfg, opts))
 }
 
 // AnalyzeReader parses a grid from its text format and analyzes it, with
 // the cancellation semantics of Analyze.
 func AnalyzeReader(ctx context.Context, r io.Reader, model SoilModel, cfg Config, opts ...Option) (*Result, error) {
-	return core.AnalyzeReaderCtx(ctx, r, model, applyOptions(cfg, opts).cfg)
+	return core.AnalyzeReaderCtx(ctx, r, model, applyOptions(cfg, opts))
 }
 
 // Post-processing re-exports.

@@ -114,10 +114,15 @@ func (t StageTimings) Total() time.Duration {
 
 // Result is the outcome of a grounding analysis.
 type Result struct {
-	Mesh  *grid.Mesh
+	Mesh *grid.Mesh
+	// Model is the soil model the result reports: Req, Current and
+	// DensityScale follow its top-layer conductivity γ₁.
 	Model soil.Model
-	// Sigma is the solved leakage line density per DoF for a unit GPR
-	// (multiply by GPR for physical A/m).
+	// Sigma is the solved leakage line density per DoF of the unit model
+	// (soil.Normalize) at unit GPR: the same vector for every model with
+	// that unit model. Multiply by DensityScale, GPR·γ₁, for physical A/m.
+	// The Assembler is built on the unit model, so potentials and fields
+	// read Sigma unchanged.
 	Sigma []float64
 	// GPR echoes the configured ground potential rise in volts.
 	GPR float64
@@ -144,27 +149,49 @@ type Result struct {
 	// usually indicates a data-entry error).
 	Warnings []string
 
-	// unitCurrent is the total leakage current at unit GPR (= 1/Req); kept
-	// so GPR-rescaled clones (WithGPR) reproduce Current with the exact
-	// floating-point expression the pipeline used.
+	// unitCurrent is the total leakage current of Sigma, at unit GPR and
+	// unit γ₁; rescale derives Req and Current from it.
 	unitCurrent float64
 
 	asm *bem.Assembler
 }
 
-// WithGPR returns a copy of the result rescaled to a different ground
-// potential rise. Sigma (a unit-GPR density), Req, the mesh and the
-// assembler are shared unchanged; Current is recomputed as gpr·I₁ with the
-// same expression the pipeline uses, so the clone is bit-identical to a
-// fresh analysis of the same scenario at that GPR.
-func (r *Result) WithGPR(gpr float64) (*Result, error) {
+// WithModel returns a copy of the result for model at gpr. model must have
+// the unit model (soil.Normalize) of the model r was solved for: r's own, or
+// any model whose conductivities are all one common multiple of its. Sigma,
+// the mesh and the assembler are shared unchanged; Req and Current are
+// recomputed by the expressions the pipeline itself ends with, so the copy is
+// bit-identical to a fresh analysis of model at gpr.
+func (r *Result) WithModel(model soil.Model, gpr float64) (*Result, error) {
 	if gpr <= 0 || math.IsNaN(gpr) || math.IsInf(gpr, 0) {
 		return nil, fmt.Errorf("core: invalid GPR %g", gpr)
 	}
 	c := *r
-	c.GPR = gpr
-	c.Current = gpr * r.unitCurrent
+	c.rescale(model, gpr)
 	return &c, nil
+}
+
+// WithGPR returns a copy of the result at a different ground potential rise
+// (WithModel of the result's own model).
+func (r *Result) WithGPR(gpr float64) (*Result, error) { return r.WithModel(r.Model, gpr) }
+
+// rescale applies model's γ₁ and gpr to the unit solution: the one place the
+// conductivity scale enters the pipeline's outputs. The physical current at
+// unit GPR is γ₁·I₁, so Req = 1/(γ₁·I₁) and Current = gpr·γ₁·I₁.
+func (r *Result) rescale(model soil.Model, gpr float64) {
+	_, gamma1 := soil.Normalize(model)
+	current := gamma1 * r.unitCurrent
+	r.Model, r.GPR = model, gpr
+	r.Req = 1 / current
+	r.Current = gpr * current
+}
+
+// DensityScale returns GPR·γ₁, the factor that turns Sigma into the physical
+// leakage line density in A/m (and the unit model's current density into
+// the physical one).
+func (r *Result) DensityScale() float64 {
+	_, gamma1 := soil.Normalize(r.Model)
+	return r.GPR * gamma1
 }
 
 // PotentialAt returns the earth potential in volts at x for the configured
@@ -207,39 +234,13 @@ func AnalyzeReaderCtx(ctx context.Context, rd io.Reader, model soil.Model, cfg C
 	return analyze(ctx, g, nil, model, cfg, time.Since(start))
 }
 
-// InterfaceDepths extracts the layer interface depths of a model — the
+// InterfaceDepths returns the layer interface depths of a model — the
 // depths the grid must be split at before discretization. Two models with
 // equal InterfaceDepths discretize a grid into the same mesh, which is the
 // mesh-grouping criterion of the sweep engine.
-func InterfaceDepths(model soil.Model) []float64 { return interfaceDepths(model) }
-
-// interfaceDepths extracts the layer interface depths of a model.
-func interfaceDepths(model soil.Model) []float64 {
-	var depths []float64
-	// Interfaces are where LayerOf changes; models expose layer count, and
-	// the two concrete layered models both mark the interface as belonging
-	// to the upper layer. Probe with bisection over a generous depth range.
-	n := model.NumLayers()
-	if n <= 1 {
-		return nil
-	}
-	const maxDepth = 1 << 20
-	lo := 0.0
-	for layer := 1; layer < n; layer++ {
-		a, b := lo, float64(maxDepth)
-		// Invariant: LayerOf(a) ≤ layer, LayerOf(b) ≥ layer+1.
-		for i := 0; i < 200 && b-a > 1e-12*(1+b); i++ {
-			mid := 0.5 * (a + b)
-			if model.LayerOf(mid) <= layer {
-				a = mid
-			} else {
-				b = mid
-			}
-		}
-		depths = append(depths, a)
-		lo = a
-	}
-	return depths
+func InterfaceDepths(model soil.Model) []float64 {
+	_, depths := model.LayerParameters()
+	return append([]float64(nil), depths...)
 }
 
 // validGPR applies the unit-GPR default and validates the result.
@@ -263,7 +264,7 @@ func BuildMesh(g *grid.Grid, model soil.Model, cfg Config) (*grid.Mesh, []string
 	if err := g.CheckBonding(); err != nil {
 		warnings = append(warnings, err.Error())
 	}
-	split := g.SplitAtDepths(interfaceDepths(model)...)
+	split := g.SplitAtDepths(InterfaceDepths(model)...)
 	mesh, err := grid.DiscretizeN(split, cfg.ElementKind, func(c grid.Conductor) int {
 		return elementsOf(c, cfg)
 	})
@@ -298,7 +299,7 @@ func elementsOf(c grid.Conductor, cfg Config) int {
 // proportional to it.
 func CountElements(g *grid.Grid, model soil.Model, cfg Config) int {
 	n := 0
-	for _, c := range g.SplitAtDepths(interfaceDepths(model)...).Conductors {
+	for _, c := range g.SplitAtDepths(InterfaceDepths(model)...).Conductors {
 		n += elementsOf(c, cfg)
 	}
 	return n
@@ -356,28 +357,29 @@ func solveSystem(res *Result, r *linalg.SymMatrix, cfg Config) error {
 	return nil
 }
 
-// finishResults runs the results stage: design parameters from the solved
-// density (eq. 2.2).
-func finishResults(res *Result, gpr float64) error {
+// finishResults runs the results stage: design parameters of model at gpr
+// from the solved unit density (eq. 2.2).
+func finishResults(res *Result, model soil.Model, gpr float64) error {
 	start := time.Now()
 	unitCurrent := bem.TotalCurrent(res.Mesh, res.Sigma)
 	if unitCurrent <= 0 || math.IsNaN(unitCurrent) {
 		return fmt.Errorf("core: results: non-physical total current %g", unitCurrent)
 	}
 	res.unitCurrent = unitCurrent
-	res.Req = 1 / unitCurrent
-	res.Current = gpr * unitCurrent
+	res.rescale(model, gpr)
 	res.Timings.Results = time.Since(start)
 	return nil
 }
 
 // AnalyzeAssembler runs the matrix-generation, solve and results stages of
 // AnalyzeCtx on a prebuilt assembler — the pipeline after preprocessing,
-// with the same cancellation semantics. AnalyzeCtx itself runs these stages
-// through it, so any caller holding an assembler of the same (mesh, model,
-// cfg.BEM) scenario gets a bit-identical result; the sweep engine builds its
-// assemblers on shared geometry (bem.NewWithGeometry) and analyzes each
-// through here. warnings are the preprocessing warnings of BuildMesh.
+// with the same cancellation semantics. asm must be built on the unit model
+// of model (soil.Normalize), as AnalyzeCtx builds its own. AnalyzeCtx runs
+// these stages through here, so any caller holding an assembler of the same
+// (mesh, unit model, cfg.BEM) scenario gets a bit-identical result; the sweep
+// engine builds its assemblers on shared geometry (bem.NewWithGeometry) and
+// analyzes each through here. warnings are the preprocessing warnings of
+// BuildMesh.
 // cfg.Solver must be a dense solver: the compressed tier never generates the
 // dense matrix.
 func AnalyzeAssembler(ctx context.Context, asm *bem.Assembler, model soil.Model, warnings []string, cfg Config) (*Result, error) {
@@ -387,13 +389,7 @@ func AnalyzeAssembler(ctx context.Context, asm *bem.Assembler, model soil.Model,
 	if cfg.Solver == SolverHMatrix {
 		return nil, fmt.Errorf("core: SolverHMatrix has no dense matrix-generation stage; use AnalyzeCtx")
 	}
-	res := &Result{
-		Mesh:     asm.Mesh(),
-		Model:    model,
-		GPR:      cfg.GPR,
-		Warnings: warnings,
-		asm:      asm,
-	}
+	res := &Result{Mesh: asm.Mesh(), Warnings: warnings, asm: asm}
 
 	// Stage: matrix generation — the dominant cost for layered soils
 	// (Table 6.1) and the parallelized loop (§6.2).
@@ -414,23 +410,25 @@ func AnalyzeAssembler(ctx context.Context, asm *bem.Assembler, model soil.Model,
 	}
 
 	// Stage: results.
-	if err := finishResults(res, cfg.GPR); err != nil {
+	if err := finishResults(res, model, cfg.GPR); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// Rehydrate rebuilds a solved Result from a previously computed unit-GPR
-// density (e.g. one replayed from groundd's durable scenario store) without
-// re-running matrix generation or the solve — the two stages that are ≫ 99 %
-// of AnalyzeCtx (Table 6.1). Only the deterministic preprocessing (interface
-// splitting, discretization, assembler setup) and the results stage run, so
-// for a sigma produced by AnalyzeCtx of the same (g, model, cfg) scenario the
-// rebuilt Result reports bit-identical design parameters: Req and Current
-// are recomputed with exactly the expressions finishResults uses on the
-// fresh path. The density is validated against the mesh's DoF count and the
-// results stage's physicality check, so a corrupted sigma yields an error,
-// never a plausible-looking wrong answer.
+// Rehydrate rebuilds a solved Result from a previously computed density
+// (e.g. one replayed from groundd's durable scenario store) without
+// re-running matrix generation or the solve, the two stages that are ≫ 99 %
+// of AnalyzeCtx (Table 6.1). sigma is a Result.Sigma: the unit-GPR, unit-γ₁
+// density, shared by every model with model's unit model (soil.Normalize).
+// Only the deterministic preprocessing (interface splitting, discretization,
+// assembler setup) and the results stage run, so for a sigma produced by
+// AnalyzeCtx of the same (g, unit model, cfg) scenario the rebuilt Result
+// reports bit-identical design parameters: Req and Current are recomputed
+// with exactly the expressions finishResults uses on the fresh path. The
+// density is validated against the mesh's DoF count and the results stage's
+// physicality check, so a corrupted sigma yields an error, never a
+// plausible-looking wrong answer.
 func Rehydrate(g *grid.Grid, model soil.Model, sigma []float64, cfg Config) (*Result, error) {
 	if err := validGPR(&cfg); err != nil {
 		return nil, err
@@ -442,19 +440,13 @@ func Rehydrate(g *grid.Grid, model soil.Model, sigma []float64, cfg Config) (*Re
 	if len(sigma) != mesh.NumDoF {
 		return nil, fmt.Errorf("core: rehydrate: density has %d entries, mesh has %d DoF", len(sigma), mesh.NumDoF)
 	}
-	asm, err := bem.New(mesh, model, cfg.BEM)
+	unit, _ := soil.Normalize(model)
+	asm, err := bem.New(mesh, unit, cfg.BEM)
 	if err != nil {
 		return nil, fmt.Errorf("core: preprocess: %w", err)
 	}
-	res := &Result{
-		Mesh:     mesh,
-		Model:    model,
-		Sigma:    sigma,
-		GPR:      cfg.GPR,
-		Warnings: warnings,
-		asm:      asm,
-	}
-	if err := finishResults(res, cfg.GPR); err != nil {
+	res := &Result{Mesh: mesh, Sigma: sigma, Warnings: warnings, asm: asm}
+	if err := finishResults(res, model, cfg.GPR); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -480,46 +472,14 @@ func (r *Result) Footprint() int64 {
 	return n + 256
 }
 
-// ScaledResult derives the solution for a soil model proportional to the
-// base result's (every conductivity multiplied by scale, identical layer
-// geometry) without re-assembly or re-solve: the BEM kernels scale by
-// 1/scale, so σ scales by scale, R_eq by 1/scale. asm must be an assembler
-// of the target model over the same mesh (it serves post-processing —
-// potentials, rasters — with the correct kernels; its MatrixCtx is never
-// called). The derivation is mathematically exact but NOT bit-identical to
-// a fresh assembly under the target model, so callers opt in explicitly.
-func ScaledResult(base *Result, model soil.Model, asm *bem.Assembler, scale, gpr float64) (*Result, error) {
-	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
-		return nil, fmt.Errorf("core: invalid conductivity scale %g", scale)
-	}
-	if gpr <= 0 || math.IsNaN(gpr) || math.IsInf(gpr, 0) {
-		return nil, fmt.Errorf("core: invalid GPR %g", gpr)
-	}
-	sigma := make([]float64, len(base.Sigma))
-	for i, v := range base.Sigma {
-		sigma[i] = scale * v
-	}
-	res := &Result{
-		Mesh:        base.Mesh,
-		Model:       model,
-		Sigma:       sigma,
-		GPR:         gpr,
-		Warnings:    base.Warnings,
-		unitCurrent: scale * base.unitCurrent,
-		asm:         asm,
-	}
-	res.Req = 1 / res.unitCurrent
-	res.Current = gpr * res.unitCurrent
-	return res, nil
-}
-
 func analyze(ctx context.Context, g *grid.Grid, mesh *grid.Mesh, model soil.Model, cfg Config, inputTime time.Duration) (*Result, error) {
 	if err := validGPR(&cfg); err != nil {
 		return nil, err
 	}
 
 	// Stage: data preprocessing — interface splitting, discretization, DoF
-	// numbering, assembler setup (element Gauss data, kernel expansions).
+	// numbering, assembler setup (element Gauss data, kernel expansions) on
+	// the unit model, so proportional models solve one system.
 	start := time.Now()
 	var warnings []string
 	if mesh == nil {
@@ -529,7 +489,8 @@ func analyze(ctx context.Context, g *grid.Grid, mesh *grid.Mesh, model soil.Mode
 			return nil, err
 		}
 	}
-	asm, err := bem.New(mesh, model, cfg.BEM)
+	unit, _ := soil.Normalize(model)
+	asm, err := bem.New(mesh, unit, cfg.BEM)
 	if err != nil {
 		return nil, fmt.Errorf("core: preprocess: %w", err)
 	}

@@ -107,21 +107,21 @@ func TestAnalyzeSplitsAtInterfaces(t *testing.T) {
 	}
 }
 
+// TestInterfaceDepthsProbe: the interface depths are the model's own, bit
+// for bit, also where a depth is no dyadic fraction (0.7, 3.0 = 0.7 + 2.3).
 func TestInterfaceDepthsProbe(t *testing.T) {
 	tl := soil.NewTwoLayer(0.005, 0.016, 1.25)
-	d := interfaceDepths(tl)
-	if len(d) != 1 || math.Abs(d[0]-1.25) > 1e-6 {
+	if d := InterfaceDepths(tl); len(d) != 1 || d[0] != 1.25 {
 		t.Errorf("two-layer interfaces = %v", d)
 	}
 	ml, err := soil.NewMultiLayer([]float64{1, 2, 3}, []float64{0.7, 2.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d = interfaceDepths(ml)
-	if len(d) != 2 || math.Abs(d[0]-0.7) > 1e-6 || math.Abs(d[1]-3.0) > 1e-6 {
+	if d := InterfaceDepths(ml); len(d) != 2 || d[0] != 0.7 || d[1] != 0.7+2.3 {
 		t.Errorf("three-layer interfaces = %v", d)
 	}
-	if got := interfaceDepths(soil.NewUniform(1)); got != nil {
+	if got := InterfaceDepths(soil.NewUniform(1)); got != nil {
 		t.Errorf("uniform interfaces = %v", got)
 	}
 }

@@ -118,10 +118,10 @@ func runHMatrix(ctx context.Context, res *Result, asm *bem.Assembler, cfg Config
 // errors never degrade: a poisoned load vector would poison the dense run
 // identically.
 func analyzeHMatrix(ctx context.Context, asm *bem.Assembler, model soil.Model, warnings []string, cfg Config) (*Result, error) {
-	res := &Result{Mesh: asm.Mesh(), Model: model, GPR: cfg.GPR, Warnings: warnings, asm: asm}
+	res := &Result{Mesh: asm.Mesh(), Warnings: warnings, asm: asm}
 	hErr := runHMatrix(ctx, res, asm, cfg)
 	if hErr == nil {
-		if err := finishResults(res, cfg.GPR); err != nil {
+		if err := finishResults(res, model, cfg.GPR); err != nil {
 			return nil, err
 		}
 		return res, nil

@@ -39,18 +39,19 @@ type LeakageReport struct {
 }
 
 // ComputeLeakage builds the leakage distribution from the solved DoF vector
-// (scaled by gpr). The classic design insight it surfaces: perimeter and
+// scaled by scale (GPR·γ₁ for a core.Result's unit density, see
+// core.Result.DensityScale). The classic design insight it surfaces: perimeter and
 // corner conductors leak disproportionately, which is why meshes are graded
 // toward the edges.
-func ComputeLeakage(m *grid.Mesh, sigma []float64, gpr float64) LeakageReport {
+func ComputeLeakage(m *grid.Mesh, sigma []float64, scale float64) LeakageReport {
 	rep := LeakageReport{MinDensity: math.Inf(1), MaxDensity: math.Inf(-1)}
 	for e, el := range m.Elements {
 		l := el.Seg.Length()
 		var mean float64
 		if m.Kind == grid.Linear {
-			mean = gpr * (sigma[el.DoF[0]] + sigma[el.DoF[1]]) / 2
+			mean = scale * (sigma[el.DoF[0]] + sigma[el.DoF[1]]) / 2
 		} else {
-			mean = gpr * sigma[el.DoF[0]]
+			mean = scale * sigma[el.DoF[0]]
 		}
 		cur := mean * l
 		rep.Elements = append(rep.Elements, ElementLeakage{

@@ -13,7 +13,7 @@ import (
 
 func TestComputeLeakage(t *testing.T) {
 	res := solved(t)
-	rep := ComputeLeakage(res.Mesh, res.Sigma, res.GPR)
+	rep := ComputeLeakage(res.Mesh, res.Sigma, res.DensityScale())
 	if len(rep.Elements) != len(res.Mesh.Elements) {
 		t.Fatal("element count mismatch")
 	}
@@ -46,7 +46,7 @@ func TestEdgeLeaksMoreThanCenter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := ComputeLeakage(res.Mesh, res.Sigma, res.GPR)
+	rep := ComputeLeakage(res.Mesh, res.Sigma, res.DensityScale())
 	var corner, center float64
 	for _, e := range rep.Elements {
 		m := e.Midpoint
@@ -70,7 +70,7 @@ func TestRodShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := ComputeLeakage(res.Mesh, res.Sigma, res.GPR)
+	rep := ComputeLeakage(res.Mesh, res.Sigma, res.DensityScale())
 	if rep.RodShare <= 0 || rep.RodShare >= 1 {
 		t.Errorf("rod share = %v", rep.RodShare)
 	}
@@ -78,7 +78,7 @@ func TestRodShare(t *testing.T) {
 
 func TestLeakageWriters(t *testing.T) {
 	res := solved(t)
-	rep := ComputeLeakage(res.Mesh, res.Sigma, res.GPR)
+	rep := ComputeLeakage(res.Mesh, res.Sigma, res.DensityScale())
 	var csv strings.Builder
 	if err := WriteLeakageCSV(&csv, rep); err != nil {
 		t.Fatal(err)

@@ -136,7 +136,7 @@ func BuildHTML(ctx context.Context, w io.Writer, res *core.Result, g *grid.Grid,
 	p.ContourSVG = template.HTML(contours.String()) //nolint:gosec // generated internally
 
 	// Leakage.
-	rep := post.ComputeLeakage(res.Mesh, res.Sigma, res.GPR)
+	rep := post.ComputeLeakage(res.Mesh, res.Sigma, res.DensityScale())
 	p.RodShare = fmt.Sprintf("%.1f%%", 100*rep.RodShare)
 	n := opt.TopLeakage
 	if n > len(rep.Elements) {

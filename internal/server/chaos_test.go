@@ -169,7 +169,9 @@ func TestChaosSweepPartialFailure(t *testing.T) {
 
 	var scens []string
 	for i := 0; i < 5; i++ {
-		scens = append(scens, fmt.Sprintf(`{"id": "c%d", "soil": {"kind": "uniform", "gamma1": %g}}`, i, 0.01+0.002*float64(i)))
+		// Distinct γ₂/γ₁ ratios: five jobs (uniform soils of different γ
+		// would be proportional and share one).
+		scens = append(scens, fmt.Sprintf(`{"id": "c%d", "soil": {"kind": "two-layer", "gamma1": 0.01, "gamma2": %g, "h1": 5}}`, i, 0.012+0.002*float64(i)))
 	}
 	body := fmt.Sprintf(`{
 		"grid": {"rect": {"width": 20, "height": 20, "nx": 4, "ny": 4, "depth": 0.8, "radius": 0.006}},

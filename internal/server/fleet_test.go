@@ -360,17 +360,18 @@ func TestClusterOwnerMissFallback(t *testing.T) {
 	}
 }
 
-// sweepVariantsOwnedBy searches uniform-soil conductivity variants of the
-// width-20 fast grid until n of them route to the wanted ring owner.
+// sweepVariantsOwnedBy searches two-layer variants of the width-20 fast grid,
+// γ₂/γ₁ ratios apart (uniform soils of different γ share one key), until n
+// of them route to the wanted ring owner.
 func sweepVariantsOwnedBy(t *testing.T, s *Server, owner string, n int) []SoilSpec {
 	t.Helper()
 	var out []SoilSpec
-	for g := 0.0125; len(out) < n && g < 0.0525; g += 0.0001 {
+	for g := 0.013; len(out) < n && g < 0.0525; g += 0.0001 {
 		sc := Scenario{
 			Grid: GridSpec{Rect: &RectSpec{
 				Width: 20, Height: 20, NX: 4, NY: 4, Depth: 0.8, Radius: 0.006,
 			}},
-			Soil:      SoilSpec{Kind: "uniform", Gamma1: g},
+			Soil:      SoilSpec{Kind: "two-layer", Gamma1: 0.0125, Gamma2: g, H1: 5},
 			SeriesTol: 1e-3,
 		}
 		b, err := sc.build(0)
@@ -421,7 +422,8 @@ func TestChaosClusterPeerDeathMidSweep(t *testing.T) {
 	soils := sweepVariantsOwnedBy(t, a, "node1", 3)
 	var specs []string
 	for _, soil := range soils {
-		specs = append(specs, fmt.Sprintf(`{"soil": {"kind": "uniform", "gamma1": %g}}`, soil.Gamma1))
+		specs = append(specs, fmt.Sprintf(`{"soil": {"kind": "two-layer", "gamma1": %g, "gamma2": %g, "h1": %g}}`,
+			soil.Gamma1, soil.Gamma2, soil.H1))
 	}
 	sweep := fmt.Sprintf(`{
 		"grid": {"rect": {"width": 20, "height": 20, "nx": 4, "ny": 4, "depth": 0.8, "radius": 0.006}},
@@ -648,4 +650,114 @@ func TestServerCloseIdempotent(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
+}
+
+// proportionalScenario is a two-layer fast scenario with both conductivities
+// multiplied by scale; scales that are powers of two keep the γ₂/γ₁ ratio
+// bit-equal, so every scale shares one unit model and one key.
+func proportionalScenario(width, scale float64) string {
+	return fmt.Sprintf(`{
+		"grid": {"rect": {"width": %g, "height": 20, "nx": 4, "ny": 4, "depth": 0.8, "radius": 0.006}},
+		"soil": {"kind": "two-layer", "gamma1": %g, "gamma2": %g, "h1": 1},
+		"seriesTol": 1e-3, "gpr": 10000
+	}`, width, 0.005*scale, 0.016*scale)
+}
+
+// TestProportionalSoilEveryRung: a soil with every conductivity doubled (s·M)
+// is served from M's solution on every rung — the LRU, the durable store
+// after a restart and the ring owner — with no assembly, and each body is
+// byte-identical to a fresh server's body for s·M.
+func TestProportionalSoilEveryRung(t *testing.T) {
+	ctx := context.Background()
+	solve := func(base, body string) (string, []byte) {
+		t.Helper()
+		code, hdr, out := post(t, ctx, base, "/v1/solve", body)
+		if code != http.StatusOK {
+			t.Fatalf("solve: status %d: %s", code, out)
+		}
+		return hdr.Get("X-Groundd-Cache-Tier"), out
+	}
+	check := func(rung, tier, wantTier string, got, want []byte, assemblies int64) {
+		t.Helper()
+		if tier != wantTier {
+			t.Errorf("%s: tier %q, want %q", rung, tier, wantTier)
+		}
+		if assemblies != 0 {
+			t.Errorf("%s: %d assemblies for s·M, want 0", rung, assemblies)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: body differs from a fresh server's:\n%s\n%s", rung, got, want)
+		}
+	}
+
+	// LRU.
+	_, fresh := newTestServer(t, Config{MaxConcurrent: 2})
+	_, wantLRU := solve(fresh.URL, proportionalScenario(20, 2))
+	s, ts := newTestServer(t, Config{MaxConcurrent: 2})
+	solve(ts.URL, proportionalScenario(20, 1))
+	before := s.Counters().Assemblies.Load()
+	tier, got := solve(ts.URL, proportionalScenario(20, 2))
+	check("lru", tier, tierLRU, got, wantLRU, s.Counters().Assemblies.Load()-before)
+	// ... and s·M's raster is M's memo.
+	raster := func(scale float64) string {
+		return strings.Replace(proportionalScenario(20, scale), `"gpr"`, `"nx": 8, "ny": 8, "gpr"`, 1)
+	}
+	post(t, ctx, ts.URL, "/v1/raster", raster(1))
+	code, hdr, gotRaster := post(t, ctx, ts.URL, "/v1/raster", raster(2))
+	if code != http.StatusOK || hdr.Get("X-Groundd-Post") != postMemoized {
+		t.Errorf("raster of s·M: status %d, post %q, want 200 from M's memo", code, hdr.Get("X-Groundd-Post"))
+	}
+	if _, _, want := post(t, ctx, fresh.URL, "/v1/raster", raster(2)); !bytes.Equal(gotRaster, want) {
+		t.Errorf("memo raster of s·M differs from a fresh server's")
+	}
+
+	// Durable store across a restart.
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := New(Config{MaxConcurrent: 2, Store: st})
+	ts1 := httptest.NewServer(s1)
+	waitReady(t, ts1.URL, 2*time.Second)
+	solve(ts1.URL, proportionalScenario(20, 1))
+	ts1.Close()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Config{MaxConcurrent: 2, Store: st2})
+	t.Cleanup(func() { s2.Close() })
+	ts2 := httptest.NewServer(s2)
+	t.Cleanup(ts2.Close)
+	waitReady(t, ts2.URL, 2*time.Second)
+	tier, got = solve(ts2.URL, proportionalScenario(20, 2))
+	check("store", tier, tierStore, got, wantLRU, s2.Counters().Assemblies.Load())
+
+	// Ring owner: node1 solves M, node0 serves s·M from it.
+	srvs, hts, _ := startFleet(t, 2, func(int) Config { return Config{MaxConcurrent: 2} })
+	width := 0.0
+	for w := 22.0; w < 400 && width == 0; w += 2 {
+		var sc Scenario
+		if err := json.Unmarshal([]byte(proportionalScenario(w, 1)), &sc); err != nil {
+			t.Fatal(err)
+		}
+		b, err := sc.build(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srvs[0].fleet.ring.Owner(b.key) == "node1" {
+			width = w
+		}
+	}
+	if width == 0 {
+		t.Fatal("no scenario owned by node1 within the search range")
+	}
+	_, wantPeer := solve(fresh.URL, proportionalScenario(width, 2))
+	solve(hts[1].URL, proportionalScenario(width, 1))
+	tier, got = solve(hts[0].URL, proportionalScenario(width, 2))
+	check("peer", tier, tierPeer, got, wantPeer, srvs[0].Counters().Assemblies.Load())
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,12 +15,36 @@ import (
 	"earthing/internal/store"
 )
 
+// legacySoil is the soil rendering of the binaries that keyed the physical
+// model rather than its unit model.
+func legacySoil(s SoilSpec) string {
+	switch s.Kind {
+	case "uniform":
+		return fmt.Sprintf("uniform;%.17g", s.Gamma1)
+	case "two-layer":
+		return fmt.Sprintf("two-layer;%.17g;%.17g;%.17g", s.Gamma1, s.Gamma2, s.H1)
+	default:
+		var b strings.Builder
+		b.WriteString("multi")
+		for _, g := range s.Gammas {
+			fmt.Fprintf(&b, ";%.17g", g)
+		}
+		b.WriteString("|")
+		for _, h := range s.Thicknesses {
+			fmt.Fprintf(&b, ";%.17g", h)
+		}
+		return b.String()
+	}
+}
+
 // legacyScenarioKey is a cache key format of older binaries: tail is what
 // followed "kind=linear" — "" for binaries that did not key the assembly
 // kernel (they assembled with the reference kernel), ";kernel=flat" for
 // binaries that evaluated the flat kernel pair by pair, before pair classes,
-// and ";kernel=flat;pairs=d4q42" for binaries that walked the image ladder
-// for every class, before the far-field table branch.
+// ";kernel=flat;pairs=d4q42" for binaries that walked the image ladder for
+// every class, before the far-field table branch, and
+// ";kernel=flat-far4;pairs=d4q42" for binaries that solved the physical
+// model instead of the unit-γ₁ one.
 func legacyScenarioKey(t *testing.T, sc Scenario, tail string) string {
 	t.Helper()
 	b, err := sc.build(0)
@@ -31,16 +56,17 @@ func legacyScenarioKey(t *testing.T, sc Scenario, tail string) string {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear%s\n",
-		sc.Soil.canonicalSoil(), sc.MaxElemLen, sc.RodElements, b.cfg.BEM.SeriesTol, tail)
+		legacySoil(sc.Soil), sc.MaxElemLen, sc.RodElements, b.cfg.BEM.SeriesTol, tail)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 // TestLegacyKeyRecordMisses pins the kernel arithmetic in the cache key:
 // durable records written under the pre-kernel key format, under the
-// per-pair flat-kernel format before pair classes and under the pair-class
-// format before the far-field table branch — each holding a genuine
-// density for the scenario, so only the key can reject it — are never
-// served; the scenario is solved afresh and stored under the current key.
+// per-pair flat-kernel format before pair classes, under the pair-class
+// format before the far-field table branch and under the physical-model
+// format before unit-γ₁ solves — each holding a genuine density for the
+// scenario, so only the key can reject it — are never served; the scenario
+// is solved afresh and stored under the current key.
 func TestLegacyKeyRecordMisses(t *testing.T) {
 	sc := Scenario{
 		Grid: GridSpec{Rect: &RectSpec{
@@ -54,6 +80,7 @@ func TestLegacyKeyRecordMisses(t *testing.T) {
 		legacyScenarioKey(t, sc, ""),
 		legacyScenarioKey(t, sc, ";kernel=flat"),
 		legacyScenarioKey(t, sc, ";kernel=flat;pairs=d4q42"),
+		legacyScenarioKey(t, sc, ";kernel=flat-far4;pairs=d4q42"),
 	}
 	for _, l := range legacy {
 		if l == key {
@@ -130,12 +157,12 @@ func TestScenarioKeyPinned(t *testing.T) {
 		{"rect-two-layer", Scenario{
 			Grid: GridSpec{Rect: &RectSpec{Width: 30, Height: 20, NX: 4, NY: 3, Depth: 0.8, Radius: 0.006}},
 			Soil: SoilSpec{Kind: "two-layer", Gamma1: 0.005, Gamma2: 0.016, H1: 1.0},
-		}, "99983d25a0bf49698229461f0de923d9"},
+		}, "674341f41eb02473f26351fd85ce70bf"},
 		{"balaidos-uniform", Scenario{
 			Grid:        GridSpec{Builtin: "balaidos"},
 			Soil:        SoilSpec{Kind: "uniform", Gamma1: 0.02},
 			RodElements: 2,
-		}, "b0fa5775e357dc473b86c352ba733453"},
+		}, "04fb7f3efd7997e38b9fa31fb7456213"},
 	} {
 		b, err := c.sc.build(0)
 		if err != nil {

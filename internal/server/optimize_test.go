@@ -217,6 +217,7 @@ func TestOptimizeDeadline504(t *testing.T) {
 // pre-stream with 429, a Retry-After header and the typed queue_full body.
 func TestOptimizeQueueFull429(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1})
+	_, release := holdAssembly(t)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -224,12 +225,12 @@ func TestOptimizeQueueFull429(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		postNoFatal(t, ctx, ts.URL, "/v1/solve", slowScenario(130))
+		postNoFatal(t, ctx, ts.URL, "/v1/solve", fastScenario(130, 10_000))
 	}()
 	waitFor(t, func() bool { return s.Counters().BusyWorkers.Load() == 1 })
 	go func() {
 		defer wg.Done()
-		postNoFatal(t, ctx, ts.URL, "/v1/solve", slowScenario(131))
+		postNoFatal(t, ctx, ts.URL, "/v1/solve", fastScenario(131, 10_000))
 	}()
 	waitFor(t, func() bool { return s.Counters().QueueDepth.Load() == 1 })
 
@@ -248,6 +249,7 @@ func TestOptimizeQueueFull429(t *testing.T) {
 		t.Errorf("error body %+v, want code queue_full with retry_after ≥ 1", eb)
 	}
 	cancel()
+	release()
 	wg.Wait()
 }
 

@@ -24,6 +24,7 @@ import (
 	"earthing"
 	"earthing/internal/core"
 	"earthing/internal/grid"
+	"earthing/internal/soil"
 )
 
 // Request-size bounds. Each is checked before any work proportional to the
@@ -232,28 +233,6 @@ func (s SoilSpec) buildSoil() (earthing.SoilModel, error) {
 	}
 }
 
-// canonicalSoil renders the result-affecting soil parameters at full float64
-// precision.
-func (s SoilSpec) canonicalSoil() string {
-	switch s.Kind {
-	case "uniform":
-		return fmt.Sprintf("uniform;%.17g", s.Gamma1)
-	case "two-layer":
-		return fmt.Sprintf("two-layer;%.17g;%.17g;%.17g", s.Gamma1, s.Gamma2, s.H1)
-	default:
-		var b strings.Builder
-		b.WriteString("multi")
-		for _, g := range s.Gammas {
-			fmt.Fprintf(&b, ";%.17g", g)
-		}
-		b.WriteString("|")
-		for _, h := range s.Thicknesses {
-			fmt.Fprintf(&b, ";%.17g", h)
-		}
-		return b.String()
-	}
-}
-
 // buildConfig validates the envelope's discretization and execution knobs and
 // assembles the engine configuration shared by every /v1/* endpoint (unit
 // GPR, deterministic Cholesky). Factored out of build so grid-free requests
@@ -340,8 +319,20 @@ func (sc Scenario) build(defaultWorkers int) (*built, error) {
 		soil:  sc.Soil,
 		cfg:   cfg,
 		gpr:   gpr,
-		key:   scenarioKey(g, sc.Soil, sc.MaxElemLen, sc.RodElements, cfg.BEM.SeriesTol),
+		key:   scenarioKey(g, model, sc.MaxElemLen, sc.RodElements, cfg.BEM.SeriesTol),
 	}, nil
+}
+
+// answer rescales res, a solution from any rung of the ladder (solved for
+// any model with b's unit model, see scenarioKey), to b's own model and GPR:
+// the one place a response meets the conductivity scale.
+func (b *built) answer(res *earthing.Result) *earthing.Result {
+	out, err := res.WithModel(b.model, b.gpr)
+	if err != nil {
+		// build validated the GPR, the only input WithModel rejects.
+		panic(err)
+	}
+	return out
 }
 
 // checkElements refuses a grid whose discretization under model and cfg
@@ -357,27 +348,32 @@ func checkElements(g *earthing.Grid, model earthing.SoilModel, cfg earthing.Conf
 // scenarioKey hashes the result-affecting inputs into a deterministic key.
 // The grid is canonicalized through its text serialization (so a rect spec
 // and the equivalent hand-written conductor list key identically), the soil
-// through full-precision parameter rendering, and the discretization knobs
-// are appended verbatim. The kernel=flat-far4 component names the assembly
-// kernel — the flat image ladder with its far-field table branch (classes
-// 4 element lengths apart, see bem's farfield.go) — so records and peer
-// frames of older binaries that assembled with another kernel (the
-// reference kernel, or the flat kernel walking the ladder for every class,
-// ~1e-8 apart at the default series tolerance) are never served next to
-// fresh solves; the pairs=d4q42 component names the pair-class arithmetic
-// (D4-canonical classes at 42-bit quantization, see bem.PairClass), so
-// frames from the per-pair arithmetic before it, ~1e-13 apart, miss too.
-// Workers, schedules and GPR are excluded: they do not change the solution.
-// TestScenarioKeyPinned pins the key bytes: changing them orphans every
-// durable record and peer frame.
-func scenarioKey(g *earthing.Grid, soil SoilSpec, maxElemLen float64, rodElements int, seriesTol float64) string {
+// through soil.Canonical of its unit model (soil.Normalize), and the
+// discretization knobs are appended verbatim. Every analysis solves the unit
+// model and applies γ₁ afterwards (core.Result.WithModel), so models whose
+// conductivities differ by one common factor share a key, one solve and one
+// post memo on every rung. The soil=unit component marks that keying, so
+// records and peer frames of older binaries, which solved the physical model,
+// are never served. The kernel=flat-far4 component names the assembly kernel
+// — the flat image ladder with its far-field table branch (classes 4 element
+// lengths apart, see bem's farfield.go) — so records and peer frames of
+// older binaries that assembled with another kernel (the reference kernel,
+// or the flat kernel walking the ladder for every class, ~1e-8 apart at the
+// default series tolerance) miss too; the pairs=d4q42 component names the
+// pair-class arithmetic (D4-canonical classes at 42-bit quantization, see
+// bem.PairClass), so frames from the per-pair arithmetic before it, ~1e-13
+// apart, miss as well. Workers, schedules and GPR are excluded: they do not
+// change the solution. TestScenarioKeyPinned pins the key bytes: changing
+// them orphans every durable record and peer frame.
+func scenarioKey(g *earthing.Grid, model earthing.SoilModel, maxElemLen float64, rodElements int, seriesTol float64) string {
 	h := sha256.New()
 	if err := grid.Write(h, g); err != nil {
 		// The hash writer never fails; keep the compiler honest.
 		panic(err)
 	}
+	unit, _ := soil.Normalize(model)
 	//lint:ignore errdrop writing to a hash.Hash never fails
-	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear;kernel=flat-far4;pairs=d4q42\n",
-		soil.canonicalSoil(), maxElemLen, rodElements, seriesTol)
+	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear;kernel=flat-far4;pairs=d4q42;soil=unit\n",
+		soil.Canonical(unit), maxElemLen, rodElements, seriesTol)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }

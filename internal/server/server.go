@@ -646,6 +646,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	res = b.answer(res)
 	s.writeJSON(w, tier, SolveResponse{
 		Key:         b.key,
 		GPR:         b.gpr,

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"earthing/internal/faultinject"
 )
 
 // fastScenario solves in ~10 ms: a coarse lattice in uniform soil with a
@@ -26,20 +28,45 @@ func fastScenario(width float64, gpr float64) string {
 	}`, width, gpr)
 }
 
-// slowScenario takes ~0.12 s to solve on a 2-core host (≫ under -race): a
-// denser, edge-graded lattice in two-layer soil, whose kernel series
-// dominate matrix generation. The grading (β = 0.3) keeps most element pairs
-// geometrically distinct, so pair classes cannot collapse the work the way
-// they do on a uniform lattice. It has 20 lines a side: the far-field table
-// branch made the former 16×16 lattice fast enough (~60 ms) to finish inside
-// TestDeadline504's 50 ms deadline.
-func slowScenario(width float64) string {
-	return fmt.Sprintf(`{
-		"grid": {"rect": {"width": %g, "height": 60, "nx": 20, "ny": 20, "depth": 0.8, "radius": 0.006, "beta": 0.3}},
-		"soil": {"kind": "two-layer", "gamma1": 0.005, "gamma2": 0.016, "h1": 1.0},
-		"seriesTol": 1e-5
-	}`, width)
+// holdAssembly blocks every pair-class evaluation until release is called
+// (at the latest at cleanup, before the test server closes), so a solve
+// holds its admission slot for exactly as long as a test needs, however fast
+// the kernels are. entered closes when the first evaluation blocks: a
+// request is then mid-assembly under a slot, its deadline clock running.
+// The hook is process-global; the server tests do not run in parallel.
+func holdAssembly(t *testing.T) (entered <-chan struct{}, release func()) {
+	t.Helper()
+	gate, in := make(chan struct{}), make(chan struct{})
+	var enter, open sync.Once
+	restore := faultinject.Set(faultinject.AssemblyPair, faultinject.Call(func() {
+		enter.Do(func() { close(in) })
+		<-gate
+	}))
+	release = func() {
+		open.Do(func() {
+			close(gate)
+			restore()
+		})
+	}
+	t.Cleanup(release)
+	return in, release
 }
+
+// releaseAfterDeadline releases a held assembly once a request deadline of
+// d, started before the assembly blocked, has certainly passed: the solve
+// then resumes into an expired context.
+func releaseAfterDeadline(entered <-chan struct{}, release func(), d time.Duration) {
+	go func() {
+		<-entered
+		time.Sleep(2 * d)
+		release()
+	}()
+}
+
+// cancelNotice is how long a test lets the server notice a client's
+// cancellation, which reaches the request context asynchronously through
+// the closed connection, before a held assembly resumes.
+const cancelNotice = 100 * time.Millisecond
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -239,6 +266,8 @@ func TestConcurrentMixedLoadWithCancellation(t *testing.T) {
 		t.Fatalf("pre-warm assemblies = %d, want 1", n)
 	}
 	baselineGoroutines := runtime.NumGoroutine()
+	// The cancelled solves cannot finish before their cancellation.
+	_, release := holdAssembly(t)
 
 	const half = 8 // 8 cache hits + 8 cancelled misses = 16 concurrent
 	type outcome struct {
@@ -250,9 +279,9 @@ func TestConcurrentMixedLoadWithCancellation(t *testing.T) {
 	cancelled := make([]outcome, half)
 	var wg sync.WaitGroup
 
-	// Half the load: distinct heavy scenarios, each cancelled mid-flight
-	// (the solves take ~1 s; the cancel fires at 100 ms, landing either
-	// mid-assembly or in the admission queue).
+	// Half the load: distinct scenarios, each cancelled mid-flight (the
+	// held assemblies cannot finish; the cancel fires at 100 ms, landing
+	// either mid-assembly or in the admission queue).
 	for i := 0; i < half; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -264,7 +293,7 @@ func TestConcurrentMixedLoadWithCancellation(t *testing.T) {
 			}()
 			defer cancel()
 			start := time.Now()
-			code, hdr, body := postNoFatal(t, ctx, ts.URL, "/v1/solve", slowScenario(60+float64(i)))
+			code, hdr, body := postNoFatal(t, ctx, ts.URL, "/v1/solve", fastScenario(60+float64(i), 10_000))
 			if d := time.Since(start); d > 10*time.Second {
 				t.Errorf("cancelled request %d took %v to return", i, d)
 			}
@@ -281,6 +310,8 @@ func TestConcurrentMixedLoadWithCancellation(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	time.Sleep(cancelNotice)
+	release()
 
 	for i, o := range hits {
 		if o.code != http.StatusOK {
@@ -361,15 +392,16 @@ func postNoFatal(t *testing.T, ctx context.Context, base, path, body string) (in
 // overflow request is shed immediately with 429.
 func TestQueueFull429(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1})
+	_, release := holdAssembly(t)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
-	// Occupy the single slot with a heavy solve.
+	// Occupy the single slot with a held solve.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		postNoFatal(t, ctx, ts.URL, "/v1/solve", slowScenario(100))
+		postNoFatal(t, ctx, ts.URL, "/v1/solve", fastScenario(100, 10_000))
 	}()
 	waitFor(t, func() bool { return s.Counters().BusyWorkers.Load() == 1 })
 
@@ -377,12 +409,12 @@ func TestQueueFull429(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		postNoFatal(t, ctx, ts.URL, "/v1/solve", slowScenario(101))
+		postNoFatal(t, ctx, ts.URL, "/v1/solve", fastScenario(101, 10_000))
 	}()
 	waitFor(t, func() bool { return s.Counters().QueueDepth.Load() == 1 })
 
 	// The next distinct scenario must be rejected, not queued.
-	code, _, body := post(t, context.Background(), ts.URL, "/v1/solve", slowScenario(102))
+	code, _, body := post(t, context.Background(), ts.URL, "/v1/solve", fastScenario(102, 10_000))
 	if code != http.StatusTooManyRequests {
 		t.Errorf("overflow request: status %d, want 429: %s", code, body)
 	}
@@ -391,14 +423,18 @@ func TestQueueFull429(t *testing.T) {
 	}
 
 	cancel()
+	release()
 	wg.Wait()
 }
 
 // TestDeadline504: a request deadline shorter than the solve returns 504 and
-// bumps the deadline counter.
+// bumps the deadline counter. The assembly is held until the deadline has
+// passed, so the outcome does not depend on the kernel speed.
 func TestDeadline504(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1})
-	body := strings.Replace(slowScenario(110), `"seriesTol"`, `"timeoutMs": 50, "seriesTol"`, 1)
+	entered, release := holdAssembly(t)
+	releaseAfterDeadline(entered, release, 50*time.Millisecond)
+	body := strings.Replace(fastScenario(110, 10_000), `"seriesTol"`, `"timeoutMs": 50, "seriesTol"`, 1)
 	code, _, resp := post(t, context.Background(), ts.URL, "/v1/solve", body)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", code, resp)

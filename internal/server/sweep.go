@@ -35,9 +35,8 @@ type SweepRequest struct {
 	Scenario
 	Scenarios []SweepScenarioSpec `json:"scenarios"`
 	TimeoutMs int                 `json:"timeoutMs,omitempty"`
-	// AllowScaled enables the proportional-soil reuse tier. Results served
-	// from it are exact up to rounding but not bit-identical to a fresh
-	// assembly, and are never entered into the system cache.
+	// AllowScaled is decoded for older clients and ignored: proportional
+	// soils share one solve on every rung anyway (see scenarioKey).
 	AllowScaled bool `json:"allowScaled,omitempty"`
 }
 
@@ -49,7 +48,7 @@ type SweepLine struct {
 	Index int    `json:"index"`
 	Key   string `json:"key,omitempty"`
 	// Cache is the reuse disposition: "hit" (served from the system cache),
-	// "assembled", "solve" or "scaled" (the engine's reuse tiers).
+	// "assembled" or "solve" (the engine's reuse tiers).
 	Cache       string   `json:"cache,omitempty"`
 	GPR         float64  `json:"gpr,omitempty"`
 	ReqOhms     float64  `json:"reqOhms,omitempty"`
@@ -183,10 +182,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		scens[j] = earthing.SweepScenario{ID: id, Soil: builts[i].model, GPR: builts[i].gpr}
 	}
 
-	var opts []earthing.Option
-	if req.AllowScaled {
-		opts = append(opts, earthing.WithScaledReuse())
-	}
 	sweepCfg := builts[0].cfg
 	sweepCfg.HealthCheck = s.cfg.HealthCheck
 	// AssembleNanos is charged once per request, like /v1/solve: the
@@ -212,15 +207,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			s.metrics.Assemblies.Add(1)
 			assembled = true
 			// Cache the unit-GPR solution under the scenario key, exactly as
-			// /v1/solve would have. Scaled-tier results are deliberately NOT
-			// cached: the cache only ever serves bit-reproducible solutions.
+			// /v1/solve would have.
 			if unit, err := sr.Res.WithGPR(1); err == nil {
 				s.cache.put(b.key, unit)
 				s.storePut(b, unit)
 			}
 		}
 		return sw.emit(s.sweepLine(i, sr.ID, b, sr.Res, string(sr.Reuse), &sr))
-	}, opts...)
+	})
 	if assembled {
 		s.metrics.AssembleNanos.Add(int64(time.Since(start)))
 	}
@@ -237,13 +231,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sweepLine renders one scenario result. The GPR-dependent current uses the
-// same gpr/Req expression as /v1/solve, so the two endpoints report
+// sweepLine renders one scenario result through b.answer, with the
+// current as gpr/Req, exactly as /v1/solve does, so the two endpoints report
 // byte-identical numbers for the same scenario.
 func (s *Server) sweepLine(index int, id string, b *built, res *earthing.Result, cache string, sr *earthing.SweepResult) SweepLine {
 	if id == "" {
 		id = fmt.Sprintf("s%d", index)
 	}
+	res = b.answer(res)
 	line := SweepLine{
 		ID:          id,
 		Index:       index,

@@ -198,6 +198,7 @@ func TestSweepBadRequests(t *testing.T) {
 // 429 before any streaming starts.
 func TestSweepQueueFull429(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1})
+	_, release := holdAssembly(t)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -205,12 +206,12 @@ func TestSweepQueueFull429(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		postNoFatal(t, ctx, ts.URL, "/v1/solve", slowScenario(120))
+		postNoFatal(t, ctx, ts.URL, "/v1/solve", fastScenario(120, 10_000))
 	}()
 	waitFor(t, func() bool { return s.Counters().BusyWorkers.Load() == 1 })
 	go func() {
 		defer wg.Done()
-		postNoFatal(t, ctx, ts.URL, "/v1/solve", slowScenario(121))
+		postNoFatal(t, ctx, ts.URL, "/v1/solve", fastScenario(121, 10_000))
 	}()
 	waitFor(t, func() bool { return s.Counters().QueueDepth.Load() == 1 })
 
@@ -223,20 +224,18 @@ func TestSweepQueueFull429(t *testing.T) {
 		t.Errorf("rejectedQueueFull = %d, want 1", n)
 	}
 	cancel()
+	release()
 	wg.Wait()
 }
 
 // TestSweepDeadline504: a deadline shorter than the first assembly yields a
-// clean 504 (nothing streamed yet) and the deadline counter moves. The grid
-// is slowScenario's: graded, so pair classes leave the assembly slow.
+// clean 504 (nothing streamed yet) and the deadline counter moves. The
+// assembly is held until the deadline has passed.
 func TestSweepDeadline504(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1})
-	body := `{
-		"grid": {"rect": {"width": 110, "height": 60, "nx": 16, "ny": 16, "depth": 0.8, "radius": 0.006, "beta": 0.3}},
-		"seriesTol": 1e-5,
-		"timeoutMs": 50,
-		"scenarios": [{"soil": {"kind": "two-layer", "gamma1": 0.005, "gamma2": 0.016, "h1": 1.0}}]
-	}`
+	entered, release := holdAssembly(t)
+	releaseAfterDeadline(entered, release, 50*time.Millisecond)
+	body := fastSweep(110, ` "timeoutMs": 50,`, [2]float64{0.0125, 1})
 	code, _, resp := post(t, context.Background(), ts.URL, "/v1/sweep", body)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", code, resp)
@@ -255,19 +254,18 @@ func TestSweepClientCancel(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
+	entered, release := holdAssembly(t)
 	go func() {
-		// Cancel as soon as the sweep holds its slot, i.e. mid-assembly. A
-		// fixed 100 ms delay raced the assembly, which now often finishes
-		// first.
-		deadline := time.Now().Add(10 * time.Second)
-		for s.Counters().BusyWorkers.Load() == 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
+		// Cancel mid-assembly, then let the held assembly resume into the
+		// cancelled context.
+		<-entered
 		cancel()
+		time.Sleep(cancelNotice)
+		release()
 	}()
 	body := `{
-		"grid": {"rect": {"width": 115, "height": 60, "nx": 16, "ny": 16, "depth": 0.8, "radius": 0.006, "beta": 0.3}},
-		"seriesTol": 1e-5,
+		"grid": {"rect": {"width": 115, "height": 20, "nx": 4, "ny": 4, "depth": 0.8, "radius": 0.006}},
+		"seriesTol": 1e-3,
 		"scenarios": [
 			{"soil": {"kind": "two-layer", "gamma1": 0.005, "gamma2": 0.016, "h1": 1.0}},
 			{"soil": {"kind": "two-layer", "gamma1": 0.004, "gamma2": 0.016, "h1": 1.0}}
@@ -287,9 +285,11 @@ func TestSweepClientCancel(t *testing.T) {
 	}
 }
 
-// TestSweepScaledTierNotCached: with allowScaled, the proportional scenario
-// streams as "scaled" and must NOT seed the system cache — a follow-up
-// /v1/solve of that soil is a miss and assembles.
+// TestSweepScaledTierNotCached: allowScaled is still accepted, and ignored.
+// A soil with every conductivity doubled has the same unit model, so it
+// streams as "solve" under the assembled scenario's key at exactly half its
+// resistance, and a follow-up /v1/solve of it is an LRU hit whose body is
+// byte-identical to a fresh server's.
 func TestSweepScaledTierNotCached(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 2})
 	code, _, resp := post(t, context.Background(), ts.URL, "/v1/sweep",
@@ -305,23 +305,34 @@ func TestSweepScaledTierNotCached(t *testing.T) {
 	for _, l := range lines {
 		byIndex[l.Index] = l
 	}
-	if byIndex[0].Cache != "assembled" || byIndex[1].Cache != "scaled" {
-		t.Fatalf("cache tiers (%q, %q), want (assembled, scaled)", byIndex[0].Cache, byIndex[1].Cache)
+	if byIndex[0].Cache != "assembled" || byIndex[1].Cache != "solve" {
+		t.Fatalf("cache tiers (%q, %q), want (assembled, solve)", byIndex[0].Cache, byIndex[1].Cache)
+	}
+	if byIndex[0].Key != byIndex[1].Key {
+		t.Errorf("proportional soils key apart: %s vs %s", byIndex[0].Key, byIndex[1].Key)
+	}
+	if byIndex[0].ReqOhms != 2*byIndex[1].ReqOhms {
+		t.Errorf("Req %v for doubled conductivities, want exactly half of %v", byIndex[1].ReqOhms, byIndex[0].ReqOhms)
 	}
 	if n := s.Counters().Assemblies.Load(); n != 1 {
-		t.Errorf("assemblies = %d, want 1 (scaled tier reuses)", n)
+		t.Errorf("assemblies = %d, want 1", n)
 	}
 
-	// The scaled result must not be in the cache: solving scenario 1 for
-	// real is a miss.
-	code, hdr, body := post(t, context.Background(), ts.URL, "/v1/solve",
-		`{"grid": {"rect": {"width": 20, "height": 20, "nx": 4, "ny": 4, "depth": 0.8, "radius": 0.006}},
-		  "soil": {"kind": "uniform", "gamma1": 0.025}, "seriesTol": 1e-3}`)
+	doubled := `{"grid": {"rect": {"width": 20, "height": 20, "nx": 4, "ny": 4, "depth": 0.8, "radius": 0.006}},
+		"soil": {"kind": "uniform", "gamma1": 0.025}, "seriesTol": 1e-3}`
+	code, hdr, body := post(t, context.Background(), ts.URL, "/v1/solve", doubled)
 	if code != http.StatusOK {
 		t.Fatalf("follow-up solve: status %d: %s", code, body)
 	}
-	if got := hdr.Get("X-Groundd-Cache"); got != "miss" {
-		t.Errorf("follow-up solve of scaled scenario: cache %q, want miss", got)
+	if got := hdr.Get("X-Groundd-Cache"); got != "hit" {
+		t.Errorf("follow-up solve of the doubled soil: cache %q, want hit", got)
+	}
+	if n := s.Counters().Assemblies.Load(); n != 1 {
+		t.Errorf("assemblies = %d after the follow-up, want still 1", n)
+	}
+	_, fresh := newTestServer(t, Config{MaxConcurrent: 2})
+	if _, _, want := post(t, context.Background(), fresh.URL, "/v1/solve", doubled); !bytes.Equal(body, want) {
+		t.Errorf("served body differs from a fresh server's:\n%s\n%s", body, want)
 	}
 }
 

@@ -5,45 +5,62 @@ import (
 	"strings"
 )
 
-// Parameterized is implemented by models whose result-affecting state is a
-// flat list of per-layer conductivities plus interface depths. The sweep
-// engine uses it to deduplicate identical models and to detect proportional
-// ones (see Proportional); all three concrete models implement it.
-type Parameterized interface {
-	// LayerParameters returns the conductivities per layer (top first, in
-	// (Ω·m)⁻¹) and the interface depths (increasing, len = layers − 1).
-	// The returned slices must not be mutated.
-	LayerParameters() (gammas, depths []float64)
-}
-
-// LayerParameters implements Parameterized.
+// LayerParameters implements Model.
 func (u Uniform) LayerParameters() (gammas, depths []float64) {
 	return []float64{u.Gamma}, nil
 }
 
-// LayerParameters implements Parameterized.
+// LayerParameters implements Model.
 func (m *TwoLayer) LayerParameters() (gammas, depths []float64) {
 	return []float64{m.Gamma1, m.Gamma2}, []float64{m.H}
 }
 
-// LayerParameters implements Parameterized.
+// LayerParameters implements Model.
 func (m *MultiLayer) LayerParameters() (gammas, depths []float64) {
 	return m.gammas, m.depths
 }
 
-// Canonical renders the result-affecting parameters of a model at full
-// float64 precision: two models with equal canonical strings produce
-// bit-identical kernels. Models that do not implement Parameterized fall
-// back to their Describe string prefixed so it cannot collide with a
-// parameter rendering.
-func Canonical(m Model) string {
-	p, ok := m.(Parameterized)
-	if !ok {
-		return "describe:" + m.Describe()
+// Normalize divides every conductivity of m by its top-layer conductivity
+// γ₁, returning the unit model (γ₁ exactly 1, depths and series controls
+// kept) and γ₁. Every kernel carries the prefactor 1/(4πγ_src) and depends
+// on the conductivities otherwise only through their ratios, so m's BEM
+// system is the unit model's divided by γ₁: at a fixed GPR the two share
+// potentials and fields, and m's leakage density is γ₁ times the unit
+// model's. Models whose normalized parameters are bit-equal therefore share
+// one solve exactly. A Model of another type (a wrapper) is returned as is
+// with γ₁ = 1, which is exact but shares nothing.
+func Normalize(m Model) (unit Model, gamma1 float64) {
+	switch m := m.(type) {
+	case Uniform:
+		return Uniform{Gamma: 1}, m.Gamma
+	case *TwoLayer:
+		return &TwoLayer{Gamma1: 1, Gamma2: m.Gamma2 / m.Gamma1, H: m.H, Control: m.Control}, m.Gamma1
+	case *MultiLayer:
+		return m.unitModel(), m.gammas[0]
+	default:
+		return m, 1
 	}
-	gammas, depths := p.LayerParameters()
+}
+
+// Canonical renders the model kind and every result-affecting parameter at
+// full float64 precision: two models with equal canonical strings produce
+// bit-identical kernels. The kind matters on its own — a two-layer model and
+// a two-layer MultiLayer of the same parameters evaluate different series —
+// and so do the series controls.
+func Canonical(m Model) string {
 	var b strings.Builder
-	b.WriteString("layers")
+	switch m := m.(type) {
+	case Uniform:
+		b.WriteString("uniform")
+	case *TwoLayer:
+		fmt.Fprintf(&b, "two-layer;tol=%.17g;groups=%d", m.Control.Tol, m.Control.MaxGroups)
+	case *MultiLayer:
+		fmt.Fprintf(&b, "multi;tol=%.17g;intervals=%d", m.Tol, m.MaxIntervals)
+	default:
+		fmt.Fprintf(&b, "%T", m)
+	}
+	gammas, depths := m.LayerParameters()
+	b.WriteString("|")
 	for _, g := range gammas {
 		fmt.Fprintf(&b, ";%.17g", g)
 	}
@@ -52,37 +69,4 @@ func Canonical(m Model) string {
 		fmt.Fprintf(&b, ";%.17g", d)
 	}
 	return b.String()
-}
-
-// Proportional reports whether model b is model a with every layer
-// conductivity multiplied by one common factor (identical layer geometry),
-// returning that factor. The ratio must be exact in float64 — every
-// γ_b[i]/γ_a[i] bit-equal — because callers use it to derive b's solution
-// from a's by pure scaling (σ_b = s·σ_a, R_b = R_a/s). Models lacking
-// LayerParameters never match.
-func Proportional(a, b Model) (scale float64, ok bool) {
-	pa, okA := a.(Parameterized)
-	pb, okB := b.(Parameterized)
-	if !okA || !okB {
-		return 0, false
-	}
-	ga, da := pa.LayerParameters()
-	gb, db := pb.LayerParameters()
-	if len(ga) != len(gb) || len(da) != len(db) {
-		return 0, false
-	}
-	for i := range da {
-		//lint:ignore floatcmp bit-equal depths are the contract: a tolerance would admit geometries whose solutions are not exact scalings
-		if da[i] != db[i] {
-			return 0, false
-		}
-	}
-	scale = gb[0] / ga[0]
-	for i := range ga {
-		//lint:ignore floatcmp the scale must be the same float64 for every layer or σ_b = s·σ_a does not hold exactly
-		if gb[i]/ga[i] != scale {
-			return 0, false
-		}
-	}
-	return scale, true
 }

@@ -53,6 +53,11 @@ type Model interface {
 	// Conductivity returns γ_c of layer c (1-based) in (Ω·m)⁻¹.
 	Conductivity(layer int) float64
 
+	// LayerParameters returns the conductivities per layer (top first, in
+	// (Ω·m)⁻¹) and the interface depths (increasing, len = layers − 1).
+	// The returned slices must not be mutated.
+	LayerParameters() (gammas, depths []float64)
+
 	// ImageExpansion returns all images of groups 0..maxGroup for a source
 	// in layer src observed in layer obs, and ok = true, when the model has
 	// a closed-form image representation. The kernel is then

@@ -35,6 +35,12 @@ type MultiLayer struct {
 	gammaPow    expSeries
 	imgCache    [][]Image
 	ladderEnd   bool // a group failed expandOnce's moment check
+
+	// unit memoizes Normalize's unit model, so repeated analyses of this
+	// model share one unit model and its image expansion, which can take
+	// seconds to build at high contrast.
+	unitMu sync.Mutex
+	unit   *MultiLayer
 }
 
 // NewMultiLayer builds a model from per-layer conductivities (top first) and
@@ -65,6 +71,28 @@ func NewMultiLayer(gammas, thicknesses []float64) (*MultiLayer, error) {
 	g := make([]float64, len(gammas))
 	copy(g, gammas)
 	return &MultiLayer{gammas: g, depths: depths}, nil
+}
+
+// unitModel returns m with every conductivity divided by γ₁ (m itself when
+// γ₁ is 1), built once and again only after Tol or MaxIntervals change.
+func (m *MultiLayer) unitModel() *MultiLayer {
+	m.unitMu.Lock()
+	defer m.unitMu.Unlock()
+	g1 := m.gammas[0]
+	//lint:ignore floatcmp exactly 1 is the unit model itself; any other value is divided out
+	if g1 == 1 {
+		return m
+	}
+	//lint:ignore floatcmp a memo is reused only for bit-equal controls
+	if u := m.unit; u != nil && u.Tol == m.Tol && u.MaxIntervals == m.MaxIntervals {
+		return u
+	}
+	gammas := make([]float64, len(m.gammas))
+	for i, g := range m.gammas {
+		gammas[i] = g / g1
+	}
+	m.unit = &MultiLayer{gammas: gammas, depths: m.depths, Tol: m.Tol, MaxIntervals: m.MaxIntervals}
+	return m.unit
 }
 
 // NumLayers implements Model.

@@ -23,20 +23,27 @@ func chaosConfig() core.Config {
 	return cfg
 }
 
-// chaosScenarios builds n scenarios with pairwise distinct uniform models, so
-// every scenario is its own assembly job.
+// chaosModel is a two-layer model with γ₂ = gamma2 under γ₁ = 0.010 and an
+// interface below every conductor of chaosGrid. Distinct γ₂ are distinct
+// γ₂/γ₁ ratios, hence distinct unit models and distinct jobs (uniform models
+// of different γ are proportional and share one job).
+func chaosModel(gamma2 float64) soil.Model { return soil.NewTwoLayer(0.010, gamma2, 5) }
+
+// chaosScenarios builds n scenarios with pairwise distinct models, so every
+// scenario is its own assembly job.
 func chaosScenarios(n int) []Scenario {
 	scens := make([]Scenario, n)
 	for i := range scens {
-		scens[i] = Scenario{Model: soil.NewUniform(0.010 + 0.002*float64(i))}
+		scens[i] = Scenario{Model: chaosModel(0.012 + 0.002*float64(i))}
 	}
 	return scens
 }
 
 // firstClassOf returns the 1-based AssemblyPair firing that evaluates the
 // first pair class of plan job k — a deterministic fault target, because
-// jobs run one at a time in plan order. Every job of a chaos sweep is a
-// uniform model on one mesh, so all share the class count of a clean run.
+// jobs run one at a time in plan order. Every job of a chaos sweep has its
+// whole mesh in the top layer of one mesh group, so all share the class
+// count of a clean run.
 func firstClassOf(t *testing.T, baseline []Result, k int) int64 {
 	t.Helper()
 	c := baseline[0].Res.Assembler().NumClasses()
@@ -225,10 +232,10 @@ func TestChaosSweepSharedJobFailure(t *testing.T) {
 	g := chaosGrid()
 	opt := Options{Config: chaosConfig()}
 	scens := []Scenario{
-		{Model: soil.NewUniform(0.010)},
-		{Model: soil.NewUniform(0.020)}, // victim job
-		{Model: soil.NewUniform(0.030)},
-		{Model: soil.NewUniform(0.020), GPR: 25_000}, // solve-reuse on the victim job
+		{Model: chaosModel(0.012)},
+		{Model: chaosModel(0.020)}, // victim job
+		{Model: chaosModel(0.030)},
+		{Model: chaosModel(0.020), GPR: 25_000}, // solve-reuse on the victim job
 	}
 
 	baseline := runChaosSweep(t, g, scens, opt)

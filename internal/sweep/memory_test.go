@@ -29,11 +29,13 @@ func TestSweepHoldsOneJobAtATime(t *testing.T) {
 	cfg := testConfig(2)
 	scens := make([]Scenario, jobs)
 	for i := range scens {
-		scens[i] = Scenario{Model: soil.NewUniform(0.010 + 0.002*float64(i))}
+		// Distinct γ₂/γ₁ ratios are distinct jobs; the interface lies below
+		// the lattice, so every job has the same mesh and class count.
+		scens[i] = Scenario{Model: soil.NewTwoLayer(0.010, 0.012+0.002*float64(i), 5)}
 	}
 
-	// Every job has the same mesh and a uniform model, so one probe
-	// assembly gives the class count and the table size of each.
+	// Every job has the same mesh and its elements in the top layer, so one
+	// probe assembly gives the class count and the table size of each.
 	mesh, _, err := core.BuildMesh(g, scens[0].Model, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -10,21 +10,21 @@
 //     mesh and the quadrature geometry (Gauss positions, weights, shape
 //     values; bem.Geometry) are built once per group and shared by every
 //     assembler in it.
-//  2. Solve reuse — scenarios differing only in GPR map to one assembly +
-//     factorization at unit GPR; each variant is an O(1) rescale that is
-//     bit-identical to a fresh analysis at that GPR (core.Result.WithGPR).
-//  3. Scaled reuse (opt-in) — a model that is another scenario's model with
-//     every conductivity multiplied by one exact factor s has σ' = s·σ and
-//     R' = R/s; mathematically exact but not bit-identical to a fresh
-//     assembly, so Options.AllowScaled gates it.
-//  4. Fresh assembly — truly distinct models become assembly jobs, run one
+//  2. Solve reuse — scenarios whose models share a unit model
+//     (soil.Normalize: the same model, or one with every conductivity
+//     multiplied by a common factor) map to one assembly + factorization
+//     at unit GPR and unit γ₁; each variant is an O(1) rescale to its own
+//     γ₁ and GPR that is bit-identical to a fresh analysis
+//     (core.Result.WithModel), because every analysis solves the unit model.
+//  3. Fresh assembly — truly distinct models become assembly jobs, run one
 //     at a time in plan order through the stages core.AnalyzeCtx runs after
 //     preprocessing (core.AnalyzeAssembler: matrix generation, solve,
 //     results). Each job's matrix generation is the assembler's own
 //     parallel loop at the configured width, so the workers stay busy
 //     inside a job, the results are bit-identical to Analyze by
-//     construction, and peak memory is one job's (its pair-class table and
-//     system matrix), however many distinct models the sweep holds.
+//     construction, and peak memory is one job's (its assembler, pair-class
+//     table and system matrix), however many distinct models the sweep
+//     holds.
 //
 // The sweep solves dense systems only (PCG or Cholesky): the compressed
 // tier, Config.Solver = SolverHMatrix, is core.AnalyzeCtx's alone, and Run
@@ -79,11 +79,6 @@ type Options struct {
 	// strategy included. Solver must be a dense solver (see
 	// ErrUnsupportedSolver).
 	Config core.Config
-	// AllowScaled enables the scaled-reuse tier: scenarios whose model is
-	// an exact conductivity multiple of another scenario's are derived by
-	// scaling instead of assembled. Exact in real arithmetic, but not
-	// bit-identical to a fresh assembly — hence opt-in.
-	AllowScaled bool
 }
 
 // Reuse names which tier produced a scenario's result.
@@ -91,14 +86,12 @@ type Reuse string
 
 const (
 	// ReuseAssembled marks the scenario that paid the fresh assembly of
-	// its (mesh, model) job.
+	// its (mesh, unit model) job.
 	ReuseAssembled Reuse = "assembled"
 	// ReuseSolve marks a scenario rescaled from an already-solved job
-	// (same model, different GPR) — bit-identical to a fresh analysis.
+	// (same unit model, another γ₁ or GPR) — bit-identical to a fresh
+	// analysis.
 	ReuseSolve Reuse = "solve"
-	// ReuseScaled marks a scenario derived through the opt-in
-	// proportional-conductivity tier.
-	ReuseScaled Reuse = "scaled"
 	// ReuseFailed marks a scenario whose assembly job failed — a panicking
 	// worker or a failed numerical health check. Res is nil and Err carries
 	// the cause; the rest of the batch is unaffected.
@@ -134,36 +127,25 @@ type Result struct {
 // meshGroup is the geometry-reuse tier: one mesh + quadrature geometry per
 // distinct interface-depth signature.
 type meshGroup struct {
-	mesh     *grid.Mesh
 	warnings []string
 	geo      *bem.Geometry
 }
 
-// job is one fresh assembly: a distinct (mesh, model) pair.
+// job is one fresh assembly: a distinct (mesh, unit model) pair. Its
+// assembler is built when the job runs, so the sweep holds one at a time.
 type job struct {
 	group *meshGroup
-	model soil.Model
-	asm   *bem.Assembler
+	unit  soil.Model
 	scens []int // scenario indices served by this job, ascending
-	// scaled lists the proportional models derived from this job's
-	// solution (AllowScaled tier).
-	scaled []*scaledTier
-}
-
-// scaledTier is one proportional model hanging off a base job.
-type scaledTier struct {
-	model soil.Model
-	scale float64
-	asm   *bem.Assembler
-	scens []int
 }
 
 // plan is the grouped, deduplicated work list of a sweep.
 type plan struct {
-	cfg  core.Config
-	gprs []float64 // resolved per-scenario GPR
-	ids  []string  // resolved per-scenario ID
-	jobs []*job
+	cfg    core.Config
+	models []soil.Model // per-scenario model
+	gprs   []float64    // resolved per-scenario GPR
+	ids    []string     // resolved per-scenario ID
+	jobs   []*job
 }
 
 // depthsKey renders interface depths at full precision.
@@ -202,13 +184,13 @@ func buildPlan(g *grid.Grid, scenarios []Scenario, opt Options) (*plan, error) {
 		return nil, fmt.Errorf("sweep: invalid default GPR %g", opt.Config.GPR)
 	}
 	p := &plan{
-		cfg:  cfg,
-		gprs: make([]float64, len(scenarios)),
-		ids:  make([]string, len(scenarios)),
+		cfg:    cfg,
+		models: make([]soil.Model, len(scenarios)),
+		gprs:   make([]float64, len(scenarios)),
+		ids:    make([]string, len(scenarios)),
 	}
 	groups := map[string]*meshGroup{}
 	jobsByKey := map[string]*job{}
-	scaledByKey := map[string]*scaledTier{}
 	gkeys := gridKeys{}
 
 	for i, sc := range scenarios {
@@ -229,6 +211,7 @@ func buildPlan(g *grid.Grid, scenarios []Scenario, opt Options) (*plan, error) {
 		if gpr <= 0 || math.IsNaN(gpr) || math.IsInf(gpr, 0) {
 			return nil, fmt.Errorf("sweep: scenario %d: invalid GPR %g", i, sc.GPR)
 		}
+		p.models[i] = sc.Model
 		p.gprs[i] = gpr
 		p.ids[i] = sc.ID
 		if p.ids[i] == "" {
@@ -250,56 +233,17 @@ func buildPlan(g *grid.Grid, scenarios []Scenario, opt Options) (*plan, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sweep: scenario %d: %w", i, err)
 			}
-			grp = &meshGroup{mesh: mesh, warnings: warnings, geo: geo}
+			grp = &meshGroup{warnings: warnings, geo: geo}
 			groups[mk] = grp
 		}
 
-		jk := mk + "\x00" + soil.Canonical(sc.Model)
+		unit, _ := soil.Normalize(sc.Model)
+		jk := mk + "\x00" + soil.Canonical(unit)
 		if j, ok := jobsByKey[jk]; ok {
 			j.scens = append(j.scens, i)
 			continue
 		}
-		if st, ok := scaledByKey[jk]; ok {
-			st.scens = append(st.scens, i)
-			continue
-		}
-		if opt.AllowScaled {
-			// Try to hang this model off an existing job of the same mesh
-			// group as a proportional derivation.
-			var attached bool
-			for _, j := range p.jobs {
-				if j.group != grp {
-					continue
-				}
-				s, ok := soil.Proportional(j.model, sc.Model)
-				//lint:ignore floatcmp scale exactly 1 means an identical model, which the dedup tier above already serves
-				if !ok || s == 1 {
-					continue
-				}
-				asm, err := bem.NewWithGeometry(grp.geo, sc.Model, cfg.BEM)
-				if err != nil {
-					return nil, fmt.Errorf("sweep: scenario %d: %w", i, err)
-				}
-				st := &scaledTier{model: sc.Model, scale: s, asm: asm, scens: []int{i}}
-				j.scaled = append(j.scaled, st)
-				scaledByKey[jk] = st
-				attached = true
-				break
-			}
-			if attached {
-				continue
-			}
-		}
-		asm, err := bem.NewWithGeometry(grp.geo, sc.Model, cfg.BEM)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: scenario %d: %w", i, err)
-		}
-		j := &job{
-			group: grp,
-			model: sc.Model,
-			asm:   asm,
-			scens: []int{i},
-		}
+		j := &job{group: grp, unit: unit, scens: []int{i}}
 		jobsByKey[jk] = j
 		p.jobs = append(p.jobs, j)
 	}
@@ -324,8 +268,8 @@ func Run(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options) (
 // Stream executes the sweep, calling emit for each scenario's result on the
 // caller's goroutine. Jobs run one at a time in plan order (the order of
 // their first scenarios); each job's scenarios are emitted together —
-// the assembled one, its GPR variants, then its scaled derivations — before
-// the next job starts, so the sweep holds one job's system matrix and
+// the assembled one, then its solve-tier variants — before the next job
+// starts, so the sweep holds one job's assembler, system matrix and
 // pair-class table at a time. If emit returns an error the sweep stops and
 // Stream returns that error. On ctx cancellation the running job stops at
 // its next schedule chunk boundary and Stream returns ctx's error; results
@@ -336,8 +280,8 @@ func Run(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options) (
 // form).
 //
 // Faults are isolated per assembly job: a panic during one job's matrix
-// generation, assembly or solve (*sched.PanicError), or a solver/health
-// failure of its system, emits ReuseFailed results (Err set, Res nil) for
+// generation, assembly or solve (*sched.PanicError), a failure to build its
+// assembler, or a solver/health failure of its system, emits ReuseFailed results (Err set, Res nil) for
 // that job's scenarios while every other job completes normally. Stream
 // itself returns nil in that case — per-scenario failures live on the
 // Results, not the sweep. A Config.Solver of core.SolverHMatrix returns
@@ -367,7 +311,8 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 	return nil
 }
 
-// runJob analyzes job ji at unit GPR on its shared-geometry assembler. A
+// runJob builds job ji's assembler on its group's shared geometry and
+// analyzes it at unit GPR and unit γ₁. A
 // panic on this goroutine (the sequential scatter or solve) fails the job
 // alone as a *sched.PanicError; panics inside the parallel loops arrive as
 // the same error type through core.
@@ -377,62 +322,37 @@ func (p *plan) runJob(ctx context.Context, ji int, j *job) (unit *core.Result, e
 			unit, err = nil, &sched.PanicError{Value: v, Stack: debug.Stack(), Iteration: ji}
 		}
 	}()
+	asm, err := bem.NewWithGeometry(j.group.geo, j.unit, p.cfg.BEM)
+	if err != nil {
+		return nil, err
+	}
 	cfg := p.cfg
 	cfg.GPR = 1
-	return core.AnalyzeAssembler(ctx, j.asm, j.model, j.group.warnings, cfg)
+	return core.AnalyzeAssembler(ctx, asm, j.unit, j.group.warnings, cfg)
 }
 
 // emitJob delivers every scenario of a finished job: ReuseFailed results
-// carrying jerr when the job failed, otherwise the assembled scenario, its
-// solve-tier GPR rescales and its scaled derivations.
+// carrying jerr when the job failed, otherwise the assembled scenario and its
+// solve-tier variants, each the unit solution rescaled to the scenario's own
+// model and GPR.
 func (p *plan) emitJob(j *job, unit *core.Result, jerr error, start time.Time, emit func(Result) error) error {
-	send := func(r Result) error {
-		r.ID, r.Wall = p.ids[r.Index], time.Since(start)
+	for n, si := range j.scens {
+		r := Result{Index: si, ID: p.ids[si], Reuse: ReuseFailed, Err: jerr}
+		if jerr == nil {
+			r.Reuse = ReuseSolve
+			if n == 0 {
+				r.Reuse = ReuseAssembled
+				r.Assembly = unit.Timings.MatrixGen
+				r.Solve = unit.Timings.Solve + unit.Timings.Results
+			}
+			var err error
+			if r.Res, err = unit.WithModel(p.models[si], p.gprs[si]); err != nil {
+				return err
+			}
+		}
+		r.Wall = time.Since(start)
 		if err := emit(r); err != nil {
 			return fmt.Errorf("sweep: emit: %w", err)
-		}
-		return nil
-	}
-	if jerr != nil {
-		failed := j.scens
-		for _, st := range j.scaled {
-			failed = append(failed[:len(failed):len(failed)], st.scens...)
-		}
-		for _, si := range failed {
-			if err := send(Result{Index: si, Reuse: ReuseFailed, Err: jerr}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for n, si := range j.scens {
-		res := unit
-		//lint:ignore floatcmp exact unit-GPR sentinel: the job solved at GPR 1, so only other values need the rescale clone
-		if p.gprs[si] != 1 {
-			var err error
-			if res, err = unit.WithGPR(p.gprs[si]); err != nil {
-				return err
-			}
-		}
-		r := Result{Index: si, Reuse: ReuseSolve, Res: res}
-		if n == 0 {
-			r.Reuse = ReuseAssembled
-			r.Assembly = unit.Timings.MatrixGen
-			r.Solve = unit.Timings.Solve + unit.Timings.Results
-		}
-		if err := send(r); err != nil {
-			return err
-		}
-	}
-	for _, st := range j.scaled {
-		for _, si := range st.scens {
-			res, err := core.ScaledResult(unit, st.model, st.asm, st.scale, p.gprs[si])
-			if err != nil {
-				return err
-			}
-			if err := send(Result{Index: si, Reuse: ReuseScaled, Res: res}); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -243,49 +243,107 @@ func TestSweepMultiGrid(t *testing.T) {
 	}
 }
 
-// TestSweepScaledTier checks the opt-in proportional-conductivity tier:
-// exact up to rounding, correct post-processing kernels, no extra assembly.
+// TestSweepScaledTier pins proportional models: M and s·M, every
+// conductivity multiplied by s, normalize to bit-equal unit models, so every
+// analysis of either solves the same system. Analyze gives them the same
+// Sigma and potentials bit for bit, Req scales by exactly 1/s up to one
+// rounding, and a sweep assembles M once and serves s·M from the solve tier,
+// bit-identical to Analyze(s·M).
 func TestSweepScaledTier(t *testing.T) {
 	g := grid.Barbera()
-	base := soil.NewUniform(0.016)
-	double := soil.NewUniform(0.032)
 	cfg := testConfig(0)
-	scens := []Scenario{
-		{ID: "base", Model: base, GPR: 10_000},
-		{ID: "double", Model: double, GPR: 10_000},
+	cases := []struct {
+		name  string
+		model func(s float64) (soil.Model, error)
+	}{
+		{"uniform", func(s float64) (soil.Model, error) { return soil.NewUniform(0.016 * s), nil }},
+		{"two-layer", func(s float64) (soil.Model, error) { return soil.NewTwoLayer(0.005*s, 0.016*s, 1), nil }},
+		{"three-layer", func(s float64) (soil.Model, error) {
+			return soil.NewMultiLayer([]float64{0.02 * s, 0.019 * s, 0.021 * s}, []float64{6, 6})
+		}},
 	}
-	got, err := Run(context.Background(), g, scens, Options{Config: cfg, AllowScaled: true})
+	pts := []geom.Vec3{geom.V(5, 5, 0), geom.V(-12, 30, 0), geom.V(20, 10, 0.5)}
+	for _, c := range cases {
+		for _, s := range []float64{2, 3} {
+			t.Run(fmt.Sprintf("%s/s=%g", c.name, s), func(t *testing.T) {
+				m, err := c.model(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms, err := c.model(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				um, _ := soil.Normalize(m)
+				ums, _ := soil.Normalize(ms)
+				if soil.Canonical(um) != soil.Canonical(ums) {
+					t.Fatalf("normalized parameters differ: %s vs %s", soil.Canonical(um), soil.Canonical(ums))
+				}
+				ctx := context.Background()
+				a, err := core.AnalyzeCtx(ctx, g, m, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := core.AnalyzeCtx(ctx, g, ms, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameFloats(t, "Sigma", b.Sigma, a.Sigma)
+				for _, x := range pts {
+					if pa, pb := a.PotentialAt(x), b.PotentialAt(x); math.Float64bits(pa) != math.Float64bits(pb) {
+						t.Errorf("PotentialAt(%v): %v vs %v", x, pb, pa)
+					}
+				}
+				if rel := math.Abs(s*b.Req-a.Req) / a.Req; rel > 1e-14 {
+					t.Errorf("s·Req(s·M) = %v vs Req(M) = %v (rel %g)", s*b.Req, a.Req, rel)
+				}
+
+				got, err := Run(ctx, g, []Scenario{{ID: "M", Model: m}, {ID: "sM", Model: ms}}, Options{Config: cfg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[0].Reuse != ReuseAssembled || got[1].Reuse != ReuseSolve {
+					t.Fatalf("reuse (%q, %q), want (assembled, solve): one assembly", got[0].Reuse, got[1].Reuse)
+				}
+				r := got[1].Res
+				sameFloats(t, "sweep Sigma", r.Sigma, b.Sigma)
+				sameFloats(t, "sweep Req/Current/GPR", []float64{r.Req, r.Current, r.GPR}, []float64{b.Req, b.Current, b.GPR})
+				if r.Model != ms {
+					t.Errorf("sweep result reports model %v, want the scenario's", r.Model.Describe())
+				}
+			})
+		}
+	}
+}
+
+// TestSweepKindCollision: a two-layer model and the MultiLayer of the same
+// parameters evaluate different kernel series, so they are two jobs and
+// each result is bit-identical to its own Analyze. The lattice's rods cross
+// the interface, where the two kernels differ most.
+func TestSweepKindCollision(t *testing.T) {
+	g := grid.RectMesh(0, 0, 20, 20, 3, 3, 0.8, 0.006)
+	g.AddRod(0, 0, 0.8, 3, 0.006)
+	g.AddRod(20, 20, 0.8, 3, 0.006)
+	two := soil.NewTwoLayer(0.005, 0.016, 1)
+	multi, err := soil.NewMultiLayer([]float64{0.005, 0.016}, []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].Reuse != ReuseAssembled || got[1].Reuse != ReuseScaled {
-		t.Fatalf("reuse (%q, %q), want (assembled, scaled)", got[0].Reuse, got[1].Reuse)
-	}
-	seqCfg := cfg
-	seqCfg.GPR = 10_000
-	want, err := core.AnalyzeCtx(context.Background(), g, double, seqCfg)
+	cfg := testConfig(0)
+	got, err := Run(context.Background(), g, []Scenario{{Model: two}, {Model: multi}}, Options{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel := math.Abs(got[1].Res.Req-want.Req) / want.Req; rel > 1e-12 {
-		t.Errorf("scaled Req %v vs fresh %v (rel %g)", got[1].Res.Req, want.Req, rel)
-	}
-	// Post-processing must use the target model's kernels, not the base's.
-	pt := geom.V(5, 5, 0)
-	pv, wv := got[1].Res.PotentialAt(pt), want.PotentialAt(pt)
-	if rel := math.Abs(pv-wv) / math.Abs(wv); rel > 1e-9 {
-		t.Errorf("scaled PotentialAt %v vs fresh %v (rel %g)", pv, wv, rel)
-	}
-	// Without opt-in the same sweep assembles both models.
-	strict, err := Run(context.Background(), g, scens, Options{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strict[1].Reuse != ReuseAssembled {
-		t.Errorf("without AllowScaled: reuse %q, want assembled", strict[1].Reuse)
-	}
-	if strict[1].Res.Req != want.Req {
-		t.Errorf("without AllowScaled: Req %v != fresh %v", strict[1].Res.Req, want.Req)
+	for i, m := range []soil.Model{two, multi} {
+		if got[i].Reuse != ReuseAssembled {
+			t.Errorf("scenario %d: reuse %q, want assembled", i, got[i].Reuse)
+		}
+		want, err := core.AnalyzeCtx(context.Background(), g, m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameFloats(t, fmt.Sprintf("scenario %d Sigma", i), got[i].Res.Sigma, want.Sigma)
+		sameFloats(t, fmt.Sprintf("scenario %d Req", i), []float64{got[i].Res.Req}, []float64{want.Req})
 	}
 }
 

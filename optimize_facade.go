@@ -42,7 +42,7 @@ var ErrNoFeasibleOptimize = designopt.ErrNoFeasible
 // including under ErrNoFeasibleOptimize, where it is the least-violating
 // layout found.
 func Optimize(ctx context.Context, spec OptimizeSpec, opt OptimizeOptions, opts ...Option) (*OptimizedDesign, OptimizeStats, error) {
-	opt.Config = applyOptions(opt.Config, opts).cfg
+	opt.Config = applyOptions(opt.Config, opts)
 	return designopt.Run(ctx, spec, opt)
 }
 
@@ -51,6 +51,6 @@ func Optimize(ctx context.Context, spec OptimizeSpec, opt OptimizeOptions, opts 
 // the improving design and the cumulative work counters. An emit error
 // aborts the search and is returned.
 func OptimizeStream(ctx context.Context, spec OptimizeSpec, opt OptimizeOptions, emit func(OptimizeProgress) error, opts ...Option) (*OptimizedDesign, OptimizeStats, error) {
-	opt.Config = applyOptions(opt.Config, opts).cfg
+	opt.Config = applyOptions(opt.Config, opts)
 	return designopt.Stream(ctx, spec, opt, emit)
 }

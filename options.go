@@ -1,33 +1,25 @@
 package earthing
 
 // Option adjusts an analysis or sweep on top of a base Config. Every knob
-// with a Config field is set through that field; the options that remain
-// carry what a field alone cannot say — WithHMatrix sets the solver and its
-// block tolerances together, WithScaledReuse switches on a sweep-only reuse
-// tier — plus the no-op WithFlatAssembly kept for existing callers:
+// with a Config field is set through that field; the option that remains
+// carries what a field alone cannot say — WithHMatrix sets the solver and
+// its block tolerances together — next to the no-op WithFlatAssembly kept
+// for existing callers:
 //
 //	res, err := earthing.Analyze(ctx, g, model,
 //		earthing.Config{GPR: 10_000, BEM: earthing.BEMOptions{Workers: 8}},
 //		earthing.WithHMatrix(1e-6, 0))
 //
 // DESIGN.md §11 lists the Config field behind every knob.
-type Option func(*settings)
+type Option func(*Config)
 
-// settings is the resolved parameter set an Option mutates: the Config all
-// analyses understand plus sweep-only switches that have no Config field.
-type settings struct {
-	cfg         Config
-	allowScaled bool
-}
-
-func applyOptions(cfg Config, opts []Option) settings {
-	s := settings{cfg: cfg}
+func applyOptions(cfg Config, opts []Option) Config {
 	for _, o := range opts {
 		if o != nil {
-			o(&s)
+			o(&cfg)
 		}
 	}
-	return s
+	return cfg
 }
 
 // WithFlatAssembly is a no-op kept for compatibility: the flat image-series
@@ -36,7 +28,7 @@ func applyOptions(cfg Config, opts []Option) settings {
 //
 // Deprecated: drop the option; it changes nothing.
 func WithFlatAssembly() Option {
-	return func(*settings) {}
+	return func(*Config) {}
 }
 
 // WithHMatrix selects the compressed hierarchical-matrix solver
@@ -49,18 +41,9 @@ func WithFlatAssembly() Option {
 // defaults unless the base Config sets them; the per-block rank cap is the
 // constant 96.
 func WithHMatrix(eps, eta float64) Option {
-	return func(s *settings) {
-		s.cfg.Solver = SolverHMatrix
-		s.cfg.HMatrix.Eps = eps
-		s.cfg.HMatrix.Eta = eta
+	return func(cfg *Config) {
+		cfg.Solver = SolverHMatrix
+		cfg.HMatrix.Eps = eps
+		cfg.HMatrix.Eta = eta
 	}
-}
-
-// WithScaledReuse lets Sweep serve a scenario whose soil model is an exact
-// proportional rescaling of an already-assembled one by scaling that
-// solution instead of assembling again (σ′ = s·σ, R′ = R/s). The derivation
-// is mathematically exact but not bit-identical to a fresh assembly, so it
-// is opt-in; Analyze ignores it.
-func WithScaledReuse() Option {
-	return func(s *settings) { s.allowScaled = true }
 }

@@ -61,9 +61,10 @@ func ElectricFieldAt(res *Result, x Vec3) Vec3 {
 }
 
 // CurrentDensityAt returns the conduction current density −γ∇V at x in
-// A/m² at the configured GPR.
+// A/m² at the configured GPR. The assembler's model is the unit model, so
+// its density is scaled by GPR·γ₁.
 func CurrentDensityAt(res *Result, x Vec3) Vec3 {
-	return res.Assembler().Evaluator().CurrentDensity(x, res.Sigma).Scale(res.GPR)
+	return res.Assembler().Evaluator().CurrentDensity(x, res.Sigma).Scale(res.DensityScale())
 }
 
 // Leakage distribution of a solved analysis.
@@ -74,9 +75,10 @@ type (
 	ElementLeakage = post.ElementLeakage
 )
 
-// ComputeLeakage builds the per-element leakage-current distribution.
+// ComputeLeakage builds the per-element leakage-current distribution in
+// physical units (Sigma scaled by GPR·γ₁).
 func ComputeLeakage(res *Result) LeakageReport {
-	return post.ComputeLeakage(res.Mesh, res.Sigma, res.GPR)
+	return post.ComputeLeakage(res.Mesh, res.Sigma, res.DensityScale())
 }
 
 // WriteLeakageCSV emits the leakage distribution as CSV.

@@ -17,8 +17,7 @@ type SweepScenario struct {
 
 // SweepResult is one solved scenario as emitted by Sweep/SweepStream; see
 // the internal/sweep package for field semantics. Results carry the reuse
-// tier that produced them (SweepAssembled, SweepSolveReuse, SweepScaled,
-// SweepFailed) and per-scenario assembly/solve/wall timings. A result with
+// tier that produced them (SweepAssembled, SweepSolveReuse, SweepFailed) and per-scenario assembly/solve/wall timings. A result with
 // a non-nil Err (tier SweepFailed) is a per-scenario failure — a contained
 // worker panic or a rejected health check — and its Res is nil; the other
 // scenarios of the batch are unaffected. Always check Err before touching
@@ -32,12 +31,10 @@ type SweepReuse = sweep.Reuse
 const (
 	// SweepAssembled: the scenario's matrix was assembled and solved.
 	SweepAssembled = sweep.ReuseAssembled
-	// SweepSolveReuse: same soil model as an assembled scenario, different
-	// GPR — the unit-GPR solve was rescaled (bit-identical to a fresh run).
+	// SweepSolveReuse: the soil model of an assembled scenario, or one with
+	// every conductivity multiplied by a common factor, at any GPR — the
+	// unit solve was rescaled (bit-identical to a fresh run).
 	SweepSolveReuse = sweep.ReuseSolve
-	// SweepScaled: proportional soil model, solution derived by scaling
-	// (exact but not bit-identical; requires WithScaledReuse).
-	SweepScaled = sweep.ReuseScaled
 	// SweepFailed: the scenario's assembly job failed (worker panic or
 	// health check); Result.Err carries the cause and Res is nil. The rest
 	// of the batch completes normally.
@@ -49,10 +46,10 @@ const (
 // set of soil-interface depths, each distinct soil model is assembled
 // exactly once (one model at a time, each through Analyze's own parallel
 // matrix generation, so memory stays at one model's), and scenarios
-// differing only in GPR reuse the cached unit-GPR solve.
+// differing only in GPR or in a common conductivity factor reuse the cached
+// unit solve (every analysis solves the model normalized to γ₁ = 1).
 // Results are returned in scenario order and each is bit-identical to a
-// sequential Analyze of that scenario at the same worker count (except the
-// opt-in WithScaledReuse tier, which is exact only up to rounding).
+// sequential Analyze of that scenario at the same worker count.
 //
 // The shared cfg supplies discretization, solver and parallel options; a
 // scenario's GPR overrides cfg.GPR when positive.
@@ -62,11 +59,7 @@ const (
 // scenario's Result comes back with Err set and Res nil (tier SweepFailed)
 // while the rest of the batch completes.
 func Sweep(ctx context.Context, g *Grid, scenarios []SweepScenario, cfg Config, opts ...Option) ([]SweepResult, error) {
-	s := applyOptions(cfg, opts)
-	return sweep.Run(ctx, g, toScenarios(scenarios), sweep.Options{
-		Config:      s.cfg,
-		AllowScaled: s.allowScaled,
-	})
+	return sweep.Run(ctx, g, toScenarios(scenarios), sweep.Options{Config: applyOptions(cfg, opts)})
 }
 
 // SweepStream is Sweep with streaming delivery: emit is called once per
@@ -76,11 +69,7 @@ func Sweep(ctx context.Context, g *Grid, scenarios []SweepScenario, cfg Config, 
 // order (Result.Index gives the position). A non-nil error from emit aborts
 // the sweep and is returned wrapped.
 func SweepStream(ctx context.Context, g *Grid, scenarios []SweepScenario, cfg Config, emit func(SweepResult) error, opts ...Option) error {
-	s := applyOptions(cfg, opts)
-	return sweep.Stream(ctx, g, toScenarios(scenarios), sweep.Options{
-		Config:      s.cfg,
-		AllowScaled: s.allowScaled,
-	}, emit)
+	return sweep.Stream(ctx, g, toScenarios(scenarios), sweep.Options{Config: applyOptions(cfg, opts)}, emit)
 }
 
 func toScenarios(in []SweepScenario) []sweep.Scenario {
