@@ -17,11 +17,28 @@ import (
 //	G(ρ²; zo, zs) = Σ_images w / √(ρ² + (zo − (sign·zs + off))²).
 //
 // The exact path walks that ladder for every (image, Gauss point) of every
-// class, and the ladder grows as |K| → 1. A far class — both elements
-// horizontal, a layer pair with reflected images, midpoints at least
-// farSepRatio element lengths apart — instead reads G from a table summed
-// once per node, and integrates it with the class's configured outer rule
-// and a short inner Gauss rule along the source.
+// class, and the ladder grows as |K| → 1. A table class — both elements
+// horizontal, a layer pair with reflected images, and an inner rule along
+// the source that converges (the gate below) — instead reads G from a table
+// summed once per node, and integrates it with the class's outer rule (the
+// near bit picks it, as on the exact path) and a Gauss rule along the
+// source.
+//
+// Gate: at an outer point with axial offset x0 and perpendicular distance p
+// from the source line, the integrand's nearest singularity lies at
+// s* = x0 + i·h, h = √(p² + dz²min), where dz²min is the table's smallest
+// squared image depth offset. Its Bernstein ellipse about the source has
+// semi-major axis A = (|s*| + |s* − l|)/l, the summed distances to the two
+// endpoints over the length, and ρ_B = A + √(A² − 1). The inner order is
+// the smallest n with ρ_B^(−2n) ≤ 1e-15 at the worst outer point, found by
+// comparing A with farInnerA; a class needing more than farInnerMax points
+// walks the ladder. The gate also bounds every inner point's ρ² inside the
+// table (crossing bars at two depths can put an outer point above the
+// source line, ρ² → 0: such a class walks the ladder), and refuses a class
+// whose thin-wire radius clamp could bind: the exact path raises a
+// perpendicular distance below the conductor radius to the radius, which
+// happens for in-line elements at one depth, and the table kernel has no
+// clamp.
 //
 // Table layout: one farTable per (source depth, observation depth) pair of
 // the mesh's horizontal elements, created on first use. Each holds one
@@ -40,23 +57,13 @@ import (
 // Error budget (per class entry, relative to the class's largest entry):
 // the panel polynomial reproduces the summed ladder to ~3e-15 relative
 // (worst case the direct term 1/ρ at equal depths, whose singularity at
-// ρ² = 0 lies 9 half-widths from every panel); the inner rule has the
-// smallest order n with ρ_B^(−2n) ≤ 1e-15, where ρ_B = a + √(a²−1) is the
-// Bernstein ellipse of the nearest kernel singularity at a half-lengths
-// from the source midpoint (a ≥ 7 by the gate, so n ≤ 7). Against the
-// converged exact ladder the far classes agree to ~1e-13 relative
-// (TestFarTableMatchesExactLadder pins 1e-10).
-//
-// A class whose thin-wire radius clamp could bind (the exact path raises a
-// perpendicular distance below the conductor radius to the radius, which
-// happens for in-line elements at one depth) keeps the exact ladder: the
-// table kernel has no clamp.
+// ρ² = 0 lies 9 half-widths from every panel); the inner rule's error is of
+// order ρ_B^(−2n) ≤ 1e-15 times the integrand's growth on the ellipse.
+// Against the converged exact ladder the table classes agree to ~1e-12
+// relative (TestFarTableMatchesExactLadder and TestFarTableGateBoundary pin
+// 1e-10).
 
 const (
-	// farSepRatio is the gate's separation: a class is far when its
-	// horizontal midpoint distance is at least farSepRatio times the longer
-	// element, so every source–test point distance lies within ±25 % of it.
-	farSepRatio = 4
 	// farPanelBits is log2 of the panels per octave of ρ².
 	farPanelBits = 2
 	// farLocalBits are the mantissa bits left below the panel index.
@@ -65,9 +72,12 @@ const (
 	// farNodes−1; eval's Horner pass is unrolled for it).
 	farNodes = 12
 	// farExpLo and farExpHi bound the tabulated ρ² to [2^farExpLo,
-	// 2^farExpHi) m²; the gate keeps every far class inside.
-	farExpLo = -30
-	farExpHi = 40
+	// 2^farExpHi) m²; the gate keeps every inner point of a table class in
+	// [farRho2Lo, farRho2Hi), an octave inside at each end for round-off.
+	farExpLo  = -30
+	farExpHi  = 40
+	farRho2Lo = 0x1p-29
+	farRho2Hi = 0x1p39
 	// farPanels is the number of panel slots of a table.
 	farPanels = (farExpHi - farExpLo) << farPanelBits
 	// farIdxLo is the panel index (float64 bits >> farLocalBits) of 2^farExpLo.
@@ -81,7 +91,7 @@ const (
 	// ρ_B^(−2n) ≤ 1e-15.
 	farInnerDigits = 34.538776394910684
 	farInnerMin    = 3
-	farInnerMax    = 8
+	farInnerMax    = 16
 	// farMaxDepths caps the registered horizontal depths, and so the
 	// tables, at farMaxDepths² (grids are buried at one or a few depths).
 	farMaxDepths = 16
@@ -330,9 +340,9 @@ var farRules = func() (r [farInnerMax + 1]farRule) {
 	return r
 }()
 
-// farInnerA[n] is the smallest a = dmin/(l/2) at which the n-point inner
-// rule meets ρ_B^(−2n) ≤ 1e-15: ρ_B = e^(farInnerDigits/2n), a = (ρ_B +
-// 1/ρ_B)/2.
+// farInnerA[n] is the smallest Bernstein semi-major axis A at which the
+// n-point inner rule meets ρ_B^(−2n) ≤ 1e-15: ρ_B = e^(farInnerDigits/2n),
+// A = (ρ_B + 1/ρ_B)/2.
 var farInnerA = func() (a [farInnerMax + 1]float64) {
 	for n := farInnerMin; n <= farInnerMax; n++ {
 		rho := math.Exp(farInnerDigits / (2 * float64(n)))
@@ -341,67 +351,77 @@ var farInnerA = func() (a [farInnerMax + 1]float64) {
 	return a
 }()
 
-// farInnerOrder returns the inner rule order for a source of length l whose
-// nearest test point lies dmin from its midpoint: the smallest n with
-// ρ_B^(−2n) ≤ 1e-15, capped at farInnerMax (which the gate's a ≥ 7 never
-// needs).
-func farInnerOrder(dmin, l float64) int {
-	a := 2 * dmin / l
-	n := farInnerMin
-	for n < farInnerMax && a < farInnerA[n] {
-		n++
-	}
-	return n
-}
-
 // farClass evaluates the class of key through the far-field branch into out
-// and reports true, or reports false, writing nothing, when the class does
-// not pass the gate. lo, hi is the layer pair's series-group range.
-func (a *Assembler) farClass(key *PairKey, lo, hi int32, out []float64, s *pairScratch) bool {
+// and returns the inner rule order it used, or returns 0, writing nothing,
+// when the class does not pass the gate. lo, hi is the layer pair's
+// series-group range.
+func (a *Assembler) farClass(key *PairKey, lo, hi int32, out []float64, s *pairScratch) int {
 	hdr := key[kwHeader]
-	if hdr&1 != 0 || hi-lo < 2 || key[kwSrcDZ] != 0 || key[kwObsDZ] != 0 {
-		return false
-	}
-	f := func(w int) float64 { return math.Float64frombits(key[w]) }
-	dx, dy := f(kwSrcDX), f(kwSrcDY)
-	ox, oy := f(kwObsX), f(kwObsY)
-	bx, by := f(kwObsDX), f(kwObsDY)
-	l2, lb2 := dx*dx+dy*dy, bx*bx+by*by
-	mx, my := ox+0.5*(bx-dx), oy+0.5*(by-dy)
-	d2 := mx*mx + my*my
-	if d2 < farSepRatio*farSepRatio*max(l2, lb2) || d2 < 0x1p-29 || d2 >= 0x1p39 {
-		return false
+	if hi-lo < 2 || key[kwSrcDZ] != 0 || key[kwObsDZ] != 0 {
+		return 0
 	}
 	src, obs := int(hdr>>1&0xff), int(hdr>>9&0xff)
 	t := s.farLast
 	if t == nil || t.src != src || t.obs != obs || math.Float64bits(t.zs) != key[kwSrcZ] || math.Float64bits(t.zo) != key[kwObsZ] {
 		if t = a.farTable(src, obs, key[kwSrcZ], key[kwObsZ], lo, hi); t == nil {
-			return false
+			return 0
 		}
 		s.farLast = t
 	}
-	l := math.Sqrt(l2)
+	f := func(w int) float64 { return math.Float64frombits(key[w]) }
+	dx, dy := f(kwSrcDX), f(kwSrcDY)
+	ox, oy := f(kwObsX), f(kwObsY)
+	bx, by := f(kwObsDX), f(kwObsDY)
+	l := math.Sqrt(dx*dx + dy*dy)
 	tx, ty := dx/l, dy/l
-	// The clamp check: every image's perpendicular distance from the source
-	// line must clear the conductor radius with margin, at every outer point.
 	gpT, gpW, gpShape := a.gpT, a.gpW, a.gpShape
-	if floor := 2*f(kwRadius2) - t.dz2min; floor > 0 {
-		for _, u := range gpT {
-			x, y := ox+u*bx, oy+u*by
-			if p := x*ty - y*tx; p*p <= floor {
-				return false
-			}
-		}
+	if hdr&1 != 0 {
+		gpT, gpW, gpShape = a.gpTN, a.gpWN, a.gpShapeN
 	}
 
-	rule := farRules[farInnerOrder(math.Sqrt(d2)-0.5*math.Sqrt(lb2), l)]
-	n := len(rule.t)
+	// The gate, per outer point. clamp is the thin-wire clamp check's
+	// floor: every image's perpendicular distance from the source line
+	// must clear the conductor radius with margin.
+	clamp := 2*f(kwRadius2) - t.dz2min
+	amin := math.Inf(1)
+	for _, u := range gpT {
+		x, y := ox+u*bx, oy+u*by
+		x0, p := x*tx+y*ty, x*ty-y*tx
+		p2 := p * p
+		if clamp > 0 && p2 <= clamp {
+			return 0
+		}
+		// The inner points' ρ² range: p² plus the squared axial distance
+		// to the nearest and farthest points of the source.
+		e0, e1 := x0*x0, (x0-l)*(x0-l)
+		lo2 := p2
+		if x0 < 0 {
+			lo2 += e0
+		} else if x0 > l {
+			lo2 += e1
+		}
+		if lo2 < farRho2Lo || p2+max(e0, e1) >= farRho2Hi {
+			return 0
+		}
+		h2 := p2 + t.dz2min
+		semi := (math.Sqrt(e0+h2) + math.Sqrt(e1+h2)) / l
+		if semi < farInnerA[farInnerMax] {
+			return 0
+		}
+		amin = min(amin, semi)
+	}
+	n := farInnerMin
+	for amin < farInnerA[n] {
+		n++
+	}
+
+	rule := farRules[n]
 	// Inner points along the source axis.
 	sx, sy := s.innerX[:n], s.innerY[:n]
 	for h, u := range rule.t {
 		sx[h], sy[h] = u*l*tx, u*l*ty
 	}
-	lenB := math.Sqrt(lb2)
+	lenB := math.Sqrt(bx*bx + by*by)
 	for i := range out {
 		out[i] = 0
 	}
@@ -432,5 +452,5 @@ func (a *Assembler) farClass(key *PairKey, lo, hi int32, out []float64, s *pairS
 	for i := range out {
 		out[i] *= pref
 	}
-	return true
+	return n
 }

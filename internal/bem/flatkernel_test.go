@@ -46,12 +46,14 @@ func flatFixtureMesh(t *testing.T, model soil.Model, kind grid.ElementKind) *gri
 // TestFlatKernelMatchesReference pins the flat assembly kernel to the
 // closed-form referenceMatrix: every global matrix entry agrees to ≤ 1e-12
 // relative and the equivalent resistance of the solved system to ≤ 1e-10
-// relative (the acceptance bar), across soil models and element kinds.
+// relative (the acceptance bar), across soil models and element kinds. Both
+// sides run at convergedTol: the far-field table classes are always summed
+// to convergence, the reference stops at SeriesTol.
 func TestFlatKernelMatchesReference(t *testing.T) {
 	for name, model := range flatFixtureModels(t) {
 		for _, kind := range []grid.ElementKind{grid.Linear, grid.Constant} {
 			m := flatFixtureMesh(t, model, kind)
-			flat, err := New(m, model, Options{Workers: 1})
+			flat, err := New(m, model, Options{Workers: 1, SeriesTol: convergedTol})
 			if err != nil {
 				t.Fatal(err)
 			}

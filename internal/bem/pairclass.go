@@ -296,7 +296,7 @@ func (a *Assembler) ClassMatrix(key *PairKey, out []float64, cs *ColumnScratch) 
 func (a *Assembler) classMatrix(key *PairKey, out []float64, s *pairScratch) {
 	hdr := key[kwHeader]
 	lo, hi, _ := a.ladder.pair(int(hdr>>1&0xff), int(hdr>>9&0xff))
-	if a.farClass(key, lo, hi, out, s) {
+	if a.farClass(key, lo, hi, out, s) > 0 {
 		s.far++
 		return
 	}

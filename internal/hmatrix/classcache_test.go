@@ -48,6 +48,64 @@ func TestClassCacheMatchesDense(t *testing.T) {
 	}
 }
 
+// TestClassCachePairIndexMatchesMap: the filler's per-block pair index
+// answers exactly as a map cleared at every reset would, across growth, many
+// resets and a generation wrap-around; and the filler's pair cache, reset
+// between blocks, serves bitwise the per-pair evaluation.
+func TestClassCachePairIndexMatchesMap(t *testing.T) {
+	var x pairIndex
+	ref := map[uint64]int32{}
+	rng := uint64(1)
+	next := func() uint64 {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return rng >> 33
+	}
+	for block := 0; block < 40; block++ {
+		if block == 30 {
+			x.gen = math.MaxUint32 // the next reset wraps
+		}
+		x.reset()
+		clear(ref)
+		n := 1 + int(next()%3000)
+		for i := 0; i < n; i++ {
+			key := next()%512<<32 | next()%512
+			got, ok := x.find(key)
+			want, wok := ref[key]
+			if ok != wok || ok && got != want {
+				t.Fatalf("block %d: find(%#x) = %d, %v; map %d, %v", block, key, got, ok, want, wok)
+			}
+			if !ok {
+				x.insert(key, int32(len(ref)))
+				ref[key] = int32(len(ref))
+			}
+		}
+		if x.n != len(ref) {
+			t.Fatalf("block %d: %d live slots, map holds %d", block, x.n, len(ref))
+		}
+	}
+
+	g := grid.RectMesh(0, 0, 20, 20, 4, 4, 0.8, 0.006)
+	s := buildSystem(t, g, soil.NewTwoLayer(0.005, 0.016, 1.0), 0)
+	k := s.mesh.DoFCount()
+	f := newFiller(s.asm, adjacency(s.mesh), k, s.asm.NewColumnScratch())
+	cs := s.asm.NewColumnScratch()
+	want := make([]float64, k*k)
+	m := len(s.mesh.Elements)
+	for block := 0; block < 3; block++ {
+		f.resetCache()
+		for i := 0; i < 4*m; i++ {
+			e1, e2 := int(next()%uint64(m)), int(next()%uint64(m))
+			got := f.pair(e1, e2)
+			s.asm.PairMatrix(max(e1, e2), min(e1, e2), want, cs)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("block %d pair (%d,%d) entry %d: cached %v, fresh %v", block, e1, e2, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
 // TestAllDenseBuildMatchesDense: on an all-near-field partition the build
 // evaluates the same pair classes as the dense path, so at any block
 // tolerance it reproduces the dense matrix to floating-point association.

@@ -1,6 +1,8 @@
 package hmatrix
 
 import (
+	"math/bits"
+
 	"earthing/internal/bem"
 	"earthing/internal/grid"
 )
@@ -66,8 +68,8 @@ type filler struct {
 	k   int
 
 	cs    *bem.ColumnScratch
-	cache map[int64]int // ordered pair key → offset into slab
-	slab  []float64     // cached k×k elemental matrices, back to back
+	cache pairIndex // ordered pair → its matrix's index in slab
+	slab  []float64 // cached k×k elemental matrices, back to back
 
 	classes   bem.ClassIndex // class signature → class c, at classSlab[c·k²:]
 	classSlab []float64
@@ -86,7 +88,6 @@ func newFiller(asm *bem.Assembler, adj [][]elemRef, k int, cs *bem.ColumnScratch
 		adj:   adj,
 		k:     k,
 		cs:    cs,
-		cache: make(map[int64]int),
 		class: make([]float64, k*k),
 	}
 }
@@ -94,7 +95,7 @@ func newFiller(asm *bem.Assembler, adj [][]elemRef, k int, cs *bem.ColumnScratch
 // resetCache drops the per-block pair matrices (called between blocks). The
 // class cache persists: its values are pure functions of their keys.
 func (f *filler) resetCache() {
-	clear(f.cache)
+	f.cache.reset()
 	f.slab = f.slab[:0]
 }
 
@@ -105,17 +106,107 @@ func (f *filler) pair(e1, e2 int) []float64 {
 	if beta < alpha {
 		beta, alpha = alpha, beta
 	}
-	key := int64(beta)<<32 | int64(alpha)
+	key := uint64(beta)<<32 | uint64(alpha)
 	kk := f.k * f.k
-	if off, ok := f.cache[key]; ok {
-		return f.slab[off : off+kk]
+	if i, ok := f.cache.find(key); ok {
+		return f.slab[int(i)*kk : int(i+1)*kk]
 	}
 	off := len(f.slab)
 	f.slab = append(f.slab, make([]float64, kk)...)
 	out := f.slab[off : off+kk]
 	f.fillPair(beta, alpha, out)
-	f.cache[key] = off
+	f.cache.insert(key, int32(off/kk))
 	return out
+}
+
+// pairIndex is the filler's per-block pair cache index: open addressing
+// (linear probing, multiplicative hash) from an ordered element pair
+// β<<32 | α to its matrix's index in the slab. A slot is live only when
+// it carries the current generation, so reset empties the index in O(1)
+// and one table, grown to the largest block's footprint, serves every
+// block of a worker. The zero value is an empty index.
+type pairIndex struct {
+	slots []pairSlot // a power of two
+	shift uint       // 64 − log2(len(slots))
+	gen   uint32     // the live generation (≥ 1 once slots exist)
+	n     int        // live slots
+}
+
+type pairSlot struct {
+	key uint64
+	gen uint32
+	idx int32
+}
+
+// pairIndexMin is the initial slot count of a pairIndex.
+const pairIndexMin = 1024
+
+func (x *pairIndex) home(key uint64) uint64 {
+	return key * 0x9e3779b97f4a7c15 >> x.shift
+}
+
+// find returns the slab index of key and whether it is cached.
+func (x *pairIndex) find(key uint64) (int32, bool) {
+	if x.n == 0 {
+		return 0, false
+	}
+	mask := uint64(len(x.slots) - 1)
+	for i := x.home(key); ; i = (i + 1) & mask {
+		s := &x.slots[i]
+		if s.gen != x.gen {
+			return 0, false
+		}
+		if s.key == key {
+			return s.idx, true
+		}
+	}
+}
+
+// insert caches key (absent) at slab index idx, growing the table past
+// half full.
+func (x *pairIndex) insert(key uint64, idx int32) {
+	if 2*(x.n+1) > len(x.slots) {
+		x.grow()
+	}
+	x.put(key, idx)
+	x.n++
+}
+
+func (x *pairIndex) put(key uint64, idx int32) {
+	mask := uint64(len(x.slots) - 1)
+	i := x.home(key)
+	for x.slots[i].gen == x.gen {
+		i = (i + 1) & mask
+	}
+	x.slots[i] = pairSlot{key: key, gen: x.gen, idx: idx}
+}
+
+// grow doubles the table (or allocates the first one) and re-inserts the
+// live slots under a fresh generation.
+func (x *pairIndex) grow() {
+	old, gen := x.slots, x.gen
+	n := 2 * len(old)
+	if n == 0 {
+		n = pairIndexMin
+	}
+	x.slots = make([]pairSlot, n)
+	x.shift = uint(65 - bits.Len(uint(n)))
+	x.gen = 1
+	for _, s := range old {
+		if s.gen == gen {
+			x.put(s.key, s.idx)
+		}
+	}
+}
+
+// reset empties the index by advancing the generation; on the rare
+// wrap-around it clears the slots, so no stale stamp can match.
+func (x *pairIndex) reset() {
+	x.n = 0
+	if x.gen++; x.gen == 0 {
+		clear(x.slots)
+		x.gen = 1
+	}
 }
 
 // fillPair computes the elemental matrix of (beta, alpha) into out: its

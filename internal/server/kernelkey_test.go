@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"earthing/internal/grid"
+	"earthing/internal/soil"
 	"earthing/internal/store"
 )
 
@@ -44,8 +45,28 @@ func legacySoil(s SoilSpec) string {
 // ";kernel=flat;pairs=d4q42" for binaries that walked the image ladder for
 // every class, before the far-field table branch, and
 // ";kernel=flat-far4;pairs=d4q42" for binaries that solved the physical
-// model instead of the unit-γ₁ one.
+// model instead of the unit-γ₁ one. All of them keyed the physical soil
+// (legacySoil).
 func legacyScenarioKey(t *testing.T, sc Scenario, tail string) string {
+	t.Helper()
+	return legacyKeyWithSoil(t, sc, legacySoil(sc.Soil), tail)
+}
+
+// legacyUnitScenarioKey is the format of binaries that keyed the unit-γ₁
+// soil model, as the current one does, under the kernel component kernel:
+// "flat-far4" for the far-field table branch gated at 4 element lengths,
+// before the Bernstein gate.
+func legacyUnitScenarioKey(t *testing.T, sc Scenario, kernel string) string {
+	t.Helper()
+	b, err := sc.build(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit, _ := soil.Normalize(b.model)
+	return legacyKeyWithSoil(t, sc, soil.Canonical(unit), ";kernel="+kernel+";pairs=d4q42;soil=unit")
+}
+
+func legacyKeyWithSoil(t *testing.T, sc Scenario, soilText, tail string) string {
 	t.Helper()
 	b, err := sc.build(0)
 	if err != nil {
@@ -56,15 +77,16 @@ func legacyScenarioKey(t *testing.T, sc Scenario, tail string) string {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear%s\n",
-		legacySoil(sc.Soil), sc.MaxElemLen, sc.RodElements, b.cfg.BEM.SeriesTol, tail)
+		soilText, sc.MaxElemLen, sc.RodElements, b.cfg.BEM.SeriesTol, tail)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 // TestLegacyKeyRecordMisses pins the kernel arithmetic in the cache key:
 // durable records written under the pre-kernel key format, under the
 // per-pair flat-kernel format before pair classes, under the pair-class
-// format before the far-field table branch and under the physical-model
-// format before unit-γ₁ solves — each holding a genuine density for the
+// format before the far-field table branch, under the physical-model format
+// before unit-γ₁ solves and under the unit-γ₁ format of the table branch
+// gated at 4 element lengths — each holding a genuine density for the
 // scenario, so only the key can reject it — are never served; the scenario
 // is solved afresh and stored under the current key.
 func TestLegacyKeyRecordMisses(t *testing.T) {
@@ -81,6 +103,7 @@ func TestLegacyKeyRecordMisses(t *testing.T) {
 		legacyScenarioKey(t, sc, ";kernel=flat"),
 		legacyScenarioKey(t, sc, ";kernel=flat;pairs=d4q42"),
 		legacyScenarioKey(t, sc, ";kernel=flat-far4;pairs=d4q42"),
+		legacyUnitScenarioKey(t, sc, "flat-far4"),
 	}
 	for _, l := range legacy {
 		if l == key {
@@ -147,22 +170,24 @@ func TestLegacyKeyRecordMisses(t *testing.T) {
 // Rect lattice and a builtin grid. The key addresses every durable store
 // record and peer frame, so a formatting slip in scenarioKey would silently
 // orphan them all; a deliberate change of the solution arithmetic must
-// change these values on purpose (and bump a key component).
+// change these values on purpose (and bump a key component). prev pins the
+// keys of the flat-far4 binaries, which legacyUnitScenarioKey must
+// reproduce for TestLegacyKeyRecordMisses to test their records.
 func TestScenarioKeyPinned(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		sc   Scenario
-		want string
+		name       string
+		sc         Scenario
+		want, prev string
 	}{
 		{"rect-two-layer", Scenario{
 			Grid: GridSpec{Rect: &RectSpec{Width: 30, Height: 20, NX: 4, NY: 3, Depth: 0.8, Radius: 0.006}},
 			Soil: SoilSpec{Kind: "two-layer", Gamma1: 0.005, Gamma2: 0.016, H1: 1.0},
-		}, "674341f41eb02473f26351fd85ce70bf"},
+		}, "0a22bba5f17c8f5310c3e31153e16041", "674341f41eb02473f26351fd85ce70bf"},
 		{"balaidos-uniform", Scenario{
 			Grid:        GridSpec{Builtin: "balaidos"},
 			Soil:        SoilSpec{Kind: "uniform", Gamma1: 0.02},
 			RodElements: 2,
-		}, "04fb7f3efd7997e38b9fa31fb7456213"},
+		}, "e6c89098b84604ca5463be0528491156", "04fb7f3efd7997e38b9fa31fb7456213"},
 	} {
 		b, err := c.sc.build(0)
 		if err != nil {
@@ -170,6 +195,9 @@ func TestScenarioKeyPinned(t *testing.T) {
 		}
 		if b.key != c.want {
 			t.Errorf("%s: key %s, pinned %s", c.name, b.key, c.want)
+		}
+		if got := legacyUnitScenarioKey(t, c.sc, "flat-far4"); got != c.prev {
+			t.Errorf("%s: flat-far4 key %s, pinned %s", c.name, got, c.prev)
 		}
 	}
 }

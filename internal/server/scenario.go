@@ -354,12 +354,15 @@ func checkElements(g *earthing.Grid, model earthing.SoilModel, cfg earthing.Conf
 // conductivities differ by one common factor share a key, one solve and one
 // post memo on every rung. The soil=unit component marks that keying, so
 // records and peer frames of older binaries, which solved the physical model,
-// are never served. The kernel=flat-far4 component names the assembly kernel
-// — the flat image ladder with its far-field table branch (classes 4 element
-// lengths apart, see bem's farfield.go) — so records and peer frames of
+// are never served. The kernel=flat-far-b16 component names the assembly
+// kernel — the flat image ladder with its far-field table branch, admitting
+// every horizontal class whose inner rule converges in at most 16 points
+// (the Bernstein gate, see bem's farfield.go) — so records and peer frames of
 // older binaries that assembled with another kernel (the reference kernel,
-// or the flat kernel walking the ladder for every class, ~1e-8 apart at the
-// default series tolerance) miss too; the pairs=d4q42 component names the
+// the flat kernel walking the ladder for every class, ~1e-8 apart at the
+// default series tolerance, or the table branch gated at 4 element lengths,
+// flat-far4, whose Req differs in the last bits) miss too; the pairs=d4q42
+// component names the
 // pair-class arithmetic (D4-canonical classes at 42-bit quantization, see
 // bem.PairClass), so frames from the per-pair arithmetic before it, ~1e-13
 // apart, miss as well. Workers, schedules and GPR are excluded: they do not
@@ -373,7 +376,7 @@ func scenarioKey(g *earthing.Grid, model earthing.SoilModel, maxElemLen float64,
 	}
 	unit, _ := soil.Normalize(model)
 	//lint:ignore errdrop writing to a hash.Hash never fails
-	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear;kernel=flat-far4;pairs=d4q42;soil=unit\n",
+	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear;kernel=flat-far-b16;pairs=d4q42;soil=unit\n",
 		soil.Canonical(unit), maxElemLen, rodElements, seriesTol)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
