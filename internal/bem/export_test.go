@@ -10,3 +10,6 @@ var (
 
 // ConvergedTol is the series tolerance of the layered differential tests.
 const ConvergedTol = convergedTol
+
+// Fig54Points is the Figure 5.4 surface raster over a mesh.
+var Fig54Points = fig54Points

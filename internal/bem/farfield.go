@@ -41,18 +41,31 @@ import (
 // clamp.
 //
 // Table layout: one farTable per (source depth, observation depth) pair of
-// the mesh's horizontal elements, created on first use. Each holds one
-// polynomial panel per quarter octave of ρ²: the panel index is the top
-// bits of ρ²'s float64 representation (biased exponent and the two leading
-// mantissa bits) and the local coordinate u ∈ [−1, 1) is the remaining
-// mantissa, so a lookup is one Horner pass with no logarithm or square
-// root. A panel is built on first use by Chebyshev interpolation of the
-// exact ladder at farNodes points, each summed until two consecutive series
-// groups fall below farSeriesTol of the total, or to the end of the ladder
-// (MaxGroups, the exact path's own cap). Panels are pure functions of
+// the mesh's horizontal elements, and one per source depth observed at the
+// earth surface z = 0 (an observation-only depth of layer 1, read by the
+// field evaluator: see "Surface potential" below), created on first use.
+// Each holds one polynomial panel per quarter octave of ρ²: the panel index
+// is the top bits of ρ²'s float64 representation (biased exponent and the
+// two leading mantissa bits) and the local coordinate u ∈ [−1, 1) is the
+// remaining mantissa, so a lookup is one Horner pass with no logarithm or
+// square root. A panel is built on first use by Chebyshev interpolation of
+// the exact ladder at farNodes points, each summed until two consecutive
+// series groups fall below farSeriesTol of the total, or to the end of the
+// ladder (MaxGroups, the exact path's own cap). Panels are pure functions of
 // (model, depth pair, panel index); a worker that loses the race to publish
 // one adopts the winner's, which is bitwise the same, so class matrices stay
 // pure functions of their keys.
+//
+// Surface potential: at a surface point every image of a horizontal source
+// bar is again a point kernel of ρ² alone, G(ρ²; 0, zs), so
+// FieldEvaluator.PotentialAt reads a horizontal element's summed ladder from
+// its source depth's surface table whenever the observation point, taken as
+// the single outer point, passes the same gate (farInner). It integrates
+// with the same inner rule: I0 = l·Σ w_h G(ρ_h²), I1 = l·Σ w_h t_h G(ρ_h²),
+// V_e = pref·(s0·I0 + (s1 − s0)·I1). The table sums both halves of the
+// mirror-symmetric surface ladder, so no mirror ×2 applies. Points the gate
+// refuses (straight above or close beside a bar), rods, points below the
+// surface and layer pairs without reflected images walk the ladder.
 //
 // Error budget (per class entry, relative to the class's largest entry):
 // the panel polynomial reproduces the summed ladder to ~3e-15 relative
@@ -61,7 +74,10 @@ import (
 // order ρ_B^(−2n) ≤ 1e-15 times the integrand's growth on the ellipse.
 // Against the converged exact ladder the table classes agree to ~1e-12
 // relative (TestFarTableMatchesExactLadder and TestFarTableGateBoundary pin
-// 1e-10).
+// 1e-10). A surface potential agrees with the converged walk to ~1e-15
+// relative per point (TestSurfaceTableMatchesExactLadder pins 1e-10); the
+// walk at the default SeriesTol stops its series early and differs by up
+// to ~1e-8 relative, the table does not.
 
 const (
 	// farPanelBits is log2 of the panels per octave of ρ².
@@ -133,12 +149,18 @@ func cmpFarDepth(a, b farDepth) int {
 	return cmp.Compare(a.z, b.z)
 }
 
+// farSurface is the earth surface as an observation depth: z = +0 in
+// layer 1.
+var farSurface = farDepth{1, 0}
+
 // farTables is the assembler's registry of far-field tables: the distinct
-// depths of its horizontal elements and one lazily created table per
-// ordered pair of them.
+// depths of its horizontal elements, one lazily created table per ordered
+// pair of them, and one per depth observed at the surface (farSurface,
+// when it is not itself a registered depth).
 type farTables struct {
 	depths []farDepth
 	tabs   []atomic.Pointer[farTable] // [src·len(depths) + obs]
+	surf   []atomic.Pointer[farTable] // [src]
 }
 
 // initFar registers the depths of the mesh's horizontal elements: all of
@@ -174,18 +196,21 @@ func (a *Assembler) initFar() {
 		a.far.depths[i] = c.d
 	}
 	a.far.tabs = make([]atomic.Pointer[farTable], len(cs)*len(cs))
+	a.far.surf = make([]atomic.Pointer[farTable], len(cs))
 }
 
 // footprint returns the registry's resident bytes, counting the tables and
 // panels built so far.
 func (f *farTables) footprint() int64 {
-	n := int64(len(f.depths))*16 + int64(len(f.tabs))*8
-	for i := range f.tabs {
-		if t := f.tabs[i].Load(); t != nil {
-			n += farTableBytes
-			for j := range t.panels {
-				if t.panels[j].Load() != nil {
-					n += farPanelBytes
+	n := int64(len(f.depths))*16 + int64(len(f.tabs)+len(f.surf))*8
+	for _, slots := range [][]atomic.Pointer[farTable]{f.tabs, f.surf} {
+		for i := range slots {
+			if t := slots[i].Load(); t != nil {
+				n += farTableBytes
+				for j := range t.panels {
+					if t.panels[j].Load() != nil {
+						n += farPanelBytes
+					}
 				}
 			}
 		}
@@ -194,18 +219,22 @@ func (f *farTables) footprint() int64 {
 }
 
 // farTable returns the table of a (source, observation) layer and depth pair,
-// creating it on first use, or nil when either depth is not registered.
+// creating it on first use, or nil when the source depth is not registered
+// or the observation depth is neither registered nor farSurface.
 func (a *Assembler) farTable(src, obs int, zs, zo uint64, lo, hi int32) *farTable {
 	f := &a.far
 	i, ok := slices.BinarySearchFunc(f.depths, farDepth{src, zs}, cmpFarDepth)
 	if !ok {
 		return nil
 	}
-	j, ok := slices.BinarySearchFunc(f.depths, farDepth{obs, zo}, cmpFarDepth)
-	if !ok {
+	var slot *atomic.Pointer[farTable]
+	if j, ok := slices.BinarySearchFunc(f.depths, farDepth{obs, zo}, cmpFarDepth); ok {
+		slot = &f.tabs[i*len(f.depths)+j]
+	} else if (farDepth{obs, zo}) == farSurface {
+		slot = &f.surf[i]
+	} else {
 		return nil
 	}
-	slot := &f.tabs[i*len(f.depths)+j]
 	if t := slot.Load(); t != nil {
 		return t
 	}
@@ -246,9 +275,13 @@ func (t *farTable) eval(x float64) float64 {
 func (t *farTable) build(idx uint64) *farPanel {
 	xlo := math.Float64frombits(idx << farLocalBits)
 	w := math.Float64frombits(idx>>farPanelBits<<52) * (1.0 / (1 << farPanelBits))
-	var c [farNodes]float64
+	var xs [farNodes]float64
 	for j, u := range farCheb.nodes {
-		fj := t.node(xlo + (u+1)*0.5*w)
+		xs[j] = xlo + (u+1)*0.5*w
+	}
+	fs := t.nodes(&xs)
+	var c [farNodes]float64
+	for j, fj := range fs {
 		for k := range c {
 			c[k] += fj * farCheb.cos[k][j]
 		}
@@ -266,26 +299,51 @@ func (t *farTable) build(idx uint64) *farPanel {
 	return slot.Load()
 }
 
-// node sums the ladder at squared horizontal distance x (compensated: the
-// series is long and, for K < 0, alternating).
-func (t *farTable) node(x float64) float64 {
-	var acc quad.KahanSum
-	small := 0
-	for g := t.lo; g < t.hi; g++ {
-		before := acc.Sum()
+// nodes sums the ladder at the squared horizontal distances xs[j] of a
+// panel's nodes (compensated: the series is long and, for K < 0,
+// alternating). One pass over each group's images feeds one sum per node;
+// each node keeps the add order and stop rule of a sum of its own (two
+// consecutive groups below farSeriesTol of its total, or the end of the
+// ladder), so its result does not depend on the other nodes.
+func (t *farTable) nodes(xs *[farNodes]float64) (f [farNodes]float64) {
+	var acc [farNodes]quad.KahanSum
+	var before [farNodes]float64
+	var small [farNodes]int
+	// live[:nl] are the nodes still summing, in node order.
+	var live [farNodes]int
+	for j := range live {
+		live[j] = j
+	}
+	nl := farNodes
+	for g := t.lo; g < t.hi && nl > 0; g++ {
+		for _, j := range live[:nl] {
+			before[j] = acc[j].Sum()
+		}
 		for _, im := range t.lad.group(g) {
 			dz := t.zo - (im.sign*t.zs + im.off)
-			acc.Add(im.w / math.Sqrt(x+dz*dz))
-		}
-		if math.Abs(acc.Sum()-before) <= farSeriesTol*math.Abs(acc.Sum()) {
-			if small++; small >= 2 {
-				break
+			dz2 := dz * dz
+			for _, j := range live[:nl] {
+				acc[j].Add(im.w / math.Sqrt(xs[j]+dz2))
 			}
-		} else {
-			small = 0
 		}
+		k := 0
+		for _, j := range live[:nl] {
+			if s := acc[j].Sum(); math.Abs(s-before[j]) <= farSeriesTol*math.Abs(s) {
+				if small[j]++; small[j] >= 2 {
+					continue
+				}
+			} else {
+				small[j] = 0
+			}
+			live[k] = j
+			k++
+		}
+		nl = k
 	}
-	return acc.Sum()
+	for j := range f {
+		f[j] = acc[j].Sum()
+	}
+	return f
 }
 
 // farCheb holds the Chebyshev interpolation constants of a panel: the nodes
@@ -351,6 +409,41 @@ var farInnerA = func() (a [farInnerMax + 1]float64) {
 	return a
 }()
 
+// farInner is the gate at one outer point: the order of the inner rule
+// along a source of length l that converges for an outer point at axial
+// offset x0 from the source start and squared perpendicular distance p2
+// from its line, on a table whose smallest squared image depth offset is
+// dz2min, or 0 when the point is refused — the rule would need more than
+// farInnerMax points, an inner point's ρ² would leave the table's range,
+// or p2 ≤ clamp (the thin-wire radius clamp of the exact path could bind).
+func farInner(x0, p2, l, dz2min, clamp float64) int {
+	if clamp > 0 && p2 <= clamp {
+		return 0
+	}
+	// The inner points' ρ² range: p² plus the squared axial distance to
+	// the nearest and farthest points of the source.
+	e0, e1 := x0*x0, (x0-l)*(x0-l)
+	lo2 := p2
+	if x0 < 0 {
+		lo2 += e0
+	} else if x0 > l {
+		lo2 += e1
+	}
+	if lo2 < farRho2Lo || p2+max(e0, e1) >= farRho2Hi {
+		return 0
+	}
+	h2 := p2 + dz2min
+	semi := (math.Sqrt(e0+h2) + math.Sqrt(e1+h2)) / l
+	if semi < farInnerA[farInnerMax] {
+		return 0
+	}
+	n := farInnerMin
+	for semi < farInnerA[n] {
+		n++
+	}
+	return n
+}
+
 // farClass evaluates the class of key through the far-field branch into out
 // and returns the inner rule order it used, or returns 0, writing nothing,
 // when the class does not pass the gate. lo, hi is the layer pair's
@@ -379,40 +472,20 @@ func (a *Assembler) farClass(key *PairKey, lo, hi int32, out []float64, s *pairS
 		gpT, gpW, gpShape = a.gpTN, a.gpWN, a.gpShapeN
 	}
 
-	// The gate, per outer point. clamp is the thin-wire clamp check's
-	// floor: every image's perpendicular distance from the source line
-	// must clear the conductor radius with margin.
+	// The gate, per outer point; the class takes the largest inner order.
+	// clamp is the thin-wire clamp check's floor: every image's
+	// perpendicular distance from the source line must clear the conductor
+	// radius with margin.
 	clamp := 2*f(kwRadius2) - t.dz2min
-	amin := math.Inf(1)
+	n := 0
 	for _, u := range gpT {
 		x, y := ox+u*bx, oy+u*by
-		x0, p := x*tx+y*ty, x*ty-y*tx
-		p2 := p * p
-		if clamp > 0 && p2 <= clamp {
+		p := x*ty - y*tx
+		ni := farInner(x*tx+y*ty, p*p, l, t.dz2min, clamp)
+		if ni == 0 {
 			return 0
 		}
-		// The inner points' ρ² range: p² plus the squared axial distance
-		// to the nearest and farthest points of the source.
-		e0, e1 := x0*x0, (x0-l)*(x0-l)
-		lo2 := p2
-		if x0 < 0 {
-			lo2 += e0
-		} else if x0 > l {
-			lo2 += e1
-		}
-		if lo2 < farRho2Lo || p2+max(e0, e1) >= farRho2Hi {
-			return 0
-		}
-		h2 := p2 + t.dz2min
-		semi := (math.Sqrt(e0+h2) + math.Sqrt(e1+h2)) / l
-		if semi < farInnerA[farInnerMax] {
-			return 0
-		}
-		amin = min(amin, semi)
-	}
-	n := farInnerMin
-	for amin < farInnerA[n] {
-		n++
+		n = max(n, ni)
 	}
 
 	rule := farRules[n]

@@ -5,11 +5,13 @@ import (
 	"hash/fnv"
 	"math"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"earthing/internal/geom"
 	"earthing/internal/grid"
 	"earthing/internal/linalg"
+	"earthing/internal/quad"
 	"earthing/internal/soil"
 )
 
@@ -462,6 +464,88 @@ func TestFarTableConcurrentBuildBitIdentical(t *testing.T) {
 	}
 	if par.far.footprint() != seq.far.footprint() {
 		t.Errorf("table bytes %d after the race, %d sequentially", par.far.footprint(), seq.far.footprint())
+	}
+}
+
+// node sums the ladder at one squared horizontal distance x, one node at a
+// time: the oracle of nodes, which sums every node of a panel in one pass.
+func (t *farTable) node(x float64) float64 {
+	var acc quad.KahanSum
+	small := 0
+	for g := t.lo; g < t.hi; g++ {
+		before := acc.Sum()
+		for _, im := range t.lad.group(g) {
+			dz := t.zo - (im.sign*t.zs + im.off)
+			acc.Add(im.w / math.Sqrt(x+dz*dz))
+		}
+		if math.Abs(acc.Sum()-before) <= farSeriesTol*math.Abs(acc.Sum()) {
+			if small++; small >= 2 {
+				break
+			}
+		} else {
+			small = 0
+		}
+	}
+	return acc.Sum()
+}
+
+// TestFarTableNodesMatchSingleNode: the one-pass node sums of every panel
+// a cold-solve-shaped lattice builds — its matrix tables and the surface
+// tables of a raster over it — are bitwise the sums of one node at a time,
+// at K = −0.5 and −0.78.
+func TestFarTableNodesMatchSingleNode(t *testing.T) {
+	models := farFixtureModels(t)
+	for _, name := range []string{"K-0.5", "K-0.78"} {
+		m := farColdSolveMesh(t, grid.Linear)
+		a, err := New(m, models[name], Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := a.MatrixCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		sigma := make([]float64, m.NumDoF)
+		for i := range sigma {
+			sigma[i] = 1
+		}
+		fe := a.Evaluator()
+		for _, x := range surfaceRaster(m, 4) {
+			fe.PotentialAt(x, sigma)
+		}
+		nodes, surface := 0, 0
+		for _, slots := range [][]atomic.Pointer[farTable]{a.far.tabs, a.far.surf} {
+			for i := range slots {
+				tab := slots[i].Load()
+				if tab == nil {
+					continue
+				}
+				for p := range tab.panels {
+					if tab.panels[p].Load() == nil {
+						continue
+					}
+					idx := uint64(p + farIdxLo)
+					xlo := math.Float64frombits(idx << farLocalBits)
+					w := math.Float64frombits(idx>>farPanelBits<<52) * (1.0 / (1 << farPanelBits))
+					var xs [farNodes]float64
+					for j, u := range farCheb.nodes {
+						xs[j] = xlo + (u+1)*0.5*w
+					}
+					for j, f := range tab.nodes(&xs) {
+						if want := tab.node(xs[j]); math.Float64bits(f) != math.Float64bits(want) {
+							t.Fatalf("%s: table (%d, %d) panel %d node %d: %v, single-node sum %v", name, tab.src, tab.obs, p, j, f, want)
+						}
+						nodes++
+						if tab.zo == 0 {
+							surface++
+						}
+					}
+				}
+			}
+		}
+		if surface == 0 || surface == nodes {
+			t.Errorf("%s: %d nodes, %d of them on surface tables; want both kinds", name, nodes, surface)
+		}
+		t.Logf("%s: %d nodes bit-identical, %d on surface tables", name, nodes, surface)
 	}
 }
 

@@ -32,8 +32,8 @@ import (
 // ladder with two square roots per image and at most one logarithm (the
 // closed form asinh(a) + asinh(b) = log((a+√(a²+1))·(b+√(b²+1))) evaluated
 // cancellation-safely), preserving the element order, KahanSum accumulation
-// and per-group tolerance early-exit of the direct evaluation to ≪ 1e-10. Two
-// exact structural savings cut that further:
+// and per-group tolerance early-exit of the direct evaluation to ≪ 1e-10.
+// Two exact structural savings and one tabulated branch cut that further:
 //
 //   - Surface points (z = 0) of a mirror-symmetric ladder (imageLadder.mirror)
 //     skip every sign < 0 image and count its bitwise-equal mirror twice,
@@ -44,6 +44,16 @@ import (
 //     images, so a group whose images share one weight takes one logarithm
 //     of a running product (Σ log aᵢ = log Π aᵢ), as the flat assembly
 //     kernel does.
+//   - At a surface point, a horizontal element in a layer pair with
+//     reflected images reads its whole summed ladder from the assembler's
+//     surface table of its depth and integrates it with an inner Gauss rule
+//     of at most 16 points, when the point passes the far-field gate
+//     (farfield.go, "Surface potential"): no walk, no logarithm. The table
+//     is summed to convergence, so such an element agrees with the walk at
+//     a converged SeriesTol to ~1e-15 relative, but differs from the walk at
+//     the default SeriesTol by that walk's truncation (up to ~1e-8
+//     relative). Points straight above or close beside a bar, rods and
+//     points below the surface walk the ladder.
 //
 // Layer pairs without an image expansion (N ≥ 3 layer models outside the
 // top layer) fall back to exact Gauss quadrature of Model.PointPotential.
@@ -90,11 +100,14 @@ type planElem struct {
 	// [grpLo, grpHi) is the element's series-group range in the ladder.
 	grpLo int32
 	grpHi int32
+	// surf is the surface table of a horizontal element's depth in a layer
+	// pair with reflected images (observation layer 1 only), or nil.
+	surf *farTable
 }
 
-// planElemBytes is the size of one planElem: ten float64 and four int32
-// fields.
-const planElemBytes = 10*8 + 4*4
+// planElemBytes is the size of one planElem: ten float64 fields, four int32
+// fields and one pointer.
+const planElemBytes = 10*8 + 4*4 + 8
 
 // newFieldEvaluator prepares an evaluator; plans are built per observation
 // layer on first use.
@@ -164,6 +177,10 @@ func buildPlan(a *Assembler, obsLayer int) *evalPlan {
 		if a.linear {
 			pe.dof1 = int32(el.DoF[1])
 		}
+		if obsLayer == farSurface.layer && hi-lo >= 2 && el.Seg.B.Z-el.Seg.A.Z == 0 {
+			zs := math.Float64bits(quantGeom(el.Seg.A.Z))
+			pe.surf = a.farTable(srcLayer, farSurface.layer, zs, farSurface.z, lo, hi)
+		}
 		p.elems = append(p.elems, pe)
 	}
 	return p
@@ -213,6 +230,23 @@ func (fe *FieldEvaluator) PotentialAt(x geom.Vec3, sigma []float64) float64 {
 		dxy2 := dx*dx + dy*dy
 		l, invL, r2min := pe.l, pe.invL, pe.radius2
 		az0, tz := pe.az0, pe.tz
+		// The surface table branch, for points the gate admits.
+		if t := pe.surf; t != nil && x.Z == 0 {
+			p := dx*pe.ty - dy*pe.tx
+			p2 := p * p
+			if n := farInner(hxy, p2, l, t.dz2min, 2*r2min-t.dz2min); n > 0 {
+				rule := farRules[n]
+				var i0, i1 float64
+				for h, wh := range rule.w {
+					e := hxy - rule.t[h]*l
+					v := wh * t.eval(e*e+p2)
+					i0 += v
+					i1 += v * rule.t[h]
+				}
+				total.Add(pe.pref * l * (i0*s0 + i1*ds))
+				continue
+			}
+		}
 		// A horizontal element (tz = 0) has the same axial projection pp =
 		// hxy, and hence the same q, for every image.
 		horizontal := tz == 0

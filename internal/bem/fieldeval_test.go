@@ -14,7 +14,7 @@ import (
 // fieldEvalFixture builds an assembler over a mesh that mixes horizontal
 // grid elements and a rod (split at the model interfaces when needed), plus
 // a deterministic pseudo-solution vector.
-func fieldEvalFixture(t testing.TB, model soil.Model, kind grid.ElementKind) (*Assembler, []float64) {
+func fieldEvalFixture(t testing.TB, model soil.Model, kind grid.ElementKind, opt Options) (*Assembler, []float64) {
 	t.Helper()
 	g := grid.RectMesh(0, 0, 20, 20, 3, 3, 0.8, 0.006)
 	g.AddRod(5, 5, 0.8, 2.5, 0.007)
@@ -27,7 +27,7 @@ func fieldEvalFixture(t testing.TB, model soil.Model, kind grid.ElementKind) (*A
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(m, model, Options{})
+	a, err := New(m, model, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,9 @@ func fieldEvalPoints() []geom.Vec3 {
 // TestFieldEvaluatorMatchesPotential is the core equivalence suite: the
 // batched engine must reproduce the closed-form referencePotential to ≤ 1e-10
 // across uniform, two-layer and multilayer soils (the latter exercising the
-// mixed image/quadrature plan), for linear and constant elements.
+// mixed image/quadrature plan), for linear and constant elements. Both run
+// at a converged series tolerance: surface points read the surface tables,
+// which are always summed to convergence.
 func TestFieldEvaluatorMatchesPotential(t *testing.T) {
 	ml, err := soil.NewMultiLayer([]float64{0.004, 0.02, 0.01}, []float64{1.0, 2.0})
 	if err != nil {
@@ -79,7 +81,7 @@ func TestFieldEvaluatorMatchesPotential(t *testing.T) {
 	}
 	for _, kind := range []grid.ElementKind{grid.Linear, grid.Constant} {
 		for _, c := range cases {
-			a, sigma := fieldEvalFixture(t, c.model, kind)
+			a, sigma := fieldEvalFixture(t, c.model, kind, Options{SeriesTol: convergedTol})
 			fe := a.Evaluator()
 			for _, x := range fieldEvalPoints() {
 				want := a.referencePotential(x, sigma)
@@ -111,7 +113,7 @@ func TestFieldEvaluatorMatchesGradPotential(t *testing.T) {
 		{"three-layer", ml},
 	}
 	for _, c := range cases {
-		a, sigma := fieldEvalFixture(t, c.model, grid.Linear)
+		a, sigma := fieldEvalFixture(t, c.model, grid.Linear, Options{})
 		fe := a.Evaluator()
 		for _, x := range fieldEvalPoints() {
 			want := a.referenceGradient(x, sigma)
@@ -131,7 +133,7 @@ func TestFieldEvaluatorMatchesGradPotential(t *testing.T) {
 // bit-identical to the sequential batch — the analog of the matrix
 // generation's parallel-correctness invariant.
 func TestPotentialBatchMatchesSequentialExactly(t *testing.T) {
-	a, sigma := fieldEvalFixture(t, soil.NewTwoLayer(0.005, 0.016, 1.0), grid.Linear)
+	a, sigma := fieldEvalFixture(t, soil.NewTwoLayer(0.005, 0.016, 1.0), grid.Linear, Options{})
 	fe := a.Evaluator()
 	pts := fieldEvalPoints()
 	seq := make([]float64, len(pts))
@@ -171,7 +173,7 @@ func TestPotentialBatchMatchesSequentialExactly(t *testing.T) {
 // TestFieldEvaluatorZeroAllocs guards the engine's central property: once
 // the plan is built, the per-point evaluation allocates nothing.
 func TestFieldEvaluatorZeroAllocs(t *testing.T) {
-	a, sigma := fieldEvalFixture(t, soil.NewTwoLayer(0.005, 0.016, 1.0), grid.Linear)
+	a, sigma := fieldEvalFixture(t, soil.NewTwoLayer(0.005, 0.016, 1.0), grid.Linear, Options{})
 	fe := a.Evaluator()
 	x := geom.V(11, 7, 0)
 	fe.PotentialAt(x, sigma) // build the plan outside the measurement
@@ -188,7 +190,7 @@ func TestFieldEvaluatorZeroAllocs(t *testing.T) {
 // shared instance and that concurrent first-use (lazy plan build) is safe —
 // run under -race in CI.
 func TestEvaluatorCachedAndConcurrent(t *testing.T) {
-	a, sigma := fieldEvalFixture(t, soil.NewTwoLayer(0.005, 0.016, 1.0), grid.Linear)
+	a, sigma := fieldEvalFixture(t, soil.NewTwoLayer(0.005, 0.016, 1.0), grid.Linear, Options{})
 	if a.Evaluator() != a.Evaluator() {
 		t.Fatal("Evaluator not cached")
 	}

@@ -172,39 +172,30 @@ func meshExtent(m *grid.Mesh) (lo, hi geom.Vec3) {
 	return lo, hi
 }
 
-// fig54Raster solves Balaidos under soil model B at reduced fidelity (series
-// tolerance 1e-4) and returns the Figure 5.4 surface raster: nx×ny points
-// over the grid bounds plus the figure's 20 m margin.
-func fig54Raster(t *testing.T, nx, ny int) (*core.Result, []geom.Vec3) {
+// fig54Raster solves Balaidos under soil model B at series tolerance tol and
+// returns the Figure 5.4 surface raster: nx×ny points over the grid bounds
+// plus the figure's 20 m margin.
+func fig54Raster(t *testing.T, nx, ny int, tol float64) (*core.Result, []geom.Vec3) {
 	t.Helper()
 	res, err := core.AnalyzeCtx(context.Background(), grid.Balaidos(), soil.NewTwoLayer(0.0025, 0.020, 0.7), core.Config{
-		GPR: 1, RodElements: 2, BEM: bem.Options{SeriesTol: 1e-4},
+		GPR: 1, RodElements: 2, BEM: bem.Options{SeriesTol: tol},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const margin = 20.0
-	b := res.Mesh.Bounds()
-	x0, y0 := b.Min.X-margin, b.Min.Y-margin
-	x1, y1 := b.Max.X+margin, b.Max.Y+margin
-	pts := make([]geom.Vec3, nx*ny)
-	for j := 0; j < ny; j++ {
-		y := y0 + float64(j)*(y1-y0)/float64(ny-1)
-		for i := 0; i < nx; i++ {
-			pts[j*nx+i] = geom.V(x0+float64(i)*(x1-x0)/float64(nx-1), y, 0)
-		}
-	}
-	return res, pts
+	return res, bem.Fig54Points(res.Mesh, nx, ny)
 }
 
 // TestFig54RasterMatchesReference: on the whole 56×44 Figure 5.4 raster
 // (Balaidos, soil B) the batched evaluator reproduces the closed-form
-// potential within max|ΔV| ≤ 1e-10 per unit GPR.
+// potential within max|ΔV| ≤ 1e-10 per unit GPR. Both run at a converged
+// series tolerance: the evaluator's surface tables are always summed to
+// convergence.
 func TestFig54RasterMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("evaluates a 2464-point raster through the reference oracle")
 	}
-	res, pts := fig54Raster(t, 56, 44)
+	res, pts := fig54Raster(t, 56, 44, bem.ConvergedTol)
 	asm := res.Assembler()
 	batch := make([]float64, len(pts))
 	if _, err := asm.Evaluator().PotentialBatchCtx(context.Background(), pts, res.Sigma, 1, batch, bem.BatchOptions{}); err != nil {

@@ -65,7 +65,7 @@ func TestBatchedEvaluationFasterThanReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("times the reference oracle over a raster")
 	}
-	res, pts := fig54Raster(t, 14, 11)
+	res, pts := fig54Raster(t, 14, 11, 1e-4)
 	asm := res.Assembler()
 	fe := asm.Evaluator()
 	out := make([]float64, len(pts))

@@ -41,10 +41,10 @@ func surfaceCases(t *testing.T) []surfaceCase {
 }
 
 // fixture returns the case's assembler and a pseudo-solution vector.
-func (c surfaceCase) fixture(t *testing.T, kind grid.ElementKind) (*Assembler, []float64) {
+func (c surfaceCase) fixture(t *testing.T, kind grid.ElementKind, opt Options) (*Assembler, []float64) {
 	t.Helper()
 	if !c.lattice {
-		return fieldEvalFixture(t, c.model, kind)
+		return fieldEvalFixture(t, c.model, kind, opt)
 	}
 	g := grid.RectMesh(0, 0, 30, 30, 4, 4, 0.6, 0.006)
 	for _, xy := range [][2]float64{{0, 0}, {30, 0}, {0, 30}, {30, 30}} {
@@ -58,7 +58,7 @@ func (c surfaceCase) fixture(t *testing.T, kind grid.ElementKind) (*Assembler, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(m, c.model, Options{})
+	a, err := New(m, c.model, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +129,11 @@ func TestMirrorCheckRejectsAsymmetry(t *testing.T) {
 // real ladder (one sign < 0 image of the primary group gets its own weight)
 // and checks that the evaluator notices and sums every image: surface
 // potentials and gradients must still match the reference oracle, which reads
-// the same ladder image by image.
+// the same ladder image by image. Both run at a converged series tolerance:
+// surface points read the surface tables, summed to convergence over the
+// perturbed ladder.
 func TestAsymmetricLadderEvaluatesEveryImage(t *testing.T) {
-	a, sigma := fieldEvalFixture(t, soil.NewTwoLayer(0.005, 0.016, 1.0), grid.Linear)
+	a, sigma := fieldEvalFixture(t, soil.NewTwoLayer(0.005, 0.016, 1.0), grid.Linear, Options{SeriesTol: convergedTol})
 	lo, _, _ := a.ladder.pair(1, 1)
 	for i := a.ladder.grpOff[lo]; i < a.ladder.grpOff[lo+1]; i++ {
 		if a.ladder.imgs[i].sign < 0 {
@@ -154,13 +156,15 @@ func TestAsymmetricLadderEvaluatesEveryImage(t *testing.T) {
 	}
 }
 
-// TestSurfacePotentialMatchesLegacy: on the surface the halved, log-fused
-// kernel reproduces referencePotential (which sums every image one by one)
-// within 1e-10 relative for every soil, with linear and constant elements.
+// TestSurfacePotentialMatchesLegacy: on the surface the evaluator (surface
+// tables where the gate admits, else the halved, log-fused walk) reproduces
+// referencePotential (which sums every image one by one) within 1e-10
+// relative for every soil, with linear and constant elements, both at a
+// converged series tolerance.
 func TestSurfacePotentialMatchesLegacy(t *testing.T) {
 	for _, c := range surfaceCases(t) {
 		for _, kind := range []grid.ElementKind{grid.Linear, grid.Constant} {
-			a, sigma := c.fixture(t, kind)
+			a, sigma := c.fixture(t, kind, Options{SeriesTol: convergedTol})
 			fe := a.Evaluator()
 			for _, x := range surfacePoints() {
 				want, got := a.referencePotential(x, sigma), fe.PotentialAt(x, sigma)
@@ -173,11 +177,12 @@ func TestSurfacePotentialMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestSurfacePotentialContinuous: V at z = 0 (mirror skip) and at
-// z = 1e-12 (every image) agree within 1e-10 relative.
+// TestSurfacePotentialContinuous: V at z = 0 (surface tables and mirror
+// skip) and at z = 1e-12 (every image walked) agree within 1e-10 relative
+// at a converged series tolerance.
 func TestSurfacePotentialContinuous(t *testing.T) {
 	for _, c := range surfaceCases(t) {
-		a, sigma := c.fixture(t, grid.Linear)
+		a, sigma := c.fixture(t, grid.Linear, Options{SeriesTol: convergedTol})
 		fe := a.Evaluator()
 		for _, x := range surfacePoints() {
 			v0 := fe.PotentialAt(x, sigma)
@@ -197,7 +202,7 @@ func TestSurfaceGradientHorizontal(t *testing.T) {
 		if c.model.NumLayers() > 2 {
 			continue // off-top layer pairs use the quadrature fallback
 		}
-		a, sigma := c.fixture(t, grid.Linear)
+		a, sigma := c.fixture(t, grid.Linear, Options{})
 		fe := a.Evaluator()
 		for _, x := range surfacePoints() {
 			got, want := fe.GradientAt(x, sigma), a.referenceGradient(x, sigma)

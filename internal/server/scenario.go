@@ -365,9 +365,16 @@ func checkElements(g *earthing.Grid, model earthing.SoilModel, cfg earthing.Conf
 // component names the
 // pair-class arithmetic (D4-canonical classes at 42-bit quantization, see
 // bem.PairClass), so frames from the per-pair arithmetic before it, ~1e-13
-// apart, miss as well. Workers, schedules and GPR are excluded: they do not
-// change the solution. TestScenarioKeyPinned pins the key bytes: changing
-// them orphans every durable record and peer frame.
+// apart, miss as well. The field evaluator's surface table branch (surface
+// potentials of horizontal elements read from the ladder tables, ~1e-8
+// relative from the walk at the default series tolerance) leaves the key
+// literal unchanged: it moves no matrix entry, so no σ any rung stores or
+// ships changes, and surface fields are always computed in-process from σ —
+// postField memoizes them only in the local LRU, never in the store or a
+// peer frame — so no rung serves a field another binary computed. Workers,
+// schedules and GPR are excluded: they do not change the solution.
+// TestScenarioKeyPinned pins the key bytes: changing them orphans every
+// durable record and peer frame.
 func scenarioKey(g *earthing.Grid, model earthing.SoilModel, maxElemLen float64, rodElements int, seriesTol float64) string {
 	h := sha256.New()
 	if err := grid.Write(h, g); err != nil {
