@@ -21,7 +21,9 @@ import (
 // then call MatrixCtx (and RHS) — or reuse it for repeated assemblies in
 // benchmarks. The embedded Geometry (quadrature positions, weights, shape
 // values) is soil-independent and may be shared across assemblers via
-// NewWithGeometry.
+// NewWithGeometry; the Ladder (image ladder and far-field tables) is
+// mesh-independent and may be shared across assemblers of one soil model
+// via NewShared.
 type Assembler struct {
 	*Geometry
 	model soil.Model
@@ -38,15 +40,19 @@ type Assembler struct {
 	lastClasses int
 	lastFar     int
 
-	// Image expansions of every (src, obs) layer pair, flattened once and
-	// grouped by series index (see imageLadder). Pairs without a closed
-	// image form fall back to quadrature of Model.PointPotential, so a model
-	// may mix fast image kernels (e.g. the top layer of an N-layer soil)
-	// with slow exact ones.
+	// lad is the model's Ladder, private (New, NewWithGeometry) or shared
+	// with other assemblers of the model (NewShared); ladder is its image
+	// expansions of every (src, obs) layer pair, flattened once and grouped
+	// by series index (see imageLadder). Pairs without a closed image form
+	// fall back to quadrature of Model.PointPotential, so a model may mix
+	// fast image kernels (e.g. the top layer of an N-layer soil) with slow
+	// exact ones.
+	lad    *Ladder
 	ladder *imageLadder
 
-	// far holds the far-field ladder tables (see farfield.go), built
-	// lazily and shared read-only by every worker, like the ladder.
+	// far is this assembler's view of the far-field tables (see
+	// farfield.go): its registered depths and a slot per depth pair caching
+	// the ladder's table, built lazily and shared read-only by every worker.
 	far farTables
 
 	// evalOnce/eval lazily build the batched field evaluator shared by all
@@ -68,11 +74,31 @@ func New(m *grid.Mesh, model soil.Model, opt Options) (*Assembler, error) {
 }
 
 // NewWithGeometry prepares an assembler on an existing shared Geometry: only
-// the soil-dependent state (element layers, image expansions) is rebuilt, so
+// the soil-dependent state (element layers, a private Ladder) is rebuilt, so
 // N assemblers over the same mesh pay the quadrature-geometry setup once.
 // The options must select the same integration orders the geometry was built
 // with.
 func NewWithGeometry(geo *Geometry, model soil.Model, opt Options) (*Assembler, error) {
+	return newAssembler(geo, model, opt, nil)
+}
+
+// NewShared is NewWithGeometry on a Ladder shared with other assemblers of
+// the same model: the image ladder is not rebuilt, and the far-field tables
+// and panels any of them builds serve all. Results are bitwise those of a
+// private ladder. lad must fit model and opt (Ladder.Fits).
+func NewShared(geo *Geometry, model soil.Model, opt Options, lad *Ladder) (*Assembler, error) {
+	if lad == nil {
+		return nil, fmt.Errorf("bem: nil ladder")
+	}
+	if !lad.Fits(model, opt) {
+		return nil, fmt.Errorf("bem: the ladder was built for another soil model or series cap")
+	}
+	return newAssembler(geo, model, opt, lad)
+}
+
+// newAssembler builds an assembler on lad, or on a private ladder when lad
+// is nil.
+func newAssembler(geo *Geometry, model soil.Model, opt Options, lad *Ladder) (*Assembler, error) {
 	if geo == nil {
 		return nil, fmt.Errorf("bem: nil geometry")
 	}
@@ -104,24 +130,37 @@ func NewWithGeometry(geo *Geometry, model soil.Model, opt Options) (*Assembler, 
 		a.elemLayer[e] = layer
 	}
 
-	a.ladder = newImageLadder(model, opt.MaxGroups)
+	if lad == nil {
+		lad = NewLadder(model, opt)
+	}
+	a.lad, a.ladder = lad, lad.img
 	a.initFar()
 	return a, nil
 }
 
 // Footprint estimates the resident bytes an assembler pins beyond its mesh:
-// the quadrature geometry, the shared image ladder, the far-field tables and
-// panels built so far, and every field-evaluation plan built so far (the
-// flat kernel builds one per source-element layer; a raster may add the
-// others). It is the sizing input of groundd's byte-bounded cache of solved
-// systems.
+// the quadrature geometry, its Ladder (the image ladder and the far-field
+// tables and panels built in it so far), its table slots, and every
+// field-evaluation plan built so far (the flat kernel builds one per
+// source-element layer; a raster may add the others). It is the sizing
+// input of groundd's byte-bounded cache of solved systems.
+//
+// A Ladder shared by several assemblers (NewShared) is counted whole in
+// each of them, tables and panels the others built included: each holds it
+// alive, so that is what evicting any one of them alone cannot free, and
+// the sum over assemblers overstates their joint footprint — the
+// conservative side for a byte-bounded cache.
 func (a *Assembler) Footprint() int64 {
-	n := a.Geometry.Footprint() + int64(len(a.elemLayer))*8 + a.ladder.footprint() + a.far.footprint()
+	n := a.Geometry.Footprint() + int64(len(a.elemLayer))*8 + a.lad.footprint() + a.far.footprint()
 	if fe := a.eval.Load(); fe != nil {
 		n += fe.footprint()
 	}
 	return n
 }
+
+// Ladder returns the assembler's image ladder and table registry: its
+// private one, or the one it shares (NewShared).
+func (a *Assembler) Ladder() *Ladder { return a.lad }
 
 // WorkerBusy returns the per-worker busy durations of the most recent
 // MatrixCtx call. On a host with one free core per worker, Σbusy/max(busy)

@@ -43,7 +43,12 @@ import (
 // Table layout: one farTable per (source depth, observation depth) pair of
 // the mesh's horizontal elements, and one per source depth observed at the
 // earth surface z = 0 (an observation-only depth of layer 1, read by the
-// field evaluator: see "Surface potential" below), created on first use.
+// field evaluator: see "Surface potential" below), created on first use in
+// the registry of the assembler's Ladder, which assemblers of one model may
+// share. Each assembler registers its own depths (initFar) and keeps a slot
+// per registered pair that caches the registry's table, so which classes
+// and points reach a table is the assembler's own decision; only the table
+// objects are shared.
 // Each holds one polynomial panel per quarter octave of ρ²: the panel index
 // is the top bits of ρ²'s float64 representation (biased exponent and the
 // two leading mantissa bits) and the local coordinate u ∈ [−1, 1) is the
@@ -52,9 +57,9 @@ import (
 // the exact ladder at farNodes points, each summed until two consecutive
 // series groups fall below farSeriesTol of the total, or to the end of the
 // ladder (MaxGroups, the exact path's own cap). Panels are pure functions of
-// (model, depth pair, panel index); a worker that loses the race to publish
-// one adopts the winner's, which is bitwise the same, so class matrices stay
-// pure functions of their keys.
+// (ladder, depth pair, panel index); a worker — of any assembler sharing the
+// ladder — that loses the race to publish one adopts the winner's, which is
+// bitwise the same, so class matrices stay pure functions of their keys.
 //
 // Surface potential: at a surface point every image of a horizontal source
 // bar is again a point kernel of ρ² alone, G(ρ²; 0, zs), so
@@ -121,9 +126,10 @@ type farPanel [farNodes]float64
 const farPanelBytes = farNodes * 8
 
 // farTable is the tabulated ladder of one (source depth, observation depth)
-// pair. Panels are built lazily and shared read-only by all workers.
+// pair. Panels are built lazily and shared read-only by all workers of
+// every assembler on the ladder.
 type farTable struct {
-	lad      *imageLadder
+	l        *Ladder
 	src, obs int     // the layer pair
 	lo, hi   int32   // its series-group range
 	zs, zo   float64 // source and observation depths, quantized as in the key
@@ -135,6 +141,18 @@ type farTable struct {
 
 // farTableBytes is the resident size of a table without its panels.
 const farTableBytes = farPanels*8 + 96
+
+// footprint returns the resident bytes of the table and the panels built so
+// far.
+func (t *farTable) footprint() int64 {
+	n := int64(farTableBytes)
+	for j := range t.panels {
+		if t.panels[j].Load() != nil {
+			n += farPanelBytes
+		}
+	}
+	return n
+}
 
 // farDepth is one (layer, quantized depth) of a horizontal element.
 type farDepth struct {
@@ -153,10 +171,49 @@ func cmpFarDepth(a, b farDepth) int {
 // layer 1.
 var farSurface = farDepth{1, 0}
 
-// farTables is the assembler's registry of far-field tables: the distinct
-// depths of its horizontal elements, one lazily created table per ordered
-// pair of them, and one per depth observed at the surface (farSurface,
-// when it is not itself a registered depth).
+// farKey is a table's key in the Ladder's registry.
+type farKey struct {
+	src, obs farDepth
+}
+
+// farKeyBytes is the resident size of a registry entry beside its table: the
+// key, the pointer and the map's per-entry overhead.
+const farKeyBytes = 64
+
+// table returns the registry's table of a (source, observation) layer and
+// depth pair, creating it on first use. The layer pair must have an image
+// expansion.
+func (l *Ladder) table(src, obs farDepth) *farTable {
+	k := farKey{src, obs}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if t := l.tables[k]; t != nil {
+		return t
+	}
+	lo, hi, _ := l.img.pair(src.layer, obs.layer)
+	t := &farTable{
+		l:   l,
+		src: src.layer,
+		obs: obs.layer,
+		lo:  lo,
+		hi:  hi,
+		zs:  math.Float64frombits(src.z),
+		zo:  math.Float64frombits(obs.z),
+	}
+	t.dz2min = math.Inf(1)
+	for _, im := range l.img.imgs[l.img.grpOff[lo]:l.img.grpOff[hi]] {
+		dz := t.zo - (im.sign*t.zs + im.off)
+		t.dz2min = math.Min(t.dz2min, dz*dz)
+	}
+	l.tables[k] = t
+	return t
+}
+
+// farTables is the assembler's own view of the far-field tables: the
+// distinct depths of its horizontal elements, a slot per ordered pair of
+// them, and one per depth observed at the surface (farSurface, when it is
+// not itself a registered depth). A slot caches the Ladder registry's
+// table on first use, so the class loop reads it without a lock.
 type farTables struct {
 	depths []farDepth
 	tabs   []atomic.Pointer[farTable] // [src·len(depths) + obs]
@@ -199,29 +256,16 @@ func (a *Assembler) initFar() {
 	a.far.surf = make([]atomic.Pointer[farTable], len(cs))
 }
 
-// footprint returns the registry's resident bytes, counting the tables and
-// panels built so far.
+// footprint returns the resident bytes of the registered depths and the
+// slots; the tables they point at are the Ladder's (Ladder.footprint).
 func (f *farTables) footprint() int64 {
-	n := int64(len(f.depths))*16 + int64(len(f.tabs)+len(f.surf))*8
-	for _, slots := range [][]atomic.Pointer[farTable]{f.tabs, f.surf} {
-		for i := range slots {
-			if t := slots[i].Load(); t != nil {
-				n += farTableBytes
-				for j := range t.panels {
-					if t.panels[j].Load() != nil {
-						n += farPanelBytes
-					}
-				}
-			}
-		}
-	}
-	return n
+	return int64(len(f.depths))*16 + int64(len(f.tabs)+len(f.surf))*8
 }
 
-// farTable returns the table of a (source, observation) layer and depth pair,
-// creating it on first use, or nil when the source depth is not registered
-// or the observation depth is neither registered nor farSurface.
-func (a *Assembler) farTable(src, obs int, zs, zo uint64, lo, hi int32) *farTable {
+// farTable returns the table of a (source, observation) layer and depth pair
+// from the ladder's registry, or nil when the source depth is not
+// registered or the observation depth is neither registered nor farSurface.
+func (a *Assembler) farTable(src, obs int, zs, zo uint64) *farTable {
 	f := &a.far
 	i, ok := slices.BinarySearchFunc(f.depths, farDepth{src, zs}, cmpFarDepth)
 	if !ok {
@@ -238,24 +282,9 @@ func (a *Assembler) farTable(src, obs int, zs, zo uint64, lo, hi int32) *farTabl
 	if t := slot.Load(); t != nil {
 		return t
 	}
-	t := &farTable{
-		lad: a.ladder,
-		src: src,
-		obs: obs,
-		lo:  lo,
-		hi:  hi,
-		zs:  math.Float64frombits(zs),
-		zo:  math.Float64frombits(zo),
-	}
-	t.dz2min = math.Inf(1)
-	for _, im := range a.ladder.imgs[a.ladder.grpOff[lo]:a.ladder.grpOff[hi]] {
-		dz := t.zo - (im.sign*t.zs + im.off)
-		t.dz2min = math.Min(t.dz2min, dz*dz)
-	}
-	if slot.CompareAndSwap(nil, t) {
-		return t
-	}
-	return slot.Load()
+	t := a.lad.table(farDepth{src, zs}, farDepth{obs, zo})
+	slot.Store(t)
+	return t
 }
 
 // eval returns G(x) for a squared horizontal distance x inside the table's
@@ -292,6 +321,7 @@ func (t *farTable) build(idx uint64) *farPanel {
 			p[i] += ck * m
 		}
 	}
+	t.l.builds.Add(1)
 	slot := &t.panels[idx-farIdxLo]
 	if slot.CompareAndSwap(nil, p) {
 		return p
@@ -319,7 +349,7 @@ func (t *farTable) nodes(xs *[farNodes]float64) (f [farNodes]float64) {
 		for _, j := range live[:nl] {
 			before[j] = acc[j].Sum()
 		}
-		for _, im := range t.lad.group(g) {
+		for _, im := range t.l.img.group(g) {
 			dz := t.zo - (im.sign*t.zs + im.off)
 			dz2 := dz * dz
 			for _, j := range live[:nl] {
@@ -456,7 +486,7 @@ func (a *Assembler) farClass(key *PairKey, lo, hi int32, out []float64, s *pairS
 	src, obs := int(hdr>>1&0xff), int(hdr>>9&0xff)
 	t := s.farLast
 	if t == nil || t.src != src || t.obs != obs || math.Float64bits(t.zs) != key[kwSrcZ] || math.Float64bits(t.zo) != key[kwObsZ] {
-		if t = a.farTable(src, obs, key[kwSrcZ], key[kwObsZ], lo, hi); t == nil {
+		if t = a.farTable(src, obs, key[kwSrcZ], key[kwObsZ]); t == nil {
 			return 0
 		}
 		s.farLast = t

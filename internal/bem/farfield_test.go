@@ -243,7 +243,7 @@ func TestFarTableGateBoundary(t *testing.T) {
 		}
 		// Its nearest singularity is 0.3 m off the 0.4 m source at every
 		// outer point: the inner rule alone would converge.
-		tab := a.farTable(int(key[kwHeader]>>1&0xff), int(key[kwHeader]>>9&0xff), key[kwSrcZ], key[kwObsZ], lo, hi)
+		tab := a.farTable(int(key[kwHeader]>>1&0xff), int(key[kwHeader]>>9&0xff), key[kwSrcZ], key[kwObsZ])
 		if h := math.Sqrt(tab.dz2min); (2*math.Hypot(0.2, h))/0.4 < farInnerA[farInnerMax] {
 			t.Fatalf("fixture: singularity %.3g m off the source is inside the cap ellipse", h)
 		}
@@ -351,7 +351,7 @@ func TestFarTableClassShare(t *testing.T) {
 	if a.Footprint() <= before {
 		t.Errorf("Footprint %d after assembly, %d before: tables not counted", a.Footprint(), before)
 	}
-	t.Logf("%d of %d classes far; tables and panels %d B", a.NumFarClasses(), a.NumClasses(), a.far.footprint())
+	t.Logf("%d of %d classes far; ladder, tables and panels %d B", a.NumFarClasses(), a.NumClasses(), a.lad.footprint())
 }
 
 // benchmarkMatrixCtx times a fresh assembler's MatrixCtx at two workers on
@@ -462,8 +462,8 @@ func TestFarTableConcurrentBuildBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if par.far.footprint() != seq.far.footprint() {
-		t.Errorf("table bytes %d after the race, %d sequentially", par.far.footprint(), seq.far.footprint())
+	if par.lad.footprint() != seq.lad.footprint() {
+		t.Errorf("ladder bytes %d after the race, %d sequentially", par.lad.footprint(), seq.lad.footprint())
 	}
 }
 
@@ -474,7 +474,7 @@ func (t *farTable) node(x float64) float64 {
 	small := 0
 	for g := t.lo; g < t.hi; g++ {
 		before := acc.Sum()
-		for _, im := range t.lad.group(g) {
+		for _, im := range t.l.img.group(g) {
 			dz := t.zo - (im.sign*t.zs + im.off)
 			acc.Add(im.w / math.Sqrt(x+dz*dz))
 		}

@@ -179,7 +179,7 @@ func buildPlan(a *Assembler, obsLayer int) *evalPlan {
 		}
 		if obsLayer == farSurface.layer && hi-lo >= 2 && el.Seg.B.Z-el.Seg.A.Z == 0 {
 			zs := math.Float64bits(quantGeom(el.Seg.A.Z))
-			pe.surf = a.farTable(srcLayer, farSurface.layer, zs, farSurface.z, lo, hi)
+			pe.surf = a.farTable(srcLayer, farSurface.layer, zs, farSurface.z)
 		}
 		p.elems = append(p.elems, pe)
 	}

@@ -3,9 +3,69 @@ package bem
 import (
 	"cmp"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"earthing/internal/soil"
 )
+
+// Ladder is the soil-dependent, mesh-independent state of the flat kernel:
+// the flattened image ladder of one soil model and the registry of its
+// far-field tables (farfield.go), keyed by (source layer, quantized source
+// depth, observation layer, quantized observation depth). Every assembler
+// owns a private one unless it is built with NewShared; several assemblers
+// of one model — the mesh groups of a sweep, the candidates of a design
+// search — may share one, and then each reads the tables and panels the
+// others built.
+//
+// Sharing never changes a result: each assembler decides for itself which
+// depths it registers and which classes and points pass the gate, and a
+// table and each of its panels are pure functions of the ladder and their
+// key. After construction only the registry's table creation (under mu) and
+// the tables' atomic panel slots change, so a Ladder is safe for concurrent
+// use by any number of assemblers.
+type Ladder struct {
+	canonical string // soil.Canonical of the model
+	maxGroups int
+	img       *imageLadder
+
+	mu     sync.Mutex
+	tables map[farKey]*farTable
+	// builds counts panel builds, race losers included: the tests pin that
+	// a sequence of assemblers on one ladder builds each panel once.
+	builds atomic.Int64
+}
+
+// NewLadder flattens the image ladder of model under opt's series cap
+// (MaxGroups) into a Ladder that assemblers of model may share (NewShared).
+func NewLadder(model soil.Model, opt Options) *Ladder {
+	opt = opt.withDefaults()
+	return &Ladder{
+		canonical: soil.Canonical(model),
+		maxGroups: opt.MaxGroups,
+		img:       newImageLadder(model, opt.MaxGroups),
+		tables:    map[farKey]*farTable{},
+	}
+}
+
+// Fits reports whether an assembler of model under opt may share l: the
+// models render the same soil.Canonical string, so their image expansions
+// are bitwise equal, and opt caps the series where l does.
+func (l *Ladder) Fits(model soil.Model, opt Options) bool {
+	return opt.withDefaults().MaxGroups == l.maxGroups && soil.Canonical(model) == l.canonical
+}
+
+// footprint returns the resident bytes of the ladder: its images and every
+// table and panel built in its registry so far, by any assembler.
+func (l *Ladder) footprint() int64 {
+	n := l.img.footprint()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, t := range l.tables {
+		n += farKeyBytes + t.footprint()
+	}
+	return n
+}
 
 // ladderImage is one image of a layer pair's series: the depth map
 // z ↦ sign·z + off (sign = ±1) and the series weight. Because every image is
@@ -16,7 +76,7 @@ type ladderImage struct {
 }
 
 // imageLadder holds the image expansion of every (src, obs) layer pair,
-// flattened once per assembler into one exact-size stream grouped by series
+// flattened once per Ladder into one exact-size stream grouped by series
 // index. It is the only retained copy of the image tables: the flat
 // assembly kernel and the batched field evaluator both read it. A source
 // element's transformed depths are derived on the fly (az = sign·A.Z + off,

@@ -29,11 +29,17 @@ func walkEvaluator(a *Assembler) *FieldEvaluator {
 // conductor, two per rod piece).
 func designCandidate(t testing.TB, n, rods int, depths ...float64) *grid.Mesh {
 	t.Helper()
+	return designCandidateAt(t, n, rods, 0.65, depths...)
+}
+
+// designCandidateAt is designCandidate buried at depth z.
+func designCandidateAt(t testing.TB, n, rods int, z float64, depths ...float64) *grid.Mesh {
+	t.Helper()
 	const w, h = 62.0, 47.0
-	g := grid.RectMesh(0, 0, w, h, n, n, 0.65, 0.006)
+	g := grid.RectMesh(0, 0, w, h, n, n, z, 0.006)
 	for k := 0; k < rods; k++ {
 		x, y := grid.PerimeterPoint(w, h, 2*(w+h)*float64(k)/float64(rods))
-		g.AddRod(x, y, 0.65, 3, 0.007)
+		g.AddRod(x, y, z, 3, 0.007)
 	}
 	return discretizeRods2(t, g.SplitAtDepths(depths...))
 }
@@ -268,7 +274,7 @@ func TestSurfaceTableWorkersBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want == nil {
-			want, wantBytes = out, a.far.footprint()
+			want, wantBytes = out, a.lad.footprint()
 			continue
 		}
 		for i := range out {
@@ -276,8 +282,8 @@ func TestSurfaceTableWorkersBitIdentical(t *testing.T) {
 				t.Fatalf("workers %d: V(%v) = %v, %v at one worker", workers, pts[i], out[i], want[i])
 			}
 		}
-		if b := a.far.footprint(); b != wantBytes {
-			t.Errorf("workers %d: table bytes %d, %d at one worker", workers, b, wantBytes)
+		if b := a.lad.footprint(); b != wantBytes {
+			t.Errorf("workers %d: ladder bytes %d, %d at one worker", workers, b, wantBytes)
 		}
 	}
 }

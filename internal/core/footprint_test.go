@@ -60,3 +60,70 @@ func retainedHeap() uint64 {
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
 }
+
+// TestFootprintCountsSharedLadderWhole pins how Footprint counts a Ladder
+// that several assemblers share (a sweep's mesh groups, a design search's
+// candidates): whole, in each assembler, with the tables and panels every
+// one of them built. Each holds the ladder alive, so summing over them
+// overstates their joint bytes — the conservative side for groundd's
+// byte-bounded cache.
+func TestFootprintCountsSharedLadderWhole(t *testing.T) {
+	model := soil.NewTwoLayer(0.005, 0.016, 1.4)
+	cfg := Config{GPR: 1, Solver: Cholesky, BEM: bem.Options{Workers: 1}}
+	lad := bem.NewLadder(model, cfg.BEM)
+	build := func(g *grid.Grid, shared bool) *bem.Assembler {
+		t.Helper()
+		mesh, _, err := BuildMesh(g, model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !shared {
+			a, err := bem.New(mesh, model, cfg.BEM)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}
+		geo, err := bem.NewGeometry(mesh, cfg.BEM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := bem.NewShared(geo, model, cfg.BEM, lad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	assemble := func(a *bem.Assembler) {
+		t.Helper()
+		if _, _, err := a.MatrixCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ga := grid.RectMesh(0, 0, 30, 30, 6, 6, 0.8, 0.006)
+	gb := grid.RectMesh(0, 0, 40, 25, 5, 5, 0.6, 0.006) // another depth: other tables
+
+	a := build(ga, true)
+	aFresh := a.Footprint()
+	assemble(a)
+	aTables := a.Footprint() - aFresh
+	if aTables <= 0 {
+		t.Fatalf("assembling grew the footprint by %d B", aTables)
+	}
+	// b counts a's tables from the start: its footprint exceeds a private
+	// twin's by exactly those bytes.
+	b := build(gb, true)
+	if d := b.Footprint() - build(gb, false).Footprint(); d != aTables {
+		t.Errorf("fresh assembler on the shared ladder counts %d B beyond a private one, want a's %d B of tables", d, aTables)
+	}
+	// And a counts the tables b builds.
+	bBefore, aBefore := b.Footprint(), a.Footprint()
+	assemble(b)
+	grown := b.Footprint() - bBefore
+	if grown <= 0 {
+		t.Fatalf("b's assembly built no tables (%d B)", grown)
+	}
+	if d := a.Footprint() - aBefore; d != grown {
+		t.Errorf("a's footprint grew %d B while b built %d B of tables", d, grown)
+	}
+}

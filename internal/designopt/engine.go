@@ -8,10 +8,12 @@ import (
 	"math/rand"
 	"sort"
 
+	"earthing/internal/bem"
 	"earthing/internal/core"
 	"earthing/internal/faultinject"
 	"earthing/internal/optimize"
 	"earthing/internal/post"
+	"earthing/internal/soil"
 	"earthing/internal/sweep"
 )
 
@@ -165,6 +167,8 @@ func Stream(ctx context.Context, spec Spec, opt Options, emit func(Progress) err
 	}
 	e.cfg = opt.Config
 	e.cfg.GPR = 1
+	unit, _ := soil.Normalize(spec.Model)
+	e.ladder = bem.NewLadder(unit, e.cfg.BEM)
 	e.stats.Starts = opt.Starts
 	return e.search(ctx)
 }
@@ -177,6 +181,10 @@ type engine struct {
 	cache map[string]*evalEntry
 	stats Stats
 	emit  func(Progress) error
+	// ladder is the search's image ladder and far-field tables, shared by
+	// every candidate's assembler across all rounds: candidates differ in
+	// layout and burial depth, not soil.
+	ladder *bem.Ladder
 
 	best    *Design
 	bestKey string
@@ -331,7 +339,7 @@ func (e *engine) evaluateRound(ctx context.Context, pending []*evalReq) error {
 		grids[i] = &Design{NX: c.nx, NY: c.ny, Rods: c.rods, Depth: c.depth, Grid: g}
 		scens[i] = sweep.Scenario{ID: k, Model: e.spec.Model, Grid: g}
 	}
-	results, err := sweep.Run(ctx, nil, scens, sweep.Options{Config: e.cfg})
+	results, err := sweep.Run(ctx, nil, scens, sweep.Options{Config: e.cfg, Ladder: e.ladder})
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"earthing/internal/core"
 	"earthing/internal/grid"
 )
 
@@ -62,17 +63,38 @@ func TestTable51ShapeMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestTable61MatrixDominates asserts the share of each stage's minimum over
+// several analyses, each cold (Analyze builds a private ladder): the input,
+// preprocessing and solve stages take about a millisecond each, and
+// scheduling noise only ever adds time to a stage, so one analysis can put
+// a descheduled millisecond into the share's denominator.
 func TestTable61MatrixDominates(t *testing.T) {
-	res, err := RunTable61(context.Background(), quick)
-	if err != nil {
-		t.Fatal(err)
+	const runs = 5
+	var best core.StageTimings
+	for i := 0; i < runs; i++ {
+		res, err := RunTable61(context.Background(), quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Timings
+		if i == 0 {
+			best = st
+			continue
+		}
+		best.Input = min(best.Input, st.Input)
+		best.Preprocess = min(best.Preprocess, st.Preprocess)
+		best.MatrixGen = min(best.MatrixGen, st.MatrixGen)
+		best.Solve = min(best.Solve, st.Solve)
+		best.Results = min(best.Results, st.Results)
 	}
 	// Paper: 99.9 %. With the fast kernels of this reproduction the share is
 	// smaller but matrix generation must still dominate decisively.
-	if res.MatrixShare < 0.90 {
-		t.Errorf("matrix share = %.3f, expected > 0.90", res.MatrixShare)
+	share := float64(best.MatrixGen) / float64(best.Total())
+	t.Logf("stage minimums over %d analyses: %+v, matrix share %.3f", runs, best, share)
+	if share < 0.90 {
+		t.Errorf("matrix share = %.3f, expected > 0.90", share)
 	}
-	if res.Timings.Solve >= res.Timings.MatrixGen {
+	if best.Solve >= best.MatrixGen {
 		t.Error("solve took longer than matrix generation")
 	}
 }

@@ -16,7 +16,15 @@
 //     at unit GPR and unit γ₁; each variant is an O(1) rescale to its own
 //     γ₁ and GPR that is bit-identical to a fresh analysis
 //     (core.Result.WithModel), because every analysis solves the unit model.
-//  3. Fresh assembly — truly distinct models become assembly jobs, run one
+//  3. Ladder reuse — jobs of one unit model on different meshes (the
+//     candidate layouts of a design search) share one bem.Ladder: the
+//     image ladder is flattened once per unit model, and the far-field
+//     table panels one job builds serve the next. Each job's assembler
+//     still decides which tables and classes it uses, so its results are
+//     bitwise those of a private ladder. The sweep drops a model's ladder
+//     after that model's last job; a caller running several sweeps of one
+//     model (designopt) may hand its own in (Options.Ladder).
+//  4. Fresh assembly — truly distinct models become assembly jobs, run one
 //     at a time in plan order through the stages core.AnalyzeCtx runs after
 //     preprocessing (core.AnalyzeAssembler: matrix generation, solve,
 //     results). Each job's matrix generation is the assembler's own
@@ -79,6 +87,11 @@ type Options struct {
 	// strategy included. Solver must be a dense solver (see
 	// ErrUnsupportedSolver).
 	Config core.Config
+	// Ladder, when non-nil, serves the jobs whose unit model it fits
+	// (bem.Ladder.Fits) in place of a ladder of the sweep's own, so a
+	// caller running several sweeps of one model shares its image ladder
+	// and tables across them. The sweep only reads and extends it.
+	Ladder *bem.Ladder
 }
 
 // Reuse names which tier produced a scenario's result.
@@ -136,7 +149,11 @@ type meshGroup struct {
 type job struct {
 	group *meshGroup
 	unit  soil.Model
-	scens []int // scenario indices served by this job, ascending
+	soil  string // soil.Canonical(unit): the key of its ladder
+	// lastOfSoil marks the unit model's last job in plan order, after which
+	// the sweep drops the model's ladder.
+	lastOfSoil bool
+	scens      []int // scenario indices served by this job, ascending
 }
 
 // plan is the grouped, deduplicated work list of a sweep.
@@ -146,6 +163,10 @@ type plan struct {
 	gprs   []float64    // resolved per-scenario GPR
 	ids    []string     // resolved per-scenario ID
 	jobs   []*job
+	// given is Options.Ladder; ladders holds the ladder of every unit
+	// model with jobs still to run.
+	given   *bem.Ladder
+	ladders map[string]*bem.Ladder
 }
 
 // depthsKey renders interface depths at full precision.
@@ -184,10 +205,12 @@ func buildPlan(g *grid.Grid, scenarios []Scenario, opt Options) (*plan, error) {
 		return nil, fmt.Errorf("sweep: invalid default GPR %g", opt.Config.GPR)
 	}
 	p := &plan{
-		cfg:    cfg,
-		models: make([]soil.Model, len(scenarios)),
-		gprs:   make([]float64, len(scenarios)),
-		ids:    make([]string, len(scenarios)),
+		cfg:     cfg,
+		models:  make([]soil.Model, len(scenarios)),
+		gprs:    make([]float64, len(scenarios)),
+		ids:     make([]string, len(scenarios)),
+		given:   opt.Ladder,
+		ladders: map[string]*bem.Ladder{},
 	}
 	groups := map[string]*meshGroup{}
 	jobsByKey := map[string]*job{}
@@ -238,14 +261,21 @@ func buildPlan(g *grid.Grid, scenarios []Scenario, opt Options) (*plan, error) {
 		}
 
 		unit, _ := soil.Normalize(sc.Model)
-		jk := mk + "\x00" + soil.Canonical(unit)
+		sk := soil.Canonical(unit)
+		jk := mk + "\x00" + sk
 		if j, ok := jobsByKey[jk]; ok {
 			j.scens = append(j.scens, i)
 			continue
 		}
-		j := &job{group: grp, unit: unit, scens: []int{i}}
+		j := &job{group: grp, unit: unit, soil: sk, scens: []int{i}}
 		jobsByKey[jk] = j
 		p.jobs = append(p.jobs, j)
+	}
+	seen := map[string]bool{}
+	for ji := len(p.jobs) - 1; ji >= 0; ji-- {
+		j := p.jobs[ji]
+		j.lastOfSoil = !seen[j.soil]
+		seen[j.soil] = true
 	}
 	return p, nil
 }
@@ -270,7 +300,8 @@ func Run(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options) (
 // their first scenarios); each job's scenarios are emitted together —
 // the assembled one, then its solve-tier variants — before the next job
 // starts, so the sweep holds one job's assembler, system matrix and
-// pair-class table at a time. If emit returns an error the sweep stops and
+// pair-class table at a time, beside the ladder of each unit model with
+// jobs still to run. If emit returns an error the sweep stops and
 // Stream returns that error. On ctx cancellation the running job stops at
 // its next schedule chunk boundary and Stream returns ctx's error; results
 // already emitted stay valid.
@@ -300,6 +331,9 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 	start := time.Now()
 	for ji, j := range p.jobs {
 		unit, jerr := p.runJob(ctx, ji, j)
+		if j.lastOfSoil {
+			delete(p.ladders, j.soil)
+		}
 		if jerr != nil && ctx.Err() != nil {
 			// A cancelled sweep, not a failed job.
 			return fmt.Errorf("sweep: %w", ctx.Err())
@@ -311,8 +345,8 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 	return nil
 }
 
-// runJob builds job ji's assembler on its group's shared geometry and
-// analyzes it at unit GPR and unit γ₁. A
+// runJob builds job ji's assembler on its group's shared geometry and its
+// unit model's ladder, and analyzes it at unit GPR and unit γ₁. A
 // panic on this goroutine (the sequential scatter or solve) fails the job
 // alone as a *sched.PanicError; panics inside the parallel loops arrive as
 // the same error type through core.
@@ -322,7 +356,14 @@ func (p *plan) runJob(ctx context.Context, ji int, j *job) (unit *core.Result, e
 			unit, err = nil, &sched.PanicError{Value: v, Stack: debug.Stack(), Iteration: ji}
 		}
 	}()
-	asm, err := bem.NewWithGeometry(j.group.geo, j.unit, p.cfg.BEM)
+	lad := p.ladders[j.soil]
+	if lad == nil {
+		if lad = p.given; lad == nil || !lad.Fits(j.unit, p.cfg.BEM) {
+			lad = bem.NewLadder(j.unit, p.cfg.BEM)
+		}
+		p.ladders[j.soil] = lad
+	}
+	asm, err := bem.NewShared(j.group.geo, j.unit, p.cfg.BEM, lad)
 	if err != nil {
 		return nil, err
 	}

@@ -117,6 +117,45 @@ func TestSweepMatchesAnalyze(t *testing.T) {
 			})
 		}
 	}
+	// The multi-grid form: both paper grids as per-scenario overrides in
+	// each of two soils. The jobs of one soil share one ladder, which gives
+	// the same bits as Analyze's private one.
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("multi-grid/w%d", workers), func(t *testing.T) {
+			cfg := testConfig(workers)
+			var scens []Scenario
+			for _, model := range []soil.Model{soil.NewTwoLayer(0.0025, 0.020, 0.7), threeLayer(t)} {
+				for _, gc := range grids {
+					scens = append(scens, Scenario{ID: gc.name, Model: model, GPR: 10_000, Grid: gc.g})
+				}
+			}
+			got, err := Run(context.Background(), nil, scens, Options{Config: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ladders := map[*bem.Ladder]bool{}
+			for i, r := range got {
+				if r.Reuse != ReuseAssembled {
+					t.Fatalf("scenario %d: reuse %q, want assembled (distinct grids)", i, r.Reuse)
+				}
+				want, err := core.AnalyzeCtx(context.Background(), scens[i].Grid, scens[i].Model, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Res.Req != want.Req {
+					t.Errorf("scenario %d: Req %v != %v", i, r.Res.Req, want.Req)
+				}
+				sameFloats(t, fmt.Sprintf("scenario %d Sigma", i), r.Res.Sigma, want.Sigma)
+				ladders[r.Res.Assembler().Ladder()] = true
+				if i%len(grids) == 1 && r.Res.Assembler().Ladder() != got[i-1].Res.Assembler().Ladder() {
+					t.Errorf("scenario %d: the two grids of one soil built two ladders", i)
+				}
+			}
+			if len(ladders) != 2 {
+				t.Errorf("%d ladders for 2 soils", len(ladders))
+			}
+		})
+	}
 }
 
 // TestSweepGPRReuse pins the solve-reuse tier: N GPR variants of one model
@@ -412,5 +451,38 @@ func TestSweepEmptyAndInvalid(t *testing.T) {
 	if _, err := Run(context.Background(), grid.Barbera(),
 		[]Scenario{{Model: soil.NewUniform(0.02)}}, hm); !errors.Is(err, ErrUnsupportedSolver) {
 		t.Errorf("Run under SolverHMatrix: err = %v, want ErrUnsupportedSolver", err)
+	}
+}
+
+// TestSweepGivenLadder pins Options.Ladder: it serves the jobs whose unit
+// model it fits, across both grids, and a job of another soil builds its
+// own; every result stays bitwise Analyze's.
+func TestSweepGivenLadder(t *testing.T) {
+	cfg := testConfig(2)
+	model := soil.NewTwoLayer(0.0025, 0.020, 0.7)
+	unit, _ := soil.Normalize(model)
+	given := bem.NewLadder(unit, cfg.BEM)
+	other := soil.NewTwoLayer(0.0025, 0.010, 0.7)
+	scens := []Scenario{
+		{Model: model, Grid: grid.Barbera()},
+		{Model: other, Grid: grid.Barbera()},
+		{Model: model, Grid: grid.Balaidos()},
+	}
+	got, err := Run(context.Background(), nil, scens, Options{Config: cfg, Ladder: given})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range got {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		if uses := r.Res.Assembler().Ladder() == given; uses != (scens[i].Model == model) {
+			t.Errorf("scenario %d: uses the given ladder %t", i, uses)
+		}
+		want, err := core.AnalyzeCtx(context.Background(), scens[i].Grid, scens[i].Model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameFloats(t, fmt.Sprintf("scenario %d Sigma", i), r.Res.Sigma, want.Sigma)
 	}
 }
