@@ -1,9 +1,9 @@
 // Command designer synthesizes a grounding grid automatically: it drives the
 // design-loop engine, searching lattice density per direction, perimeter rod
 // count and burial depth to minimize copper cost subject to the IEEE Std 80
-// touch/step/mesh limits. Candidate populations are evaluated as one sweep
-// batch per generation on the shared worker pool, and the search is
-// bit-reproducible at any -workers setting for a fixed -seed.
+// touch/step/mesh limits. Each generation's new candidates are analyzed one
+// at a time at the -workers width, all on one shared image ladder, and the
+// search is bit-reproducible at any -workers setting for a fixed -seed.
 //
 // Examples:
 //

@@ -141,8 +141,8 @@ func TestFacadeSolverAndOptions(t *testing.T) {
 
 // TestFacadeSweepAndOptions exercises the batch facade: Config fields reach
 // both entry points, results come back in scenario order, GPR-only variants
-// reuse the solve, and every result is bit-identical to a standalone Analyze
-// with the same settings.
+// reuse the solve, every result is bit-identical to a standalone Analyze
+// with the same settings, and a negative scenario GPR fails the sweep.
 func TestFacadeSweepAndOptions(t *testing.T) {
 	ctx := context.Background()
 	g := earthing.RectGrid(0, 0, 15, 15, 2, 2, 0.8, 0.006)
@@ -175,6 +175,13 @@ func TestFacadeSweepAndOptions(t *testing.T) {
 	if swept[0].Res.Req != want.Req || swept[0].Res.Current != want.Current {
 		t.Errorf("sweep result not bit-identical to Analyze: (%v, %v) vs (%v, %v)",
 			swept[0].Res.Req, swept[0].Res.Current, want.Req, want.Current)
+	}
+
+	if _, err := earthing.Sweep(ctx, g, []earthing.SweepScenario{
+		{ID: "a", Soil: model, GPR: 5_000},
+		{ID: "negative", Soil: model, GPR: -1},
+	}, cfg); err == nil {
+		t.Error("negative scenario GPR accepted")
 	}
 }
 

@@ -21,9 +21,10 @@ import (
 // then call MatrixCtx (and RHS) — or reuse it for repeated assemblies in
 // benchmarks. The embedded Geometry (quadrature positions, weights, shape
 // values) is soil-independent and may be shared across assemblers via
-// NewWithGeometry; the Ladder (image ladder and far-field tables) is
-// mesh-independent and may be shared across assemblers of one soil model
-// via NewShared.
+// NewWithGeometry. The Ladder (image ladder and far-field tables) is
+// mesh-independent: New and NewWithGeometry build a private one, and
+// NewShared takes one shared with other assemblers of the soil model, as a
+// design search shares one across its candidates.
 type Assembler struct {
 	*Geometry
 	model soil.Model
@@ -85,12 +86,13 @@ func NewWithGeometry(geo *Geometry, model soil.Model, opt Options) (*Assembler, 
 // NewShared is NewWithGeometry on a Ladder shared with other assemblers of
 // the same model: the image ladder is not rebuilt, and the far-field tables
 // and panels any of them builds serve all. Results are bitwise those of a
-// private ladder. lad must fit model and opt (Ladder.Fits).
+// private ladder. lad must have been built for model's soil.Canonical
+// rendering and opt's series cap (NewLadder).
 func NewShared(geo *Geometry, model soil.Model, opt Options, lad *Ladder) (*Assembler, error) {
 	if lad == nil {
 		return nil, fmt.Errorf("bem: nil ladder")
 	}
-	if !lad.Fits(model, opt) {
+	if !lad.fits(model, opt) {
 		return nil, fmt.Errorf("bem: the ladder was built for another soil model or series cap")
 	}
 	return newAssembler(geo, model, opt, lad)
@@ -157,10 +159,6 @@ func (a *Assembler) Footprint() int64 {
 	}
 	return n
 }
-
-// Ladder returns the assembler's image ladder and table registry: its
-// private one, or the one it shares (NewShared).
-func (a *Assembler) Ladder() *Ladder { return a.lad }
 
 // WorkerBusy returns the per-worker busy durations of the most recent
 // MatrixCtx call. On a host with one free core per worker, Σbusy/max(busy)

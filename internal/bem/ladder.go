@@ -13,10 +13,9 @@ import (
 // the flattened image ladder of one soil model and the registry of its
 // far-field tables (farfield.go), keyed by (source layer, quantized source
 // depth, observation layer, quantized observation depth). Every assembler
-// owns a private one unless it is built with NewShared; several assemblers
-// of one model — the mesh groups of a sweep, the candidates of a design
-// search — may share one, and then each reads the tables and panels the
-// others built.
+// owns a private one unless it is built with NewShared, which is how a
+// design search (designopt) lets all its candidates share one: each then
+// reads the tables and panels the others built.
 //
 // Sharing never changes a result: each assembler decides for itself which
 // depths it registers and which classes and points pass the gate, and a
@@ -48,10 +47,10 @@ func NewLadder(model soil.Model, opt Options) *Ladder {
 	}
 }
 
-// Fits reports whether an assembler of model under opt may share l: the
+// fits reports whether an assembler of model under opt may share l: the
 // models render the same soil.Canonical string, so their image expansions
 // are bitwise equal, and opt caps the series where l does.
-func (l *Ladder) Fits(model soil.Model, opt Options) bool {
+func (l *Ladder) fits(model soil.Model, opt Options) bool {
 	return opt.withDefaults().MaxGroups == l.maxGroups && soil.Canonical(model) == l.canonical
 }
 

@@ -62,9 +62,8 @@ func retainedHeap() uint64 {
 }
 
 // TestFootprintCountsSharedLadderWhole pins how Footprint counts a Ladder
-// that several assemblers share (a sweep's mesh groups, a design search's
-// candidates): whole, in each assembler, with the tables and panels every
-// one of them built. Each holds the ladder alive, so summing over them
+// that several assemblers share (a design search's candidates): whole, in
+// each assembler, with the tables and panels every one of them built. Each holds the ladder alive, so summing over them
 // overstates their joint bytes — the conservative side for groundd's
 // byte-bounded cache.
 func TestFootprintCountsSharedLadderWhole(t *testing.T) {

@@ -50,6 +50,25 @@ func TestChaosOptimizePanickingCandidate(t *testing.T) {
 	}
 }
 
+// TestChaosOptimizeAnalysisPanic: a panic inside one candidate's analysis —
+// here at the solve stage, on the search's own goroutine — fails that
+// candidate alone, and the search still returns a feasible best.
+func TestChaosOptimizeAnalysisPanic(t *testing.T) {
+	defer faultinject.Set(faultinject.Solve,
+		faultinject.Once(faultinject.Panic("injected solve panic")))()
+
+	best, stats, err := Run(context.Background(), testSpec(), testOptions(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Failed != 1 {
+		t.Errorf("failed candidates = %d, want exactly the panicked one", stats.Failed)
+	}
+	if best == nil || !best.Feasible {
+		t.Fatalf("best = %+v, want feasible design despite panicking sibling", best)
+	}
+}
+
 // TestChaosOptimizeAllPoisoned: when every evaluation is poisoned no design
 // survives — the typed ErrAllFailed comes back instead of garbage.
 func TestChaosOptimizeAllPoisoned(t *testing.T) {

@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"earthing/internal/bem"
 	"earthing/internal/core"
+	"earthing/internal/post"
 	"earthing/internal/safety"
 	"earthing/internal/soil"
 )
@@ -131,6 +133,86 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 		if got := run(w); got != base {
 			t.Errorf("workers=%d search differs from workers=1:\n%s\nvs\n%s", w, got, base)
 		}
+	}
+}
+
+// TestOptimizeCandidatesMatchAnalyze is the bit-identity contract of the
+// shared ladder: every candidate a search evaluates, each on the one ladder
+// of its search, has the Req and voltages of a fresh core.AnalyzeCtx of its
+// layout (a private ladder) and a fresh voltage extraction, bit for bit, in
+// a two-layer soil of either reflection sign (the rods cross the interface)
+// at one and two workers.
+func TestOptimizeCandidatesMatchAnalyze(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		model soil.Model
+	}{
+		{"K<0", soil.NewTwoLayer(0.005, 0.02, 1.5)},
+		{"K>0", soil.NewTwoLayer(0.02, 0.005, 1.5)},
+	} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/w%d", tc.name, workers), func(t *testing.T) {
+				spec := testSpec()
+				spec.Model = tc.model
+				opt := testOptions(workers)
+				opt.Starts = 4
+				e, err := newEngine(spec, opt, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := e.search(ctx); err != nil && !errors.Is(err, ErrNoFeasible) {
+					t.Fatal(err)
+				}
+				if len(e.cache) == 0 || e.stats.Failed != 0 {
+					t.Fatalf("stats %+v: want scored candidates and no failures", e.stats)
+				}
+				depths := map[float64]bool{}
+				for k, ent := range e.cache {
+					d := ent.design
+					depths[d.Depth] = true
+					g := e.spec.buildGrid(candidate{d.NX, d.NY, d.Rods, d.Depth})
+					res, err := core.AnalyzeCtx(ctx, g, e.spec.Model, e.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gpr := res.Req * e.spec.FaultCurrent
+					v, err := post.ComputeVoltagesCtx(ctx, res.Assembler(), res.Mesh, res.Sigma, gpr, e.spec.VoltageRes,
+						post.SurfaceOptions{Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := []float64{d.Req, d.Voltages.GPR, d.Voltages.MaxTouch, d.Voltages.MaxStep, d.Voltages.MaxMesh}
+					want := []float64{res.Req, v.GPR, v.MaxTouch, v.MaxStep, v.MaxMesh}
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Errorf("%s: (Req, GPR, touch, step, mesh) = %v, fresh analysis %v", k, got, want)
+							break
+						}
+					}
+				}
+				if len(depths) < 2 {
+					t.Errorf("%d candidates at %d burial depth: want the ladder shared across depths", len(e.cache), len(depths))
+				}
+			})
+		}
+	}
+}
+
+// TestOptimizeRejectsCompressedSolver: the compressed tier is refused before
+// any work — no candidate is analyzed and nothing is emitted.
+func TestOptimizeRejectsCompressedSolver(t *testing.T) {
+	opt := testOptions(0)
+	opt.Config.Solver = core.SolverHMatrix
+	best, stats, err := Stream(context.Background(), testSpec(), opt, func(Progress) error {
+		t.Error("emit called under SolverHMatrix")
+		return nil
+	})
+	if err == nil {
+		t.Fatal("SolverHMatrix accepted")
+	}
+	if best != nil || stats.Evaluated != 0 {
+		t.Errorf("best %+v, stats %+v: want no work", best, stats)
 	}
 }
 

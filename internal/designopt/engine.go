@@ -11,10 +11,10 @@ import (
 	"earthing/internal/bem"
 	"earthing/internal/core"
 	"earthing/internal/faultinject"
+	"earthing/internal/grid"
 	"earthing/internal/optimize"
 	"earthing/internal/post"
 	"earthing/internal/soil"
-	"earthing/internal/sweep"
 )
 
 // failPenalty is the finite objective of a candidate whose evaluation failed
@@ -152,11 +152,24 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Design, Stats, error) {
 //
 // The search is bit-reproducible: fixed Spec+Options produce the same
 // generations, the same designs and the same Stats at any Config.BEM.Workers
-// setting.
+// setting. A Config.Solver of core.SolverHMatrix is refused before any
+// work.
 func Stream(ctx context.Context, spec Spec, opt Options, emit func(Progress) error) (*Design, Stats, error) {
-	spec, err := spec.withDefaults()
+	e, err := newEngine(spec, opt, emit)
 	if err != nil {
 		return nil, Stats{}, err
+	}
+	return e.search(ctx)
+}
+
+// newEngine validates the search and sets up its state.
+func newEngine(spec Spec, opt Options, emit func(Progress) error) (*engine, error) {
+	spec, err := spec.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	if opt.Config.Solver == core.SolverHMatrix {
+		return nil, errors.New("designopt: the compressed solver tier is not supported; choose a dense solver")
 	}
 	opt = opt.withDefaults()
 	e := &engine{
@@ -167,10 +180,10 @@ func Stream(ctx context.Context, spec Spec, opt Options, emit func(Progress) err
 	}
 	e.cfg = opt.Config
 	e.cfg.GPR = 1
-	unit, _ := soil.Normalize(spec.Model)
-	e.ladder = bem.NewLadder(unit, e.cfg.BEM)
+	e.unit, _ = soil.Normalize(spec.Model)
+	e.ladder = bem.NewLadder(e.unit, e.cfg.BEM)
 	e.stats.Starts = opt.Starts
-	return e.search(ctx)
+	return e, nil
 }
 
 // engine is one search's state; the collector goroutine owns all of it.
@@ -181,9 +194,10 @@ type engine struct {
 	cache map[string]*evalEntry
 	stats Stats
 	emit  func(Progress) error
-	// ladder is the search's image ladder and far-field tables, shared by
-	// every candidate's assembler across all rounds: candidates differ in
-	// layout and burial depth, not soil.
+	// unit is the spec's unit model (soil.Normalize) and ladder its image
+	// ladder and far-field tables, shared by every candidate's assembler
+	// across all rounds: candidates differ in layout and depth, not soil.
+	unit   soil.Model
 	ladder *bem.Ladder
 
 	best    *Design
@@ -308,13 +322,13 @@ func (e *engine) search(ctx context.Context) (*Design, Stats, error) {
 	return e.best, e.stats, nil
 }
 
-// evaluateRound solves the round's unique uncached candidates as one sweep
-// batch, scores them, updates the incumbent and streams progress on
+// evaluateRound analyzes the round's unique uncached candidates one at a
+// time, scores them, updates the incumbent and streams progress on
 // improvement.
 func (e *engine) evaluateRound(ctx context.Context, pending []*evalReq) error {
-	// Unique uncached candidate keys, sorted: the batch order (and with it
-	// the evaluation ordinals, the stats and the emitted stream) is a pure
-	// function of the requested set.
+	// Unique uncached candidate keys, sorted: the evaluation order (and with
+	// it the evaluation ordinals, the stats and the emitted stream) is a
+	// pure function of the requested set.
 	fresh := map[string]candidate{}
 	for _, req := range pending {
 		k := req.cand.key()
@@ -331,17 +345,19 @@ func (e *engine) evaluateRound(ctx context.Context, pending []*evalReq) error {
 	}
 	sort.Strings(keys)
 
+	// Analyze the whole round before scoring any of it, so a preprocessing
+	// error or a cancellation leaves no candidate of the round cached.
 	grids := make([]*Design, len(keys))
-	scens := make([]sweep.Scenario, len(keys))
+	results := make([]*core.Result, len(keys))
 	for i, k := range keys {
 		c := fresh[k]
 		g := e.spec.buildGrid(c)
 		grids[i] = &Design{NX: c.nx, NY: c.ny, Rods: c.rods, Depth: c.depth, Grid: g}
-		scens[i] = sweep.Scenario{ID: k, Model: e.spec.Model, Grid: g}
-	}
-	results, err := sweep.Run(ctx, nil, scens, sweep.Options{Config: e.cfg, Ladder: e.ladder})
-	if err != nil {
-		return err
+		res, err := e.analyze(ctx, g)
+		if err != nil {
+			return err
+		}
+		results[i] = res
 	}
 
 	improvedAny := false
@@ -374,16 +390,43 @@ func (e *engine) evaluateRound(ctx context.Context, pending []*evalReq) error {
 	return nil
 }
 
-// score turns one sweep result into a cached entry, with per-candidate fault
-// containment: a failed solve, a poisoned value or a panic out of the
-// injection point marks this candidate failed (objective failPenalty) and the
-// search continues. Only ctx cancellation propagates as an error.
-func (e *engine) score(ctx context.Context, c candidate, d *Design, r sweep.Result) (ent *evalEntry, err error) {
+// analyze runs candidate grid g through core's stages at unit GPR, its
+// assembler on the search's ladder. A failure after preprocessing, a panic
+// on this goroutine included, returns a nil Result: it fails this candidate
+// alone. A preprocessing error, or ctx's once it is cancelled, aborts the
+// search.
+func (e *engine) analyze(ctx context.Context, g *grid.Grid) (res *core.Result, err error) {
+	mesh, warnings, err := core.BuildMesh(g, e.spec.Model, e.cfg)
+	if err != nil {
+		return nil, err
+	}
+	geo, err := bem.NewGeometry(mesh, e.cfg.BEM)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if v := recover(); v != nil || err != nil {
+			res, err = nil, ctx.Err()
+		}
+	}()
+	asm, err := bem.NewShared(geo, e.unit, e.cfg.BEM, e.ladder)
+	if err != nil {
+		return nil, err
+	}
+	return core.AnalyzeAssembler(ctx, asm, e.spec.Model, warnings, e.cfg)
+}
+
+// score turns one candidate's analysis into a cached entry, with
+// per-candidate fault containment: a failed analysis (nil res), a failed
+// raster, a poisoned value or a panic out of the injection point marks this
+// candidate failed (objective failPenalty) and the search continues. Only
+// ctx cancellation propagates as an error.
+func (e *engine) score(ctx context.Context, c candidate, d *Design, res *core.Result) (ent *evalEntry, err error) {
 	failed := func() *evalEntry {
 		d.Objective = failPenalty
 		return &evalEntry{objective: failPenalty, design: *d, failed: true}
 	}
-	if r.Err != nil {
+	if res == nil {
 		return failed(), nil
 	}
 	defer func() {
@@ -392,7 +435,6 @@ func (e *engine) score(ctx context.Context, c candidate, d *Design, r sweep.Resu
 		}
 	}()
 
-	res := r.Res
 	d.Cost = e.spec.cost(c, d.Grid)
 	d.Req = res.Req
 	d.GPR = res.Req * e.spec.FaultCurrent

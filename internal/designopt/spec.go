@@ -1,8 +1,9 @@
 // Package designopt is the grid-synthesis engine that closes the paper's
 // design loop: it searches layout parameters — lattice density per direction,
 // perimeter rod count, burial depth — to minimize copper cost subject to the
-// IEEE Std 80 touch/step/mesh limits, evaluating each candidate population as
-// one multi-grid sweep batch on the shared worker pool.
+// IEEE Std 80 touch/step/mesh limits. Each candidate runs through core's own
+// analysis stages at the configured worker width, its assembler on the one
+// image ladder the search shares across all its candidates (bem.NewShared).
 //
 // The search wraps optimize.NelderMead in a penalty method: every candidate's
 // objective is its material cost inflated by a weighted term in the relative
@@ -11,16 +12,15 @@
 // toward the cheap feasible boundary. Candidates are quantized to the integer
 // lattice/rod counts and a discrete depth step before evaluation; the
 // quantization makes nearby simplex points collide, and collisions are served
-// from an evaluation cache instead of re-solved — that cache plus the sweep's
-// own reuse tiers is what turns "thousands of objective calls" into a few
-// hundred solves.
+// from an evaluation cache instead of re-solved — that cache is what turns
+// "thousands of objective calls" into a few hundred solves.
 //
 // Determinism: a fixed (Seed, Starts, bounds) tuple reproduces the search
 // bit-for-bit at any worker count. Candidate results are bit-identical across
 // workers (the solver and raster contracts), the multi-start collector runs
-// the K starts in lockstep rounds whose batch composition is a pure function
-// of the replies so far, and batches are evaluated in sorted candidate order
-// — no wall-clock or scheduling dependence anywhere in the loop.
+// the K starts in lockstep rounds whose composition is a pure function of
+// the replies so far, and each round's candidates are evaluated in sorted
+// key order — no wall-clock or scheduling dependence anywhere in the loop.
 package designopt
 
 import (

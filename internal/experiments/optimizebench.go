@@ -20,8 +20,8 @@ import (
 // OptimizeBench records the design-loop benchmark: the grid-synthesis engine
 // searching a Balaidos-class site (80 × 60 m, the §5.2 two-layer soil)
 // against a naive baseline that solves every requested candidate
-// independently. The engine batches each generation's unique candidates
-// through the sweep worker pool and serves repeat requests from its
+// independently. The engine analyzes each generation's unique candidates on
+// the search's shared image ladder and serves repeat requests from its
 // evaluation cache, so the comparison isolates exactly that amortization.
 type OptimizeBench struct {
 	// Width, Height are the site plan dimensions in metres.

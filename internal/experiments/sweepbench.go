@@ -67,9 +67,9 @@ func sweepWorkload() []sweep.Scenario {
 	for _, s := range soils {
 		for _, gpr := range gprs {
 			scens = append(scens, sweep.Scenario{
-				ID:    fmt.Sprintf("%s-%.0fkV", s.name, gpr/1000),
-				Model: s.model,
-				GPR:   gpr,
+				ID:   fmt.Sprintf("%s-%.0fkV", s.name, gpr/1000),
+				Soil: s.model,
+				GPR:  gpr,
 			})
 		}
 	}
@@ -99,7 +99,7 @@ func RunSweepBench(ctx context.Context, q Quality, workers int) (SweepBench, err
 		for i, sc := range scens {
 			scfg := cfg
 			scfg.GPR = sc.GPR
-			res, err := core.AnalyzeCtx(ctx, g, sc.Model, scfg)
+			res, err := core.AnalyzeCtx(ctx, g, sc.Soil, scfg)
 			if err != nil {
 				return 0, err
 			}

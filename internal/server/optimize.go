@@ -187,8 +187,8 @@ func (req OptimizeRequest) build(defaultWorkers int) (earthing.OptimizeSpec, ear
 // failures (400/422/429/503/504) use the typed error envelope with a proper
 // status, mid-stream failures travel as a terminal error line.
 //
-// The whole search holds ONE admission slot: the engine already batches each
-// candidate population through the sweep worker pool at the requested width.
+// The whole search holds ONE admission slot: the engine analyzes its
+// candidates one at a time, each at the requested worker width.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	s.metrics.OptimizeRequests.Add(1)
 	var req OptimizeRequest

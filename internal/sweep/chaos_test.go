@@ -34,7 +34,7 @@ func chaosModel(gamma2 float64) soil.Model { return soil.NewTwoLayer(0.010, gamm
 func chaosScenarios(n int) []Scenario {
 	scens := make([]Scenario, n)
 	for i := range scens {
-		scens[i] = Scenario{Model: chaosModel(0.012 + 0.002*float64(i))}
+		scens[i] = Scenario{Soil: chaosModel(0.012 + 0.002*float64(i))}
 	}
 	return scens
 }
@@ -232,10 +232,10 @@ func TestChaosSweepSharedJobFailure(t *testing.T) {
 	g := chaosGrid()
 	opt := Options{Config: chaosConfig()}
 	scens := []Scenario{
-		{Model: chaosModel(0.012)},
-		{Model: chaosModel(0.020)}, // victim job
-		{Model: chaosModel(0.030)},
-		{Model: chaosModel(0.020), GPR: 25_000}, // solve-reuse on the victim job
+		{Soil: chaosModel(0.012)},
+		{Soil: chaosModel(0.020)}, // victim job
+		{Soil: chaosModel(0.030)},
+		{Soil: chaosModel(0.020), GPR: 25_000}, // solve-reuse on the victim job
 	}
 
 	baseline := runChaosSweep(t, g, scens, opt)

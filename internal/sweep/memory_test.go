@@ -31,16 +31,16 @@ func TestSweepHoldsOneJobAtATime(t *testing.T) {
 	for i := range scens {
 		// Distinct γ₂/γ₁ ratios are distinct jobs; the interface lies below
 		// the lattice, so every job has the same mesh and class count.
-		scens[i] = Scenario{Model: soil.NewTwoLayer(0.010, 0.012+0.002*float64(i), 5)}
+		scens[i] = Scenario{Soil: soil.NewTwoLayer(0.010, 0.012+0.002*float64(i), 5)}
 	}
 
 	// Every job has the same mesh and its elements in the top layer, so one
 	// probe assembly gives the class count and the table size of each.
-	mesh, _, err := core.BuildMesh(g, scens[0].Model, cfg)
+	mesh, _, err := core.BuildMesh(g, scens[0].Soil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := bem.New(mesh, scens[0].Model, cfg.BEM)
+	probe, err := bem.New(mesh, scens[0].Soil, cfg.BEM)
 	if err != nil {
 		t.Fatal(err)
 	}

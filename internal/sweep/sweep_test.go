@@ -81,7 +81,7 @@ func TestSweepMatchesAnalyze(t *testing.T) {
 					if model == nil {
 						model = threeLayer(t)
 					}
-					scens = append(scens, Scenario{ID: mc.name, Model: model, GPR: mc.gpr})
+					scens = append(scens, Scenario{ID: mc.name, Soil: model, GPR: mc.gpr})
 				}
 				got, err := Run(context.Background(), gc.g, scens, Options{Config: cfg})
 				if err != nil {
@@ -99,7 +99,7 @@ func TestSweepMatchesAnalyze(t *testing.T) {
 					}
 					seqCfg := cfg
 					seqCfg.GPR = scens[i].GPR
-					want, err := core.AnalyzeCtx(context.Background(), gc.g, scens[i].Model, seqCfg)
+					want, err := core.AnalyzeCtx(context.Background(), gc.g, scens[i].Soil, seqCfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -117,45 +117,6 @@ func TestSweepMatchesAnalyze(t *testing.T) {
 			})
 		}
 	}
-	// The multi-grid form: both paper grids as per-scenario overrides in
-	// each of two soils. The jobs of one soil share one ladder, which gives
-	// the same bits as Analyze's private one.
-	for _, workers := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("multi-grid/w%d", workers), func(t *testing.T) {
-			cfg := testConfig(workers)
-			var scens []Scenario
-			for _, model := range []soil.Model{soil.NewTwoLayer(0.0025, 0.020, 0.7), threeLayer(t)} {
-				for _, gc := range grids {
-					scens = append(scens, Scenario{ID: gc.name, Model: model, GPR: 10_000, Grid: gc.g})
-				}
-			}
-			got, err := Run(context.Background(), nil, scens, Options{Config: cfg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ladders := map[*bem.Ladder]bool{}
-			for i, r := range got {
-				if r.Reuse != ReuseAssembled {
-					t.Fatalf("scenario %d: reuse %q, want assembled (distinct grids)", i, r.Reuse)
-				}
-				want, err := core.AnalyzeCtx(context.Background(), scens[i].Grid, scens[i].Model, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r.Res.Req != want.Req {
-					t.Errorf("scenario %d: Req %v != %v", i, r.Res.Req, want.Req)
-				}
-				sameFloats(t, fmt.Sprintf("scenario %d Sigma", i), r.Res.Sigma, want.Sigma)
-				ladders[r.Res.Assembler().Ladder()] = true
-				if i%len(grids) == 1 && r.Res.Assembler().Ladder() != got[i-1].Res.Assembler().Ladder() {
-					t.Errorf("scenario %d: the two grids of one soil built two ladders", i)
-				}
-			}
-			if len(ladders) != 2 {
-				t.Errorf("%d ladders for 2 soils", len(ladders))
-			}
-		})
-	}
 }
 
 // TestSweepGPRReuse pins the solve-reuse tier: N GPR variants of one model
@@ -167,7 +128,7 @@ func TestSweepGPRReuse(t *testing.T) {
 	cfg := testConfig(0)
 	var scens []Scenario
 	for i := 0; i < 10; i++ {
-		scens = append(scens, Scenario{Model: model, GPR: 1_000 * float64(i+1)})
+		scens = append(scens, Scenario{Soil: model, GPR: 1_000 * float64(i+1)})
 	}
 	got, err := Run(context.Background(), g, scens, Options{Config: cfg})
 	if err != nil {
@@ -205,9 +166,9 @@ func TestSweepGPRReuse(t *testing.T) {
 func TestSweepMeshGrouping(t *testing.T) {
 	g := grid.Balaidos()
 	scens := []Scenario{
-		{ID: "a", Model: soil.NewTwoLayer(0.0025, 0.020, 0.7)},
-		{ID: "b", Model: soil.NewTwoLayer(0.004, 0.018, 0.7)},
-		{ID: "c", Model: soil.NewTwoLayer(0.0025, 0.020, 1.0)},
+		{ID: "a", Soil: soil.NewTwoLayer(0.0025, 0.020, 0.7)},
+		{ID: "b", Soil: soil.NewTwoLayer(0.004, 0.018, 0.7)},
+		{ID: "c", Soil: soil.NewTwoLayer(0.0025, 0.020, 1.0)},
 	}
 	got, err := Run(context.Background(), g, scens, Options{Config: testConfig(0)})
 	if err != nil {
@@ -218,67 +179,6 @@ func TestSweepMeshGrouping(t *testing.T) {
 	}
 	if got[0].Res.Mesh == got[2].Res.Mesh {
 		t.Error("different interface depths (0.7 vs 1.0 m): meshes unexpectedly shared")
-	}
-}
-
-// TestSweepMultiGrid covers the per-scenario grid override (the design-loop
-// form): distinct grids assemble independently, a duplicated layout collapses
-// into the first grid's job as a solve-tier rescale, and every result is
-// bit-identical to an independent analysis of that scenario's grid.
-func TestSweepMultiGrid(t *testing.T) {
-	cfg := testConfig(0)
-	model := soil.NewTwoLayer(0.0025, 0.020, 0.7)
-	barbera, balaidos := grid.Barbera(), grid.Balaidos()
-	// A third *grid.Grid value that serializes identically to barbera: the
-	// dedup must key on content, not pointer.
-	barberaDup := grid.Barbera()
-	scens := []Scenario{
-		{ID: "barbera", Model: model, GPR: 10_000, Grid: barbera},
-		{ID: "balaidos", Model: model, GPR: 10_000, Grid: balaidos},
-		{ID: "barbera-dup", Model: model, GPR: 12_000, Grid: barberaDup},
-	}
-	// nil shared grid: every scenario carries its own.
-	got, err := Run(context.Background(), nil, scens, Options{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantReuse := []Reuse{ReuseAssembled, ReuseAssembled, ReuseSolve}
-	for i, r := range got {
-		if r.Reuse != wantReuse[i] {
-			t.Errorf("%s: reuse %q, want %q", r.ID, r.Reuse, wantReuse[i])
-		}
-		seqCfg := cfg
-		seqCfg.GPR = scens[i].GPR
-		want, err := core.AnalyzeCtx(context.Background(), scens[i].Grid, model, seqCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Res.Req != want.Req || r.Res.GPR != want.GPR {
-			t.Errorf("%s: (Req, GPR) = (%v, %v), want (%v, %v)",
-				r.ID, r.Res.Req, r.Res.GPR, want.Req, want.GPR)
-		}
-		sameFloats(t, r.ID+" Sigma", r.Res.Sigma, want.Sigma)
-	}
-	if got[0].Res.Mesh == got[1].Res.Mesh {
-		t.Error("distinct grids share a mesh")
-	}
-	if got[0].Res.Mesh != got[2].Res.Mesh {
-		t.Error("identical layouts under different pointers did not share a mesh")
-	}
-	// A per-scenario grid also overrides a non-nil shared grid.
-	mixed, err := Run(context.Background(), balaidos,
-		[]Scenario{
-			{ID: "shared", Model: model, GPR: 10_000},
-			{ID: "override", Model: model, GPR: 10_000, Grid: barbera},
-		}, Options{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mixed[0].Res.Req != got[1].Res.Req {
-		t.Errorf("shared-grid scenario Req %v != balaidos %v", mixed[0].Res.Req, got[1].Res.Req)
-	}
-	if mixed[1].Res.Req != got[0].Res.Req {
-		t.Errorf("override scenario Req %v != barbera %v", mixed[1].Res.Req, got[0].Res.Req)
 	}
 }
 
@@ -337,7 +237,7 @@ func TestSweepScaledTier(t *testing.T) {
 					t.Errorf("s·Req(s·M) = %v vs Req(M) = %v (rel %g)", s*b.Req, a.Req, rel)
 				}
 
-				got, err := Run(ctx, g, []Scenario{{ID: "M", Model: m}, {ID: "sM", Model: ms}}, Options{Config: cfg})
+				got, err := Run(ctx, g, []Scenario{{ID: "M", Soil: m}, {ID: "sM", Soil: ms}}, Options{Config: cfg})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -369,7 +269,7 @@ func TestSweepKindCollision(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(0)
-	got, err := Run(context.Background(), g, []Scenario{{Model: two}, {Model: multi}}, Options{Config: cfg})
+	got, err := Run(context.Background(), g, []Scenario{{Soil: two}, {Soil: multi}}, Options{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +293,7 @@ func TestSweepCancellation(t *testing.T) {
 	cancel()
 	emitted := 0
 	err := Stream(ctx, grid.Balaidos(),
-		[]Scenario{{Model: soil.NewUniform(0.02)}},
+		[]Scenario{{Soil: soil.NewUniform(0.02)}},
 		Options{Config: testConfig(0)},
 		func(Result) error { emitted++; return nil })
 	if err == nil {
@@ -410,8 +310,8 @@ func TestSweepEmitError(t *testing.T) {
 	wantErr := fmt.Errorf("sink full")
 	err := Stream(context.Background(), grid.Barbera(),
 		[]Scenario{
-			{Model: soil.NewUniform(0.016)},
-			{Model: soil.NewUniform(0.02)},
+			{Soil: soil.NewUniform(0.016)},
+			{Soil: soil.NewUniform(0.02)},
 		},
 		Options{Config: testConfig(0)},
 		func(Result) error { return wantErr })
@@ -426,22 +326,22 @@ func TestSweepEmptyAndInvalid(t *testing.T) {
 		t.Errorf("empty scenario list: %v", err)
 	}
 	if _, err := Run(context.Background(), grid.Barbera(),
-		[]Scenario{{Model: nil}}, Options{}); err == nil {
+		[]Scenario{{Soil: nil}}, Options{}); err == nil {
 		t.Error("nil model accepted")
 	}
 	if _, err := Run(context.Background(), grid.Barbera(),
-		[]Scenario{{Model: soil.NewUniform(0.02), GPR: -5}}, Options{}); err == nil {
+		[]Scenario{{Soil: soil.NewUniform(0.02), GPR: -5}}, Options{}); err == nil {
 		t.Error("negative GPR accepted")
 	}
 	if err := Stream(context.Background(), nil,
-		[]Scenario{{Model: soil.NewUniform(0.02)}}, Options{}, nil); err == nil {
+		[]Scenario{{Soil: soil.NewUniform(0.02)}}, Options{}, nil); err == nil {
 		t.Error("nil grid accepted")
 	}
 	// The compressed tier is refused before any work starts: emit is never
 	// called.
 	hm := Options{Config: core.Config{Solver: core.SolverHMatrix}}
 	err := Stream(context.Background(), grid.Barbera(),
-		[]Scenario{{Model: soil.NewUniform(0.02)}}, hm, func(Result) error {
+		[]Scenario{{Soil: soil.NewUniform(0.02)}}, hm, func(Result) error {
 			t.Error("emit called under SolverHMatrix")
 			return nil
 		})
@@ -449,40 +349,7 @@ func TestSweepEmptyAndInvalid(t *testing.T) {
 		t.Errorf("SolverHMatrix: err = %v, want ErrUnsupportedSolver", err)
 	}
 	if _, err := Run(context.Background(), grid.Barbera(),
-		[]Scenario{{Model: soil.NewUniform(0.02)}}, hm); !errors.Is(err, ErrUnsupportedSolver) {
+		[]Scenario{{Soil: soil.NewUniform(0.02)}}, hm); !errors.Is(err, ErrUnsupportedSolver) {
 		t.Errorf("Run under SolverHMatrix: err = %v, want ErrUnsupportedSolver", err)
-	}
-}
-
-// TestSweepGivenLadder pins Options.Ladder: it serves the jobs whose unit
-// model it fits, across both grids, and a job of another soil builds its
-// own; every result stays bitwise Analyze's.
-func TestSweepGivenLadder(t *testing.T) {
-	cfg := testConfig(2)
-	model := soil.NewTwoLayer(0.0025, 0.020, 0.7)
-	unit, _ := soil.Normalize(model)
-	given := bem.NewLadder(unit, cfg.BEM)
-	other := soil.NewTwoLayer(0.0025, 0.010, 0.7)
-	scens := []Scenario{
-		{Model: model, Grid: grid.Barbera()},
-		{Model: other, Grid: grid.Barbera()},
-		{Model: model, Grid: grid.Balaidos()},
-	}
-	got, err := Run(context.Background(), nil, scens, Options{Config: cfg, Ladder: given})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range got {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		if uses := r.Res.Assembler().Ladder() == given; uses != (scens[i].Model == model) {
-			t.Errorf("scenario %d: uses the given ladder %t", i, uses)
-		}
-		want, err := core.AnalyzeCtx(context.Background(), scens[i].Grid, scens[i].Model, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameFloats(t, fmt.Sprintf("scenario %d Sigma", i), r.Res.Sigma, want.Sigma)
 	}
 }

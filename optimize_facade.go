@@ -8,9 +8,10 @@ import (
 
 // Grid-synthesis re-exports: the design-loop engine that searches layout
 // parameters (lattice density, perimeter rods, burial depth) to minimize
-// copper cost subject to the IEEE Std 80 limits, batching each candidate
-// population through the sweep engine. See internal/designopt for the
-// penalty method and the determinism contract.
+// copper cost subject to the IEEE Std 80 limits, analyzing each candidate
+// through Analyze's own stages on an image ladder the whole search shares.
+// See internal/designopt for the penalty method and the determinism
+// contract.
 type (
 	// OptimizeSpec is the design problem: site, soil, fault, safety
 	// criteria and layout bounds.
@@ -33,9 +34,10 @@ type (
 var ErrNoFeasibleOptimize = designopt.ErrNoFeasible
 
 // Optimize searches the spec's layout family for the cheapest design that
-// meets the IEEE Std 80 touch/step/mesh limits. Candidate populations are
-// evaluated as one sweep batch per generation on the shared worker pool, and
-// the search is bit-reproducible at any worker count for a fixed seed.
+// meets the IEEE Std 80 touch/step/mesh limits. Each generation's new
+// candidates are analyzed one at a time at the configured worker width, and
+// the search is bit-reproducible at any worker count for a fixed seed. The
+// compressed tier (WithHMatrix) is refused before any work.
 // Options are applied on top of opt.Config (see Option).
 //
 // The returned design is non-nil whenever at least one candidate scored —

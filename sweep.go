@@ -6,14 +6,11 @@ import (
 	"earthing/internal/sweep"
 )
 
-// SweepScenario is one variant in a batch solve: a soil model plus the
-// ground potential rise to report results at. GPR ≤ 0 inherits the shared
-// Config's GPR; an empty ID gets "s<index>".
-type SweepScenario struct {
-	ID   string
-	Soil SoilModel
-	GPR  float64
-}
+// SweepScenario is one variant in a batch solve: a soil model (Soil) plus
+// the ground potential rise to report results at (GPR). A zero GPR
+// inherits the shared Config's GPR and a negative one is an error; an
+// empty ID gets "s<index>".
+type SweepScenario = sweep.Scenario
 
 // SweepResult is one solved scenario as emitted by Sweep/SweepStream; see
 // the internal/sweep package for field semantics. Results carry the reuse
@@ -52,14 +49,15 @@ const (
 // sequential Analyze of that scenario at the same worker count.
 //
 // The shared cfg supplies discretization, solver and parallel options; a
-// scenario's GPR overrides cfg.GPR when positive.
+// scenario's GPR overrides cfg.GPR when non-zero, and a negative GPR fails
+// the sweep before any work starts.
 //
 // A failure confined to one scenario's assembly or solve (a contained
 // worker panic, a rejected health check) does not error the sweep: that
 // scenario's Result comes back with Err set and Res nil (tier SweepFailed)
 // while the rest of the batch completes.
 func Sweep(ctx context.Context, g *Grid, scenarios []SweepScenario, cfg Config, opts ...Option) ([]SweepResult, error) {
-	return sweep.Run(ctx, g, toScenarios(scenarios), sweep.Options{Config: applyOptions(cfg, opts)})
+	return sweep.Run(ctx, g, scenarios, sweep.Options{Config: applyOptions(cfg, opts)})
 }
 
 // SweepStream is Sweep with streaming delivery: emit is called once per
@@ -69,13 +67,5 @@ func Sweep(ctx context.Context, g *Grid, scenarios []SweepScenario, cfg Config, 
 // order (Result.Index gives the position). A non-nil error from emit aborts
 // the sweep and is returned wrapped.
 func SweepStream(ctx context.Context, g *Grid, scenarios []SweepScenario, cfg Config, emit func(SweepResult) error, opts ...Option) error {
-	return sweep.Stream(ctx, g, toScenarios(scenarios), sweep.Options{Config: applyOptions(cfg, opts)}, emit)
-}
-
-func toScenarios(in []SweepScenario) []sweep.Scenario {
-	out := make([]sweep.Scenario, len(in))
-	for i, s := range in {
-		out[i] = sweep.Scenario{ID: s.ID, Model: s.Soil, GPR: s.GPR}
-	}
-	return out
+	return sweep.Stream(ctx, g, scenarios, sweep.Options{Config: applyOptions(cfg, opts)}, emit)
 }
