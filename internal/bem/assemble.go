@@ -133,7 +133,7 @@ func newAssembler(geo *Geometry, model soil.Model, opt Options, lad *Ladder) (*A
 	}
 
 	if lad == nil {
-		lad = NewLadder(model, opt)
+		lad = newLadder(model, opt)
 	}
 	a.lad, a.ladder = lad, lad.img
 	a.initFar()
@@ -168,7 +168,8 @@ func (a *Assembler) WorkerBusy() []time.Duration { return a.lastBusy }
 
 // WorkerPairs returns the number of pair classes each worker evaluated in
 // the most recent MatrixCtx call (one flat-kernel elemental matrix per class;
-// see PairClass). Σ/max is the speed-up a schedule achieves on a machine
+// see PairClass; on a shared ladder the classes served from its memo count
+// too). Σ/max is the speed-up a schedule achieves on a machine
 // with one core per worker when every class costs the same — the
 // load-balance quantity behind Table 6.2 (see EXPERIMENTS.md). In layered
 // soil classes do not cost the same: a far class (NumFarClasses) reads the
@@ -194,8 +195,8 @@ func (a *Assembler) PredictedSpeedup() float64 {
 }
 
 // NumClasses returns the number of pair classes the most recent MatrixCtx call
-// evaluated — the elemental matrices computed, against the NumPairs it
-// served.
+// evaluated — the elemental matrices computed or, on a shared ladder, served
+// from its memo, against the NumPairs it served.
 func (a *Assembler) NumClasses() int { return a.lastClasses }
 
 // NumFarClasses returns how many of the most recent MatrixCtx call's classes
@@ -214,10 +215,13 @@ func (a *Assembler) NumPairs() int {
 // statistics describe how the parallel loop distributed its work. It
 // classifies every element pair (PairClass), evaluates each pair class once
 // in the parallel loop and scatters the class matrices onto their member
-// pairs. ctx is observed once per triangle row while classifying and at
-// every schedule chunk boundary of the class loop (see sched.ForStatsCtx),
-// so an abandoned request stops burning cores after at most one row or
-// column. On cancellation the matrix is discarded and ctx.Err() is returned.
+// pairs. On a shared ladder it first resolves the classes against the
+// ladder's class memo (memo.go): the loop evaluates only the misses, and
+// publishes them once it has succeeded. ctx is observed once per triangle
+// row while classifying and at every schedule chunk boundary of the class
+// loop (see sched.ForStatsCtx), so an abandoned request stops burning cores
+// after at most one row or column. On cancellation the matrix is discarded
+// and ctx.Err() is returned.
 func (a *Assembler) MatrixCtx(ctx context.Context) (*linalg.SymMatrix, sched.Stats, error) {
 	cl, err := a.classify(ctx)
 	if err != nil {
@@ -225,31 +229,61 @@ func (a *Assembler) MatrixCtx(ctx context.Context) (*linalg.SymMatrix, sched.Sta
 	}
 	a.lastClasses = len(cl.keys)
 
+	kk := a.k * a.k
+	memo := a.classMemo()
+	var hits [][]float64 // per class: its memoized matrix, or nil
+	if memo != nil {
+		hits = memo.resolveClasses(a.memoVariant(), cl.keys, kk)
+	}
+	served := func(c int) bool { return hits != nil && hits[c] != nil }
+
+	var r *linalg.SymMatrix
+	var stats sched.Stats
+	// ps holds the classes the loop evaluates, for the assembly or the memo.
+	var ps *pairStore
 	switch a.opt.Assembly {
 	case StoreThenAssemble:
 		// The paper's transformation: compute all elemental matrices into
 		// flat storage inside the parallel loop, assemble sequentially after.
-		ps := a.newPairStore(cl)
-		stats, err := a.runPairLoop(ctx, cl, func(c, beta int, scratch *pairScratch) {
-			a.evalClass(cl, c, beta, ps.class(c), scratch)
+		ps = a.newPairStore(cl)
+		for c, h := range hits {
+			if h != nil {
+				copy(ps.class(c), h)
+			}
+		}
+		stats, err = a.runPairLoop(ctx, cl, func(c, beta int, scratch *pairScratch) {
+			if !served(c) {
+				a.evalClass(cl, c, beta, ps.class(c), scratch)
+			}
 		})
 		if err != nil {
 			return nil, stats, err
 		}
-		return ps.assemble(), stats, nil
+		r = ps.assemble()
 
 	case MutexAssemble:
 		// Each class is scattered onto its members under a lock as soon as
 		// it is computed; members are listed per class up front.
 		members, off := cl.members()
-		r := linalg.NewSymMatrix(a.mesh.NumDoF)
+		if memo != nil {
+			ps = a.newPairStore(cl)
+		}
+		r = linalg.NewSymMatrix(a.mesh.NumDoF)
 		var mu sync.Mutex
-		stats, err := a.runPairLoop(ctx, cl, func(c, beta int, scratch *pairScratch) {
-			a.evalClass(cl, c, beta, scratch.elemental, scratch)
+		stats, err = a.runPairLoop(ctx, cl, func(c, beta int, scratch *pairScratch) {
+			m := scratch.elemental
+			if ps != nil {
+				m = ps.class(c)
+			}
+			if served(c) {
+				m = hits[c]
+			} else {
+				a.evalClass(cl, c, beta, m, scratch)
+			}
 			var member [4]float64
 			mu.Lock()
 			for _, p := range members[off[c]:off[c+1]] {
-				p.flip.Apply(a.k, scratch.elemental, member[:])
+				p.flip.Apply(a.k, m, member[:])
 				a.assemblePair(r, int(p.beta), int(p.alpha), member[:])
 			}
 			mu.Unlock()
@@ -257,11 +291,14 @@ func (a *Assembler) MatrixCtx(ctx context.Context) (*linalg.SymMatrix, sched.Sta
 		if err != nil {
 			return nil, stats, err
 		}
-		return r, stats, nil
 
 	default:
 		return nil, sched.Stats{}, fmt.Errorf("bem: unknown assembly mode %v", a.opt.Assembly)
 	}
+	if memo != nil {
+		memo.publishClasses(a.memoVariant(), cl.keys, hits, kk, ps.class)
+	}
+	return r, stats, nil
 }
 
 // pairStore is the elemental-matrix store of a StoreThenAssemble

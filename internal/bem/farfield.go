@@ -216,8 +216,11 @@ func (l *Ladder) table(src, obs farDepth) *farTable {
 // table on first use, so the class loop reads it without a lock.
 type farTables struct {
 	depths []farDepth
-	tabs   []atomic.Pointer[farTable] // [src·len(depths) + obs]
-	surf   []atomic.Pointer[farTable] // [src]
+	// complete reports that every horizontal depth is registered, so every
+	// class of two horizontal elements reaches its table.
+	complete bool
+	tabs     []atomic.Pointer[farTable] // [src·len(depths) + obs]
+	surf     []atomic.Pointer[farTable] // [src]
 }
 
 // initFar registers the depths of the mesh's horizontal elements: all of
@@ -243,6 +246,7 @@ func (a *Assembler) initFar() {
 		}
 		cs[len(cs)-1].n++
 	}
+	a.far.complete = len(cs) <= farMaxDepths
 	if len(cs) > farMaxDepths {
 		slices.SortStableFunc(cs, func(x, y counted) int { return cmp.Compare(y.n, x.n) })
 		cs = cs[:farMaxDepths]

@@ -31,9 +31,13 @@ import (
 // per-point inner loop then reduces to a cache-friendly scan over the flat
 // ladder with two square roots per image and at most one logarithm (the
 // closed form asinh(a) + asinh(b) = log((a+√(a²+1))·(b+√(b²+1))) evaluated
-// cancellation-safely), preserving the element order, KahanSum accumulation
-// and per-group tolerance early-exit of the direct evaluation to ≪ 1e-10.
-// Two exact structural savings and one tabulated branch cut that further:
+// cancellation-safely), preserving the element order and KahanSum
+// accumulation of the direct evaluation to ≪ 1e-10 at a converged series
+// tolerance. Each element enters in column form: its potential column
+// (c0, c1) at the point, the moments of the walked image series, which do
+// not depend on σ (see PotentialAt and column), so a design search's
+// shared ladder can memoize them (memo.go). Two exact structural savings
+// and one tabulated branch cut the work further:
 //
 //   - Surface points (z = 0) of a mirror-symmetric ladder (imageLadder.mirror)
 //     skip every sign < 0 image and count its bitwise-equal mirror twice,
@@ -206,11 +210,17 @@ func logI0(p, q, r0, r1, rho2 float64) float64 {
 // solved DoF vector, matching the closed-form oracle to well below 1e-10. It
 // allocates nothing once the observation layer's plan is built, so it is the
 // per-point core the batch methods stream over.
+//
+// It is evaluated in column form: each element's contribution is
+// s0·c0 + ds·c1, its DoF values s0 and ds = s1 − s0 (ds = 0 for constant
+// elements) against the element's potential column (c0, c1) at x (column),
+// which does not depend on σ. The terms are summed in element order with a
+// KahanSum, then the quadrature elements'. PotentialBatchCtx on a shared
+// ladder reads memoized columns through the same arithmetic, so both give
+// bitwise the same V.
 func (fe *FieldEvaluator) PotentialAt(x geom.Vec3, sigma []float64) float64 {
 	a := fe.a
 	p := fe.plan(a.model.LayerOf(math.Max(x.Z, 0)))
-	imgs, grpOff := a.ladder.imgs, a.ladder.grpOff
-	linear := a.linear
 	// On the surface of a mirror-symmetric ladder every sign < 0 image
 	// repeats its mirror's term bit for bit: skip it and count the mirror
 	// twice (the ×2 is folded into the element prefactor, exactly).
@@ -219,138 +229,162 @@ func (fe *FieldEvaluator) PotentialAt(x geom.Vec3, sigma []float64) float64 {
 	var total quad.KahanSum
 	for ei := range p.elems {
 		pe := &p.elems[ei]
-		s0 := sigma[pe.dof0]
-		var ds float64
-		if linear {
-			ds = sigma[pe.dof1] - s0
-		}
-		dx := x.X - pe.ax
-		dy := x.Y - pe.ay
-		hxy := dx*pe.tx + dy*pe.ty
-		dxy2 := dx*dx + dy*dy
-		l, invL, r2min := pe.l, pe.invL, pe.radius2
-		az0, tz := pe.az0, pe.tz
-		// The surface table branch, for points the gate admits.
-		if t := pe.surf; t != nil && x.Z == 0 {
-			p := dx*pe.ty - dy*pe.tx
-			p2 := p * p
-			if n := farInner(hxy, p2, l, t.dz2min, 2*r2min-t.dz2min); n > 0 {
-				rule := farRules[n]
-				var i0, i1 float64
-				for h, wh := range rule.w {
-					e := hxy - rule.t[h]*l
-					v := wh * t.eval(e*e+p2)
-					i0 += v
-					i1 += v * rule.t[h]
-				}
-				total.Add(pe.pref * l * (i0*s0 + i1*ds))
-				continue
-			}
-		}
-		// A horizontal element (tz = 0) has the same axial projection pp =
-		// hxy, and hence the same q, for every image.
-		horizontal := tz == 0
-		pp0, q0 := hxy, l-hxy
-		pp02, q02 := pp0*pp0, q0*q0
-
-		var accum float64
-		maxAccum := 0.0
-		smallGroups := 0
-		for g := pe.grpLo; g < pe.grpHi; g++ {
-			ims := imgs[grpOff[g]:grpOff[g+1]]
-			var gsum float64
-			w, fused := 0.0, false
-			if horizontal {
-				w, fused = sharedWeight(ims)
-			}
-			if fused {
-				// One logarithm per group: the running product num/den
-				// accumulates Π (q+r1)(pp+r0)/ρ² over the group's images,
-				// each factor in the cancellation-rewritten form of logI0,
-				// so log(num/den) = Σ i0 (every i0 > 0 since pp+q = l > 0).
-				// With one pp for all images, Σ i1 = (Σ(r1−r0) + pp·Σ i0)/l.
-				num, den := 1.0, 1.0
-				sd := 0.0
-				for _, im := range ims {
-					if surface && im.sign < 0 {
-						continue
-					}
-					dz := x.Z - (im.sign*az0 + im.off)
-					rho2 := dxy2 + dz*dz - pp02
-					if rho2 < r2min {
-						rho2 = r2min
-					}
-					r0 := math.Sqrt(rho2 + pp02)
-					r1 := math.Sqrt(rho2 + q02)
-					if pp0 >= 0 {
-						num *= pp0 + r0
-					} else {
-						num *= rho2
-						den *= r0 - pp0
-					}
-					if q0 >= 0 {
-						num *= q0 + r1
-					} else {
-						num *= rho2
-						den *= r1 - q0
-					}
-					den *= rho2
-					sd += r1 - r0
-				}
-				i0 := math.Log(num / den)
-				if linear {
-					i1 := (sd + pp0*i0) * invL
-					gsum = w * (i0*s0 + i1*ds)
-				} else {
-					gsum = w * i0 * s0
-				}
-			} else {
-				for _, im := range ims {
-					if surface && im.sign < 0 {
-						continue
-					}
-					dz := x.Z - (im.sign*az0 + im.off)
-					pp := hxy + im.sign*tz*dz
-					pp2 := pp * pp
-					rho2 := dxy2 + dz*dz - pp2
-					if rho2 < r2min {
-						rho2 = r2min
-					}
-					q := l - pp
-					r0 := math.Sqrt(rho2 + pp2)
-					r1 := math.Sqrt(rho2 + q*q)
-					i0 := logI0(pp, q, r0, r1, rho2)
-					if linear {
-						i1 := (r1 - r0 + pp*i0) * invL
-						gsum += im.w * (i0*s0 + i1*ds)
-					} else {
-						gsum += im.w * i0 * s0
-					}
-				}
-			}
-			accum += gsum
-			if av := math.Abs(accum); av > maxAccum {
-				maxAccum = av
-			}
-			if math.Abs(gsum) <= a.opt.SeriesTol*maxAccum {
-				smallGroups++
-				if smallGroups >= 2 {
-					break
-				}
-			} else {
-				smallGroups = 0
-			}
-		}
-		pref := pe.pref
-		if surface {
-			pref *= 2
-		}
-		total.Add(pref * accum)
+		c0, c1 := fe.column(pe, x, surface)
+		total.Add(pe.term(sigma, a.linear, c0, c1))
 	}
 	for _, e := range p.quadElems {
 		total.Add(a.elementPotentialQuadrature(int(e), x, sigma))
 	}
 	return total.Sum()
+}
+
+// term returns the element's potential s0·c0 + ds·c1 from its column.
+func (pe *planElem) term(sigma []float64, linear bool, c0, c1 float64) float64 {
+	s0 := sigma[pe.dof0]
+	if !linear {
+		return s0 * c0
+	}
+	return s0*c0 + (sigma[pe.dof1]-s0)*c1
+}
+
+// column returns the potential column (c0, c1) of plan element pe at x:
+// the element's V is s0·c0 + ds·c1 (c1 = 0 for constant elements). It reads
+// the element's surface table when the gate admits x and walks the ladder
+// otherwise. The walk stops after two consecutive series groups whose
+// contributions to both shape moments, ∫(1−t)G and ∫tG, are within
+// SeriesTol of that moment's running sum: a rule on the element's own
+// moments, so the column is a function of the element and x alone. V
+// weighs the shape moments by s0 and s1, so for a density of one sign the
+// walk visits every group a stop rule on the σ-weighted group sum would.
+// surface selects the mirror skip (x.Z == 0 on a mirror-symmetric ladder).
+func (fe *FieldEvaluator) column(pe *planElem, x geom.Vec3, surface bool) (c0, c1 float64) {
+	a := fe.a
+	imgs, grpOff := a.ladder.imgs, a.ladder.grpOff
+	linear := a.linear
+	dx := x.X - pe.ax
+	dy := x.Y - pe.ay
+	hxy := dx*pe.tx + dy*pe.ty
+	dxy2 := dx*dx + dy*dy
+	l, invL, r2min := pe.l, pe.invL, pe.radius2
+	az0, tz := pe.az0, pe.tz
+	// The surface table branch, for points the gate admits.
+	if t := pe.surf; t != nil && x.Z == 0 {
+		p := dx*pe.ty - dy*pe.tx
+		p2 := p * p
+		if n := farInner(hxy, p2, l, t.dz2min, 2*r2min-t.dz2min); n > 0 {
+			rule := farRules[n]
+			var i0, i1 float64
+			for h, wh := range rule.w {
+				e := hxy - rule.t[h]*l
+				v := wh * t.eval(e*e+p2)
+				i0 += v
+				i1 += v * rule.t[h]
+			}
+			f := pe.pref * l
+			if !linear {
+				return f * i0, 0
+			}
+			return f * i0, f * i1
+		}
+	}
+	// A horizontal element (tz = 0) has the same axial projection pp =
+	// hxy, and hence the same q, for every image.
+	horizontal := tz == 0
+	pp0, q0 := hxy, l-hxy
+	pp02, q02 := pp0*pp0, q0*q0
+
+	var acc0, acc1 float64
+	tol := a.opt.SeriesTol
+	smallGroups := 0
+	for g := pe.grpLo; g < pe.grpHi; g++ {
+		ims := imgs[grpOff[g]:grpOff[g+1]]
+		var g0, g1 float64
+		w, fused := 0.0, false
+		if horizontal {
+			w, fused = sharedWeight(ims)
+		}
+		if fused {
+			// One logarithm per group: the running product num/den
+			// accumulates Π (q+r1)(pp+r0)/ρ² over the group's images,
+			// each factor in the cancellation-rewritten form of logI0,
+			// so log(num/den) = Σ i0 (every i0 > 0 since pp+q = l > 0).
+			// With one pp for all images, Σ i1 = (Σ(r1−r0) + pp·Σ i0)/l.
+			num, den := 1.0, 1.0
+			sd := 0.0
+			for _, im := range ims {
+				if surface && im.sign < 0 {
+					continue
+				}
+				dz := x.Z - (im.sign*az0 + im.off)
+				rho2 := dxy2 + dz*dz - pp02
+				if rho2 < r2min {
+					rho2 = r2min
+				}
+				r0 := math.Sqrt(rho2 + pp02)
+				r1 := math.Sqrt(rho2 + q02)
+				if pp0 >= 0 {
+					num *= pp0 + r0
+				} else {
+					num *= rho2
+					den *= r0 - pp0
+				}
+				if q0 >= 0 {
+					num *= q0 + r1
+				} else {
+					num *= rho2
+					den *= r1 - q0
+				}
+				den *= rho2
+				sd += r1 - r0
+			}
+			i0 := math.Log(num / den)
+			g0 = w * i0
+			if linear {
+				g1 = w * ((sd + pp0*i0) * invL)
+			}
+		} else {
+			for _, im := range ims {
+				if surface && im.sign < 0 {
+					continue
+				}
+				dz := x.Z - (im.sign*az0 + im.off)
+				pp := hxy + im.sign*tz*dz
+				pp2 := pp * pp
+				rho2 := dxy2 + dz*dz - pp2
+				if rho2 < r2min {
+					rho2 = r2min
+				}
+				q := l - pp
+				r0 := math.Sqrt(rho2 + pp2)
+				r1 := math.Sqrt(rho2 + q*q)
+				i0 := logI0(pp, q, r0, r1, rho2)
+				g0 += im.w * i0
+				g1 += im.w * (r1 - r0 + pp*i0)
+			}
+			// Σ i1 = Σ (r1 − r0 + pp·i0)/l, divided once per group.
+			g1 *= invL
+			if !linear {
+				g1 = 0
+			}
+		}
+		acc0 += g0
+		acc1 += g1
+		// The stop rule reads the moments against the two shape functions,
+		// ∫(1−t)G = i0 − i1 and ∫tG = i1, which V weighs by s0 and s1.
+		if math.Abs(g0-g1) <= tol*math.Abs(acc0-acc1) && math.Abs(g1) <= tol*math.Abs(acc1) {
+			smallGroups++
+			if smallGroups >= 2 {
+				break
+			}
+		} else {
+			smallGroups = 0
+		}
+	}
+	pref := pe.pref
+	if surface {
+		pref *= 2
+	}
+	return pref * acc0, pref * acc1
 }
 
 // sharedWeight returns the series weight of a group whose images all carry
@@ -556,10 +590,74 @@ func (s BatchStats) PointsPerSec() float64 {
 // count, so results are bit-identical across schedules and parallel widths.
 // ctx is observed at point (chunk) boundaries; on cancellation out is
 // partially filled and ctx.Err() is returned, and callers must discard it.
+//
+// On a shared ladder, when every point lies in one observation layer, it
+// resolves each element's potential column on the point set against the
+// ladder's column memo (memo.go), computes the missing columns in the same
+// parallel pass that sums every point, and publishes them once the pass
+// has succeeded. The sums are PotentialAt's, bit for bit.
 func (fe *FieldEvaluator) PotentialBatchCtx(ctx context.Context, points []geom.Vec3, sigma []float64, scale float64, out []float64, opt BatchOptions) (BatchStats, error) {
+	if m := fe.a.lad.memo; m != nil && len(points) > 0 {
+		if layer, ok := fe.commonLayer(points); ok {
+			return fe.potentialBatchMemo(ctx, m, layer, points, sigma, scale, out, opt)
+		}
+	}
 	return fe.runBatch(ctx, len(points), opt, func(i int) {
 		out[i] = scale * fe.PotentialAt(points[i], sigma)
 	})
+}
+
+// commonLayer returns the observation layer of the points when they share
+// one.
+func (fe *FieldEvaluator) commonLayer(points []geom.Vec3) (int, bool) {
+	m := fe.a.model
+	layer := m.LayerOf(math.Max(points[0].Z, 0))
+	for _, x := range points[1:] {
+		if m.LayerOf(math.Max(x.Z, 0)) != layer {
+			return 0, false
+		}
+	}
+	return layer, true
+}
+
+// potentialBatchMemo is PotentialBatchCtx on the column memo m, for points
+// all in observation layer layer.
+func (fe *FieldEvaluator) potentialBatchMemo(ctx context.Context, m *ladderMemo, layer int, points []geom.Vec3, sigma []float64, scale float64, out []float64, opt BatchOptions) (BatchStats, error) {
+	a := fe.a
+	p := fe.plan(layer)
+	v := a.memoVariant()
+	keys := make([]colKey, len(p.elems))
+	for i := range p.elems {
+		keys[i] = p.elems[i].colKey()
+	}
+	cols := m.resolveColumns(v, points, keys)
+	fresh := make([]bool, len(cols))
+	for i, c := range cols {
+		if c == nil {
+			cols[i], fresh[i] = make([]float64, 2*len(points)), true
+		}
+	}
+	st, err := fe.runBatch(ctx, len(points), opt, func(i int) {
+		x := points[i]
+		surface := x.Z == 0 && a.ladder.mirror
+		var total quad.KahanSum
+		for ei := range p.elems {
+			pe := &p.elems[ei]
+			c := cols[ei][2*i : 2*i+2]
+			if fresh[ei] {
+				c[0], c[1] = fe.column(pe, x, surface)
+			}
+			total.Add(pe.term(sigma, a.linear, c[0], c[1]))
+		}
+		for _, e := range p.quadElems {
+			total.Add(a.elementPotentialQuadrature(int(e), x, sigma))
+		}
+		out[i] = scale * total.Sum()
+	})
+	if err == nil {
+		m.publishColumns(v, points, keys, cols, fresh)
+	}
+	return st, err
 }
 
 // GradBatchCtx evaluates ∇V(points[i]) (per unit GPR, unscaled) into

@@ -17,12 +17,18 @@ import (
 // design search (designopt) lets all its candidates share one: each then
 // reads the tables and panels the others built.
 //
+// A ladder built by NewLadder also memoizes the class matrices and the
+// surface-potential columns its assemblers evaluate (memo.go), so a
+// candidate evaluates only what no earlier candidate published; a private
+// ladder carries no memos.
+//
 // Sharing never changes a result: each assembler decides for itself which
-// depths it registers and which classes and points pass the gate, and a
-// table and each of its panels are pure functions of the ladder and their
-// key. After construction only the registry's table creation (under mu) and
-// the tables' atomic panel slots change, so a Ladder is safe for concurrent
-// use by any number of assemblers.
+// depths it registers and which classes and points pass the gate, a table
+// and each of its panels are pure functions of the ladder and their key,
+// and so is every memoized value. After construction only the registry's
+// table creation (under mu), the tables' atomic panel slots and the memos
+// (under their own mutex) change, so a Ladder is safe for concurrent use
+// by any number of assemblers.
 type Ladder struct {
 	canonical string // soil.Canonical of the model
 	maxGroups int
@@ -33,11 +39,24 @@ type Ladder struct {
 	// builds counts panel builds, race losers included: the tests pin that
 	// a sequence of assemblers on one ladder builds each panel once.
 	builds atomic.Int64
+
+	// memo holds the class and column memos of a ladder built for sharing
+	// (memo.go); nil on a private ladder.
+	memo *ladderMemo
 }
 
 // NewLadder flattens the image ladder of model under opt's series cap
-// (MaxGroups) into a Ladder that assemblers of model may share (NewShared).
+// (MaxGroups) into a Ladder that assemblers of model may share (NewShared),
+// with memos of the class matrices and surface-potential columns they
+// evaluate (memo.go).
 func NewLadder(model soil.Model, opt Options) *Ladder {
+	l := newLadder(model, opt)
+	l.memo = newLadderMemo()
+	return l
+}
+
+// newLadder builds a ladder without memos: an assembler's private one.
+func newLadder(model soil.Model, opt Options) *Ladder {
 	opt = opt.withDefaults()
 	return &Ladder{
 		canonical: soil.Canonical(model),
@@ -54,10 +73,14 @@ func (l *Ladder) fits(model soil.Model, opt Options) bool {
 	return opt.withDefaults().MaxGroups == l.maxGroups && soil.Canonical(model) == l.canonical
 }
 
-// footprint returns the resident bytes of the ladder: its images and every
-// table and panel built in its registry so far, by any assembler.
+// footprint returns the resident bytes of the ladder: its images, every
+// table and panel built in its registry so far, by any assembler, and its
+// memos.
 func (l *Ladder) footprint() int64 {
 	n := l.img.footprint()
+	if l.memo != nil {
+		n += l.memo.footprint()
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, t := range l.tables {

@@ -90,9 +90,9 @@ func builtPanels(l *Ladder) map[panelKey]bool {
 
 // TestSharedLadderMatchesPrivate is the oracle of ladder sharing: a design
 // search's candidate sequence, evaluated forwards and backwards on one
-// shared ladder at one and two workers, and all at once on concurrent
-// assemblers, gives every matrix entry and every surface potential bitwise
-// equal to a private ladder's, in a K < 0 and a K > 0 two-layer soil and a
+// shared ladder at one and two workers, then again on the same ladder from
+// its memos, and all at once on concurrent assemblers, gives every matrix
+// entry and every surface potential bitwise equal to a private ladder's, in a K < 0 and a K > 0 two-layer soil and a
 // three-layer soil. The shared registry builds exactly the panels the
 // private ladders built between them, and at one worker builds each of
 // them once.
@@ -150,19 +150,27 @@ func TestSharedLadderMatchesPrivate(t *testing.T) {
 				for dir, order := range [][]int{forwards, backwards} {
 					opt := Options{Workers: workers}
 					lad := NewLadder(c.model, opt)
-					for _, i := range order {
-						geo, err := NewGeometry(cands[i], opt)
-						if err != nil {
-							t.Fatal(err)
+					// The second pass repeats the sequence on the same
+					// ladder, its classes and columns served by the memos.
+					for pass := 0; pass < 2; pass++ {
+						served := lad.memo.classHits.Load() + lad.memo.colHits.Load()
+						for _, i := range order {
+							geo, err := NewGeometry(cands[i], opt)
+							if err != nil {
+								t.Fatal(err)
+							}
+							a, err := NewShared(geo, c.model, opt, lad)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got := evalCandidate(t, a, workers)
+							label := fmt.Sprintf("workers %d, order %d, pass %d, candidate %d", workers, dir, pass, i)
+							sameBits(t, label+" matrix", got.matrix, want[i].matrix)
+							sameBits(t, label+" surface", got.surface, want[i].surface)
 						}
-						a, err := NewShared(geo, c.model, opt, lad)
-						if err != nil {
-							t.Fatal(err)
+						if pass == 1 && lad.memo.classHits.Load()+lad.memo.colHits.Load() == served {
+							t.Errorf("workers %d, order %d: nothing served from the memos on the second pass", workers, dir)
 						}
-						got := evalCandidate(t, a, workers)
-						label := fmt.Sprintf("workers %d, order %d, candidate %d", workers, dir, i)
-						sameBits(t, label+" matrix", got.matrix, want[i].matrix)
-						sameBits(t, label+" surface", got.surface, want[i].surface)
 					}
 					built := builtPanels(lad)
 					if len(built) != len(union) {

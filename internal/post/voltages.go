@@ -8,6 +8,7 @@ import (
 	"earthing/internal/bem"
 	"earthing/internal/geom"
 	"earthing/internal/grid"
+	"earthing/internal/sched"
 )
 
 // Voltages aggregates the safety parameters of §1/§5.2: the voltages a
@@ -136,19 +137,35 @@ func VoltageFieldCtx(ctx context.Context, a *bem.Assembler, m *grid.Mesh, sigma 
 		return nil, err
 	}
 	f := &VoltageField{Raster: r, class: make([]uint8, len(r.V))}
-	for j := 0; j < p.NY; j++ {
+	// Classify the raster rows on the raster's workers; every sample's
+	// class depends on its own position alone.
+	segs := surfaceSegments(m)
+	if _, err := sched.ForStatsCtx(ctx, p.NY, opt.Workers, opt.WithDefaults().Schedule, func(j, _ int) {
 		for i := 0; i < p.NX; i++ {
 			x, y := r.Pos(i, j)
-			d := horizontalDistToMesh(m, x, y)
-			switch {
-			case d > p.StepRes/2 && d <= reach:
-				f.class[j*p.NX+i] = meshPoint
-			case d <= reach:
-				f.class[j*p.NX+i] = touchPoint
-			}
+			f.class[j*p.NX+i] = proximityClass(segs, x, y, p.StepRes)
 		}
+	}); err != nil {
+		return nil, err
 	}
 	return f, nil
+}
+
+// proximityClass classifies surface point (x, y) of a raster at stepRes by
+// its horizontal distance to the nearest of segs (surfaceSegments).
+func proximityClass(segs []geom.Segment, x, y, stepRes float64) uint8 {
+	d := math.Inf(1)
+	p := geom.V(x, y, 0)
+	for _, s := range segs {
+		d = math.Min(d, s.DistToPoint(p))
+	}
+	switch {
+	case d > stepRes/2 && d <= reach:
+		return meshPoint
+	case d <= reach:
+		return touchPoint
+	}
+	return beyondReach
 }
 
 // Voltages reduces the field to touch, step and mesh voltages at gpr,
@@ -215,17 +232,12 @@ func ComputeVoltagesCtx(ctx context.Context, a *bem.Assembler, m *grid.Mesh, sig
 	return f.Voltages(gpr, 1), nil
 }
 
-// horizontalDistToMesh returns the distance from surface point (x, y) to
-// the nearest element axis, measured in the horizontal plane.
-func horizontalDistToMesh(m *grid.Mesh, x, y float64) float64 {
-	best := math.Inf(1)
-	p := geom.V(x, y, 0)
-	for _, el := range m.Elements {
-		// Project the element to the surface plane before measuring.
-		s := geom.Seg(el.Seg.A.WithZ(0), el.Seg.B.WithZ(0))
-		if d := s.DistToPoint(p); d < best {
-			best = d
-		}
+// surfaceSegments returns the element axes of m projected onto the surface
+// plane.
+func surfaceSegments(m *grid.Mesh) []geom.Segment {
+	segs := make([]geom.Segment, len(m.Elements))
+	for e, el := range m.Elements {
+		segs[e] = geom.Seg(el.Seg.A.WithZ(0), el.Seg.B.WithZ(0))
 	}
-	return best
+	return segs
 }

@@ -157,3 +157,63 @@ func TestVoltageRasterCap(t *testing.T) {
 		t.Fatalf("capped VoltageFieldCtx at 1 mm: err %v, want *RasterSizeError", err)
 	}
 }
+
+// horizontalDistToMesh returns the distance from surface point (x, y) to
+// the nearest element axis, measured in the horizontal plane: the serial
+// per-point proximity measure the oracles classify samples with.
+func horizontalDistToMesh(m *grid.Mesh, x, y float64) float64 {
+	best := math.Inf(1)
+	p := geom.V(x, y, 0)
+	for _, el := range m.Elements {
+		// Project the element to the surface plane before measuring.
+		s := geom.Seg(el.Seg.A.WithZ(0), el.Seg.B.WithZ(0))
+		if d := s.DistToPoint(p); d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// TestVoltageFieldClassesMatchSerial: the parallel proximity classification
+// of VoltageFieldCtx gives every sample the class a serial scan with
+// horizontalDistToMesh gives it, at every worker count and resolution.
+func TestVoltageFieldClassesMatchSerial(t *testing.T) {
+	res := solved(t)
+	ctx := context.Background()
+	for _, stepRes := range []float64{0, 2, 0.7} {
+		p, err := PlanVoltageRaster(res.Mesh.Bounds(), stepRes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]uint8, p.NX*p.NY)
+		touch, mesh := 0, 0
+		dx, dy := (p.X1-p.X0)/float64(p.NX-1), (p.Y1-p.Y0)/float64(p.NY-1)
+		for j := 0; j < p.NY; j++ {
+			for i := 0; i < p.NX; i++ {
+				x, y := p.X0+float64(i)*dx, p.Y0+float64(j)*dy
+				switch d := horizontalDistToMesh(res.Mesh, x, y); {
+				case d > p.StepRes/2 && d <= reach:
+					want[j*p.NX+i] = meshPoint
+					mesh++
+				case d <= reach:
+					want[j*p.NX+i] = touchPoint
+					touch++
+				}
+			}
+		}
+		if touch == 0 || mesh == 0 && stepRes < 2 {
+			t.Fatalf("step %g: %d touch and %d mesh samples, want both classes present", stepRes, touch, mesh)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			f, err := VoltageFieldCtx(ctx, res.Assembler(), res.Mesh, res.Sigma, 1, stepRes, 0, SurfaceOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range want {
+				if f.class[k] != want[k] {
+					t.Fatalf("step %g, workers %d: sample %d class %d, serial scan %d", stepRes, workers, k, f.class[k], want[k])
+				}
+			}
+		}
+	}
+}
