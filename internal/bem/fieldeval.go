@@ -215,12 +215,22 @@ func logI0(p, q, r0, r1, rho2 float64) float64 {
 // s0·c0 + ds·c1, its DoF values s0 and ds = s1 − s0 (ds = 0 for constant
 // elements) against the element's potential column (c0, c1) at x (column),
 // which does not depend on σ. The terms are summed in element order with a
-// KahanSum, then the quadrature elements'. PotentialBatchCtx on a shared
-// ladder reads memoized columns through the same arithmetic, so both give
-// bitwise the same V.
+// KahanSum, then the quadrature elements' (potentialSum).
+// PotentialBatchCtx on a shared ladder reads memoized columns through the
+// same sum, so both give bitwise the same V.
 func (fe *FieldEvaluator) PotentialAt(x geom.Vec3, sigma []float64) float64 {
+	return fe.potentialSum(fe.plan(fe.a.model.LayerOf(math.Max(x.Z, 0))), x, sigma, nil, nil, 0)
+}
+
+// potentialSum is PotentialAt at x, whose observation layer's plan is p:
+// each element's term s0·c0 + ds·c1, summed in element order with a
+// KahanSum, then the quadrature elements'. With cols non-nil, x is point i
+// of a batch and cols[ei] holds element ei's column on the batch's points:
+// memoized, or a buffer to fill when fresh[ei] is set. An element without
+// one (cols nil, or cols[ei] nil) computes its column here and keeps
+// nothing.
+func (fe *FieldEvaluator) potentialSum(p *evalPlan, x geom.Vec3, sigma []float64, cols [][]float64, fresh []bool, i int) float64 {
 	a := fe.a
-	p := fe.plan(a.model.LayerOf(math.Max(x.Z, 0)))
 	// On the surface of a mirror-symmetric ladder every sign < 0 image
 	// repeats its mirror's term bit for bit: skip it and count the mirror
 	// twice (the ×2 is folded into the element prefactor, exactly).
@@ -229,7 +239,16 @@ func (fe *FieldEvaluator) PotentialAt(x geom.Vec3, sigma []float64) float64 {
 	var total quad.KahanSum
 	for ei := range p.elems {
 		pe := &p.elems[ei]
-		c0, c1 := fe.column(pe, x, surface)
+		var c0, c1 float64
+		switch {
+		case cols == nil || cols[ei] == nil:
+			c0, c1 = fe.column(pe, x, surface)
+		case fresh[ei]:
+			c0, c1 = fe.column(pe, x, surface)
+			cols[ei][2*i], cols[ei][2*i+1] = c0, c1
+		default:
+			c0, c1 = cols[ei][2*i], cols[ei][2*i+1]
+		}
 		total.Add(pe.term(sigma, a.linear, c0, c1))
 	}
 	for _, e := range p.quadElems {
@@ -359,13 +378,12 @@ func (fe *FieldEvaluator) column(pe *planElem, x geom.Vec3, surface bool) (c0, c
 				r1 := math.Sqrt(rho2 + q*q)
 				i0 := logI0(pp, q, r0, r1, rho2)
 				g0 += im.w * i0
-				g1 += im.w * (r1 - r0 + pp*i0)
+				if linear {
+					g1 += im.w * (r1 - r0 + pp*i0)
+				}
 			}
 			// Σ i1 = Σ (r1 − r0 + pp·i0)/l, divided once per group.
 			g1 *= invL
-			if !linear {
-				g1 = 0
-			}
 		}
 		acc0 += g0
 		acc1 += g1
@@ -593,13 +611,18 @@ func (s BatchStats) PointsPerSec() float64 {
 //
 // On a shared ladder, when every point lies in one observation layer, it
 // resolves each element's potential column on the point set against the
-// ladder's column memo (memo.go), computes the missing columns in the same
-// parallel pass that sums every point, and publishes them once the pass
-// has succeeded. The sums are PotentialAt's, bit for bit.
+// ladder's column memo (memo.go) and computes the missing columns in the
+// same parallel pass that sums every point. It buffers only the columns the
+// memo has room for, publishing them once the pass has succeeded, and
+// computes the others per point as PotentialAt does, so a batch past the
+// memo's cap allocates nothing per element. The sums are PotentialAt's,
+// bit for bit.
 func (fe *FieldEvaluator) PotentialBatchCtx(ctx context.Context, points []geom.Vec3, sigma []float64, scale float64, out []float64, opt BatchOptions) (BatchStats, error) {
 	if m := fe.a.lad.memo; m != nil && len(points) > 0 {
 		if layer, ok := fe.commonLayer(points); ok {
-			return fe.potentialBatchMemo(ctx, m, layer, points, sigma, scale, out, opt)
+			if st, ok, err := fe.potentialBatchMemo(ctx, m, layer, points, sigma, scale, out, opt); ok {
+				return st, err
+			}
 		}
 	}
 	return fe.runBatch(ctx, len(points), opt, func(i int) {
@@ -621,43 +644,26 @@ func (fe *FieldEvaluator) commonLayer(points []geom.Vec3) (int, bool) {
 }
 
 // potentialBatchMemo is PotentialBatchCtx on the column memo m, for points
-// all in observation layer layer.
-func (fe *FieldEvaluator) potentialBatchMemo(ctx context.Context, m *ladderMemo, layer int, points []geom.Vec3, sigma []float64, scale float64, out []float64, opt BatchOptions) (BatchStats, error) {
-	a := fe.a
+// all in observation layer layer. ok is false, and nothing has run, when m
+// serves no column of the batch and has room for none.
+func (fe *FieldEvaluator) potentialBatchMemo(ctx context.Context, m *ladderMemo, layer int, points []geom.Vec3, sigma []float64, scale float64, out []float64, opt BatchOptions) (st BatchStats, ok bool, err error) {
 	p := fe.plan(layer)
-	v := a.memoVariant()
+	v := fe.a.memoVariant()
 	keys := make([]colKey, len(p.elems))
 	for i := range p.elems {
 		keys[i] = p.elems[i].colKey()
 	}
-	cols := m.resolveColumns(v, points, keys)
-	fresh := make([]bool, len(cols))
-	for i, c := range cols {
-		if c == nil {
-			cols[i], fresh[i] = make([]float64, 2*len(points)), true
-		}
+	cols, fresh, ok := m.resolveColumns(v, points, keys)
+	if !ok {
+		return BatchStats{}, false, nil
 	}
-	st, err := fe.runBatch(ctx, len(points), opt, func(i int) {
-		x := points[i]
-		surface := x.Z == 0 && a.ladder.mirror
-		var total quad.KahanSum
-		for ei := range p.elems {
-			pe := &p.elems[ei]
-			c := cols[ei][2*i : 2*i+2]
-			if fresh[ei] {
-				c[0], c[1] = fe.column(pe, x, surface)
-			}
-			total.Add(pe.term(sigma, a.linear, c[0], c[1]))
-		}
-		for _, e := range p.quadElems {
-			total.Add(a.elementPotentialQuadrature(int(e), x, sigma))
-		}
-		out[i] = scale * total.Sum()
+	st, err = fe.runBatch(ctx, len(points), opt, func(i int) {
+		out[i] = scale * fe.potentialSum(p, points[i], sigma, cols, fresh, i)
 	})
 	if err == nil {
 		m.publishColumns(v, points, keys, cols, fresh)
 	}
-	return st, err
+	return st, true, err
 }
 
 // GradBatchCtx evaluates ∇V(points[i]) (per unit GPR, unscaled) into

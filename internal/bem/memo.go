@@ -26,7 +26,9 @@ import (
 //     element's header and the batch's point set, which is matched exactly,
 //     coordinate bits and order. PotentialBatchCtx resolves each element's
 //     column, computes the missing ones in its parallel pass over the
-//     points and publishes them after it.
+//     points and publishes them after it. It keeps a computed column only
+//     when the memo has room for it; the others it computes per point and
+//     drops, as PotentialAt does.
 //
 // A value also depends on the assembler options its arithmetic reads
 // (memoVariant), so each variant has its own entries. A class matrix
@@ -191,11 +193,16 @@ func (m *ladderMemo) publishClasses(v memoVariant, keys []PairKey, hits [][]floa
 }
 
 // resolveColumns returns, per element key, its memoized column on pts, or
-// nil for a column to compute.
-func (m *ladderMemo) resolveColumns(v memoVariant, pts []geom.Vec3, keys []colKey) [][]float64 {
-	cols := make([][]float64, len(keys))
+// a fresh buffer, which fresh marks, for a missing column the memo still
+// has room for; every other column is nil, to be computed and dropped.
+// The room is the cap's as resolveColumns sees it, so a batch allocates
+// buffers for no more columns than the memo can keep. ok is false when the
+// memo serves no column and has room for none.
+func (m *ladderMemo) resolveColumns(v memoVariant, pts []geom.Vec3, keys []colKey) (cols [][]float64, fresh []bool, ok bool) {
+	cols = make([][]float64, len(keys))
+	entry := int64(columnMemoEntryBytes + 16*len(pts))
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	room := m.colCap - m.colBytes
 	n := 0
 	if ps := m.pointSet(v, pts, pointsHash(pts)); ps != nil {
 		for i, k := range keys {
@@ -203,10 +210,28 @@ func (m *ladderMemo) resolveColumns(v memoVariant, pts []geom.Vec3, keys []colKe
 				n++
 			}
 		}
+	} else {
+		room -= pointSetBytes + 24*int64(len(pts))
 	}
+	m.mu.Unlock()
 	m.colHits.Add(int64(n))
 	m.colMisses.Add(int64(len(keys) - n))
-	return cols
+
+	free := int64(0)
+	if room > 0 {
+		free = room / entry
+	}
+	if n == 0 && free == 0 {
+		return nil, nil, false
+	}
+	fresh = make([]bool, len(keys))
+	for i := range cols {
+		if cols[i] == nil && free > 0 {
+			cols[i], fresh[i] = make([]float64, 2*len(pts)), true
+			free--
+		}
+	}
+	return cols, fresh, true
 }
 
 // publishColumns adds the columns cols[i] of keys[i] on pts for every i
@@ -281,6 +306,15 @@ func pointsHash(pts []geom.Vec3) uint64 {
 		}
 	}
 	return h
+}
+
+// MemoBytes returns the bytes the ladder's memos hold: 0 for a private
+// ladder, and for a shared one on which no loop has published.
+func (l *Ladder) MemoBytes() int64 {
+	if l.memo == nil {
+		return 0
+	}
+	return l.memo.footprint()
 }
 
 // footprint returns the bytes the memos hold.

@@ -2,11 +2,14 @@ package bem
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"earthing/internal/faultinject"
 	"earthing/internal/grid"
+	"earthing/internal/sched"
 	"earthing/internal/soil"
 )
 
@@ -178,5 +181,138 @@ func TestSharedLadderMemoPublishesNothingUnderFaults(t *testing.T) {
 	evalCandidate(t, a, 2)
 	if lad.memo.footprint() == 0 {
 		t.Error("nothing published once the hook was removed")
+	}
+}
+
+// TestSharedLadderMemoColumnsPastCap: a batch buffers only the columns the
+// column memo has room for, so a raster whose columns do not fit allocates
+// less than one column and publishes nothing, and one with room for k
+// columns allocates and keeps k. Every raster stays bitwise a private
+// ladder's.
+func TestSharedLadderMemoColumnsPastCap(t *testing.T) {
+	model := soil.NewTwoLayer(0.005, 0.016, 1.3)
+	opt := Options{Workers: 2}
+	m := designCandidate(t, 5, 4, 1.3)
+	pts := surfaceRaster(m, 1)
+	sigma := make([]float64, m.NumDoF)
+	for i := range sigma {
+		sigma[i] = 0.5 + 0.03*float64(i%17)
+	}
+	ctx := context.Background()
+	priv, err := New(m, model, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, len(pts))
+	if _, err := priv.Evaluator().PotentialBatchCtx(ctx, pts, sigma, 1, want, BatchOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+
+	lad := NewLadder(model, opt)
+	geo, err := NewGeometry(m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewShared(geo, model, opt, lad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	column := int64(16 * len(pts))
+	entry := columnMemoEntryBytes + column
+	set := int64(pointSetBytes + 24*len(pts))
+	// batch evaluates the raster on a, checks it against the private
+	// ladder's, and returns the bytes it allocated.
+	batch := func(label string) int64 {
+		t.Helper()
+		got := make([]float64, len(pts))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := a.Evaluator().PotentialBatchCtx(ctx, pts, sigma, 1, got, BatchOptions{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		sameBits(t, label, got, want)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+
+	// No room for one column: nothing published, less than a column
+	// allocated once the plan and the surface panels are built.
+	lad.memo.colCap = set + entry - 1
+	batch("no room, first batch")
+	if n := batch("no room"); n >= column {
+		t.Errorf("no room: the batch allocated %d bytes, a column is %d", n, column)
+	}
+	if n := lad.memo.colBytes; n != 0 {
+		t.Errorf("no room: %d bytes published", n)
+	}
+
+	// Room for k columns: k kept, so k columns and the point set's copy
+	// allocated, with less than a column to spare; a repeat is served them
+	// and allocates less than one column.
+	const k = 3
+	lad.memo.colCap = set + k*entry
+	if n, most := batch("room for 3"), set+(k+1)*column; n >= most {
+		t.Errorf("room for %d: the batch allocated %d bytes, want less than %d", k, n, most)
+	}
+	if got, want := lad.memo.colBytes, set+k*entry; got != want {
+		t.Errorf("room for %d: %d bytes published, want %d", k, got, want)
+	}
+	hits := lad.memo.colHits.Load()
+	if n := batch("full"); n >= column {
+		t.Errorf("full: the batch allocated %d bytes, a column is %d", n, column)
+	}
+	if n := lad.memo.colHits.Load() - hits; n != k {
+		t.Errorf("full: %d columns served, want %d", n, k)
+	}
+}
+
+// TestSharedLadderMemoFailedClassLoop: a class loop that fails partway
+// publishes none of its classes, and the classes an earlier candidate
+// published stay served. The loop fails by a panic in one class, raised by
+// a hook that uninstalls itself first, so the loop ends with no hook
+// installed and only its own failure keeps it from publishing.
+func TestSharedLadderMemoFailedClassLoop(t *testing.T) {
+	model := soil.NewTwoLayer(0.005, 0.016, 1.3)
+	opt := Options{Workers: 2}
+	cands := memoCandidates(t)[:2]
+	want := privateOuts(t, model, cands, opt)
+	lad := NewLadder(model, opt)
+	sharedOut(t, model, cands[0], opt, lad, want[0], "first candidate")
+	classes := lad.memo.classBytes
+
+	geo, err := NewGeometry(cands[1], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewShared(geo, model, opt, lad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restore func()
+	restore = faultinject.Set(faultinject.AssemblyPair, faultinject.Counted(5, func(int, []float64) {
+		restore()
+		panic("injected class panic")
+	}))
+	_, _, err = a.MatrixCtx(context.Background())
+	if faultinject.Active() {
+		restore()
+		t.Fatal("the hook did not fire")
+	}
+	var pe *sched.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("MatrixCtx: err = %v, want the contained panic", err)
+	}
+	if n := lad.memo.classBytes; n != classes {
+		t.Errorf("the failed loop published: %d class bytes, %d before it", n, classes)
+	}
+
+	misses := lad.memo.classMisses.Load()
+	sharedOut(t, model, cands[0], opt, lad, want[0], "first candidate, repeated")
+	if n := lad.memo.classMisses.Load() - misses; n != 0 {
+		t.Errorf("first candidate, repeated: %d classes missed", n)
+	}
+	sharedOut(t, model, cands[1], opt, lad, want[1], "second candidate")
+	if lad.memo.classBytes <= classes {
+		t.Error("the second candidate published nothing once its loop succeeded")
 	}
 }

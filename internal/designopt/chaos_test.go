@@ -91,12 +91,14 @@ func TestChaosOptimizeAllPoisoned(t *testing.T) {
 }
 
 // TestChaosOptimizeMemoContainment: a fault in one candidate's pair loop —
-// a poisoned class matrix, then a panic — fails that candidate alone, and
-// nothing of it reaches the memos of the search's ladder. Every other
-// candidate has the Req and voltages of a fault-free search bit for bit (of
-// a fresh analysis, for a candidate the fault-free search never asked
-// for), and a fault-free search run afterwards on the struck search's
-// ladder, served from its memos, matches the fault-free search too.
+// a poisoned class matrix, then a panic — fails that candidate alone. Every
+// other candidate has the Req and voltages of a fault-free search bit for
+// bit (of a fresh analysis, for a candidate the fault-free search never
+// asked for). The hook stays installed for the whole struck search, so no
+// loop of it publishes (faultinject.Active) and its ladder's memos stay
+// empty; a fault-free search run afterwards on that ladder fills them and
+// matches the fault-free search too. That a failed loop publishes nothing
+// when no hook is installed is TestSharedLadderMemoFailedClassLoop's.
 func TestChaosOptimizeMemoContainment(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec()
@@ -176,8 +178,14 @@ func TestChaosOptimizeMemoContainment(t *testing.T) {
 				t.Fatal("no candidate survived the fault")
 			}
 			t.Logf("%d candidates checked, %d in the fault-free search", checked, len(clean.cache))
+			if n := struck.ladder.MemoBytes(); n != 0 {
+				t.Errorf("the struck search published %d memo bytes under the hook", n)
+			}
 
 			again := search(t, struck.ladder)
+			if struck.ladder.MemoBytes() == 0 {
+				t.Error("the search after the fault published nothing")
+			}
 			if again.stats != clean.stats {
 				t.Errorf("search on the struck ladder: stats %+v, fault-free %+v", again.stats, clean.stats)
 			}
