@@ -25,6 +25,7 @@ import (
 	"earthing"
 	"earthing/internal/fsio"
 	"earthing/internal/report"
+	"earthing/internal/server"
 )
 
 func main() {
@@ -85,20 +86,9 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-fault is required (the design fault current drives the safety checks)")
 	}
 
-	var model earthing.SoilModel
-	switch *soilKind {
-	case "uniform":
-		if *gamma1 <= 0 {
-			return fmt.Errorf("-gamma1 %g must be positive", *gamma1)
-		}
-		model = earthing.UniformSoil(*gamma1)
-	case "two-layer":
-		if *gamma1 <= 0 || *gamma2 <= 0 || *h1 <= 0 {
-			return fmt.Errorf("two-layer soil parameters must be positive")
-		}
-		model = earthing.TwoLayerSoil(*gamma1, *gamma2, *h1)
-	default:
-		return fmt.Errorf("unknown soil model %q (want uniform or two-layer)", *soilKind)
+	model, err := server.SoilSpec{Kind: *soilKind, Gamma1: *gamma1, Gamma2: *gamma2, H1: *h1}.Build()
+	if err != nil {
+		return err
 	}
 	sch, err := earthing.ParseSchedule(*schedule)
 	if err != nil {

@@ -154,6 +154,12 @@ func TestBadArgs(t *testing.T) {
 		fastArgs("-soil", "bogus"), // unknown soil
 		fastArgs("-weight", "90kg"),
 		fastArgs("-gamma1", "-1"),
+		fastArgs("-gamma1", "NaN"),
+		fastArgs("-gamma1", "Inf"),
+		fastArgs("-soil", "two-layer", "-gamma2", "NaN"),
+		fastArgs("-soil", "two-layer", "-gamma2", "Inf"),
+		fastArgs("-soil", "two-layer", "-h1", "NaN"),
+		fastArgs("-soil", "two-layer", "-h1", "Inf"),
 		fastArgs("-schedule", "bogus"),
 	}
 	for _, args := range cases {

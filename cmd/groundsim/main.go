@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -340,45 +339,21 @@ func loadGrid(gridFile, builtin string) (*earthing.Grid, error) {
 	}
 }
 
-// validGamma guards the facade's soil constructors, which panic on
-// non-physical parameters: CLI input must come back as an error instead.
-func validGamma(name string, v float64) error {
-	if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("%s %g must be a positive finite conductivity in (ohm·m)^-1", name, v)
-	}
-	return nil
-}
-
+// buildSoil builds the -soil model through the soil spec groundd validates
+// its requests with, so hostile flags come back as an error, never a panic
+// in the facade's soil constructors.
 func buildSoil(kind string, gamma1, gamma2, h1 float64, multi string) (earthing.SoilModel, error) {
-	switch kind {
-	case "uniform":
-		if err := validGamma("-gamma1", gamma1); err != nil {
-			return nil, err
-		}
-		return earthing.UniformSoil(gamma1), nil
-	case "two-layer":
-		if err := validGamma("-gamma1", gamma1); err != nil {
-			return nil, err
-		}
-		if err := validGamma("-gamma2", gamma2); err != nil {
-			return nil, err
-		}
-		if h1 <= 0 || math.IsNaN(h1) || math.IsInf(h1, 0) {
-			return nil, fmt.Errorf("-h1 %g must be a positive finite thickness in m", h1)
-		}
-		return earthing.TwoLayerSoil(gamma1, gamma2, h1), nil
-	case "multi":
+	spec := server.SoilSpec{Kind: kind, Gamma1: gamma1, Gamma2: gamma2, H1: h1}
+	if kind == "multi" {
 		if multi == "" {
 			return nil, fmt.Errorf("-soil multi requires -multi gamma1,h1,gamma2,...")
 		}
-		gammas, hs, err := parseMulti(multi)
-		if err != nil {
+		var err error
+		if spec.Gammas, spec.Thicknesses, err = parseMulti(multi); err != nil {
 			return nil, err
 		}
-		return earthing.MultiLayerSoil(gammas, hs)
-	default:
-		return nil, fmt.Errorf("unknown soil model %q", kind)
 	}
+	return spec.Build()
 }
 
 // parseMulti splits the -multi flag's alternating gamma/thickness list:

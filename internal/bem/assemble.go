@@ -19,14 +19,13 @@ import (
 // Assembler holds the precomputed state of a (mesh, soil model)
 // discretization and generates the Galerkin system. Create one with New,
 // then call MatrixCtx (and RHS) — or reuse it for repeated assemblies in
-// benchmarks. The embedded Geometry (quadrature positions, weights, shape
-// values) is soil-independent and may be shared across assemblers via
-// NewWithGeometry. The Ladder (image ladder and far-field tables) is
-// mesh-independent: New and NewWithGeometry build a private one, and
-// NewShared takes one shared with other assemblers of the soil model, as a
-// design search shares one across its candidates.
+// benchmarks. It builds its mesh's quadrature geometry (Gauss positions,
+// weights, shape values) itself. The Ladder (image ladder and far-field
+// tables) is mesh-independent: New builds a private one, and NewShared
+// takes one shared with other assemblers of the soil model, as a design
+// search shares one across its candidates.
 type Assembler struct {
-	*Geometry
+	*geometry
 	model soil.Model
 	opt   Options
 
@@ -41,10 +40,10 @@ type Assembler struct {
 	lastClasses int
 	lastFar     int
 
-	// lad is the model's Ladder, private (New, NewWithGeometry) or shared
-	// with other assemblers of the model (NewShared); ladder is its image
-	// expansions of every (src, obs) layer pair, flattened once and grouped
-	// by series index (see imageLadder). Pairs without a closed image form
+	// lad is the model's Ladder, private (New) or shared with other
+	// assemblers of the model (NewShared); ladder is its image expansions
+	// of every (src, obs) layer pair, flattened once and grouped by series
+	// index (see imageLadder). Pairs without a closed image form
 	// fall back to quadrature of Model.PointPotential, so a model may mix
 	// fast image kernels (e.g. the top layer of an N-layer soil) with slow
 	// exact ones.
@@ -63,58 +62,40 @@ type Assembler struct {
 	eval     atomic.Pointer[FieldEvaluator]
 }
 
-// New prepares an assembler. It validates that no element spans a layer
-// interface (the kernels assume each source element lies wholly inside one
-// layer; use Grid.SplitAtDepths before discretizing).
+// New prepares an assembler on a private Ladder. It validates that no
+// element spans a layer interface (the kernels assume each source element
+// lies wholly inside one layer; use Grid.SplitAtDepths before discretizing).
 func New(m *grid.Mesh, model soil.Model, opt Options) (*Assembler, error) {
-	geo, err := NewGeometry(m, opt)
-	if err != nil {
-		return nil, err
-	}
-	return NewWithGeometry(geo, model, opt)
+	return newAssembler(m, model, opt, nil)
 }
 
-// NewWithGeometry prepares an assembler on an existing shared Geometry: only
-// the soil-dependent state (element layers, a private Ladder) is rebuilt, so
-// N assemblers over the same mesh pay the quadrature-geometry setup once.
-// The options must select the same integration orders the geometry was built
-// with.
-func NewWithGeometry(geo *Geometry, model soil.Model, opt Options) (*Assembler, error) {
-	return newAssembler(geo, model, opt, nil)
-}
-
-// NewShared is NewWithGeometry on a Ladder shared with other assemblers of
-// the same model: the image ladder is not rebuilt, and the far-field tables
-// and panels any of them builds serve all. Results are bitwise those of a
+// NewShared is New on a Ladder shared with other assemblers of the same
+// model: the image ladder is not rebuilt, and the far-field tables and
+// panels any of them builds serve all. Results are bitwise those of a
 // private ladder. lad must have been built for model's soil.Canonical
 // rendering and opt's series cap (NewLadder).
-func NewShared(geo *Geometry, model soil.Model, opt Options, lad *Ladder) (*Assembler, error) {
+func NewShared(m *grid.Mesh, model soil.Model, opt Options, lad *Ladder) (*Assembler, error) {
 	if lad == nil {
 		return nil, fmt.Errorf("bem: nil ladder")
 	}
 	if !lad.fits(model, opt) {
 		return nil, fmt.Errorf("bem: the ladder was built for another soil model or series cap")
 	}
-	return newAssembler(geo, model, opt, lad)
+	return newAssembler(m, model, opt, lad)
 }
 
-// newAssembler builds an assembler on lad, or on a private ladder when lad
-// is nil.
-func newAssembler(geo *Geometry, model soil.Model, opt Options, lad *Ladder) (*Assembler, error) {
-	if geo == nil {
-		return nil, fmt.Errorf("bem: nil geometry")
+// newAssembler builds an assembler of m on lad, or on a private ladder when
+// lad is nil.
+func newAssembler(m *grid.Mesh, model soil.Model, opt Options, lad *Ladder) (*Assembler, error) {
+	if m == nil || len(m.Elements) == 0 {
+		return nil, fmt.Errorf("bem: empty mesh")
 	}
 	opt = opt.withDefaults()
 	if opt.Kernel != FlatKernel {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownKernel, opt.Kernel)
 	}
-	if opt.GaussOrder != geo.gaussOrder || opt.NearGaussOrder != geo.nearGaussOrder {
-		return nil, fmt.Errorf("bem: options select Gauss orders (%d, %d) but the geometry was built for (%d, %d)",
-			opt.GaussOrder, opt.NearGaussOrder, geo.gaussOrder, geo.nearGaussOrder)
-	}
-	m := geo.mesh
 	a := &Assembler{
-		Geometry: geo,
+		geometry: newGeometry(m, opt),
 		model:    model,
 		opt:      opt,
 	}
@@ -153,7 +134,7 @@ func newAssembler(geo *Geometry, model soil.Model, opt Options, lad *Ladder) (*A
 // the sum over assemblers overstates their joint footprint — the
 // conservative side for a byte-bounded cache.
 func (a *Assembler) Footprint() int64 {
-	n := a.Geometry.Footprint() + int64(len(a.elemLayer))*8 + a.lad.footprint() + a.far.footprint()
+	n := a.geometry.footprint(a.opt.NearGaussOrder != a.opt.GaussOrder) + int64(len(a.elemLayer))*8 + a.lad.footprint() + a.far.footprint()
 	if fe := a.eval.Load(); fe != nil {
 		n += fe.footprint()
 	}
@@ -365,7 +346,7 @@ type pairScratch struct {
 
 // maxGauss returns the larger of the far- and near-field outer rule sizes —
 // the capacity the flat-kernel hoist arrays need.
-func (g *Geometry) maxGauss() int {
+func (g *geometry) maxGauss() int {
 	n := len(g.gpW)
 	if len(g.gpWN) > n {
 		n = len(g.gpWN)

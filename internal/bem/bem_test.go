@@ -396,7 +396,7 @@ func TestElementSpanningInterfaceRejected(t *testing.T) {
 }
 
 // TestNewRejectsUnknownKernel: Options.Kernel has one valid value; any
-// other is a typed ErrUnknownKernel from New and NewWithGeometry, never a
+// other is a typed ErrUnknownKernel from New and NewShared, never a
 // panic or a silently different assembly.
 func TestNewRejectsUnknownKernel(t *testing.T) {
 	m, err := grid.Discretize(grid.RectMesh(0, 0, 8, 8, 2, 2, 0.5, 0.01), grid.Linear, 0)
@@ -404,10 +404,7 @@ func TestNewRejectsUnknownKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := soil.NewUniform(0.02)
-	geo, err := NewGeometry(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lad := NewLadder(model, Options{})
 	for _, c := range []struct {
 		kernel KernelStrategy
 		ok     bool
@@ -418,8 +415,8 @@ func TestNewRejectsUnknownKernel(t *testing.T) {
 		{KernelStrategy(-1), false},
 	} {
 		_, errNew := New(m, model, Options{Kernel: c.kernel})
-		_, errGeo := NewWithGeometry(geo, model, Options{Kernel: c.kernel})
-		for _, err := range []error{errNew, errGeo} {
+		_, errShared := NewShared(m, model, Options{Kernel: c.kernel}, lad)
+		for _, err := range []error{errNew, errShared} {
 			if c.ok && err != nil {
 				t.Errorf("kernel %v rejected: %v", c.kernel, err)
 			}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"earthing/internal/geom"
 	"earthing/internal/quad"
@@ -567,41 +566,6 @@ func (o BatchOptions) withDefaults() BatchOptions {
 	return o
 }
 
-// BatchStats describes how a batched evaluation ran.
-type BatchStats struct {
-	// Sched reports the work distribution of the point loop.
-	Sched sched.Stats
-	// Busy is the per-worker busy time.
-	Busy []time.Duration
-	// Wall is the total wall-clock time of the batch.
-	Wall time.Duration
-}
-
-// PredictedSpeedup returns Σbusy/max(busy) — the load-balance-limited
-// speed-up the schedule would achieve with one core per worker, the same
-// quantity the matrix-generation tables report.
-func (s BatchStats) PredictedSpeedup() float64 {
-	var sum, max time.Duration
-	for _, b := range s.Busy {
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
-	if max == 0 {
-		return 1
-	}
-	return float64(sum) / float64(max)
-}
-
-// PointsPerSec returns the aggregate evaluation throughput of the batch.
-func (s BatchStats) PointsPerSec() float64 {
-	if s.Wall <= 0 {
-		return 0
-	}
-	return float64(s.Sched.Iterations) / s.Wall.Seconds()
-}
-
 // PotentialBatchCtx evaluates scale·V(points[i]) into out[i] for every
 // point, distributing points over workers. out must have len(points). The
 // per-point arithmetic is identical to PotentialAt regardless of worker
@@ -617,11 +581,11 @@ func (s BatchStats) PointsPerSec() float64 {
 // computes the others per point as PotentialAt does, so a batch past the
 // memo's cap allocates nothing per element. The sums are PotentialAt's,
 // bit for bit.
-func (fe *FieldEvaluator) PotentialBatchCtx(ctx context.Context, points []geom.Vec3, sigma []float64, scale float64, out []float64, opt BatchOptions) (BatchStats, error) {
+func (fe *FieldEvaluator) PotentialBatchCtx(ctx context.Context, points []geom.Vec3, sigma []float64, scale float64, out []float64, opt BatchOptions) error {
 	if m := fe.a.lad.memo; m != nil && len(points) > 0 {
 		if layer, ok := fe.commonLayer(points); ok {
-			if st, ok, err := fe.potentialBatchMemo(ctx, m, layer, points, sigma, scale, out, opt); ok {
-				return st, err
+			if ok, err := fe.potentialBatchMemo(ctx, m, layer, points, sigma, scale, out, opt); ok {
+				return err
 			}
 		}
 	}
@@ -646,7 +610,7 @@ func (fe *FieldEvaluator) commonLayer(points []geom.Vec3) (int, bool) {
 // potentialBatchMemo is PotentialBatchCtx on the column memo m, for points
 // all in observation layer layer. ok is false, and nothing has run, when m
 // serves no column of the batch and has room for none.
-func (fe *FieldEvaluator) potentialBatchMemo(ctx context.Context, m *ladderMemo, layer int, points []geom.Vec3, sigma []float64, scale float64, out []float64, opt BatchOptions) (st BatchStats, ok bool, err error) {
+func (fe *FieldEvaluator) potentialBatchMemo(ctx context.Context, m *ladderMemo, layer int, points []geom.Vec3, sigma []float64, scale float64, out []float64, opt BatchOptions) (ok bool, err error) {
 	p := fe.plan(layer)
 	v := fe.a.memoVariant()
 	keys := make([]colKey, len(p.elems))
@@ -655,35 +619,29 @@ func (fe *FieldEvaluator) potentialBatchMemo(ctx context.Context, m *ladderMemo,
 	}
 	cols, fresh, ok := m.resolveColumns(v, points, keys)
 	if !ok {
-		return BatchStats{}, false, nil
+		return false, nil
 	}
-	st, err = fe.runBatch(ctx, len(points), opt, func(i int) {
+	err = fe.runBatch(ctx, len(points), opt, func(i int) {
 		out[i] = scale * fe.potentialSum(p, points[i], sigma, cols, fresh, i)
 	})
 	if err == nil {
 		m.publishColumns(v, points, keys, cols, fresh)
 	}
-	return st, true, err
+	return true, err
 }
 
 // GradBatchCtx evaluates ∇V(points[i]) (per unit GPR, unscaled) into
 // out[i], with the distribution and cancellation of PotentialBatchCtx. out
 // must have len(points).
-func (fe *FieldEvaluator) GradBatchCtx(ctx context.Context, points []geom.Vec3, sigma []float64, out []geom.Vec3, opt BatchOptions) (BatchStats, error) {
+func (fe *FieldEvaluator) GradBatchCtx(ctx context.Context, points []geom.Vec3, sigma []float64, out []geom.Vec3, opt BatchOptions) error {
 	return fe.runBatch(ctx, len(points), opt, func(i int) {
 		out[i] = fe.GradientAt(points[i], sigma)
 	})
 }
 
-// runBatch distributes body over n points with per-worker busy tracking.
-func (fe *FieldEvaluator) runBatch(ctx context.Context, n int, opt BatchOptions, body func(i int)) (BatchStats, error) {
+// runBatch distributes body over n points.
+func (fe *FieldEvaluator) runBatch(ctx context.Context, n int, opt BatchOptions, body func(i int)) error {
 	opt = opt.withDefaults()
-	busy := make([]time.Duration, sched.Width(n, opt.Workers))
-	start := time.Now()
-	st, err := sched.ForStatsCtx(ctx, n, opt.Workers, opt.Schedule, func(i, wk int) {
-		t0 := time.Now()
-		body(i)
-		busy[wk] += time.Since(t0)
-	})
-	return BatchStats{Sched: st, Busy: busy[:st.Workers], Wall: time.Since(start)}, err
+	_, err := sched.ForStatsCtx(ctx, n, opt.Workers, opt.Schedule, func(i, _ int) { body(i) })
+	return err
 }

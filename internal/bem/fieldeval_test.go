@@ -139,15 +139,11 @@ func TestPotentialBatchMatchesSequentialExactly(t *testing.T) {
 	seq := make([]float64, len(pts))
 	par := make([]float64, len(pts))
 	ctx := context.Background()
-	if _, err := fe.PotentialBatchCtx(ctx, pts, sigma, 2.5, seq, BatchOptions{Workers: 1}); err != nil {
+	if err := fe.PotentialBatchCtx(ctx, pts, sigma, 2.5, seq, BatchOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := fe.PotentialBatchCtx(ctx, pts, sigma, 2.5, par, BatchOptions{Workers: 4})
-	if err != nil {
+	if err := fe.PotentialBatchCtx(ctx, pts, sigma, 2.5, par, BatchOptions{Workers: 4}); err != nil {
 		t.Fatal(err)
-	}
-	if st.Sched.Iterations != len(pts) {
-		t.Errorf("stats report %d iterations, want %d", st.Sched.Iterations, len(pts))
 	}
 	for i := range seq {
 		if seq[i] != par[i] {
@@ -160,7 +156,7 @@ func TestPotentialBatchMatchesSequentialExactly(t *testing.T) {
 	}
 
 	grads := make([]geom.Vec3, len(pts))
-	if _, err := fe.GradBatchCtx(ctx, pts, sigma, grads, BatchOptions{Workers: 3}); err != nil {
+	if err := fe.GradBatchCtx(ctx, pts, sigma, grads, BatchOptions{Workers: 3}); err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range pts[:8] {
@@ -196,7 +192,7 @@ func TestEvaluatorCachedAndConcurrent(t *testing.T) {
 	}
 	pts := fieldEvalPoints()
 	out := make([]float64, len(pts))
-	if _, err := a.Evaluator().PotentialBatchCtx(context.Background(), pts, sigma, 1, out, BatchOptions{Workers: 8}); err != nil {
+	if err := a.Evaluator().PotentialBatchCtx(context.Background(), pts, sigma, 1, out, BatchOptions{Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range out {

@@ -1,30 +1,20 @@
 package bem
 
 import (
-	"fmt"
-
 	"earthing/internal/geom"
 	"earthing/internal/grid"
 	"earthing/internal/quad"
 )
 
-// Geometry is the soil-independent precomputed state of a discretized mesh:
+// geometry is the soil-independent precomputed state of a discretized mesh:
 // Gauss point positions on every element axis, reference weights, shape
 // function values and reference coordinates, for both the far-field and the
 // refined near-field outer rules. It depends only on (mesh, GaussOrder,
-// NearGaussOrder), so one Geometry can be shared by many Assemblers that
-// analyze the same mesh under different soil models — the geometry-reuse
-// tier of the sweep engine. A Geometry is immutable after NewGeometry.
-type Geometry struct {
+// NearGaussOrder) and is immutable once built.
+type geometry struct {
 	mesh   *grid.Mesh
 	linear bool
 	k      int // DoF per element
-
-	// The integration orders the Gauss data was built for (after the
-	// Options defaults were applied); NewWithGeometry validates that an
-	// assembler's options agree.
-	gaussOrder     int
-	nearGaussOrder int
 
 	// Per-element outer (test) integration data (far-field order).
 	gpPos   [][]geom.Vec3 // Gauss point positions on each element axis
@@ -40,20 +30,13 @@ type Geometry struct {
 	gpTN     []float64
 }
 
-// NewGeometry precomputes the quadrature geometry of a mesh for the
-// integration orders selected by opt (only GaussOrder and NearGaussOrder are
-// consulted; the remaining options do not affect geometry).
-func NewGeometry(m *grid.Mesh, opt Options) (*Geometry, error) {
-	if m == nil || len(m.Elements) == 0 {
-		return nil, fmt.Errorf("bem: empty mesh")
-	}
-	opt = opt.withDefaults()
-	g := &Geometry{
-		mesh:           m,
-		linear:         m.Kind == grid.Linear,
-		k:              m.DoFCount(),
-		gaussOrder:     opt.GaussOrder,
-		nearGaussOrder: opt.NearGaussOrder,
+// newGeometry precomputes the quadrature geometry of a non-empty mesh for
+// the integration orders of opt, whose defaults are already applied.
+func newGeometry(m *grid.Mesh, opt Options) *geometry {
+	g := &geometry{
+		mesh:   m,
+		linear: m.Kind == grid.Linear,
+		k:      m.DoFCount(),
 	}
 
 	buildSet := func(order int) (pos [][]geom.Vec3, w []float64, shape [][2]float64, ts []float64) {
@@ -87,24 +70,23 @@ func NewGeometry(m *grid.Mesh, opt Options) (*Geometry, error) {
 	} else {
 		g.gpPosN, g.gpWN, g.gpShapeN, g.gpTN = buildSet(opt.NearGaussOrder)
 	}
-	return g, nil
+	return g
 }
 
 // Mesh returns the discretized mesh the geometry was built from.
-func (g *Geometry) Mesh() *grid.Mesh { return g.mesh }
+func (g *geometry) Mesh() *grid.Mesh { return g.mesh }
 
-// Footprint estimates the resident bytes of the precomputed quadrature data:
+// footprint estimates the resident bytes of the precomputed quadrature data:
 // Gauss point positions (24 B per point), weights, shape values and reference
 // coordinates, counting the refined near-field set only when it does not
-// alias the far-field one. Used to size byte-bounded caches of solved
-// systems; an estimate, not an accounting of every allocator header.
-func (g *Geometry) Footprint() int64 {
+// alias the far-field one (near is false when the orders agree).
+func (g *geometry) footprint(near bool) int64 {
 	var n int64
 	for _, p := range g.gpPos {
 		n += int64(len(p)) * 24
 	}
 	n += int64(len(g.gpW))*8 + int64(len(g.gpShape))*16 + int64(len(g.gpT))*8
-	if g.nearGaussOrder != g.gaussOrder {
+	if near {
 		for _, p := range g.gpPosN {
 			n += int64(len(p)) * 24
 		}

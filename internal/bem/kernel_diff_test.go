@@ -198,7 +198,7 @@ func TestFig54RasterMatchesReference(t *testing.T) {
 	res, pts := fig54Raster(t, 56, 44, bem.ConvergedTol)
 	asm := res.Assembler()
 	batch := make([]float64, len(pts))
-	if _, err := asm.Evaluator().PotentialBatchCtx(context.Background(), pts, res.Sigma, 1, batch, bem.BatchOptions{}); err != nil {
+	if err := asm.Evaluator().PotentialBatchCtx(context.Background(), pts, res.Sigma, 1, batch, bem.BatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var maxDiff float64

@@ -36,7 +36,7 @@ import (
 // that registered only farMaxDepths of its horizontal depths (initFar)
 // reads and writes no class memo.
 //
-// Private ladders (New, NewWithGeometry) carry no memo. Each memo stops
+// Private ladders (New) carry no memo. Each memo stops
 // growing at a constant byte cap, and both are counted in Ladder.footprint.
 // Nothing is published from a failed or cancelled loop, or while a fault
 // hook is installed (faultinject.Active), so a poisoned value can never be

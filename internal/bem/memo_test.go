@@ -46,11 +46,7 @@ func privateOuts(t *testing.T, model soil.Model, ms []*grid.Mesh, opt Options) [
 // sharedOut evaluates m on lad and checks it bitwise against want.
 func sharedOut(t *testing.T, model soil.Model, m *grid.Mesh, opt Options, lad *Ladder, want candidateOut, label string) *Assembler {
 	t.Helper()
-	geo, err := NewGeometry(m, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewShared(geo, model, opt, lad)
+	a, err := NewShared(m, model, opt, lad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +145,7 @@ func TestSharedLadderMemoPublishesNothingUnderFaults(t *testing.T) {
 	opt := Options{Workers: 2}
 	m := designCandidate(t, 3, 4, 1.3)
 	lad := NewLadder(model, opt)
-	geo, err := NewGeometry(m, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewShared(geo, model, opt, lad)
+	a, err := NewShared(m, model, opt, lad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +157,7 @@ func TestSharedLadderMemoPublishesNothingUnderFaults(t *testing.T) {
 	pts := surfaceRaster(m, 5)
 	sigma := make([]float64, m.NumDoF)
 	out := make([]float64, len(pts))
-	if _, err := a.Evaluator().PotentialBatchCtx(ctx, pts, sigma, 1, out, BatchOptions{Workers: 2}); err == nil {
+	if err := a.Evaluator().PotentialBatchCtx(ctx, pts, sigma, 1, out, BatchOptions{Workers: 2}); err == nil {
 		t.Fatal("cancelled PotentialBatchCtx succeeded")
 	}
 	if n := lad.memo.footprint(); n != 0 {
@@ -204,16 +196,12 @@ func TestSharedLadderMemoColumnsPastCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make([]float64, len(pts))
-	if _, err := priv.Evaluator().PotentialBatchCtx(ctx, pts, sigma, 1, want, BatchOptions{Workers: 2}); err != nil {
+	if err := priv.Evaluator().PotentialBatchCtx(ctx, pts, sigma, 1, want, BatchOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 
 	lad := NewLadder(model, opt)
-	geo, err := NewGeometry(m, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewShared(geo, model, opt, lad)
+	a, err := NewShared(m, model, opt, lad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +215,7 @@ func TestSharedLadderMemoColumnsPastCap(t *testing.T) {
 		got := make([]float64, len(pts))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := a.Evaluator().PotentialBatchCtx(ctx, pts, sigma, 1, got, BatchOptions{Workers: 2}); err != nil {
+		if err := a.Evaluator().PotentialBatchCtx(ctx, pts, sigma, 1, got, BatchOptions{Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -280,11 +268,7 @@ func TestSharedLadderMemoFailedClassLoop(t *testing.T) {
 	sharedOut(t, model, cands[0], opt, lad, want[0], "first candidate")
 	classes := lad.memo.classBytes
 
-	geo, err := NewGeometry(cands[1], opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewShared(geo, model, opt, lad)
+	a, err := NewShared(cands[1], model, opt, lad)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func candidateBits(a *Assembler, workers int) (candidateOut, error) {
 		sigma[i] = 0.5 + 0.03*float64(i%17)
 	}
 	out.surface = make([]float64, len(pts))
-	_, err = a.Evaluator().PotentialBatchCtx(context.Background(), pts, sigma, 1, out.surface, BatchOptions{Workers: workers})
+	err = a.Evaluator().PotentialBatchCtx(context.Background(), pts, sigma, 1, out.surface, BatchOptions{Workers: workers})
 	return out, err
 }
 
@@ -155,11 +155,7 @@ func TestSharedLadderMatchesPrivate(t *testing.T) {
 					for pass := 0; pass < 2; pass++ {
 						served := lad.memo.classHits.Load() + lad.memo.colHits.Load()
 						for _, i := range order {
-							geo, err := NewGeometry(cands[i], opt)
-							if err != nil {
-								t.Fatal(err)
-							}
-							a, err := NewShared(geo, c.model, opt, lad)
+							a, err := NewShared(cands[i], c.model, opt, lad)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -193,11 +189,7 @@ func TestSharedLadderMatchesPrivate(t *testing.T) {
 			errs := make([]error, len(cands))
 			var wg sync.WaitGroup
 			for i, m := range cands {
-				geo, err := NewGeometry(m, Options{Workers: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				a, err := NewShared(geo, c.model, Options{Workers: 2}, lad)
+				a, err := NewShared(m, c.model, Options{Workers: 2}, lad)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -243,13 +235,9 @@ func sameBits(t *testing.T, label string, got, want []float64) {
 // model and series cap it was built for.
 func TestNewSharedRejectsForeignLadder(t *testing.T) {
 	m := designCandidate(t, 3, 0, 1.3)
-	geo, err := NewGeometry(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	model := soil.NewTwoLayer(0.005, 0.016, 1.3)
 	lad := NewLadder(model, Options{})
-	if _, err := NewShared(geo, model, Options{}, lad); err != nil {
+	if _, err := NewShared(m, model, Options{}, lad); err != nil {
 		t.Fatalf("own model: %v", err)
 	}
 	for name, tc := range map[string]struct {
@@ -259,11 +247,11 @@ func TestNewSharedRejectsForeignLadder(t *testing.T) {
 		"other ratio":      {soil.NewTwoLayer(0.005, 0.017, 1.3), Options{}},
 		"other series cap": {model, Options{MaxGroups: 64}},
 	} {
-		if _, err := NewShared(geo, tc.model, tc.opt, lad); err == nil {
+		if _, err := NewShared(m, tc.model, tc.opt, lad); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := NewShared(geo, model, Options{}, nil); err == nil {
+	if _, err := NewShared(m, model, Options{}, nil); err == nil {
 		t.Error("nil ladder accepted")
 	}
 }
@@ -275,24 +263,17 @@ func TestNewSharedRejectsForeignLadder(t *testing.T) {
 func BenchmarkSharedLadderDesignSequence(b *testing.B) {
 	model := soil.NewTwoLayer(0.005, 0.016, 1.3)
 	opt := Options{Workers: 2}
-	var geos []*Geometry
-	for _, m := range designSequence(b, 1.3) {
-		geo, err := NewGeometry(m, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		geos = append(geos, geo)
-	}
+	cands := designSequence(b, 1.3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lad := NewLadder(model, opt)
-		for _, geo := range geos {
-			a, err := NewShared(geo, model, opt, lad)
+		for _, m := range cands {
+			a, err := NewShared(m, model, opt, lad)
 			if err != nil {
 				b.Fatal(err)
 			}
 			evalCandidate(b, a, 2)
 		}
 	}
-	b.ReportMetric(float64(len(geos)), "candidates")
+	b.ReportMetric(float64(len(cands)), "candidates")
 }

@@ -71,7 +71,7 @@ func TestBatchedEvaluationFasterThanReference(t *testing.T) {
 	out := make([]float64, len(pts))
 	fe.PotentialAt(pts[0], res.Sigma) // build the plan outside the timings
 	batch := minWall(3, func() {
-		if _, err := fe.PotentialBatchCtx(context.Background(), pts, res.Sigma, 1, out, bem.BatchOptions{Workers: 1}); err != nil {
+		if err := fe.PotentialBatchCtx(context.Background(), pts, res.Sigma, 1, out, bem.BatchOptions{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -103,7 +103,7 @@ func TestColumnStopRuleNoWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conv, err := NewWithGeometry(a.Geometry, c.model, Options{Workers: 2, SeriesTol: convergedTol})
+		conv, err := New(m, c.model, Options{Workers: 2, SeriesTol: convergedTol})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -270,7 +270,7 @@ func TestSurfaceTableWorkersBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := make([]float64, len(pts))
-		if _, err := a.Evaluator().PotentialBatchCtx(context.Background(), pts, sigma, 1, out, BatchOptions{Workers: workers}); err != nil {
+		if err := a.Evaluator().PotentialBatchCtx(context.Background(), pts, sigma, 1, out, BatchOptions{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		if want == nil {
@@ -295,10 +295,6 @@ func TestSurfaceTableWorkersBitIdentical(t *testing.T) {
 func BenchmarkPotentialBatchDesignCandidate(b *testing.B) {
 	m := designCandidate(b, 5, 8, 1.3)
 	model := soil.NewTwoLayer(0.005, 0.016, 1.3)
-	geo, err := NewGeometry(m, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
 	pts := surfaceRaster(m, 5)
 	sigma := make([]float64, m.NumDoF)
 	for i := range sigma {
@@ -307,11 +303,11 @@ func BenchmarkPotentialBatchDesignCandidate(b *testing.B) {
 	out := make([]float64, len(pts))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, err := NewWithGeometry(geo, model, Options{Workers: 2})
+		a, err := New(m, model, Options{Workers: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := a.Evaluator().PotentialBatchCtx(context.Background(), pts, sigma, 1, out, BatchOptions{Workers: 2}); err != nil {
+		if err := a.Evaluator().PotentialBatchCtx(context.Background(), pts, sigma, 1, out, BatchOptions{Workers: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -236,8 +236,7 @@ func AnalyzeReaderCtx(ctx context.Context, rd io.Reader, model soil.Model, cfg C
 
 // InterfaceDepths returns the layer interface depths of a model — the
 // depths the grid must be split at before discretization. Two models with
-// equal InterfaceDepths discretize a grid into the same mesh, which is the
-// mesh-grouping criterion of the sweep engine.
+// equal InterfaceDepths discretize a grid into the same mesh.
 func InterfaceDepths(model soil.Model) []float64 {
 	_, depths := model.LayerParameters()
 	return append([]float64(nil), depths...)
@@ -257,8 +256,7 @@ func validGPR(cfg *Config) error {
 // BuildMesh runs the preprocessing geometry stage of the pipeline: bonding
 // check (returned as warnings), interface splitting for the model, and
 // discretization under the config's element knobs. It is deterministic in
-// (g, InterfaceDepths(model), cfg), so scenarios whose models share
-// interface depths can share the returned mesh.
+// (g, InterfaceDepths(model), cfg).
 func BuildMesh(g *grid.Grid, model soil.Model, cfg Config) (*grid.Mesh, []string, error) {
 	var warnings []string
 	if err := g.CheckBonding(); err != nil {
@@ -376,12 +374,11 @@ func finishResults(res *Result, model soil.Model, gpr float64) error {
 // with the same cancellation semantics. asm must be built on the unit model
 // of model (soil.Normalize), as AnalyzeCtx builds its own. AnalyzeCtx runs
 // these stages through here, so any caller holding an assembler of the same
-// (mesh, unit model, cfg.BEM) scenario gets a bit-identical result; the sweep
-// engine builds its assemblers on shared geometry (bem.NewWithGeometry) and
-// analyzes each through here. warnings are the preprocessing warnings of
-// BuildMesh.
-// cfg.Solver must be a dense solver: the compressed tier never generates the
-// dense matrix.
+// (mesh, unit model, cfg.BEM) scenario gets a bit-identical result; a design
+// search builds its candidates' assemblers on its shared ladder
+// (bem.NewShared) and analyzes each through here. warnings are the
+// preprocessing warnings of BuildMesh. cfg.Solver must be a dense solver:
+// the compressed tier never generates the dense matrix.
 func AnalyzeAssembler(ctx context.Context, asm *bem.Assembler, model soil.Model, warnings []string, cfg Config) (*Result, error) {
 	if err := validGPR(&cfg); err != nil {
 		return nil, err
@@ -433,17 +430,13 @@ func Rehydrate(g *grid.Grid, model soil.Model, sigma []float64, cfg Config) (*Re
 	if err := validGPR(&cfg); err != nil {
 		return nil, err
 	}
-	mesh, warnings, err := BuildMesh(g, model, cfg)
+	asm, warnings, err := preprocess(g, nil, model, cfg)
 	if err != nil {
 		return nil, err
 	}
+	mesh := asm.Mesh()
 	if len(sigma) != mesh.NumDoF {
 		return nil, fmt.Errorf("core: rehydrate: density has %d entries, mesh has %d DoF", len(sigma), mesh.NumDoF)
-	}
-	unit, _ := soil.Normalize(model)
-	asm, err := bem.New(mesh, unit, cfg.BEM)
-	if err != nil {
-		return nil, fmt.Errorf("core: preprocess: %w", err)
 	}
 	res := &Result{Mesh: mesh, Sigma: sigma, Warnings: warnings, asm: asm}
 	if err := finishResults(res, model, cfg.GPR); err != nil {
@@ -481,20 +474,11 @@ func analyze(ctx context.Context, g *grid.Grid, mesh *grid.Mesh, model soil.Mode
 	// numbering, assembler setup (element Gauss data, kernel expansions) on
 	// the unit model, so proportional models solve one system.
 	start := time.Now()
-	var warnings []string
-	if mesh == nil {
-		var err error
-		mesh, warnings, err = BuildMesh(g, model, cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-	unit, _ := soil.Normalize(model)
-	asm, err := bem.New(mesh, unit, cfg.BEM)
+	asm, warnings, err := preprocess(g, mesh, model, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: preprocess: %w", err)
+		return nil, err
 	}
-	preprocess := time.Since(start)
+	preprocessed := time.Since(start)
 
 	// The compressed tier replaces both the dense matrix-generation and the
 	// packed solve stages (degrading to them on small systems when the
@@ -509,6 +493,25 @@ func analyze(ctx context.Context, g *grid.Grid, mesh *grid.Mesh, model soil.Mode
 		return nil, err
 	}
 	res.Timings.Input = inputTime
-	res.Timings.Preprocess = preprocess
+	res.Timings.Preprocess = preprocessed
 	return res, nil
+}
+
+// preprocess runs the data-preprocessing stage: BuildMesh of g when no mesh
+// is given, then the assembler setup on the unit model (soil.Normalize), so
+// proportional models solve one system.
+func preprocess(g *grid.Grid, mesh *grid.Mesh, model soil.Model, cfg Config) (*bem.Assembler, []string, error) {
+	var warnings []string
+	if mesh == nil {
+		var err error
+		if mesh, warnings, err = BuildMesh(g, model, cfg); err != nil {
+			return nil, nil, err
+		}
+	}
+	unit, _ := soil.Normalize(model)
+	asm, err := bem.New(mesh, unit, cfg.BEM)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: preprocess: %w", err)
+	}
+	return asm, warnings, nil
 }

@@ -36,7 +36,7 @@ func TestFootprintTracksRetainedHeap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := res.Assembler().Evaluator().PotentialBatchCtx(context.Background(), pts, res.Sigma, 1, out, bem.BatchOptions{Workers: 1}); err != nil {
+		if err := res.Assembler().Evaluator().PotentialBatchCtx(context.Background(), pts, res.Sigma, 1, out, bem.BatchOptions{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 		kept = append(kept, res)
@@ -83,11 +83,7 @@ func TestFootprintCountsSharedLadderWhole(t *testing.T) {
 			}
 			return a
 		}
-		geo, err := bem.NewGeometry(mesh, cfg.BEM)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := bem.NewShared(geo, model, cfg.BEM, lad)
+		a, err := bem.NewShared(mesh, model, cfg.BEM, lad)
 		if err != nil {
 			t.Fatal(err)
 		}

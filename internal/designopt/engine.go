@@ -345,7 +345,7 @@ func (e *engine) evaluateRound(ctx context.Context, pending []*evalReq) error {
 	}
 	sort.Strings(keys)
 
-	// Analyze the whole round before scoring any of it, so a preprocessing
+	// Analyze the whole round before scoring any of it, so a discretization
 	// error or a cancellation leaves no candidate of the round cached.
 	grids := make([]*Design, len(keys))
 	results := make([]*core.Result, len(keys))
@@ -391,16 +391,12 @@ func (e *engine) evaluateRound(ctx context.Context, pending []*evalReq) error {
 }
 
 // analyze runs candidate grid g through core's stages at unit GPR, its
-// assembler on the search's ladder. A failure after preprocessing, a panic
+// assembler on the search's ladder. A failure after discretization, a panic
 // on this goroutine included, returns a nil Result: it fails this candidate
-// alone. A preprocessing error, or ctx's once it is cancelled, aborts the
+// alone. A discretization error, or ctx's once it is cancelled, aborts the
 // search.
 func (e *engine) analyze(ctx context.Context, g *grid.Grid) (res *core.Result, err error) {
 	mesh, warnings, err := core.BuildMesh(g, e.spec.Model, e.cfg)
-	if err != nil {
-		return nil, err
-	}
-	geo, err := bem.NewGeometry(mesh, e.cfg.BEM)
 	if err != nil {
 		return nil, err
 	}
@@ -409,7 +405,7 @@ func (e *engine) analyze(ctx context.Context, g *grid.Grid) (res *core.Result, e
 			res, err = nil, ctx.Err()
 		}
 	}()
-	asm, err := bem.NewShared(geo, e.unit, e.cfg.BEM, e.ladder)
+	asm, err := bem.NewShared(mesh, e.unit, e.cfg.BEM, e.ladder)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func CrossSection(ctx context.Context, a *bem.Assembler, sigma []float64, scale 
 			pts[j*opt.NX+i] = geom.V(x0+t*(x1-x0), y0+t*(y1-y0), depth)
 		}
 	}
-	if _, err := a.Evaluator().PotentialBatchCtx(ctx, pts, sigma, scale, r.V, batchOpt(opt)); err != nil {
+	if err := a.Evaluator().PotentialBatchCtx(ctx, pts, sigma, scale, r.V, batchOpt(opt)); err != nil {
 		return nil, err
 	}
 	return r, nil

@@ -124,7 +124,7 @@ func EFieldRasterCtx(ctx context.Context, a *bem.Assembler, sigma []float64, sca
 	opt = opt.WithDefaults()
 	r, pts := surfaceRaster(x0, y0, x1, y1, opt)
 	grads := make([]geom.Vec3, len(pts))
-	if _, err := a.Evaluator().GradBatchCtx(ctx, pts, sigma, grads, batchOpt(opt)); err != nil {
+	if err := a.Evaluator().GradBatchCtx(ctx, pts, sigma, grads, batchOpt(opt)); err != nil {
 		return nil, err
 	}
 	// E = −∇V, so |E_h| = |∇V_h| — the sign never survives the magnitude.
@@ -152,7 +152,7 @@ func StepProfileByField(ctx context.Context, a *bem.Assembler, sigma []float64, 
 		return nil, nil, err
 	}
 	grads := make([]geom.Vec3, n)
-	if _, err := a.Evaluator().GradBatchCtx(ctx, pts, sigma, grads, bem.BatchOptions{}); err != nil {
+	if err := a.Evaluator().GradBatchCtx(ctx, pts, sigma, grads, bem.BatchOptions{}); err != nil {
 		return nil, nil, err
 	}
 	step = make([]float64, n)

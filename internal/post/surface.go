@@ -102,7 +102,7 @@ func SurfacePotentialCtx(ctx context.Context, a *bem.Assembler, mesh interface{ 
 func SurfacePotentialRectCtx(ctx context.Context, a *bem.Assembler, sigma []float64, scale float64, x0, y0, x1, y1 float64, opt SurfaceOptions) (*Raster, error) {
 	opt = opt.WithDefaults()
 	r, pts := surfaceRaster(x0, y0, x1, y1, opt)
-	if _, err := a.Evaluator().PotentialBatchCtx(ctx, pts, sigma, scale, r.V, batchOpt(opt)); err != nil {
+	if err := a.Evaluator().PotentialBatchCtx(ctx, pts, sigma, scale, r.V, batchOpt(opt)); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -153,7 +153,7 @@ func ProfilePotential(ctx context.Context, a *bem.Assembler, sigma []float64, sc
 		return nil, nil, err
 	}
 	v = make([]float64, n)
-	if _, err := a.Evaluator().PotentialBatchCtx(ctx, pts, sigma, scale, v, batchOpt(opt.WithDefaults())); err != nil {
+	if err := a.Evaluator().PotentialBatchCtx(ctx, pts, sigma, scale, v, batchOpt(opt.WithDefaults())); err != nil {
 		return nil, nil, err
 	}
 	return s, v, nil

@@ -42,7 +42,7 @@ func chaosScenarios(n int) []Scenario {
 // firstClassOf returns the 1-based AssemblyPair firing that evaluates the
 // first pair class of plan job k — a deterministic fault target, because
 // jobs run one at a time in plan order. Every job of a chaos sweep has its
-// whole mesh in the top layer of one mesh group, so all share the class
+// mesh, the same for all, wholly in the top layer, so all share the class
 // count of a clean run.
 func firstClassOf(t *testing.T, baseline []Result, k int) int64 {
 	t.Helper()

@@ -5,25 +5,19 @@
 //
 // Reuse tiers, cheapest first:
 //
-//  1. Geometry cache — scenarios whose soil models share interface depths
-//     discretize the grid to the same mesh, so the mesh and the quadrature
-//     geometry (Gauss positions, weights, shape values; bem.Geometry) are
-//     built once per group and shared by every assembler in it.
-//  2. Solve reuse — scenarios whose models share a unit model
+//  1. Solve reuse — scenarios whose models share a unit model
 //     (soil.Normalize: the same model, or one with every conductivity
-//     multiplied by a common factor) map to one assembly + factorization
-//     at unit GPR and unit γ₁; each variant is an O(1) rescale to its own
-//     γ₁ and GPR that is bit-identical to a fresh analysis
-//     (core.Result.WithModel), because every analysis solves the unit model.
-//  3. Fresh assembly — truly distinct models become assembly jobs, run one
-//     at a time in plan order through the stages core.AnalyzeCtx runs after
-//     preprocessing (core.AnalyzeAssembler: matrix generation, solve,
-//     results). Each job's matrix generation is the assembler's own
-//     parallel loop at the configured width, so the workers stay busy
-//     inside a job, the results are bit-identical to Analyze by
-//     construction, and peak memory is one job's (its assembler, image
-//     ladder, pair-class table and system matrix), however many distinct
-//     models the sweep holds.
+//     multiplied by a common factor) map to one analysis at unit GPR and
+//     unit γ₁; each variant is an O(1) rescale to its own γ₁ and GPR that
+//     is bit-identical to a fresh analysis (core.Result.WithModel),
+//     because every analysis solves the unit model.
+//  2. Fresh assembly — truly distinct unit models become jobs, run one at
+//     a time in plan order through core.AnalyzeCtx. Each job's matrix
+//     generation is the assembler's own parallel loop at the configured
+//     width, so the workers stay busy inside a job, the results are
+//     bit-identical to Analyze by construction, and peak memory is one
+//     job's (its mesh, assembler, image ladder, pair-class table and
+//     system matrix), however many distinct models the sweep holds.
 //
 // The sweep solves dense systems only (PCG or Cholesky): the compressed
 // tier, Config.Solver = SolverHMatrix, is core.AnalyzeCtx's alone, and Run
@@ -36,10 +30,8 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"strings"
 	"time"
 
-	"earthing/internal/bem"
 	"earthing/internal/core"
 	"earthing/internal/grid"
 	"earthing/internal/sched"
@@ -80,15 +72,16 @@ type Reuse string
 
 const (
 	// ReuseAssembled marks the scenario that paid the fresh assembly of
-	// its (mesh, unit model) job.
+	// its unit model's job.
 	ReuseAssembled Reuse = "assembled"
 	// ReuseSolve marks a scenario rescaled from an already-solved job
 	// (same unit model, another γ₁ or GPR) — bit-identical to a fresh
 	// analysis.
 	ReuseSolve Reuse = "solve"
-	// ReuseFailed marks a scenario whose assembly job failed — a panicking
-	// worker or a failed numerical health check. Res is nil and Err carries
-	// the cause; the rest of the batch is unaffected.
+	// ReuseFailed marks a scenario whose assembly job failed — a failed
+	// preprocessing of its model, a panicking worker or a failed numerical
+	// health check. Res is nil and Err carries the cause; the rest of the
+	// batch is unaffected.
 	ReuseFailed Reuse = "failed"
 )
 
@@ -103,10 +96,10 @@ type Result struct {
 	// Res is the solved analysis at the scenario's GPR (nil when Err is
 	// set).
 	Res *core.Result
-	// Err is the failure of this scenario's assembly job: a contained
-	// worker panic (*sched.PanicError) or a numerical health failure
-	// (*core.HealthError). Scenarios sharing the failed job all carry the
-	// same Err; scenarios of other jobs complete normally.
+	// Err is the failure of this scenario's assembly job: a preprocessing
+	// error, a contained worker panic (*sched.PanicError) or a numerical
+	// health failure (*core.HealthError). Scenarios sharing the failed job
+	// all carry the same Err; scenarios of other jobs complete normally.
 	Err error
 	// Wall is the time from sweep start to this result's emission.
 	Wall time.Duration
@@ -118,23 +111,16 @@ type Result struct {
 	Solve time.Duration
 }
 
-// meshGroup is the geometry-reuse tier: one mesh + quadrature geometry per
-// distinct interface-depth signature.
-type meshGroup struct {
-	warnings []string
-	geo      *bem.Geometry
-}
-
-// job is one fresh assembly: a distinct (mesh, unit model) pair. Its
-// assembler is built when the job runs, so the sweep holds one at a time.
+// job is one fresh assembly: a distinct unit model. Its analysis runs when
+// the job does, so the sweep holds one at a time.
 type job struct {
-	group *meshGroup
 	unit  soil.Model
 	scens []int // scenario indices served by this job, ascending
 }
 
 // plan is the grouped, deduplicated work list of a sweep.
 type plan struct {
+	g      *grid.Grid
 	cfg    core.Config
 	models []soil.Model // per-scenario model
 	gprs   []float64    // resolved per-scenario GPR
@@ -142,16 +128,8 @@ type plan struct {
 	jobs   []*job
 }
 
-// depthsKey renders interface depths at full precision.
-func depthsKey(depths []float64) string {
-	var b strings.Builder
-	for _, d := range depths {
-		fmt.Fprintf(&b, "%.17g;", d)
-	}
-	return b.String()
-}
-
-// buildPlan groups scenarios into mesh groups and assembly jobs.
+// buildPlan validates the grid and the scenarios and groups the scenarios
+// into assembly jobs.
 func buildPlan(g *grid.Grid, scenarios []Scenario, opt Options) (*plan, error) {
 	cfg := opt.Config
 	if cfg.GPR == 0 {
@@ -163,13 +141,16 @@ func buildPlan(g *grid.Grid, scenarios []Scenario, opt Options) (*plan, error) {
 	if g == nil {
 		return nil, errors.New("sweep: nil grid")
 	}
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
+	}
 	p := &plan{
+		g:      g,
 		cfg:    cfg,
 		models: make([]soil.Model, len(scenarios)),
 		gprs:   make([]float64, len(scenarios)),
 		ids:    make([]string, len(scenarios)),
 	}
-	groups := map[string]*meshGroup{}
 	jobsByKey := map[string]*job{}
 
 	for i, sc := range scenarios {
@@ -190,28 +171,13 @@ func buildPlan(g *grid.Grid, scenarios []Scenario, opt Options) (*plan, error) {
 			p.ids[i] = fmt.Sprintf("s%d", i)
 		}
 
-		mk := depthsKey(core.InterfaceDepths(sc.Soil))
-		grp, ok := groups[mk]
-		if !ok {
-			mesh, warnings, err := core.BuildMesh(g, sc.Soil, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: scenario %d: %w", i, err)
-			}
-			geo, err := bem.NewGeometry(mesh, cfg.BEM)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: scenario %d: %w", i, err)
-			}
-			grp = &meshGroup{warnings: warnings, geo: geo}
-			groups[mk] = grp
-		}
-
 		unit, _ := soil.Normalize(sc.Soil)
-		jk := mk + "\x00" + soil.Canonical(unit)
+		jk := soil.Canonical(unit)
 		if j, ok := jobsByKey[jk]; ok {
 			j.scens = append(j.scens, i)
 			continue
 		}
-		j := &job{group: grp, unit: unit, scens: []int{i}}
+		j := &job{unit: unit, scens: []int{i}}
 		jobsByKey[jk] = j
 		p.jobs = append(p.jobs, j)
 	}
@@ -243,13 +209,15 @@ func Run(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options) (
 // its next schedule chunk boundary and Stream returns ctx's error; results
 // already emitted stay valid.
 //
-// Faults are isolated per assembly job: a panic during one job's matrix
-// generation, assembly or solve (*sched.PanicError), a failure to build its
-// assembler, or a solver/health failure of its system, emits ReuseFailed results (Err set, Res nil) for
+// Faults are isolated per assembly job: a failed preprocessing of its
+// model (discretization or assembler setup), a panic during its matrix
+// generation, assembly or solve (*sched.PanicError), or a solver/health
+// failure of its system emits ReuseFailed results (Err set, Res nil) for
 // that job's scenarios while every other job completes normally. Stream
 // itself returns nil in that case — per-scenario failures live on the
-// Results, not the sweep. A Config.Solver of core.SolverHMatrix returns
-// ErrUnsupportedSolver before any work starts.
+// Results, not the sweep. A nil or invalid grid, a nil model, an invalid
+// GPR or a Config.Solver of core.SolverHMatrix (ErrUnsupportedSolver) fails
+// the sweep before any work starts.
 func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options, emit func(Result) error) error {
 	if opt.Config.Solver == core.SolverHMatrix {
 		return ErrUnsupportedSolver
@@ -275,24 +243,19 @@ func Stream(ctx context.Context, g *grid.Grid, scenarios []Scenario, opt Options
 	return nil
 }
 
-// runJob builds job ji's assembler on its group's shared geometry and
-// analyzes it at unit GPR and unit γ₁. A panic on this goroutine (the
-// sequential scatter or solve) fails the job alone as a *sched.PanicError;
-// panics inside the parallel loops arrive as the same error type through
-// core.
+// runJob analyzes job ji's unit model at unit GPR through core.AnalyzeCtx.
+// A panic on this goroutine (the sequential scatter or solve) fails the job
+// alone as a *sched.PanicError; panics inside the parallel loops arrive as
+// the same error type through core.
 func (p *plan) runJob(ctx context.Context, ji int, j *job) (unit *core.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			unit, err = nil, &sched.PanicError{Value: v, Stack: debug.Stack(), Iteration: ji}
 		}
 	}()
-	asm, err := bem.NewWithGeometry(j.group.geo, j.unit, p.cfg.BEM)
-	if err != nil {
-		return nil, err
-	}
 	cfg := p.cfg
 	cfg.GPR = 1
-	return core.AnalyzeAssembler(ctx, asm, j.unit, j.group.warnings, cfg)
+	return core.AnalyzeCtx(ctx, p.g, j.unit, cfg)
 }
 
 // emitJob delivers every scenario of a finished job: ReuseFailed results

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"earthing/internal/bem"
@@ -161,24 +162,63 @@ func TestSweepGPRReuse(t *testing.T) {
 	}
 }
 
-// TestSweepMeshGrouping pins the geometry-reuse tier: models with equal
-// interface depths share one mesh; models with different depths do not.
-func TestSweepMeshGrouping(t *testing.T) {
-	g := grid.Balaidos()
-	scens := []Scenario{
-		{ID: "a", Soil: soil.NewTwoLayer(0.0025, 0.020, 0.7)},
-		{ID: "b", Soil: soil.NewTwoLayer(0.004, 0.018, 0.7)},
-		{ID: "c", Soil: soil.NewTwoLayer(0.0025, 0.020, 1.0)},
+// TestSweepFailureSemantics pins where a sweep fails. An invalid grid fails
+// the whole sweep before anything is emitted. A model whose interface cuts
+// a rod so close to its end that the piece breaks the thin-wire assumption
+// makes the preprocessing of a valid grid fail: that fails its own job's
+// scenarios alone, as ReuseFailed, while the other jobs complete bitwise
+// equal to AnalyzeCtx.
+func TestSweepFailureSemantics(t *testing.T) {
+	ctx := context.Background()
+	cfg := testConfig(2)
+	bad := &grid.Grid{}
+	bad.AddConductor(geom.V(0, 0, 0.8), geom.V(10, 0, 0.8), 0) // zero radius
+	err := Stream(ctx, bad, []Scenario{{Soil: soil.NewUniform(0.02)}}, Options{Config: cfg},
+		func(Result) error {
+			t.Error("emit called for an invalid grid")
+			return nil
+		})
+	if err == nil {
+		t.Error("invalid grid accepted")
 	}
-	got, err := Run(context.Background(), g, scens, Options{Config: testConfig(0)})
+
+	g := grid.RectMesh(0, 0, 10, 10, 2, 2, 0.8, 0.006)
+	g.AddConductor(geom.V(0, 0, 0.8), geom.V(0, 0, 2.8), 0.006)
+	// The interface at 0.805 m leaves a 5 mm rod piece, thinner than twice
+	// the 6 mm radius.
+	cut := soil.NewTwoLayer(0.005, 0.016, 0.805)
+	if _, err := core.AnalyzeCtx(ctx, g, cut, cfg); err == nil {
+		t.Fatal("AnalyzeCtx accepted the cut rod")
+	}
+	scens := []Scenario{
+		{ID: "uniform", Soil: soil.NewUniform(0.02)},
+		{ID: "cut", Soil: cut},
+		{ID: "two-layer", Soil: soil.NewTwoLayer(0.005, 0.016, 1.5)},
+		{ID: "cut-2x", Soil: soil.NewTwoLayer(0.010, 0.032, 0.805)},
+	}
+	got, err := Run(ctx, g, scens, Options{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].Res.Mesh != got[1].Res.Mesh {
-		t.Error("same interface depth (0.7 m): meshes not shared")
+	for i, r := range got {
+		if strings.HasPrefix(r.ID, "cut") {
+			if r.Reuse != ReuseFailed || r.Err == nil || r.Res != nil {
+				t.Errorf("%s: reuse %q, err %v, want a failed job", r.ID, r.Reuse, r.Err)
+			}
+			continue
+		}
+		if r.Reuse != ReuseAssembled || r.Err != nil {
+			t.Fatalf("%s: reuse %q, err %v, want assembled", r.ID, r.Reuse, r.Err)
+		}
+		want, err := core.AnalyzeCtx(ctx, g, scens[i].Soil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameFloats(t, r.ID+" Sigma", r.Res.Sigma, want.Sigma)
+		sameFloats(t, r.ID+" Req/Current/GPR", []float64{r.Res.Req, r.Res.Current, r.Res.GPR}, []float64{want.Req, want.Current, want.GPR})
 	}
-	if got[0].Res.Mesh == got[2].Res.Mesh {
-		t.Error("different interface depths (0.7 vs 1.0 m): meshes unexpectedly shared")
+	if got[1].Err != got[3].Err {
+		t.Errorf("the failed job's scenarios carry different errors: %v vs %v", got[1].Err, got[3].Err)
 	}
 }
 

@@ -14,11 +14,12 @@ type SweepScenario = sweep.Scenario
 
 // SweepResult is one solved scenario as emitted by Sweep/SweepStream; see
 // the internal/sweep package for field semantics. Results carry the reuse
-// tier that produced them (SweepAssembled, SweepSolveReuse, SweepFailed) and per-scenario assembly/solve/wall timings. A result with
-// a non-nil Err (tier SweepFailed) is a per-scenario failure — a contained
-// worker panic or a rejected health check — and its Res is nil; the other
-// scenarios of the batch are unaffected. Always check Err before touching
-// Res.
+// tier that produced them (SweepAssembled, SweepSolveReuse, SweepFailed)
+// and per-scenario assembly/solve/wall timings. A result with a non-nil Err
+// (tier SweepFailed) is a per-scenario failure — a preprocessing error, a
+// contained worker panic or a rejected health check — and its Res is nil;
+// the other scenarios of the batch are unaffected. Always check Err before
+// touching Res.
 type SweepResult = sweep.Result
 
 // SweepReuse labels how a sweep result was obtained.
@@ -32,30 +33,29 @@ const (
 	// every conductivity multiplied by a common factor, at any GPR — the
 	// unit solve was rescaled (bit-identical to a fresh run).
 	SweepSolveReuse = sweep.ReuseSolve
-	// SweepFailed: the scenario's assembly job failed (worker panic or
-	// health check); Result.Err carries the cause and Res is nil. The rest
-	// of the batch completes normally.
+	// SweepFailed: the scenario's assembly job failed (preprocessing,
+	// worker panic or health check); Result.Err carries the cause and Res
+	// is nil. The rest of the batch completes normally.
 	SweepFailed = sweep.ReuseFailed
 )
 
 // Sweep solves many scenario variants of one grid in a single batch,
-// amortizing work the variants share: the mesh is built once per distinct
-// set of soil-interface depths, each distinct soil model is assembled
-// exactly once (one model at a time, each through Analyze's own parallel
-// matrix generation, so memory stays at one model's), and scenarios
-// differing only in GPR or in a common conductivity factor reuse the cached
-// unit solve (every analysis solves the model normalized to γ₁ = 1).
+// amortizing work the variants share: each distinct soil model is analyzed
+// exactly once (one model at a time, each through Analyze itself, so memory
+// stays at one model's), and scenarios differing only in GPR or in a common
+// conductivity factor reuse the cached unit solve (every analysis solves the
+// model normalized to γ₁ = 1).
 // Results are returned in scenario order and each is bit-identical to a
 // sequential Analyze of that scenario at the same worker count.
 //
 // The shared cfg supplies discretization, solver and parallel options; a
-// scenario's GPR overrides cfg.GPR when non-zero, and a negative GPR fails
-// the sweep before any work starts.
+// scenario's GPR overrides cfg.GPR when non-zero, and a negative GPR or an
+// invalid grid fails the sweep before any work starts.
 //
-// A failure confined to one scenario's assembly or solve (a contained
-// worker panic, a rejected health check) does not error the sweep: that
-// scenario's Result comes back with Err set and Res nil (tier SweepFailed)
-// while the rest of the batch completes.
+// A failure confined to one scenario's model (a preprocessing error, a
+// contained worker panic, a rejected health check) does not error the
+// sweep: that scenario's Result comes back with Err set and Res nil (tier
+// SweepFailed) while the rest of the batch completes.
 func Sweep(ctx context.Context, g *Grid, scenarios []SweepScenario, cfg Config, opts ...Option) ([]SweepResult, error) {
 	return sweep.Run(ctx, g, scenarios, sweep.Options{Config: applyOptions(cfg, opts)})
 }
