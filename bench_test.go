@@ -235,30 +235,6 @@ func BenchmarkFig61OuterVsInner(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAssembly compares the paper's store-then-assemble
-// transformation against mutex assembly (§6.2 / DESIGN.md §6).
-func BenchmarkAblationAssembly(b *testing.B) {
-	m, err := grid.BarberaMesh()
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := experiments.BarberaTwoLayer()
-	for _, mode := range []bem.AssemblyMode{bem.StoreThenAssemble, bem.MutexAssemble} {
-		b.Run(mode.String(), func(b *testing.B) {
-			bo := bem.Options{Workers: 4, Assembly: mode, SeriesTol: benchQ.SeriesTol}
-			for i := 0; i < b.N; i++ {
-				a, err := bem.New(m, model, bo)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := a.MatrixCtx(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationSeriesTol sweeps the kernel-series tolerance (§4.3's
 // accuracy/cost trade-off) on the Balaidos model C analysis.
 func BenchmarkAblationSeriesTol(b *testing.B) {

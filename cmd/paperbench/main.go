@@ -10,9 +10,9 @@
 //	paperbench -exp fig5.2 -out figures/   # also write CSV + SVG artifacts
 //
 // Experiments: barbera, table5.1, table6.1, table6.2, table6.3, fig5.1,
-// fig5.2, fig5.3, fig5.4, fig6.1, sweep, hmatrix, optimize,
-// ablation-assembly, ablation-tol, ablation-solver, ablation-elements,
-// ablation-threelayer, ablation-grading, baseline-fdm, all.
+// fig5.2, fig5.3, fig5.4, fig6.1, sweep, hmatrix, optimize, ablation-tol,
+// ablation-solver, ablation-elements, ablation-threelayer, ablation-grading,
+// baseline-fdm, all.
 //
 // The sweep experiment benchmarks the multi-scenario batch engine (3
 // Balaidos soils × 3 GPR values) against a sequential Analyze loop. The
@@ -129,7 +129,6 @@ func runExperiments(ctx context.Context, w io.Writer, exp string, q experiments.
 		{"optimize", func() error { return experiments.OptimizeLoop(ctx, w, q, 0, jsonOut) }},
 		{"table6.2", func() error { return experiments.Table62(ctx, w, q, workers) }},
 		{"table6.3", func() error { return experiments.Table63(ctx, w, q, workers) }},
-		{"ablation-assembly", func() error { return experiments.AblationAssembly(ctx, w, q, workers) }},
 		{"ablation-tol", func() error { return experiments.AblationSeriesTol(ctx, w, 0) }},
 		{"ablation-solver", func() error { return experiments.AblationSolver(ctx, w, q) }},
 		{"ablation-elements", func() error { return experiments.AblationElements(ctx, w) }},

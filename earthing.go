@@ -152,8 +152,6 @@ type (
 	Schedule = sched.Schedule
 	// LoopStrategy selects outer- or inner-loop parallelization.
 	LoopStrategy = bem.LoopStrategy
-	// AssemblyMode selects deferred or mutex elementwise assembly.
-	AssemblyMode = bem.AssemblyMode
 	// KernelStrategy names the image-series inner-integral arithmetic;
 	// FlatKernel is its only value.
 	//
@@ -189,12 +187,10 @@ const (
 	SolverHMatrix = core.SolverHMatrix
 )
 
-// Loop strategies, assembly modes and the kernel strategy.
+// Loop strategies and the kernel strategy.
 const (
-	OuterLoop         = bem.OuterLoop
-	InnerLoop         = bem.InnerLoop
-	StoreThenAssemble = bem.StoreThenAssemble
-	MutexAssemble     = bem.MutexAssemble
+	OuterLoop = bem.OuterLoop
+	InnerLoop = bem.InnerLoop
 	// FlatKernel, the only kernel, streams the shared image ladder through a
 	// hoisted log-form inner integral.
 	//

@@ -127,7 +127,6 @@ func TestFacadeSolverAndOptions(t *testing.T) {
 		BEM: earthing.BEMOptions{
 			Workers:  2,
 			Loop:     earthing.InnerLoop,
-			Assembly: earthing.MutexAssemble,
 			Schedule: earthing.Schedule{Kind: earthing.Guided, Chunk: 1},
 		},
 	})

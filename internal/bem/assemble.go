@@ -192,17 +192,19 @@ func (a *Assembler) NumPairs() int {
 }
 
 // MatrixCtx generates the Galerkin system matrix (eq. 4.4–4.5) using the
-// configured loop strategy, schedule and assembly mode; the returned
-// statistics describe how the parallel loop distributed its work. It
-// classifies every element pair (PairClass), evaluates each pair class once
-// in the parallel loop and scatters the class matrices onto their member
-// pairs. On a shared ladder it first resolves the classes against the
-// ladder's class memo (memo.go): the loop evaluates only the misses, and
-// publishes them once it has succeeded. ctx is observed once per triangle
-// row while classifying and at every schedule chunk boundary of the class
-// loop (see sched.ForStatsCtx), so an abandoned request stops burning cores
-// after at most one row or column. On cancellation the matrix is discarded
-// and ctx.Err() is returned.
+// configured loop strategy and schedule; the returned statistics describe
+// how the parallel loop distributed its work. It classifies every element
+// pair (PairClass) and, in the paper's transformation (§6.2), evaluates
+// each pair class once in the parallel loop into its own slot of a
+// pairStore, then assembles the global matrix sequentially by scattering
+// the class matrices onto their member pairs. On a shared ladder it first
+// fills the slots of the classes the ladder's class memo (memo.go) serves:
+// the loop evaluates only the misses, and publishes them once it has
+// succeeded. ctx is observed once per triangle row while classifying and
+// at every schedule chunk boundary of the class loop (see
+// sched.ForStatsCtx), so an abandoned request stops burning cores after at
+// most one row or column. On cancellation the matrix is discarded and
+// ctx.Err() is returned.
 func (a *Assembler) MatrixCtx(ctx context.Context) (*linalg.SymMatrix, sched.Stats, error) {
 	cl, err := a.classify(ctx)
 	if err != nil {
@@ -210,83 +212,32 @@ func (a *Assembler) MatrixCtx(ctx context.Context) (*linalg.SymMatrix, sched.Sta
 	}
 	a.lastClasses = len(cl.keys)
 
-	kk := a.k * a.k
+	ps := a.newPairStore(cl)
 	memo := a.classMemo()
-	var hits [][]float64 // per class: its memoized matrix, or nil
+	var served []bool // per class: its slot was filled from the memo
 	if memo != nil {
-		hits = memo.resolveClasses(a.memoVariant(), cl.keys, kk)
+		served = memo.resolveClasses(a.memoVariant(), ps)
 	}
-	served := func(c int) bool { return hits != nil && hits[c] != nil }
-
-	var r *linalg.SymMatrix
-	var stats sched.Stats
-	// ps holds the classes the loop evaluates, for the assembly or the memo.
-	var ps *pairStore
-	switch a.opt.Assembly {
-	case StoreThenAssemble:
-		// The paper's transformation: compute all elemental matrices into
-		// flat storage inside the parallel loop, assemble sequentially after.
-		ps = a.newPairStore(cl)
-		for c, h := range hits {
-			if h != nil {
-				copy(ps.class(c), h)
-			}
+	stats, err := a.runPairLoop(ctx, cl, func(c, beta int, scratch *pairScratch) {
+		if served == nil || !served[c] {
+			a.evalClass(cl, c, beta, ps.class(c), scratch)
 		}
-		stats, err = a.runPairLoop(ctx, cl, func(c, beta int, scratch *pairScratch) {
-			if !served(c) {
-				a.evalClass(cl, c, beta, ps.class(c), scratch)
-			}
-		})
-		if err != nil {
-			return nil, stats, err
-		}
-		r = ps.assemble()
-
-	case MutexAssemble:
-		// Each class is scattered onto its members under a lock as soon as
-		// it is computed; members are listed per class up front.
-		members, off := cl.members()
-		if memo != nil {
-			ps = a.newPairStore(cl)
-		}
-		r = linalg.NewSymMatrix(a.mesh.NumDoF)
-		var mu sync.Mutex
-		stats, err = a.runPairLoop(ctx, cl, func(c, beta int, scratch *pairScratch) {
-			m := scratch.elemental
-			if ps != nil {
-				m = ps.class(c)
-			}
-			if served(c) {
-				m = hits[c]
-			} else {
-				a.evalClass(cl, c, beta, m, scratch)
-			}
-			var member [4]float64
-			mu.Lock()
-			for _, p := range members[off[c]:off[c+1]] {
-				p.flip.Apply(a.k, m, member[:])
-				a.assemblePair(r, int(p.beta), int(p.alpha), member[:])
-			}
-			mu.Unlock()
-		})
-		if err != nil {
-			return nil, stats, err
-		}
-
-	default:
-		return nil, sched.Stats{}, fmt.Errorf("bem: unknown assembly mode %v", a.opt.Assembly)
+	})
+	if err != nil {
+		return nil, stats, err
 	}
+	r := ps.assemble()
 	if memo != nil {
-		memo.publishClasses(a.memoVariant(), cl.keys, hits, kk, ps.class)
+		memo.publishClasses(a.memoVariant(), ps, served)
 	}
 	return r, stats, nil
 }
 
-// pairStore is the elemental-matrix store of a StoreThenAssemble
-// generation: the pair → class table and one k×k slot per pair class. Each
-// class is computed by the column that owns it (see pairClasses); distinct
-// columns touch disjoint slots, so concurrent workers fill different
-// columns without synchronization.
+// pairStore is the elemental-matrix store of a generation: the pair → class
+// table and one k×k slot per pair class. Each class is computed by the
+// column that owns it (see pairClasses); distinct columns touch disjoint
+// slots, so concurrent workers fill different columns without
+// synchronization.
 type pairStore struct {
 	a       *Assembler
 	classes *pairClasses

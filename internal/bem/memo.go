@@ -18,9 +18,10 @@ import (
 // therefore memoizes two kinds of result, each an exact function of its
 // key, so a served value is bitwise the value the assembler would compute:
 //
-//   - Class matrices, keyed by PairKey. MatrixCtx resolves every class of
-//     its classification against the memo before the pair loop, evaluates
-//     only the misses and publishes them after the loop succeeded.
+//   - Class matrices, keyed by PairKey. MatrixCtx copies every class of
+//     its classification the memo holds into its pair store before the pair
+//     loop, evaluates only the misses and publishes them from the store
+//     after the loop succeeded.
 //   - Surface-potential columns: the column (c0, c1) of one plan element at
 //     every point of a batch (FieldEvaluator.column), keyed by the
 //     element's header and the batch's point set, which is matched exactly,
@@ -145,10 +146,12 @@ func (m *ladderMemo) set(v memoVariant, create bool) *memoSet {
 	return s
 }
 
-// resolveClasses returns, per class of keys, its memoized k×k matrix, or
-// nil for a class to evaluate.
-func (m *ladderMemo) resolveClasses(v memoVariant, keys []PairKey, kk int) [][]float64 {
-	hits := make([][]float64, len(keys))
+// resolveClasses copies the memoized matrix of every class of ps it holds
+// into the class's slot and returns which classes it served.
+func (m *ladderMemo) resolveClasses(v memoVariant, ps *pairStore) []bool {
+	keys := ps.classes.keys
+	served := make([]bool, len(keys))
+	kk := ps.a.k * ps.a.k
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.set(v, false)
@@ -158,35 +161,36 @@ func (m *ladderMemo) resolveClasses(v memoVariant, keys []PairKey, kk int) [][]f
 			continue
 		}
 		if i, ok := s.classes.Find(&keys[c]); ok {
-			lo := int(i) * kk
-			hits[c] = s.vals[lo : lo+kk : lo+kk]
+			copy(ps.class(c), s.vals[int(i)*kk:])
+			served[c] = true
 			n++
 		}
 	}
 	m.classHits.Add(int64(n))
 	m.classMisses.Add(int64(len(keys) - n))
-	return hits
+	return served
 }
 
-// publishClasses adds every class of keys that hits does not serve, its
-// matrix val(c), until the cap.
-func (m *ladderMemo) publishClasses(v memoVariant, keys []PairKey, hits [][]float64, kk int, val func(c int) []float64) {
+// publishClasses adds the slot of every class of ps that served does not
+// mark, until the cap.
+func (m *ladderMemo) publishClasses(v memoVariant, ps *pairStore, served []bool) {
 	if faultinject.Active() {
 		return
 	}
+	keys := ps.classes.keys
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.set(v, true)
-	entry := int64(classMemoEntryBytes + 8*kk)
+	entry := int64(classMemoEntryBytes + 8*ps.a.k*ps.a.k)
 	for c := range keys {
-		if hits[c] != nil || keys[c][kwHeader] == exactClass {
+		if served[c] || keys[c][kwHeader] == exactClass {
 			continue
 		}
 		if m.classBytes+entry > m.classCap {
 			return
 		}
 		if _, added := s.classes.Intern(&keys[c]); added {
-			s.vals = append(s.vals, val(c)...)
+			s.vals = append(s.vals, ps.class(c)...)
 			m.classBytes += entry
 		}
 	}

@@ -113,26 +113,21 @@ func TestSharedLadderMemoCapAndFootprint(t *testing.T) {
 	}
 }
 
-// TestSharedLadderMemoAssemblyModes: both assembly modes serve classes from
-// the memo, either mode reads what the other published, and a candidate
-// repeated on its ladder misses no class and no column. One worker: the
-// mutex mode adds classes into the matrix in the order they complete.
-func TestSharedLadderMemoAssemblyModes(t *testing.T) {
+// TestSharedLadderMemoLoopStrategies: both loop strategies serve classes
+// from the memo, either reads what the other published, and a candidate
+// repeated on its ladder misses no class and no column.
+func TestSharedLadderMemoLoopStrategies(t *testing.T) {
 	model := soil.NewTwoLayer(0.015, 0.005, 1.3)
 	cands := memoCandidates(t)[:3]
-	modes := []AssemblyMode{MutexAssemble, StoreThenAssemble, MutexAssemble}
-	want := map[AssemblyMode][]candidateOut{}
-	for _, mode := range modes[:2] {
-		want[mode] = privateOuts(t, model, cands, Options{Workers: 1, Assembly: mode})
-	}
-	lad := NewLadder(model, Options{Workers: 1})
-	for pass, mode := range modes {
-		opt := Options{Workers: 1, Assembly: mode}
+	want := privateOuts(t, model, cands, Options{Workers: 2})
+	lad := NewLadder(model, Options{Workers: 2})
+	for pass, loop := range []LoopStrategy{OuterLoop, InnerLoop, OuterLoop} {
+		opt := Options{Workers: 2, Loop: loop}
 		for i, m := range cands {
 			misses := lad.memo.classMisses.Load() + lad.memo.colMisses.Load()
-			sharedOut(t, model, m, opt, lad, want[mode][i], fmt.Sprintf("%v, pass %d, candidate %d", mode, pass, i))
+			sharedOut(t, model, m, opt, lad, want[i], fmt.Sprintf("%v, pass %d, candidate %d", loop, pass, i))
 			if n := lad.memo.classMisses.Load() + lad.memo.colMisses.Load() - misses; pass > 0 && n != 0 {
-				t.Errorf("%v, pass %d, candidate %d: %d misses on a repeat", mode, pass, i, n)
+				t.Errorf("%v, pass %d, candidate %d: %d misses on a repeat", loop, pass, i, n)
 			}
 		}
 	}

@@ -70,34 +70,6 @@ func (k KernelStrategy) String() string {
 	return fmt.Sprintf("KernelStrategy(%d)", int(k))
 }
 
-// AssemblyMode selects how elemental matrices reach the global matrix.
-type AssemblyMode int
-
-const (
-	// StoreThenAssemble computes and stores all elemental matrices (one per
-	// pair class) in the parallel loop and assembles them sequentially
-	// afterwards — the paper's dependency-breaking transformation (§6.2),
-	// costing one k×k slot per class and a 4-byte class entry per pair.
-	StoreThenAssemble AssemblyMode = iota
-	// MutexAssemble assembles each elemental matrix into the global matrix
-	// (onto every member pair of its class) under a lock as soon as it is
-	// computed — the ablation baseline whose contention the paper's
-	// transformation avoids.
-	MutexAssemble
-)
-
-// String implements fmt.Stringer.
-func (a AssemblyMode) String() string {
-	switch a {
-	case StoreThenAssemble:
-		return "store-then-assemble"
-	case MutexAssemble:
-		return "mutex"
-	default:
-		return fmt.Sprintf("AssemblyMode(%d)", int(a))
-	}
-}
-
 // Options configures matrix generation and potential evaluation. The zero
 // value selects the defaults documented on each field.
 type Options struct {
@@ -127,8 +99,6 @@ type Options struct {
 	Schedule sched.Schedule
 	// Loop selects outer- or inner-loop parallelization (Figure 6.1).
 	Loop LoopStrategy
-	// Assembly selects deferred or mutex assembly (§6.2).
-	Assembly AssemblyMode
 	// Kernel must be FlatKernel (the zero value); New rejects any other
 	// value with ErrUnknownKernel.
 	//

@@ -376,37 +376,6 @@ type pairClasses struct {
 	keys []PairKey
 }
 
-// classMember is one pair of a class and the flip that maps onto it.
-type classMember struct {
-	beta, alpha int32
-	flip        PairFlip
-}
-
-// members lists every class's pairs, by counting sort over the table:
-// class c's are members[off[c]:off[c+1]], in triangle order.
-func (cl *pairClasses) members() (members []classMember, off []int32) {
-	off = make([]int32, len(cl.keys)+1)
-	for _, v := range cl.of {
-		off[v>>2+1]++
-	}
-	for c := range cl.keys {
-		off[c+1] += off[c]
-	}
-	next := append([]int32(nil), off[:len(cl.keys)]...)
-	members = make([]classMember, len(cl.of))
-	m := len(cl.colOff) - 1
-	for beta := 0; beta < m; beta++ {
-		row := beta * (beta + 1) / 2
-		for alpha := 0; alpha <= beta; alpha++ {
-			v := cl.of[row+alpha]
-			c := v >> 2
-			members[next[c]] = classMember{int32(beta), int32(alpha), PairFlip(v & 3)}
-			next[c]++
-		}
-	}
-	return members, off
-}
-
 // columnClasses returns the class range [lo, hi) column beta owns.
 func (cl *pairClasses) columnClasses(beta int) (lo, hi int) {
 	i := len(cl.colOff) - 2 - beta

@@ -247,7 +247,7 @@ func validGPR(cfg *Config) error {
 	if cfg.GPR == 0 {
 		cfg.GPR = 1
 	}
-	if cfg.GPR < 0 || math.IsNaN(cfg.GPR) {
+	if cfg.GPR < 0 || math.IsNaN(cfg.GPR) || math.IsInf(cfg.GPR, 1) {
 		return fmt.Errorf("core: invalid GPR %g", cfg.GPR)
 	}
 	return nil

@@ -244,6 +244,26 @@ func TestInvalidConfigs(t *testing.T) {
 	}
 }
 
+// TestNonFiniteGPRRejected: AnalyzeCtx and Rehydrate reject a GPR that is
+// NaN or ±Inf, as Result.WithModel and the sweep do, instead of reporting an
+// infinite current.
+func TestNonFiniteGPRRejected(t *testing.T) {
+	g := grid.RectMesh(0, 0, 10, 10, 2, 2, 0.8, 0.006)
+	model := soil.NewUniform(0.02)
+	res, err := AnalyzeCtx(context.Background(), g, model, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gpr := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if r, err := AnalyzeCtx(context.Background(), g, model, Config{GPR: gpr}); err == nil {
+			t.Errorf("AnalyzeCtx: GPR %g accepted (current %g)", gpr, r.Current)
+		}
+		if r, err := Rehydrate(g, model, res.Sigma, Config{GPR: gpr}); err == nil {
+			t.Errorf("Rehydrate: GPR %g accepted (current %g)", gpr, r.Current)
+		}
+	}
+}
+
 func TestBondingWarning(t *testing.T) {
 	g := grid.RectMesh(0, 0, 10, 10, 2, 2, 0.8, 0.006)
 	g.AddRod(30, 30, 0.8, 2, 0.007) // floating, far from the grid

@@ -14,38 +14,6 @@ import (
 	"earthing/internal/soil"
 )
 
-// AblationAssembly compares the paper's dependency-breaking transformation
-// (store all elemental matrices, assemble sequentially afterwards, §6.2)
-// against assembling under a mutex inside the parallel loop.
-func AblationAssembly(ctx context.Context, out io.Writer, q Quality, workers []int) (err error) {
-	w, flush := buffered(out)
-	defer flush(&err)
-
-	q = q.withDefaults()
-	m, err := grid.BarberaMesh()
-	if err != nil {
-		return err
-	}
-	model := BarberaTwoLayer()
-	header(w, "Ablation — elemental assembly: store-then-assemble vs mutex (§6.2)")
-	fmt.Fprintf(w, "%-22s %8s %14s\n", "mode", "workers", "matrix time")
-	for _, mode := range []bem.AssemblyMode{bem.StoreThenAssemble, bem.MutexAssemble} {
-		for _, p := range workers {
-			opt := q.bemOptions(p)
-			opt.Assembly = mode
-			wall, err := minDuration(q.Repeats, func() (time.Duration, error) {
-				d, _, err := matrixGenTime(ctx, m, model, opt)
-				return d, err
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%-22s %8d %14v\n", mode, p, wall.Round(time.Millisecond))
-		}
-	}
-	return nil
-}
-
 // SeriesTolPoint is one tolerance sweep sample.
 type SeriesTolPoint struct {
 	Tol  float64

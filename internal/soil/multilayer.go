@@ -45,7 +45,7 @@ type MultiLayer struct {
 
 // NewMultiLayer builds a model from per-layer conductivities (top first) and
 // layer thicknesses (all but the last, infinite, layer). It returns an error
-// for non-positive conductivities or thicknesses.
+// for conductivities or thicknesses that are not positive and finite.
 func NewMultiLayer(gammas, thicknesses []float64) (*MultiLayer, error) {
 	if len(gammas) < 1 {
 		return nil, fmt.Errorf("soil: need at least one layer")
@@ -55,15 +55,15 @@ func NewMultiLayer(gammas, thicknesses []float64) (*MultiLayer, error) {
 			len(gammas), len(gammas)-1, len(thicknesses))
 	}
 	for i, g := range gammas {
-		if g <= 0 || math.IsNaN(g) {
-			return nil, fmt.Errorf("soil: layer %d conductivity %g must be positive", i+1, g)
+		if !positiveFinite(g) {
+			return nil, fmt.Errorf("soil: layer %d conductivity %g must be positive and finite", i+1, g)
 		}
 	}
 	depths := make([]float64, len(thicknesses))
 	z := 0.0
 	for i, t := range thicknesses {
-		if t <= 0 || math.IsNaN(t) {
-			return nil, fmt.Errorf("soil: layer %d thickness %g must be positive", i+1, t)
+		if !positiveFinite(t) {
+			return nil, fmt.Errorf("soil: layer %d thickness %g must be positive and finite", i+1, t)
 		}
 		z += t
 		depths[i] = z

@@ -1,6 +1,7 @@
 package soil
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -285,6 +286,48 @@ func TestNewMultiLayerValidation(t *testing.T) {
 	if _, err := NewMultiLayer([]float64{1, 2, 3}, []float64{1, 4}); err != nil {
 		t.Errorf("valid model rejected: %v", err)
 	}
+}
+
+// TestConstructorsRejectNonFinite: every soil constructor rejects a
+// conductivity or thickness that is NaN, ±Inf, zero or negative, and accepts
+// a valid one.
+func TestConstructorsRejectNonFinite(t *testing.T) {
+	inf := math.Inf(1)
+	ctors := []struct {
+		name string
+		make func(v float64) error
+	}{
+		{"Uniform", func(v float64) error { return panicErr(func() { NewUniform(v) }) }},
+		{"TwoLayer γ1", func(v float64) error { return panicErr(func() { NewTwoLayer(v, 0.01, 1) }) }},
+		{"TwoLayer γ2", func(v float64) error { return panicErr(func() { NewTwoLayer(0.01, v, 1) }) }},
+		{"TwoLayer h", func(v float64) error { return panicErr(func() { NewTwoLayer(0.01, 0.02, v) }) }},
+		{"MultiLayer γ", func(v float64) error { _, err := NewMultiLayer([]float64{0.01, v, 0.02}, []float64{1, 2}); return err }},
+		{"MultiLayer thickness", func(v float64) error {
+			_, err := NewMultiLayer([]float64{0.01, 0.03, 0.02}, []float64{1, v})
+			return err
+		}},
+	}
+	for _, c := range ctors {
+		for _, v := range []float64{inf, -inf, math.NaN(), 0, -1} {
+			if c.make(v) == nil {
+				t.Errorf("%s: %g accepted", c.name, v)
+			}
+		}
+		if err := c.make(0.5); err != nil {
+			t.Errorf("%s: 0.5 rejected: %v", c.name, err)
+		}
+	}
+}
+
+// panicErr runs f and returns its panic as an error, or nil.
+func panicErr(f func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%v", r)
+		}
+	}()
+	f()
+	return nil
 }
 
 func TestImageGroupStructure(t *testing.T) {

@@ -25,11 +25,11 @@ type TwoLayer struct {
 
 // NewTwoLayer validates and returns a two-layer model.
 func NewTwoLayer(gamma1, gamma2, h float64) *TwoLayer {
-	if gamma1 <= 0 || gamma2 <= 0 || math.IsNaN(gamma1) || math.IsNaN(gamma2) {
-		panic(fmt.Sprintf("soil: non-positive conductivity (γ1=%g, γ2=%g)", gamma1, gamma2))
+	if !positiveFinite(gamma1) || !positiveFinite(gamma2) {
+		panic(fmt.Sprintf("soil: conductivities (γ1=%g, γ2=%g) must be positive and finite", gamma1, gamma2))
 	}
-	if h <= 0 || math.IsNaN(h) {
-		panic(fmt.Sprintf("soil: non-positive layer thickness %g", h))
+	if !positiveFinite(h) {
+		panic(fmt.Sprintf("soil: layer thickness %g must be positive and finite", h))
 	}
 	return &TwoLayer{Gamma1: gamma1, Gamma2: gamma2, H: h}
 }

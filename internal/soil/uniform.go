@@ -16,13 +16,18 @@ type Uniform struct {
 	Gamma float64
 }
 
-// NewUniform returns a uniform soil model; gamma must be positive.
+// NewUniform returns a uniform soil model; gamma must be positive and
+// finite.
 func NewUniform(gamma float64) Uniform {
-	if gamma <= 0 || math.IsNaN(gamma) {
-		panic(fmt.Sprintf("soil: non-positive conductivity %g", gamma))
+	if !positiveFinite(gamma) {
+		panic(fmt.Sprintf("soil: conductivity %g must be positive and finite", gamma))
 	}
 	return Uniform{Gamma: gamma}
 }
+
+// positiveFinite reports whether a conductivity or thickness v is usable:
+// positive and finite (NaN fails both).
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // NumLayers implements Model.
 func (Uniform) NumLayers() int { return 1 }
